@@ -14,7 +14,6 @@ from .complexes import (
     SubdivisionCapExceeded,
     maximal_cliques,
     p_skeleton,
-    simplex_membership_stats,
 )
 from .datasets import (
     Dataset,
@@ -48,7 +47,6 @@ from .evaluation import (
 )
 from .geometry import (
     GeometryParameterError,
-    barycentric_to_point,
     distance_to_simplex,
     mean_model_distance,
     sample_dirichlet,
@@ -58,7 +56,6 @@ from .graphs import (
     MUTUAL,
     NeighborhoodGraph,
     UNION,
-    epsilon_graph,
     knn_graph,
     pairwise_distances,
 )
@@ -83,8 +80,6 @@ from .variants import (
     adasyn_weights,
     borderline_subset,
     compute_safety,
-    oversample_adasyn,
-    oversample_borderline,
     oversample_safelevel,
     safelevel_alphas,
 )
@@ -93,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAXIMAL", "Skeleton", "SkeletonParameterError", "SubdivisionCapExceeded",
-    "maximal_cliques", "p_skeleton", "simplex_membership_stats",
+    "maximal_cliques", "p_skeleton",
     "Dataset", "DatasetError", "MAJORITY", "MINORITY", "Shape", "SyntheticSpec",
     "generate_synthetic",
     "BENCHMARK_K_GRID", "BENCHMARK_METHODS", "CVConfig", "CellResult",
@@ -101,17 +96,17 @@ __all__ = [
     "IMBALANCED", "default_k_grid", "grid_search_eval", "knn_classify",
     "method_grid", "parse_method", "rank_methods", "report_to_csv",
     "report_to_text", "stratified_cv", "synthetic_benchmark",
-    "GeometryParameterError", "barycentric_to_point", "distance_to_simplex",
+    "GeometryParameterError", "distance_to_simplex",
     "mean_model_distance", "sample_dirichlet",
     "GraphParameterError", "MUTUAL", "NeighborhoodGraph", "UNION",
-    "epsilon_graph", "knn_graph", "pairwise_distances",
+    "knn_graph", "pairwise_distances",
     "ConfusionCounts", "MetricError", "confusion_counts", "f1_score", "mcc_score",
     "Method", "Provenance", "SamplerConfig", "SamplerParameterError",
     "SyntheticBatch", "minority_skeleton", "oversample", "oversample_gaussian",
     "oversample_global", "oversample_random", "oversample_simplicial",
     "oversample_smote",
     "EmptyBorderlineError", "NeighborhoodSafety", "adasyn_weights",
-    "borderline_subset", "compute_safety", "oversample_adasyn",
-    "oversample_borderline", "oversample_safelevel", "safelevel_alphas",
+    "borderline_subset", "compute_safety", "oversample_safelevel",
+    "safelevel_alphas",
     "__version__",
 ]

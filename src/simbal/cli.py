@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
 
 from .complexes import MAXIMAL
-from .datasets import Dataset, MAJORITY, MINORITY, Shape, SyntheticSpec, generate_synthetic
+from .datasets import Dataset, MAJORITY, MINORITY, Shape
 from .evaluation import (
-    BENCHMARK_K_GRID,
     CVConfig,
     IMBALANCED,
-    _derived_seed,
-    grid_search_eval,
     parse_method,
     report_to_csv,
     report_to_text,
+    synthetic_benchmark,
 )
 from .geometry import distance_to_simplex, mean_model_distance
 from .graphs import MUTUAL, UNION
@@ -173,17 +172,17 @@ def cmd_benchmark(args) -> int:
     except ValueError:
         valid = ", ".join(s.value for s in Shape)
         raise CliError(f"unknown dataset in {args.datasets!r}; choose from: {valid}") from None
-    cv = CVConfig(folds=args.folds, repeats=args.repeats)
-    datasets = {
-        shape.value: generate_synthetic(SyntheticSpec(shape, seed=_derived_seed(seed, i)))
-        for i, shape in enumerate(shapes)
-    }
-    report = grid_search_eval(datasets, methods, BENCHMARK_K_GRID, cv=cv, seed=seed,
-                              symmetrize=args.symmetrize,
-                              safelevel_formula=args.safelevel_formula)
+    cv = CVConfig(folds=args.folds, repeats=args.repeats,
+                  mode="nested" if args.nested else "outer")
+    report = synthetic_benchmark(seed=seed, shapes=shapes, methods=methods, cv=cv,
+                                 symmetrize=args.symmetrize,
+                                 safelevel_formula=args.safelevel_formula)
     csv_text = report_to_csv(report)
     table_text = report_to_text(report)
     if args.output is not None:
+        out_dir = os.path.dirname(args.output)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         for suffix, content in ((".csv", csv_text), (".txt", table_text)):
             with open(args.output + suffix, "w", encoding="utf-8") as fh:
                 fh.write(content)
@@ -242,12 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="run the synthetic-shape benchmark")
     bench.add_argument("--methods",
                        default="random,global,gaussian,smote,simplicial",
-                       help="comma-separated method list (also accepts 'imbalanced')")
+                       help=f"comma-separated list from: {IMBALANCED}, {method_names} "
+                            "(default: random,global,gaussian,smote,simplicial)")
     bench.add_argument("--datasets",
                        default=",".join(s.value for s in Shape),
                        help="comma-separated shape list")
     bench.add_argument("--folds", type=int, default=4, help="CV folds (default: 4)")
     bench.add_argument("--repeats", type=int, default=5, help="CV repeats (default: 5)")
+    bench.add_argument("--nested", action="store_true",
+                       help="select k and p per outer fold on an inner 25x4-fold CV "
+                            "(much slower)")
     bench.add_argument("--seed", type=int, default=None, help="master seed (default: random, logged)")
     bench.add_argument("--format", choices=["csv", "text"], default="text",
                        help="stdout format when --output is not given")

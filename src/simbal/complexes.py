@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from .graphs import NeighborhoodGraph
 
 # Sentinel for "no cap on simplex dimension" (the full clique complex).
@@ -40,9 +38,6 @@ class Skeleton:
     max_dim: int | None  # None = MAXIMAL
     maximal_simplices: frozenset[Simplex]
     meta: dict = field(default_factory=dict, compare=False)
-
-    def dims(self) -> np.ndarray:
-        return np.array(sorted(len(s) - 1 for s in self.maximal_simplices), dtype=int)
 
     def sorted_simplices(self) -> list[Simplex]:
         """Canonical (lexicographic) ordering, used for deterministic sampling."""
@@ -147,12 +142,3 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     # size < p+1 contained in a generated (p+1)-subset would itself sit inside a
     # larger clique, contradicting its maximality.
     return Skeleton(g.n_vertices, p, frozenset(kept), meta=dict(g.meta))
-
-
-def simplex_membership_stats(sk: Skeleton) -> np.ndarray:
-    """Per-vertex count of maximal simplices containing that vertex."""
-    counts = np.zeros(sk.n_vertices, dtype=int)
-    for simplex in sk.maximal_simplices:
-        for v in simplex:
-            counts[v] += 1
-    return counts

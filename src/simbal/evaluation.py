@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import MAXIMAL
-from .datasets import Dataset, MAJORITY, MINORITY, Shape, SyntheticSpec, generate_synthetic
+from .complexes import MAXIMAL, SubdivisionCapExceeded
+from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, SyntheticSpec,
+                       generate_synthetic)
 from .graphs import UNION, cross_distances
-from .metrics import ConfusionCounts, confusion_counts, f1_score, mcc_score
-from .samplers import GRAPH_METHODS, INVERSE_SAFETY, Method, SamplerConfig, oversample
+from .metrics import confusion_counts, f1_score, mcc_score
+from .samplers import (GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
+                       SamplerParameterError, oversample)
+from .variants import EmptyBorderlineError
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -29,6 +32,10 @@ BENCHMARK_METHODS = (Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN,
                      Method.SMOTE, Method.SIMPLICIAL)
 # Simplex dimension grid: the full clique complex by default.
 DEFAULT_P_GRID = (MAXIMAL,)
+# Sampler failures a fold survives by scoring the unsampled training fold;
+# anything else is a bug and propagates.
+SAMPLER_DOMAIN_ERRORS = (EmptyBorderlineError, SamplerParameterError,
+                         SubdivisionCapExceeded, DatasetError)
 
 
 class EvaluationError(ValueError):
@@ -169,10 +176,9 @@ def method_grid(method, k_grid, p_grid) -> list[tuple[int | None, int | str | No
     methods ignore p; simplex-based methods take the full product, dropping
     p > k combinations.
     """
-    if method == IMBALANCED or method in (Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN):
+    if method not in GRAPH_VARIANTS:
         return [(None, None)]
-    edge_only = method in (Method.SMOTE, Method.BORDERLINE, Method.SAFELEVEL, Method.ADASYN)
-    if edge_only:
+    if GRAPH_VARIANTS[method][1]:  # p forced to 1
         return [(int(k), 1) for k in k_grid]
     combos = []
     for k in k_grid:
@@ -212,28 +218,46 @@ def _eval_fold(train: Dataset, test: Dataset, method, k, p, sampler_seed: int,
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
             fit_train = oversample(std_train, cfg).augmented(std_train)
-        except Exception as exc:  # scored unsampled; the run must go on
+        except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
             diagnostic = f"{method_name(method)}(k={k}, p={p}): {exc}"
     preds = knn_classify(fit_train, std_test_pts, k_clf)
     return confusion_counts(test.labels, preds), diagnostic
 
 
-def _score_config(ds, splits, method, k, p, seeds, k_clf, symmetrize, formula):
-    """Mean/std F1 and MCC over the given splits for one configuration."""
-    f1s, mccs, diags = [], [], []
-    for fold_idx, (train_idx, test_idx) in enumerate(splits):
-        counts, diag = _eval_fold(
-            ds.subset(train_idx), ds.subset(test_idx), method, k, p,
-            seeds[fold_idx], k_clf, symmetrize, formula)
-        f1s.append(f1_score(counts))
-        mccs.append(mcc_score(counts))
-        if diag is not None:
-            diags.append(f"fold {fold_idx}: {diag}")
-    f1s = np.array(f1s)
-    mccs = np.array(mccs)
+def _summarize(counts) -> tuple[float, float, float, float]:
+    """Mean and std (ddof 1 when there are several) of F1 and MCC over folds."""
+    f1s = np.array([f1_score(c) for c in counts])
+    mccs = np.array([mcc_score(c) for c in counts])
     ddof = 1 if f1s.size > 1 else 0
     return (float(f1s.mean()), float(f1s.std(ddof=ddof)),
-            float(mccs.mean()), float(mccs.std(ddof=ddof)), diags)
+            float(mccs.mean()), float(mccs.std(ddof=ddof)))
+
+
+def _score_config(ds, splits, method, k, p, seeds, opts):
+    """Mean/std F1 and MCC over the given splits for one configuration, plus diagnostics."""
+    counts, diags = [], []
+    for fold_idx, (train_idx, test_idx) in enumerate(splits):
+        fold_counts, diag = _eval_fold(ds.subset(train_idx), ds.subset(test_idx), method,
+                                       k, p, seeds[fold_idx], *opts)
+        counts.append(fold_counts)
+        if diag is not None:
+            diags.append(f"fold {fold_idx}: {diag}")
+    return (*_summarize(counts), diags)
+
+
+def _best_config(ds, splits, method, combos, seed_coords, opts):
+    """(scores, k, p) of the combo with the best mean F1; the first wins ties.
+
+    Fold f of combo c gets the sampler seed derived from
+    ``seed_coords(c) + (f,)``.
+    """
+    best = None
+    for c_idx, (k, p) in enumerate(combos):
+        seeds = [_derived_seed(*seed_coords(c_idx), f) for f in range(len(splits))]
+        scored = _score_config(ds, splits, method, k, p, seeds, opts)
+        if best is None or scored[0] > best[0][0]:
+            best = (scored, k, p)
+    return best
 
 
 def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAULT_P_GRID,
@@ -248,25 +272,18 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     (k, p) is the modal choice.
     """
     methods = list(methods)
+    opts = (k_clf, symmetrize, safelevel_formula)
     cells = []
     for d_idx, (ds_name, ds) in enumerate(datasets.items()):
         splits = stratified_cv(ds, cv.folds, cv.repeats, _derived_seed(seed, d_idx))
         for m_idx, method in enumerate(methods):
             combos = method_grid(method, k_grid, p_grid)
             if cv.mode == "outer":
-                best = None
-                for c_idx, (k, p) in enumerate(combos):
-                    seeds = [_derived_seed(seed, d_idx, m_idx, c_idx, f)
-                             for f in range(len(splits))]
-                    scored = _score_config(ds, splits, method, k, p, seeds,
-                                           k_clf, symmetrize, safelevel_formula)
-                    if best is None or scored[0] > best[0][0]:
-                        best = (scored, k, p)
-                (mf1, sf1, mmcc, smcc, diags), k, p = best
+                (mf1, sf1, mmcc, smcc, diags), k, p = _best_config(
+                    ds, splits, method, combos, lambda c: (seed, d_idx, m_idx, c), opts)
             else:
                 mf1, sf1, mmcc, smcc, diags, k, p = _nested_cell(
-                    ds, splits, method, combos, cv, seed, d_idx, m_idx,
-                    k_clf, symmetrize, safelevel_formula)
+                    ds, splits, method, combos, cv, seed, d_idx, m_idx, opts)
             # k is None only for grid-free methods, where p is meaningless;
             # for the rest the MAXIMAL sentinel prints as "max"
             display_p = None if k is None else ("max" if p is MAXIMAL else int(p))
@@ -282,37 +299,23 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     return EvalReport(tuple(cells), meta)
 
 
-def _nested_cell(ds, splits, method, combos, cv, seed, d_idx, m_idx,
-                 k_clf, symmetrize, formula):
-    f1s, mccs, diags, chosen = [], [], [], []
+def _nested_cell(ds, splits, method, combos, cv, seed, d_idx, m_idx, opts):
+    counts, diags, chosen = [], [], []
     for fold_idx, (train_idx, test_idx) in enumerate(splits):
         train = ds.subset(train_idx)
         inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                               _derived_seed(seed, d_idx, m_idx, fold_idx))
-        best = None
-        for c_idx, (k, p) in enumerate(combos):
-            seeds = [_derived_seed(seed, d_idx, m_idx, c_idx, fold_idx, f)
-                     for f in range(len(inner))]
-            scored = _score_config(train, inner, method, k, p, seeds,
-                                   k_clf, symmetrize, formula)
-            if best is None or scored[0] > best[0][0]:
-                best = (scored, k, p)
-        _, k, p = best
+        _, k, p = _best_config(train, inner, method, combos,
+                               lambda c: (seed, d_idx, m_idx, c, fold_idx), opts)
         chosen.append((k, p))
         # arity-5 coordinates cannot collide with the arity-6 inner seeds
-        counts, diag = _eval_fold(train, ds.subset(test_idx), method, k, p,
-                                  _derived_seed(seed, d_idx, m_idx, fold_idx, 0),
-                                  k_clf, symmetrize, formula)
-        f1s.append(f1_score(counts))
-        mccs.append(mcc_score(counts))
+        fold_counts, diag = _eval_fold(train, ds.subset(test_idx), method, k, p,
+                                       _derived_seed(seed, d_idx, m_idx, fold_idx, 0), *opts)
+        counts.append(fold_counts)
         if diag is not None:
             diags.append(f"outer fold {fold_idx}: {diag}")
-    f1s = np.array(f1s)
-    mccs = np.array(mccs)
-    ddof = 1 if f1s.size > 1 else 0
     k, p = Counter(chosen).most_common(1)[0][0]
-    return (float(f1s.mean()), float(f1s.std(ddof=ddof)),
-            float(mccs.mean()), float(mccs.std(ddof=ddof)), diags, k, p)
+    return (*_summarize(counts), diags, k, p)
 
 
 def rank_methods(report: EvalReport, metric: str = "f1") -> dict[str, float]:

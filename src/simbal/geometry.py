@@ -1,4 +1,4 @@
-"""Barycentric geometry: Dirichlet weights, simplex points, projection distances."""
+"""Barycentric geometry: Dirichlet weights and simplex projection distances."""
 
 from __future__ import annotations
 
@@ -38,23 +38,6 @@ def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
         # Every component underflowed; fall back to the center of the simplex.
         return np.full(a.size, 1.0 / a.size)
     return g / total
-
-
-def barycentric_to_point(lam, vertices) -> np.ndarray:
-    """Weighted vertex combination: lam @ vertices.
-
-    ``lam`` is a length-(p+1) weight vector and ``vertices`` a (p+1, d) matrix
-    whose rows are the simplex vertices.
-    """
-    lam = np.asarray(lam, dtype=float)
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim == 1:
-        verts = verts.reshape(-1, 1)
-    if lam.ndim != 1 or verts.ndim != 2 or lam.shape[0] != verts.shape[0]:
-        raise GeometryParameterError(
-            f"weight/vertex shape mismatch: lam {lam.shape} vs vertices {verts.shape}"
-        )
-    return lam @ verts
 
 
 def project_to_probability_simplex(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact neighborhood graphs (symmetrized kNN and epsilon-ball) over point sets.
+"""Exact pairwise distances and symmetrized kNN graphs over point sets.
 
 All tie-breaking is deterministic: when two candidate neighbors are at the
 same distance, the one with the lower vertex index wins. Distances are
@@ -138,16 +138,3 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
     else:
         edges = {(u, v) for u, v in directed if u < v and (v, u) in directed}
     return NeighborhoodGraph(n, frozenset(edges), meta={"k": k, "symmetrize": symmetrize})
-
-
-def epsilon_graph(points, eps: float) -> NeighborhoodGraph:
-    """Graph with an edge wherever the pairwise distance is at most eps."""
-    pts = as_points(points)
-    if eps < 0:
-        raise GraphParameterError(f"eps must be nonnegative, got {eps}")
-    dist = pairwise_distances(pts)
-    n = pts.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] <= eps
-    edges = frozenset((int(u), int(v)) for u, v in zip(iu[mask], ju[mask]))
-    return NeighborhoodGraph(n, edges, meta={"eps": float(eps)})

@@ -21,7 +21,7 @@ import numpy as np
 from .complexes import MAXIMAL, Skeleton, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
 from .geometry import sample_dirichlet
-from .graphs import UNION, knn_graph
+from .graphs import MUTUAL, UNION, knn_graph
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -46,13 +46,27 @@ class Method(Enum):
     S_ADASYN = "s_adasyn"
 
 
-# Methods whose pipeline starts from a neighborhood graph.
-GRAPH_METHODS = frozenset(Method) - {Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN}
-# Variant methods in simplex form; their graph twins force p=1.
-SIMPLICIAL_VARIANTS = frozenset({Method.S_BORDERLINE, Method.S_SAFELEVEL, Method.S_ADASYN})
-
 INVERSE_SAFETY = "inverse"
 PLUS_ONE_SAFETY = "plus-one"
+
+# Safety variants of the simplex pipeline; each turns one knob (see variants.py).
+BORDERLINE = "borderline"
+SAFELEVEL = "safelevel"
+ADASYN = "adasyn"
+
+# Every method whose pipeline starts from a neighborhood graph:
+# Method -> (safety variant or None, p forced to 1).
+GRAPH_VARIANTS = {
+    Method.SMOTE: (None, True),
+    Method.SIMPLICIAL: (None, False),
+    Method.BORDERLINE: (BORDERLINE, True),
+    Method.S_BORDERLINE: (BORDERLINE, False),
+    Method.SAFELEVEL: (SAFELEVEL, True),
+    Method.S_SAFELEVEL: (SAFELEVEL, False),
+    Method.ADASYN: (ADASYN, True),
+    Method.S_ADASYN: (ADASYN, False),
+}
+GRAPH_METHODS = frozenset(GRAPH_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,10 @@ class SamplerConfig:
         if self.safelevel_formula not in (INVERSE_SAFETY, PLUS_ONE_SAFETY):
             raise SamplerParameterError(
                 f"safelevel_formula must be '{INVERSE_SAFETY}' or '{PLUS_ONE_SAFETY}'"
+            )
+        if self.symmetrize not in (UNION, MUTUAL):
+            raise SamplerParameterError(
+                f"symmetrize must be '{UNION}' or '{MUTUAL}', got {self.symmetrize!r}"
             )
 
 
@@ -176,13 +194,19 @@ def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     return SyntheticBatch(ds.features[picks], prov, meta)
 
 
+def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
+                       warning: str) -> SyntheticBatch:
+    """Random duplication standing in for a sampler short of minority points."""
+    batch = oversample_random(ds, m, seed)
+    meta = dict(batch.meta, method=method.value, warnings=(warning,))
+    return SyntheticBatch(batch.points, batch.provenance, meta)
+
+
 def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Convex combinations of uniformly chosen distinct minority pairs."""
     if ds.n_minority < 2:
-        batch = oversample_random(ds, m, seed)
-        meta = dict(batch.meta, method=Method.GLOBAL.value,
-                    warnings=("fewer than 2 minority points; duplicated instead of combining",))
-        return SyntheticBatch(batch.points, batch.provenance, meta)
+        return _duplicated_instead(ds, m, seed, Method.GLOBAL,
+                                   "fewer than 2 minority points; duplicated instead of combining")
     m = _resolve_m(ds, m)
     meta = {"method": Method.GLOBAL.value, "seed": int(seed)}
     if m == 0:
@@ -209,10 +233,8 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Draw from a Gaussian fitted to the minority class (mean + full covariance)."""
     if ds.n_minority < 2:
-        batch = oversample_random(ds, m, seed)
-        meta = dict(batch.meta, method=Method.GAUSSIAN.value,
-                    warnings=("fewer than 2 minority points; duplicated instead of fitting",))
-        return SyntheticBatch(batch.points, batch.provenance, meta)
+        return _duplicated_instead(ds, m, seed, Method.GAUSSIAN,
+                                   "fewer than 2 minority points; duplicated instead of fitting")
     m = _resolve_m(ds, m)
     meta = {"method": Method.GAUSSIAN.value, "seed": int(seed)}
     if m == 0:
@@ -283,56 +305,27 @@ def dataset_level_simplices(sk: Skeleton, idx_min: np.ndarray) -> list[tuple[int
 
 def oversample_simplicial(ds: Dataset, k: int, p: int | None = MAXIMAL,
                           m: int | None = None, seed: int = 0,
-                          symmetrize: str = UNION,
-                          method: Method = Method.SIMPLICIAL) -> SyntheticBatch:
+                          symmetrize: str = UNION) -> SyntheticBatch:
     """Synthesize from maximal simplices of the minority clique complex p-skeleton."""
-    if ds.n_minority == 1:
-        batch = oversample_random(ds, m, seed)
-        meta = dict(batch.meta, method=method.value,
-                    warnings=("single minority point; duplicated instead of interpolating",))
-        return SyntheticBatch(batch.points, batch.provenance, meta)
-    m = _resolve_m(ds, m)
-    sk, idx_min, info = minority_skeleton(ds, k, p, symmetrize)
-    meta = {"method": method.value, "seed": int(seed), "symmetrize": symmetrize,
-            "p": "max" if p is MAXIMAL else int(p), **info,
-            "n_candidate_simplices": len(sk.maximal_simplices)}
-    simplices = dataset_level_simplices(sk, idx_min)
-    return _sample_from_simplices(ds.features, simplices, m, SampleStreams(seed), meta)
+    return oversample(ds, SamplerConfig(Method.SIMPLICIAL, k, p, seed, m, symmetrize))
 
 
 def oversample_smote(ds: Dataset, k: int, m: int | None = None, seed: int = 0,
                      symmetrize: str = UNION) -> SyntheticBatch:
     """Edge-based special case: the simplex pipeline with p forced to 1."""
-    return oversample_simplicial(ds, k, 1, m, seed, symmetrize, method=Method.SMOTE)
+    return oversample(ds, SamplerConfig(Method.SMOTE, k, 1, seed, m, symmetrize))
+
+
+POINT_SAMPLERS = {
+    Method.RANDOM: oversample_random,
+    Method.GLOBAL: oversample_global,
+    Method.GAUSSIAN: oversample_gaussian,
+}
 
 
 def oversample(ds: Dataset, config: SamplerConfig) -> SyntheticBatch:
     """Dispatch a configured oversampling run."""
-    from . import variants  # graph/simplex safety variants layer on this module
-
-    m = config.target_count
-    if config.method is Method.RANDOM:
-        return oversample_random(ds, m, config.seed)
-    if config.method is Method.GLOBAL:
-        return oversample_global(ds, m, config.seed)
-    if config.method is Method.GAUSSIAN:
-        return oversample_gaussian(ds, m, config.seed)
-    if config.method is Method.SMOTE:
-        return oversample_smote(ds, config.k, m, config.seed, config.symmetrize)
-    if config.method is Method.SIMPLICIAL:
-        return oversample_simplicial(ds, config.k, config.p, m, config.seed, config.symmetrize)
-    simplicial = config.method in SIMPLICIAL_VARIANTS
-    p = config.p if simplicial else 1
-    if config.method in (Method.BORDERLINE, Method.S_BORDERLINE):
-        return variants.oversample_borderline(
-            ds, config.k, p, m, config.seed, simplicial=simplicial,
-            symmetrize=config.symmetrize)
-    if config.method in (Method.SAFELEVEL, Method.S_SAFELEVEL):
-        return variants.oversample_safelevel(
-            ds, config.k, p, m, config.seed, simplicial=simplicial,
-            symmetrize=config.symmetrize, formula=config.safelevel_formula)
-    if config.method in (Method.ADASYN, Method.S_ADASYN):
-        return variants.oversample_adasyn(
-            ds, config.k, p, m, config.seed, simplicial=simplicial,
-            symmetrize=config.symmetrize)
-    raise SamplerParameterError(f"unhandled method {config.method!r}")
+    if config.method in GRAPH_VARIANTS:
+        from .variants import oversample_graph  # the graph pipeline layers on this module
+        return oversample_graph(ds, config)
+    return POINT_SAMPLERS[config.method](ds, config.target_count, config.seed)

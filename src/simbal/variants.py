@@ -1,19 +1,23 @@
-"""Safety-aware oversampling variants: borderline, safe-level, density-adaptive.
+"""The shared graph-sampler pipeline and its safety-aware variants.
 
-Each variant reuses the simplex pipeline and changes exactly one knob:
+Every graph method runs one pipeline, ``oversample_graph``: minority kNN
+graph, clique complex p-skeleton, simplex selection, Dirichlet weights.
+``samplers.GRAPH_VARIANTS`` maps each method to its safety variant and to
+whether p is forced to 1 (SMOTE and the graph forms of the variants). Each
+variant changes exactly one knob:
 
 * borderline restricts which simplices may be sampled,
 * safe-level reshapes the Dirichlet parameters per simplex,
-* the density-adaptive variant reweights simplex selection.
+* the density-adaptive variant (ADASYN) reweights simplex selection.
 
-All three exist in graph form (p forced to 1) and simplicial form. Safety is
-measured on the full dataset: for each minority point, the class mix of its k
-nearest neighbors (self excluded).
+Safety is measured on the full dataset: for each minority point, the class
+mix of its k nearest neighbors (self excluded).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,17 +25,23 @@ from .complexes import MAXIMAL, p_skeleton
 from .datasets import Dataset, MINORITY
 from .graphs import UNION, knn_graph, pairwise_distances, _neighbor_order
 from .samplers import (
+    ADASYN,
+    BORDERLINE,
+    GRAPH_VARIANTS,
     INVERSE_SAFETY,
     Method,
     PLUS_ONE_SAFETY,
+    SAFELEVEL,
     SampleStreams,
+    SamplerConfig,
     SamplerParameterError,
     SyntheticBatch,
+    _duplicated_instead,
     _resolve_m,
     _sample_from_simplices,
     dataset_level_simplices,
     minority_skeleton,
-    oversample_random,
+    oversample,
 )
 
 
@@ -76,21 +86,13 @@ class NeighborhoodSafety:
         """Dataset-level minority id -> row in the safety arrays."""
         return {int(v): i for i, v in enumerate(self.minority_indices)}
 
-    def safe_level_ratio(self, i: int, j: int) -> float:
-        """Ratio of minority-neighbor fractions of two minority points.
 
-        Diagnostic only; inf when the second point has no minority neighbors.
-        """
-        pos = self.position()
-        num = self.k_plus[pos[int(i)]]
-        den = self.k_plus[pos[int(j)]]
-        if den == 0:
-            return float("inf") if num > 0 else float("nan")
-        return float(num / den)
+def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.ndarray]:
+    """Safety counts plus the (n_plus, k) dataset ids they were counted over.
 
-
-def compute_safety(ds: Dataset, k: int) -> NeighborhoodSafety:
-    """Class mix of each minority point's k nearest neighbors in the whole dataset."""
+    Row r lists the k nearest neighbors of the r-th minority point in
+    (distance, index) order, self excluded.
+    """
     k = int(k)
     if k < 1:
         raise SamplerParameterError(f"safety neighborhood size must be >= 1, got {k}")
@@ -100,11 +102,15 @@ def compute_safety(ds: Dataset, k: int) -> NeighborhoodSafety:
         )
     dist = pairwise_distances(ds.features)
     idx_min = ds.minority_indices()
-    k_plus = np.empty(idx_min.size, dtype=int)
-    for row, i in enumerate(idx_min):
-        neighbors = _neighbor_order(dist[i], int(i))[:k]
-        k_plus[row] = int(np.sum(ds.labels[neighbors] == MINORITY))
-    return NeighborhoodSafety(idx_min, k, k_plus, k - k_plus)
+    neighbors = np.array([_neighbor_order(dist[i], int(i))[:k] for i in idx_min],
+                         dtype=int).reshape(idx_min.size, k)
+    k_plus = np.sum(ds.labels[neighbors] == MINORITY, axis=1)
+    return NeighborhoodSafety(idx_min, k, k_plus, k - k_plus), neighbors
+
+
+def compute_safety(ds: Dataset, k: int) -> NeighborhoodSafety:
+    """Class mix of each minority point's k nearest neighbors in the whole dataset."""
+    return _safety_with_neighbors(ds, k)[0]
 
 
 def borderline_subset(ds: Dataset, k: int,
@@ -160,106 +166,73 @@ def adasyn_weights(safety: NeighborhoodSafety, simplices) -> np.ndarray:
     return raw / total
 
 
-def _effective_k(ds: Dataset, k: int) -> int:
-    if ds.n_minority < 2:
-        raise SamplerParameterError("need at least 2 minority points")
-    if int(k) < 1:
-        raise SamplerParameterError(f"k must be >= 1, got {k}")
-    return min(int(k), ds.n_minority - 1)
-
-
 def oversample_safelevel(ds: Dataset, k: int, p: int | None = MAXIMAL,
                          m: int | None = None, seed: int = 0, *,
-                         simplicial: bool = True, symmetrize: str = UNION,
+                         symmetrize: str = UNION,
                          formula: str = INVERSE_SAFETY) -> SyntheticBatch:
     """Simplex pipeline with safety-shaped Dirichlet parameters."""
-    method = Method.S_SAFELEVEL if simplicial else Method.SAFELEVEL
-    if not simplicial:
-        p = 1
-    if ds.n_minority == 1:
-        batch = oversample_random(ds, m, seed)
-        meta = dict(batch.meta, method=method.value,
-                    warnings=("single minority point; duplicated instead of interpolating",))
-        return SyntheticBatch(batch.points, batch.provenance, meta)
-    m = _resolve_m(ds, m)
-    sk, idx_min, info = minority_skeleton(ds, k, p, symmetrize)
-    safety = compute_safety(ds, info["k_used"])
-    simplices = dataset_level_simplices(sk, idx_min)
-    meta = {"method": method.value, "seed": int(seed), "symmetrize": symmetrize,
-            "p": "max" if p is MAXIMAL else int(p), "formula": formula, **info,
-            "n_candidate_simplices": len(simplices)}
-    return _sample_from_simplices(
-        ds.features, simplices, m, SampleStreams(seed), meta,
-        alpha_fn=lambda s: safelevel_alphas(safety, s, formula))
+    return oversample(ds, SamplerConfig(Method.S_SAFELEVEL, k, p, seed, m, symmetrize, formula))
 
 
-def oversample_adasyn(ds: Dataset, k: int, p: int | None = MAXIMAL,
-                      m: int | None = None, seed: int = 0, *,
-                      simplicial: bool = True, symmetrize: str = UNION) -> SyntheticBatch:
-    """Simplex pipeline with selection biased toward majority-crowded simplices."""
-    method = Method.S_ADASYN if simplicial else Method.ADASYN
-    if not simplicial:
-        p = 1
-    if ds.n_minority == 1:
-        batch = oversample_random(ds, m, seed)
-        meta = dict(batch.meta, method=method.value,
-                    warnings=("single minority point; duplicated instead of interpolating",))
-        return SyntheticBatch(batch.points, batch.provenance, meta)
-    m = _resolve_m(ds, m)
-    sk, idx_min, info = minority_skeleton(ds, k, p, symmetrize)
-    safety = compute_safety(ds, info["k_used"])
-    simplices = dataset_level_simplices(sk, idx_min)
-    weights = adasyn_weights(safety, simplices)
-    meta = {"method": method.value, "seed": int(seed), "symmetrize": symmetrize,
-            "p": "max" if p is MAXIMAL else int(p), **info,
-            "n_candidate_simplices": len(simplices)}
-    return _sample_from_simplices(
-        ds.features, simplices, m, SampleStreams(seed), meta, weights=weights)
+def _borderline_support(ds: Dataset, k: int) -> tuple[set[int], np.ndarray]:
+    """Borderline points at safety size k and the support their complex is built over.
 
-
-def oversample_borderline(ds: Dataset, k: int, p: int | None = MAXIMAL,
-                          m: int | None = None, seed: int = 0, *,
-                          simplicial: bool = True, symmetrize: str = UNION) -> SyntheticBatch:
-    """Simplex pipeline restricted to majority-dominated minority territory.
-
-    The complex is built over the borderline points together with the minority
-    members of their safety neighborhoods; only simplices touching at least
-    one borderline point are sampleable.
+    The support is the borderline points together with the minority members
+    of their safety neighborhoods, as ascending dataset-level ids.
     """
-    method = Method.S_BORDERLINE if simplicial else Method.BORDERLINE
-    if not simplicial:
-        p = 1
     if ds.n_minority < 2:
         raise EmptyBorderlineError(
             "no borderline minority points exist; use the plain edge or simplex sampler"
         )
-    k_eff = _effective_k(ds, k)
-    safety = compute_safety(ds, k_eff)
-    border = borderline_subset(ds, k_eff, safety)
+    safety, neighbors = _safety_with_neighbors(ds, k)
+    border = borderline_subset(ds, k, safety)
     if not border:
         raise EmptyBorderlineError(
             "every minority point is either safe or pure noise at this k; "
             "borderline oversampling has nothing to target, use the plain "
             "edge or simplex sampler instead"
         )
-    m = _resolve_m(ds, m)
-    # Support set: borderline points plus the minority members of their
-    # full-dataset neighborhoods.
-    dist = pairwise_distances(ds.features)
-    support = set(border)
-    for i in sorted(border):
-        neighbors = _neighbor_order(dist[i], i)[:k_eff]
-        support.update(int(v) for v in neighbors if ds.labels[v] == MINORITY)
-    support_idx = np.array(sorted(support), dtype=int)
-    k_graph = min(k_eff, support_idx.size - 1)
-    graph = knn_graph(ds.features[support_idx], k_graph, symmetrize)
-    sk = p_skeleton(graph, p)
-    all_simplices = dataset_level_simplices(sk, support_idx)
-    simplices = [s for s in all_simplices if any(v in border for v in s)]
-    meta = {"method": method.value, "seed": int(seed), "symmetrize": symmetrize,
-            "p": "max" if p is MAXIMAL else int(p),
-            "k_requested": int(k), "k_used": k_graph,
-            "k_clamped": k_graph != int(k), "safety_k": k_eff,
-            "borderline": tuple(sorted(border)),
-            "n_candidate_simplices": len(simplices)}
-    return _sample_from_simplices(ds.features, simplices, m, SampleStreams(seed), meta)
+    reached = neighbors[np.isin(safety.minority_indices, list(border))]
+    support = np.union1d(list(border), reached[ds.labels[reached] == MINORITY])
+    return border, support
+
+
+def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
+    """The simplex pipeline for every graph method, with its variant's knob applied.
+
+    Borderline builds the complex over the borderline support and samples only
+    simplices touching a borderline point; safe-level sets the Dirichlet
+    parameters per simplex; ADASYN weights simplex selection.
+    """
+    variant, edge_only = GRAPH_VARIANTS[cfg.method]
+    p = 1 if edge_only else cfg.p
+    if variant == BORDERLINE:
+        safety_k = min(int(cfg.k), ds.n_minority - 1)
+        border, support = _borderline_support(ds, safety_k)
+        m = _resolve_m(ds, cfg.target_count)
+        k_used = min(safety_k, support.size - 1)
+        sk = p_skeleton(knn_graph(ds.features[support], k_used, cfg.symmetrize), p)
+        simplices = [s for s in dataset_level_simplices(sk, support)
+                     if any(v in border for v in s)]
+        info = {"k_requested": int(cfg.k), "k_used": k_used, "k_clamped": k_used != int(cfg.k),
+                "safety_k": safety_k, "borderline": tuple(sorted(border))}
+    elif ds.n_minority == 1:
+        return _duplicated_instead(ds, cfg.target_count, cfg.seed, cfg.method,
+                                   "single minority point; duplicated instead of interpolating")
+    else:
+        m = _resolve_m(ds, cfg.target_count)
+        sk, idx_min, info = minority_skeleton(ds, cfg.k, p, cfg.symmetrize)
+        simplices = dataset_level_simplices(sk, idx_min)
+    meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
+            "p": "max" if p is MAXIMAL else int(p)}
+    weights = alpha_fn = None
+    if variant in (SAFELEVEL, ADASYN):
+        safety = compute_safety(ds, info["k_used"])
+        if variant == SAFELEVEL:
+            meta["formula"] = cfg.safelevel_formula
+            alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
+        else:
+            weights = adasyn_weights(safety, simplices)
+    meta.update(info, n_candidate_simplices=len(simplices))
+    return _sample_from_simplices(ds.features, simplices, m, SampleStreams(cfg.seed), meta,
+                                  weights=weights, alpha_fn=alpha_fn)

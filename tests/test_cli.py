@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from simbal import CVConfig, Method, Shape, report_to_csv, synthetic_benchmark
 from simbal.cli import main, read_csv_dataset
 
 
@@ -281,6 +282,18 @@ class TestBenchmarkCommand:
         assert csv_text.startswith("dataset,method,metric")
         assert "rank" in txt_text
         assert "wrote" in capsys.readouterr().err
+
+    def test_output_prefix_creates_directory(self, tmp_path, capsys):
+        prefix = tmp_path / "results" / "main"
+        assert main(self.BASE + ["--output", str(prefix)]) == 0
+        assert (tmp_path / "results" / "main.csv").is_file()
+        assert (tmp_path / "results" / "main.txt").is_file()
+
+    def test_nested_matches_library(self, capsys):
+        assert main(self.BASE + ["--format", "csv", "--nested"]) == 0
+        report = synthetic_benchmark(seed=1, shapes=[Shape.MOONS], methods=[Method.RANDOM],
+                                     cv=CVConfig(folds=2, repeats=1, mode="nested"))
+        assert capsys.readouterr().out == report_to_csv(report)
 
     def test_unknown_dataset(self, capsys):
         assert main(["benchmark", "--datasets", "spirals", "--seed", "0"]) == 1

@@ -24,9 +24,11 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
+from simbal import evaluation
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
+from simbal.samplers import SamplerParameterError
 
 
 def brute_knn_predict(train, test_points, k_clf):
@@ -263,6 +265,22 @@ class TestGridSearchEval:
         assert cell.mean_f1 == base.mean_f1
         assert cell.mean_mcc == base.mean_mcc
         assert base.diagnostics == ()
+
+    def test_config_typo_raises(self):
+        # a misspelled option is a caller error, not a sampler failure to
+        # score as the unsampled classifier
+        with pytest.raises(SamplerParameterError, match="symmetrize"):
+            grid_search_eval(self._datasets(), [Method.SIMPLICIAL], k_grid=(3,),
+                             cv=CVConfig(folds=2, repeats=1), symmetrize="unoin")
+
+    def test_non_domain_sampler_error_propagates(self, monkeypatch):
+        def broken(ds, cfg):
+            raise ZeroDivisionError("sampler bug")
+
+        monkeypatch.setattr(evaluation, "oversample", broken)
+        with pytest.raises(ZeroDivisionError, match="sampler bug"):
+            grid_search_eval(self._datasets(), [Method.SMOTE], k_grid=(3,),
+                             cv=CVConfig(folds=2, repeats=1))
 
     def test_nested_mode_runs(self):
         cv = CVConfig(folds=2, repeats=1, mode="nested",

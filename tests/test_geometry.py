@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from simbal import (
     MAXIMAL,
-    barycentric_to_point,
     distance_to_simplex,
     mean_model_distance,
     sample_dirichlet,
@@ -51,27 +50,6 @@ class TestSampleDirichlet:
     def test_invalid_alpha(self, alpha):
         with pytest.raises(GeometryParameterError):
             sample_dirichlet(alpha, rng_for(0))
-
-
-class TestBarycentricToPoint:
-    def test_unit_vector_returns_vertex(self):
-        verts = rng_for(4).normal(size=(3, 5))
-        for i in range(3):
-            lam = np.zeros(3)
-            lam[i] = 1.0
-            assert np.array_equal(barycentric_to_point(lam, verts), verts[i])
-
-    def test_simplex_center(self):
-        lam = np.full(3, 1.0 / 3.0)
-        assert np.allclose(barycentric_to_point(lam, np.eye(3)), [1 / 3, 1 / 3, 1 / 3])
-
-    def test_edge_midpoint(self):
-        out = barycentric_to_point([0.5, 0.5], np.eye(3)[:2])
-        assert np.allclose(out, [0.5, 0.5, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(GeometryParameterError):
-            barycentric_to_point([0.5, 0.5], np.eye(3))
 
 
 class TestProjectToProbabilitySimplex:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbal import MUTUAL, UNION, knn_graph, epsilon_graph, pairwise_distances
+from simbal import MUTUAL, UNION, knn_graph, pairwise_distances
 from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances
 
 
@@ -100,25 +100,6 @@ class TestKnnGraph:
     def test_deterministic(self):
         pts = random_points(7, n=30, d=4)
         assert knn_graph(pts, 5).edges == knn_graph(pts, 5).edges
-
-
-class TestEpsilonGraph:
-    def test_matches_threshold(self):
-        pts = random_points(8, n=20, d=2)
-        dist = pairwise_distances(pts)
-        g = epsilon_graph(pts, 1.0)
-        expected = {(i, j) for i in range(20) for j in range(i + 1, 20)
-                    if dist[i, j] <= 1.0}
-        assert set(g.edges) == expected
-
-    def test_zero_eps_links_coincident_points_only(self):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        g = epsilon_graph(pts, 0.0)
-        assert set(g.edges) == {(0, 1)}
-
-    def test_negative_eps(self):
-        with pytest.raises(GraphParameterError):
-            epsilon_graph(np.zeros((3, 2)), -0.1)
 
 
 class TestNeighborhoodGraphType:

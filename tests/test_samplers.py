@@ -13,11 +13,19 @@ from simbal import (
     oversample_gaussian,
     oversample_global,
     oversample_random,
+    oversample_safelevel,
     oversample_simplicial,
     oversample_smote,
 )
 from simbal.complexes import SubdivisionCapExceeded
-from simbal.samplers import SampleStreams, SamplerParameterError
+from simbal.evaluation import method_grid
+from simbal.samplers import (
+    GRAPH_METHODS,
+    GRAPH_VARIANTS,
+    POINT_SAMPLERS,
+    SampleStreams,
+    SamplerParameterError,
+)
 from simbal.geometry import sample_dirichlet
 
 from helpers import in_convex_hull, random_imbalanced_dataset, reconstruction_error
@@ -57,6 +65,29 @@ class TestSamplerConfig:
     def test_seed_range(self):
         with pytest.raises(SamplerParameterError):
             SamplerConfig(Method.RANDOM, seed=2 ** 64)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_method_table_drives_dispatch_and_grid(method):
+    # GRAPH_VARIANTS is the one place method families live: it decides the
+    # dispatch, whether p is forced to 1, and the (k, p) grid
+    assert GRAPH_METHODS == set(GRAPH_VARIANTS)
+    graph = method in GRAPH_VARIANTS
+    assert graph != (method in POINT_SAMPLERS)
+    ds = random_imbalanced_dataset(60)
+    batch = oversample(ds, SamplerConfig(method, k=4 if graph else None, p=2,
+                                         seed=0, target_count=12))
+    assert batch.m == 12 and batch.meta["method"] == method.value
+    grid = method_grid(method, (3, 5), (2, MAXIMAL))
+    if not graph:
+        assert grid == [(None, None)]
+    elif GRAPH_VARIANTS[method][1]:
+        assert batch.meta["p"] == 1
+        assert all(len(pr.simplex) <= 2 for pr in batch.provenance)
+        assert grid == [(3, 1), (5, 1)]
+    else:
+        assert batch.meta["p"] == 2
+        assert grid == [(3, 2), (3, MAXIMAL), (5, 2), (5, MAXIMAL)]
 
 
 class TestCommonContracts:
@@ -221,6 +252,14 @@ class TestSimplicial:
         batch = oversample_simplicial(ds, k=2, p=2, m=50, seed=15)
         tri = feats[:3]
         assert all(in_convex_hull(p, tri) for p in batch.points)
+
+    def test_wrappers_reject_p_above_k(self):
+        # the wrappers build a SamplerConfig, so they share its p <= k contract
+        ds = tiny_dataset()
+        with pytest.raises(SamplerParameterError, match="exceeds"):
+            oversample_simplicial(ds, k=2, p=3)
+        with pytest.raises(SamplerParameterError, match="exceeds"):
+            oversample_safelevel(ds, k=2, p=3)
 
     def test_k_clamp_recorded(self):
         ds = tiny_dataset(n_plus=4)

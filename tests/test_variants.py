@@ -6,15 +6,17 @@ import pytest
 from simbal import (
     Dataset,
     EmptyBorderlineError,
+    Method,
+    SamplerConfig,
     adasyn_weights,
     borderline_subset,
     compute_safety,
-    oversample_adasyn,
-    oversample_borderline,
+    oversample,
     oversample_safelevel,
     oversample_simplicial,
     safelevel_alphas,
 )
+from simbal import graphs, variants
 from simbal.samplers import SamplerParameterError, minority_skeleton
 from simbal.variants import NeighborhoodSafety
 
@@ -76,14 +78,6 @@ class TestComputeSafety:
         ds = line_dataset([0.0], [1.0, 2.0])
         with pytest.raises(SamplerParameterError):
             compute_safety(ds, 3)
-
-    def test_safe_level_ratio_diagnostic(self):
-        ds = line_dataset([0.0, 0.1, 5.0], [4.6, 4.8, 5.2, 5.4, 9.0, 9.1, 9.2])
-        safety = compute_safety(ds, 2)
-        pos = safety.position()
-        assert safety.k_plus[pos[0]] == 1 and safety.k_plus[pos[2]] == 0
-        assert safety.safe_level_ratio(0, 1) == pytest.approx(1.0)
-        assert safety.safe_level_ratio(0, 2) == float("inf")
 
 
 class TestBorderlineSubset:
@@ -199,13 +193,14 @@ class TestBorderlineSampler:
     def test_error_when_no_borderline_points(self):
         ds = line_dataset([0.0, 0.1, 0.2, 0.3], [9.0, 9.5, 10.0, 10.5, 11.0])
         with pytest.raises(EmptyBorderlineError, match="plain"):
-            oversample_borderline(ds, k=3, seed=0)
+            oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=3, seed=0))
 
     def test_probe_configuration_samples_inside_triangle(self):
         ds = borderline_triangle_dataset()
         border = borderline_subset(ds, 5)
         assert border == {0}
-        batch = oversample_borderline(ds, k=5, p=2, m=60, seed=1)
+        batch = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=5, p=2, target_count=60,
+                                                seed=1))
         tri = ds.features[[0, 1, 2]]
         assert all(in_convex_hull(p, tri) for p in batch.points)
         assert all(0 in pr.simplex for pr in batch.provenance)
@@ -215,7 +210,7 @@ class TestBorderlineSampler:
         ds = random_imbalanced_dataset(seed + 60)
         k = min(5, ds.n_minority - 1)
         border = borderline_subset(ds, k)
-        batch = oversample_borderline(ds, k=k, p=2, seed=seed)
+        batch = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=k, p=2, seed=seed))
         assert batch.meta["borderline"] == tuple(sorted(border))
         assert all(any(v in border for v in pr.simplex) for pr in batch.provenance)
         assert reconstruction_error(batch, ds.features) <= 1e-9
@@ -223,14 +218,30 @@ class TestBorderlineSampler:
     def test_graph_mode_uses_edges(self):
         ds = random_imbalanced_dataset(61)
         k = min(5, ds.n_minority - 1)
-        batch = oversample_borderline(ds, k=k, m=30, seed=2, simplicial=False)
+        batch = oversample(ds, SamplerConfig(Method.BORDERLINE, k=k, target_count=30, seed=2))
         assert all(len(pr.simplex) <= 2 for pr in batch.provenance)
+
+    def test_one_full_distance_matrix_per_run(self, monkeypatch):
+        # the support reuses the safety neighbor rows instead of computing a
+        # second n x n distance matrix
+        ds = random_imbalanced_dataset(60)
+        full_size = []
+        real = graphs.pairwise_distances
+
+        def counting(points):
+            full_size.append(len(points) == ds.n)
+            return real(points)
+
+        monkeypatch.setattr(graphs, "pairwise_distances", counting)
+        monkeypatch.setattr(variants, "pairwise_distances", counting)
+        oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=5, seed=0, target_count=10))
+        assert sum(full_size) == 1
 
     def test_deterministic(self):
         ds = random_imbalanced_dataset(62)
         k = min(4, ds.n_minority - 1)
-        a = oversample_borderline(ds, k=k, p=2, seed=3)
-        b = oversample_borderline(ds, k=k, p=2, seed=3)
+        a = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=k, p=2, seed=3))
+        b = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=k, p=2, seed=3))
         assert np.array_equal(a.points, b.points)
 
 
@@ -298,7 +309,8 @@ class TestAdasynSampler:
     def test_selection_frequencies_follow_weights(self):
         ds = random_imbalanced_dataset(65)
         k = min(4, ds.n_minority - 1)
-        batch = oversample_adasyn(ds, k=k, p=2, m=20_000, seed=8)
+        batch = oversample(ds, SamplerConfig(Method.S_ADASYN, k=k, p=2, target_count=20_000,
+                                           seed=8))
         safety = compute_safety(ds, batch.meta["k_used"])
         sk, idx_min, _ = minority_skeleton(ds, k, 2)
         all_sorted = sorted(tuple(int(idx_min[v]) for v in s) for s in sk.maximal_simplices)
@@ -312,7 +324,7 @@ class TestAdasynSampler:
 
     def test_fully_safe_reduces_to_uniform_selection(self):
         ds = fully_safe_dataset(seed=1)
-        a = oversample_adasyn(ds, k=3, p=2, seed=9)
+        a = oversample(ds, SamplerConfig(Method.S_ADASYN, k=3, p=2, seed=9))
         b = oversample_simplicial(ds, k=3, p=2, seed=9)
         # uniform weights use a different draw call, so points differ, but
         # contracts hold and the weight vector itself is flat
@@ -325,19 +337,19 @@ class TestAdasynSampler:
     def test_graph_mode_uses_edges(self):
         ds = random_imbalanced_dataset(66)
         k = min(5, ds.n_minority - 1)
-        batch = oversample_adasyn(ds, k=k, m=25, seed=10, simplicial=False)
+        batch = oversample(ds, SamplerConfig(Method.ADASYN, k=k, target_count=25, seed=10))
         assert all(len(pr.simplex) <= 2 for pr in batch.provenance)
 
 
 class TestSinglePointFallbacks:
     def test_safelevel_and_adasyn_duplicate(self):
         ds = Dataset([[1.0, 2.0], [0.0, 0.0], [3.0, 3.0]], [1, -1, -1])
-        for fn in (oversample_safelevel, oversample_adasyn):
-            batch = fn(ds, k=2, seed=0)
+        for method in (Method.S_SAFELEVEL, Method.S_ADASYN):
+            batch = oversample(ds, SamplerConfig(method, k=2, seed=0))
             assert np.array_equal(batch.points, [[1.0, 2.0]])
             assert "warnings" in batch.meta
 
     def test_borderline_raises(self):
         ds = Dataset([[1.0, 2.0], [0.0, 0.0], [3.0, 3.0]], [1, -1, -1])
         with pytest.raises(EmptyBorderlineError):
-            oversample_borderline(ds, k=2, seed=0)
+            oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=2, seed=0))
