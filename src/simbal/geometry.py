@@ -17,27 +17,49 @@ class GeometryParameterError(ValueError):
     """Raised for invalid barycentric or Dirichlet parameters."""
 
 
+def gamma_shapes(alpha) -> np.ndarray:
+    """Gamma shapes whose draws ``dirichlet_weights`` turns into Dirichlet(alpha) weights.
+
+    Components with alpha < 1 are drawn as Gamma(alpha+1) and boosted later,
+    which avoids the underflow-to-zero failure mode of direct small-shape Gamma
+    sampling.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if not 0.0 < a.min() <= a.max() < np.inf:  # a NaN fails the first comparison
+        raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
+    return np.where(a < 1.0, a + 1.0, a)
+
+
+def dirichlet_weights(alpha, gammas: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
+    """Dirichlet(alpha) weights along the last axis from raw Gamma and uniform draws.
+
+    ``gammas`` are standard Gamma draws of ``gamma_shapes(alpha)``; components
+    with alpha < 1 become Gamma(alpha+1) * U**(1/alpha), U from ``uniforms``,
+    which may be omitted when no alpha is below 1. Each row is normalized by its
+    own sum; a row whose every component underflowed gets the simplex centre.
+    """
+    a = np.asarray(alpha, dtype=float)
+    if a.min() < 1.0:
+        gammas = np.where(a < 1.0, gammas * uniforms ** (1.0 / a), gammas)
+    total = gammas.sum(axis=-1, keepdims=True)
+    if total.min() > 0.0:
+        return gammas / total
+    centre = np.full(gammas.shape, 1.0 / gammas.shape[-1])
+    return np.divide(gammas, total, out=centre, where=total > 0.0)
+
+
 def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
     """One draw from Dirichlet(alpha) as a length-len(alpha) weight vector.
 
-    Uses the Gamma-normalization construction. Components with alpha < 1 are
-    drawn through the boosted form Gamma(alpha+1) * U**(1/alpha), which avoids
-    the underflow-to-zero failure mode of direct small-shape Gamma sampling.
+    Uses the Gamma-normalization construction with the small-alpha boost of
+    ``dirichlet_weights``; takes len(alpha) Gamma then len(alpha) uniform draws
+    from ``rng``.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise GeometryParameterError(f"alpha must be a 1-d vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
-        raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
-    small = a < 1.0
-    g = rng.gamma(np.where(small, a + 1.0, a))
-    u = rng.uniform(size=a.size)
-    g = np.where(small, g * u ** (1.0 / a), g)
-    total = g.sum()
-    if total <= 0.0:
-        # Every component underflowed; fall back to the center of the simplex.
-        return np.full(a.size, 1.0 / a.size)
-    return g / total
+    g = rng.standard_gamma(gamma_shapes(a))
+    return dirichlet_weights(a, g, rng.uniform(size=a.size))
 
 
 def project_to_probability_simplex(v: np.ndarray) -> np.ndarray:

@@ -20,8 +20,13 @@ import numpy as np
 
 from .complexes import MAXIMAL, Skeleton, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
-from .geometry import sample_dirichlet
+# sample_dirichlet is not called here any more, but stays importable from this
+# module: perfbench traces the per-point Dirichlet path at this lookup site.
+from .geometry import dirichlet_weights, gamma_shapes, sample_dirichlet  # noqa: F401
 from .graphs import MUTUAL, UNION, knn_graph
+
+# The step of PCG64.jumped: stream i is the seed state advanced by (i+1) of these.
+PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -90,7 +95,8 @@ class SamplerConfig:
             if self.p is not MAXIMAL:
                 if int(self.p) < 1:
                     raise SamplerParameterError(f"p must be >= 1 or MAXIMAL, got {self.p}")
-                if int(self.p) > int(self.k):
+                # edge-only methods force p to 1, so the p given cannot exceed k
+                if not GRAPH_VARIANTS[self.method][1] and int(self.p) > int(self.k):
                     raise SamplerParameterError(
                         f"p={self.p} exceeds k={self.k}; a k-neighborhood cannot ask for "
                         f"higher-order simplices than it has neighbors"
@@ -151,8 +157,10 @@ class SampleStreams:
     """Deterministic RNG streams for one sampler invocation.
 
     The base stream drives simplex selection; synthetic point i gets its own
-    stream at a fixed jump offset of i+1, so per-point draws do not depend on
+    stream, ``PCG64(seed).jumped(i+1)``, so per-point draws do not depend on
     generation order and parallel generation matches sequential generation.
+    Samplers reach those streams by PCG64 jump-ahead on one reused generator
+    (``point_streams``) instead of building a generator per point.
     """
 
     def __init__(self, seed: int):
@@ -161,6 +169,21 @@ class SampleStreams:
 
     def point_stream(self, i: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed).jumped(i + 1))
+
+    def point_streams(self, points):
+        """Point i's stream for each i in ``points``, in that order.
+
+        One generator is yielded again and again: before each yield its bit
+        generator is reset to the seed state and advanced by (i+1) jumps, the
+        exact state of ``point_stream(i)``. Draw from it before taking the next.
+        """
+        bits = np.random.PCG64(self.seed)
+        start = bits.state
+        rng = np.random.Generator(bits)
+        for i in points:
+            bits.state = start
+            bits.advance((int(i) + 1) * PCG64_JUMP % 2 ** 128)
+            yield rng
 
 
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
@@ -217,17 +240,21 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     first = streams.selection.integers(0, n_plus, size=m)
     second = streams.selection.integers(0, n_plus - 1, size=m)
     second = second + (second >= first)  # distinct partner, still uniform
+    pairs = np.stack([idx_min[first], idx_min[second]], axis=1)
+    lam = dirichlet_weights(1.0, np.array([rng.standard_exponential(2)
+                                           for rng in streams.point_streams(range(m))]))
+    # Provenance lists each pair ascending, its weights swapped along with it.
+    # Swapped rows multiply through a reversed view of their weights, the
+    # operand layout (and so the rounding) of the per-point definition.
+    swap = pairs[:, 0] > pairs[:, 1]
+    pairs[swap] = pairs[swap, ::-1]
     points = np.empty((m, ds.d))
-    prov = []
-    for i in range(m):
-        pair = (int(idx_min[first[i]]), int(idx_min[second[i]]))
-        lam = sample_dirichlet((1.0, 1.0), streams.point_stream(i))
-        if pair[0] > pair[1]:
-            pair = (pair[1], pair[0])
-            lam = lam[::-1]
-        points[i] = lam @ ds.features[list(pair)]
-        prov.append(Provenance(pair, tuple(lam.tolist())))
-    return SyntheticBatch(points, tuple(prov), meta)
+    points[~swap] = _combine(ds.features, pairs[~swap], lam[~swap])
+    points[swap] = _combine(ds.features, pairs[swap], lam[swap][:, ::-1])
+    lam[swap] = lam[swap, ::-1]
+    prov = tuple(Provenance(tuple(pair), tuple(weights))
+                 for pair, weights in zip(pairs.tolist(), lam.tolist()))
+    return SyntheticBatch(points, prov, meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -244,11 +271,10 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     cov = np.cov(minority, rowvar=False).reshape(ds.d, ds.d)
     ridge = GAUSSIAN_RIDGE_REL * np.trace(cov) / ds.d + GAUSSIAN_RIDGE_ABS
     chol = np.linalg.cholesky(cov + ridge * np.eye(ds.d))
-    streams = SampleStreams(seed)
-    points = np.empty((m, ds.d))
-    for i in range(m):
-        z = streams.point_stream(i).standard_normal(ds.d)
-        points[i] = mu + chol @ z
+    z = np.array([rng.standard_normal(ds.d)
+                  for rng in SampleStreams(seed).point_streams(range(m))])
+    # one matrix-vector product per point, as chol @ z_i rounds
+    points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
     prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
     return SyntheticBatch(points, prov, meta)
 
@@ -287,15 +313,42 @@ def _sample_from_simplices(features: np.ndarray, simplices: list[tuple[int, ...]
         sel = streams.selection.integers(0, len(simplices), size=m)
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
+    chosen = [simplices[c] for c in sel.tolist()]
+    sizes = np.fromiter(map(len, chosen), dtype=int, count=m)
     points = np.empty((m, features.shape[1]))
-    prov = []
-    for i in range(m):
-        simplex = simplices[int(sel[i])]
-        alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
-        lam = sample_dirichlet(alpha, streams.point_stream(i))
-        points[i] = lam @ features[list(simplex)]
-        prov.append(Provenance(simplex, tuple(lam.tolist())))
+    prov = [None] * m
+    # Rows of one simplex size at a time: padding rows to a common width would
+    # change how numpy's pairwise sum rounds the normalizing totals.
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        verts = np.array([chosen[i] for i in rows.tolist()], dtype=int)
+        lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
+                              size, streams.point_streams(rows))
+        points[rows] = _combine(features, verts, lam)
+        for i, weights in zip(rows.tolist(), lam.tolist()):
+            prov[i] = Provenance(chosen[i], tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)
+
+
+def _dirichlet_rows(alpha: np.ndarray | None, size: int, rngs) -> np.ndarray:
+    """One row of Dirichlet weights per generator in ``rngs``.
+
+    ``alpha`` holds a row of parameters per generator, or None for all-ones.
+    Each generator gives the raw draws ``sample_dirichlet`` would take from it,
+    except that all-ones rows skip the trailing uniforms, which they never read:
+    Gamma(1) is the standard exponential, and a per-point stream is not reused.
+    """
+    if alpha is None:
+        return dirichlet_weights(1.0, np.array([rng.standard_exponential(size) for rng in rngs]))
+    draws = [(rng.standard_gamma(s), rng.uniform(size=size))
+             for rng, s in zip(rngs, gamma_shapes(alpha))]
+    return dirichlet_weights(alpha, np.array([g for g, _ in draws]),
+                             np.array([u for _, u in draws]))
+
+
+def _combine(features: np.ndarray, verts: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Row i is lam[i] @ features[verts[i]], one vector-matrix product per row."""
+    return np.matmul(lam[:, None, :], features[verts])[:, 0, :]
 
 
 def dataset_level_simplices(sk: Skeleton, idx_min: np.ndarray) -> list[tuple[int, ...]]:

@@ -127,16 +127,21 @@ def borderline_subset(ds: Dataset, k: int,
     return {int(v) for v in safety.minority_indices[border]}
 
 
-def safelevel_alphas(safety: NeighborhoodSafety, simplex: tuple[int, ...],
+def safelevel_alphas(safety: NeighborhoodSafety, simplices,
                      formula: str = INVERSE_SAFETY) -> np.ndarray:
-    """Dirichlet parameters for one simplex from its vertices' safety levels.
+    """Dirichlet parameters from the safety levels of simplex vertices.
 
+    ``simplices`` is one simplex or an array of them, as dataset-level minority
+    ids; the result has its shape, one parameter per vertex.
     ``inverse``: alpha_i = 1 / max(delta_plus_i, 1/k) = k / max(k_plus_i, 1),
     so zero minority-neighbor counts clamp instead of dividing by zero.
     ``plus-one``: alpha_i = 1 + delta_plus_i.
     """
-    pos = safety.position()
-    kp = np.array([safety.k_plus[pos[int(v)]] for v in simplex], dtype=float)
+    ids = np.asarray(simplices, dtype=int)
+    rows = np.searchsorted(safety.minority_indices, ids)
+    if np.any(safety.minority_indices.take(rows, mode="clip") != ids):
+        raise SamplerParameterError("safe-level alphas need minority vertex ids")
+    kp = safety.k_plus[rows].astype(float)
     if formula == INVERSE_SAFETY:
         return safety.k / np.maximum(kp, 1.0)
     if formula == PLUS_ONE_SAFETY:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
-from simbal import Dataset, NeighborhoodGraph
+from simbal import Dataset, Method, NeighborhoodGraph, oversample, sample_dirichlet
+from simbal import samplers, variants
+from simbal.samplers import Provenance, SampleStreams, SyntheticBatch
 
 
 def random_imbalanced_dataset(seed: int) -> Dataset:
@@ -108,3 +111,75 @@ def reconstruction_error(batch, features) -> float:
         rec = np.asarray(pr.lam) @ features[list(pr.simplex)]
         worst = max(worst, float(np.max(np.abs(rec - pt))))
     return worst
+
+
+def per_point_simplices(features, simplices, m, streams, meta, weights=None,
+                        alpha_fn=None) -> SyntheticBatch:
+    """The simplex sampler's back half, one generator and one Dirichlet draw per point.
+
+    This is the definition the batched sampler must match bit for bit: point i
+    draws ``sample_dirichlet(alpha, point_stream(i))`` and is ``lam @ X[simplex]``.
+    """
+    if m == 0:
+        return SyntheticBatch(np.empty((0, features.shape[1])), (), meta)
+    if weights is None:
+        sel = streams.selection.integers(0, len(simplices), size=m)
+    else:
+        sel = streams.selection.choice(len(simplices), size=m, p=weights)
+    points = np.empty((m, features.shape[1]))
+    prov = []
+    for i in range(m):
+        simplex = simplices[int(sel[i])]
+        alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
+        lam = sample_dirichlet(alpha, streams.point_stream(i))
+        points[i] = lam @ features[list(simplex)]
+        prov.append(Provenance(simplex, tuple(lam.tolist())))
+    return SyntheticBatch(points, tuple(prov), meta)
+
+
+def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
+    """The global sampler, one generator and one Dirichlet draw per point (n_plus >= 2)."""
+    streams = SampleStreams(seed)
+    idx_min = ds.minority_indices()
+    n_plus = idx_min.size
+    first = streams.selection.integers(0, n_plus, size=m)
+    second = streams.selection.integers(0, n_plus - 1, size=m)
+    second = second + (second >= first)
+    points = np.empty((m, ds.d))
+    prov = []
+    for i in range(m):
+        pair = (int(idx_min[first[i]]), int(idx_min[second[i]]))
+        lam = sample_dirichlet((1.0, 1.0), streams.point_stream(i))
+        if pair[0] > pair[1]:
+            pair = (pair[1], pair[0])
+            lam = lam[::-1]
+        points[i] = lam @ ds.features[list(pair)]
+        prov.append(Provenance(pair, tuple(lam.tolist())))
+    return SyntheticBatch(points, tuple(prov), {"method": "global", "seed": seed})
+
+
+def per_point_gaussian(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
+    """The Gaussian sampler, one generator per point (n_plus >= 2)."""
+    minority = ds.minority_features()
+    mu = minority.mean(axis=0)
+    cov = np.cov(minority, rowvar=False).reshape(ds.d, ds.d)
+    ridge = samplers.GAUSSIAN_RIDGE_REL * np.trace(cov) / ds.d + samplers.GAUSSIAN_RIDGE_ABS
+    chol = np.linalg.cholesky(cov + ridge * np.eye(ds.d))
+    streams = SampleStreams(seed)
+    points = np.empty((m, ds.d))
+    for i in range(m):
+        z = streams.point_stream(i).standard_normal(ds.d)
+        points[i] = mu + chol @ z
+    prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
+    return SyntheticBatch(points, prov, {"method": "gaussian", "seed": seed})
+
+
+def per_point_oversample(ds: Dataset, cfg) -> SyntheticBatch:
+    """``oversample(ds, cfg)`` with every per-point draw made the per-point way."""
+    m = ds.n_majority - ds.n_minority if cfg.target_count is None else cfg.target_count
+    if cfg.method is Method.GLOBAL:
+        return per_point_global(ds, m, cfg.seed)
+    if cfg.method is Method.GAUSSIAN:
+        return per_point_gaussian(ds, m, cfg.seed)
+    with mock.patch.object(variants, "_sample_from_simplices", per_point_simplices):
+        return oversample(ds, cfg)

@@ -22,13 +22,21 @@ from simbal.evaluation import method_grid
 from simbal.samplers import (
     GRAPH_METHODS,
     GRAPH_VARIANTS,
+    INVERSE_SAFETY,
+    PLUS_ONE_SAFETY,
     POINT_SAMPLERS,
     SampleStreams,
     SamplerParameterError,
+    _dirichlet_rows,
 )
 from simbal.geometry import sample_dirichlet
 
-from helpers import in_convex_hull, random_imbalanced_dataset, reconstruction_error
+from helpers import (
+    in_convex_hull,
+    per_point_oversample,
+    random_imbalanced_dataset,
+    reconstruction_error,
+)
 
 ALL_METHODS = list(Method)
 
@@ -53,6 +61,17 @@ class TestSamplerConfig:
     def test_p_zero_rejected(self):
         with pytest.raises(SamplerParameterError):
             SamplerConfig(Method.SMOTE, k=3, p=0)
+
+    @pytest.mark.parametrize("method", [m for m, (_, edge_only) in GRAPH_VARIANTS.items()
+                                        if edge_only])
+    def test_edge_only_methods_ignore_p_above_k(self, method):
+        # p is forced to 1 for these methods, so a p above k samples edges
+        ds = random_imbalanced_dataset(3)
+        got = oversample(ds, SamplerConfig(method, k=3, p=4, seed=4))
+        want = oversample(ds, SamplerConfig(method, k=3, p=1, seed=4))
+        assert np.array_equal(got.points, want.points)
+        assert got.provenance == want.provenance
+        assert all(len(pr.simplex) == 2 for pr in got.provenance)
 
     def test_baseline_methods_ignore_k(self):
         SamplerConfig(Method.RANDOM)
@@ -301,6 +320,75 @@ class TestStreams:
             lam = sample_dirichlet(np.ones(len(pr.simplex)),
                                    SampleStreams(seed).point_stream(i))
             assert np.array_equal(np.asarray(pr.lam), lam)
+
+    @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
+    def test_point_streams_match_jumped(self, seed):
+        streams = SampleStreams(seed)
+        for i, rng in enumerate(streams.point_streams(range(300))):
+            assert rng.bit_generator.state == np.random.PCG64(seed).jumped(i + 1).state
+
+    def test_point_streams_follow_given_order(self):
+        streams = SampleStreams(5)
+        draws = [rng.standard_normal(3) for rng in streams.point_streams([7, 2, 7])]
+        assert np.array_equal(draws[0], streams.point_stream(7).standard_normal(3))
+        assert np.array_equal(draws[1], streams.point_stream(2).standard_normal(3))
+        assert np.array_equal(draws[2], draws[0])
+
+    def test_dirichlet_rows_match_sample_dirichlet(self):
+        # small alphas take the boosted path with uniforms; 1e-300 underflows
+        # every component and falls back to the simplex centre
+        alpha = np.array([[0.3, 2.0, 1.0], [1e-300, 1e-300, 1e-300], [5.0, 0.01, 1.0],
+                          [1.0, 1.0, 1.0]])
+        streams = SampleStreams(9)
+        rows = _dirichlet_rows(alpha, 3, streams.point_streams(range(4)))
+        for i in range(4):
+            assert np.array_equal(rows[i], sample_dirichlet(alpha[i], streams.point_stream(i)))
+        assert rows[1].tolist() == [1 / 3] * 3
+
+
+def tight_cluster_dataset() -> Dataset:
+    """Twelve minority points in a tight cluster: with k=9 its cliques exceed 8 vertices."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    mino = rng.normal(0.0, 0.01, size=(12, 3))
+    maj = rng.normal(2.0, 1.0, size=(60, 3))
+    return Dataset(np.vstack([mino, maj]), [1] * 12 + [-1] * 60)
+
+
+def _outcome(run):
+    """A batch's points, provenance and meta, or the error it raised."""
+    try:
+        batch = run()
+    except (ValueError, SubdivisionCapExceeded) as exc:
+        return type(exc), str(exc)
+    return batch.points, batch.provenance, batch.meta
+
+
+ORACLE_CASES = [(method, p, formula)
+                for method in ALL_METHODS for p in (MAXIMAL, 2)
+                for formula in ((INVERSE_SAFETY, PLUS_ONE_SAFETY)
+                                if "safelevel" in method.value else (INVERSE_SAFETY,))]
+
+
+@pytest.mark.parametrize("method,p,formula", ORACLE_CASES,
+                         ids=[f"{m.value}-p{p}-{f}" for m, p, f in ORACLE_CASES])
+def test_batched_sampling_matches_per_point_oracle(method, p, formula):
+    cases = [(random_imbalanced_dataset(s), 5) for s in range(4)]
+    cases.append((tight_cluster_dataset(), 9))
+    for ds, k in cases:
+        cfg = SamplerConfig(method, k=k, p=p, seed=31, safelevel_formula=formula)
+        got = _outcome(lambda: oversample(ds, cfg))
+        want = _outcome(lambda: per_point_oversample(ds, cfg))
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+
+
+def test_tight_cluster_has_big_simplices():
+    batch = oversample(tight_cluster_dataset(), SamplerConfig(Method.SIMPLICIAL, k=9))
+    assert max(len(pr.simplex) for pr in batch.provenance) >= 8
 
 
 @settings(max_examples=25, deadline=None)
