@@ -1,8 +1,9 @@
-"""Exact pairwise distances and symmetrized kNN graphs over point sets.
+"""Exact (distance, index)-ordered nearest neighbours, kNN graphs.
 
-All tie-breaking is deterministic: when two candidate neighbors are at the
-same distance, the one with the lower vertex index wins. Distances are
-Euclidean throughout.
+``nearest`` is the one neighbour query: the kNN graph, the safety counts and
+the kNN classifier all go through it. All tie-breaking is deterministic: when
+two candidate neighbors are at the same distance, the one with the lower
+vertex index wins. Distances are Euclidean throughout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 UNION = "union"
 MUTUAL = "mutual"
 
-# Row block size for the pairwise-distance computation; caps the temporary
+# Row block size for the distance computation; caps the temporary
 # (block, n, d) difference tensor at roughly 64 MB of float64.
 _BLOCK_ELEMS = 8_000_000
 
@@ -72,47 +73,54 @@ class NeighborhoodGraph:
         return deg
 
 
-def pairwise_distances(points) -> np.ndarray:
-    """Full Euclidean distance matrix, exactly symmetric with a zero diagonal.
-
-    Computed from coordinate differences so that entry (i, j) and entry (j, i)
-    go through identical floating-point operations.
-    """
-    pts = as_points(points)
-    n, d = pts.shape
-    out = np.empty((n, n), dtype=float)
-    block = max(1, _BLOCK_ELEMS // max(1, n * d))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(out, 0.0)
-    return out
+def _distance_blocks(pa: np.ndarray, pb: np.ndarray):
+    """Row blocks (start, stop, distances of pa[start:stop] to pb), from coordinate differences."""
+    if pa.shape[1] != pb.shape[1]:
+        raise GraphParameterError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
+    block = max(1, _BLOCK_ELEMS // max(1, pb.shape[0] * pb.shape[1]))
+    for start in range(0, pa.shape[0], block):
+        stop = min(start + block, pa.shape[0])
+        diff = pa[start:stop, None, :] - pb[None, :, :]
+        yield start, stop, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def cross_distances(a, b) -> np.ndarray:
     """Euclidean distances between two point sets as an (n_a, n_b) matrix."""
-    pa = as_points(a)
-    pb = as_points(b)
-    if pa.shape[1] != pb.shape[1]:
-        raise GraphParameterError(
-            f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}"
-        )
-    na, d = pa.shape
-    out = np.empty((na, pb.shape[0]), dtype=float)
-    block = max(1, _BLOCK_ELEMS // max(1, pb.shape[0] * d))
-    for start in range(0, na, block):
-        stop = min(start + block, na)
-        diff = pa[start:stop, None, :] - pb[None, :, :]
-        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    pa, pb = as_points(a), as_points(b)
+    out = np.empty((pa.shape[0], pb.shape[0]), dtype=float)
+    for start, stop, dist in _distance_blocks(pa, pb):
+        out[start:stop] = dist
     return out
 
 
-def _neighbor_order(dist_row: np.ndarray, self_index: int) -> np.ndarray:
-    """Vertices ordered by (distance, index), self excluded."""
-    n = dist_row.shape[0]
-    order = np.lexsort((np.arange(n), dist_row))
-    return order[order != self_index]
+def pairwise_distances(points) -> np.ndarray:
+    """Full Euclidean distance matrix, exactly symmetric with a zero diagonal."""
+    return cross_distances(points, points)
+
+
+def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
+    """(n_query, k) ``ref`` row ids nearest each query row, in (distance, index) order.
+
+    ``self_ids[i]``, when given, is the ``ref`` row that query row i skips.
+    Distances go in row blocks, never as a full (n_query, n_ref) matrix.
+    """
+    q, r = as_points(query), as_points(ref)
+    k, skip = int(k), self_ids is not None
+    if not 1 <= k <= r.shape[0] - skip:
+        raise GraphParameterError(f"k must satisfy 1 <= k <= {r.shape[0] - skip}, got {k}")
+    if skip and np.shape(self_ids) != (q.shape[0],):
+        raise GraphParameterError(f"need one self id per query row, not {np.shape(self_ids)}")
+    out = np.empty((q.shape[0], k), dtype=int)
+    for start, stop, dist in _distance_blocks(q, r):
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k + skip]
+        if skip:
+            # drop self by id (an inf sentinel would tie with distances that
+            # overflow to inf); if self lies beyond the first k+1, drop the last
+            keep = order != np.asarray(self_ids)[start:stop, None]
+            keep[keep.all(axis=1), -1] = False
+            order = order[keep].reshape(stop - start, k)
+        out[start:stop] = order
+    return out
 
 
 def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
@@ -128,11 +136,8 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
         raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if symmetrize not in (UNION, MUTUAL):
         raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
-    dist = pairwise_distances(pts)
-    directed: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in _neighbor_order(dist[u], u)[:k]:
-            directed.add((u, int(v)))
+    nbrs = nearest(pts, pts, k, np.arange(n)).tolist()
+    directed = {(u, v) for u in range(n) for v in nbrs[u]}
     if symmetrize == UNION:
         edges = {(min(u, v), max(u, v)) for u, v in directed}
     else:

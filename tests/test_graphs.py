@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbal import MUTUAL, UNION, knn_graph, pairwise_distances
-from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances
+from simbal import MUTUAL, UNION, graphs, knn_graph, pairwise_distances
+from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances, nearest
 
 
 def brute_knn_edges(pts, k, symmetrize):
@@ -58,6 +60,92 @@ class TestCrossDistances:
     def test_shape_mismatch(self):
         with pytest.raises(GraphParameterError):
             cross_distances(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def brute_nearest(query, ref, k, self_ids=None):
+    """k nearest ref rows per query row by an explicit sorted((distance, index))."""
+    dist = cross_distances(query, ref)
+    rows = []
+    for i in range(len(query)):
+        skip = None if self_ids is None else self_ids[i]
+        ranked = sorted((float(dist[i, j]), j) for j in range(len(ref)) if j != skip)
+        rows.append([j for _, j in ranked[:k]])
+    return np.array(rows, dtype=int).reshape(len(query), k)
+
+
+def tie_heavy_points(rng, kind, n, d):
+    """Gaussian, small integer grid, or rows drawn from a few base points."""
+    if kind == "gaussian":
+        return rng.normal(size=(n, d))
+    if kind == "grid":
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    base = rng.normal(size=(max(1, n // 4), d))
+    return base[rng.integers(0, len(base), size=n)]
+
+
+class TestNearest:
+    def test_more_tied_copies_than_k_plus_one(self):
+        # six copies of one point: the last copy's self lies beyond its first
+        # k+1 = 3 candidates, so nothing is dropped but the overflow column
+        pts = np.vstack([np.zeros((6, 2)), [[1.0, 0.0], [2.0, 0.0]]])
+        got = nearest(pts, pts, 2, np.arange(8))
+        assert got[5].tolist() == [0, 1] and got[0].tolist() == [1, 2]
+        assert np.array_equal(got, brute_nearest(pts, pts, 2, np.arange(8)))
+
+    def test_overflowing_distances_order_by_index(self):
+        # squared differences overflow, so every off-diagonal distance is inf
+        pts = np.arange(4.0).reshape(-1, 1) * 1e155
+        assert np.all(np.isinf(pairwise_distances(pts)[~np.eye(4, dtype=bool)]))
+        got = nearest(pts, pts, 3, np.arange(4))
+        assert got.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        assert nearest(pts[2:3], pts, 2, [2]).tolist() == [[0, 1]]
+
+    def test_two_points_one_dimension(self):
+        assert nearest([0.0, 1.0], [0.0, 1.0], 1, [0, 1]).tolist() == [[1], [0]]
+        assert nearest([0.4], [0.0, 1.0], 2).tolist() == [[0, 1]]
+
+    def test_k_out_of_range(self):
+        pts = random_points(8, n=5, d=2)
+        nearest(pts, pts, 5)
+        for k, self_ids in ((0, None), (6, None), (5, np.arange(5))):
+            with pytest.raises(GraphParameterError):
+                nearest(pts, pts, k, self_ids)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GraphParameterError):
+            nearest(np.zeros((2, 2)), np.zeros((3, 3)), 1)
+
+    def test_one_self_id_per_query_row(self):
+        pts = random_points(9, n=5, d=2)
+        for self_ids in ([0], np.arange(4), np.arange(6), [[0, 1, 2, 3, 4]]):
+            with pytest.raises(GraphParameterError):
+                nearest(pts, pts, 2, self_ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["gaussian", "grid", "dup"]),
+       mode=st.sampled_from(["self", "subset", "cross"]), n=st.integers(2, 30),
+       d=st.integers(1, 4), scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155]),
+       block_elems=st.sampled_from([1, 7, 64, graphs._BLOCK_ELEMS]), data=st.data())
+def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elems, data):
+    # self excluded over the whole set (the kNN graph), over a subset of query
+    # rows (the safety counts), or a separate query set with no exclusion (the
+    # classifier); small block sizes split the rows across several blocks
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref = tie_heavy_points(rng, kind, n, d) * scale
+    self_ids = None
+    if mode == "self":
+        query, self_ids = ref, np.arange(n)
+    elif mode == "subset":
+        self_ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        query = ref[self_ids]
+    else:
+        query = np.vstack([tie_heavy_points(rng, kind, int(rng.integers(1, 10)), d) * scale,
+                           ref[:1]])
+    k = data.draw(st.integers(1, n - (self_ids is not None)))
+    with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems):
+        got = nearest(query, ref, k, self_ids)
+    assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
 
 
 class TestKnnGraph:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from simbal import (
     oversample_simplicial,
     safelevel_alphas,
 )
-from simbal import graphs, variants
 from simbal.samplers import SamplerParameterError, minority_skeleton
 from simbal.variants import NeighborhoodSafety
 
@@ -28,6 +28,11 @@ def line_dataset(minority_x, majority_x):
     xs = list(minority_x) + list(majority_x)
     labels = [1] * len(minority_x) + [-1] * len(majority_x)
     return Dataset(np.array(xs, dtype=float).reshape(-1, 1), labels)
+
+
+def position(safety):
+    """Dataset-level minority id -> row in the safety arrays."""
+    return {int(v): i for i, v in enumerate(safety.minority_indices)}
 
 
 def brute_safety_counts(ds, k):
@@ -53,7 +58,7 @@ class TestComputeSafety:
     def test_two_of_five_neighbors_minority(self):
         ds = line_dataset([0.0, 1.0, 2.0], [3.0, 4.0, 5.0, 50.0, 51.0, 52.0, 53.0])
         safety = compute_safety(ds, 5)
-        pos = safety.position()
+        pos = position(safety)
         assert safety.k_plus[pos[0]] == 2
         assert safety.delta_plus[pos[0]] == pytest.approx(0.4)
 
@@ -63,7 +68,7 @@ class TestComputeSafety:
         k = min(5, ds.n - 1)
         safety = compute_safety(ds, k)
         brute = brute_safety_counts(ds, k)
-        pos = safety.position()
+        pos = position(safety)
         assert all(safety.k_plus[pos[i]] == brute[i] for i in brute)
 
     def test_identity_is_exact_in_rationals(self):
@@ -100,7 +105,7 @@ class TestBorderlineSubset:
         # 2 of 4 neighbors minority: ratio exactly 1/2, excluded
         ds = line_dataset([0.0, 0.2, 0.4], [0.6, 0.8, 5.0, 5.5, 6.0, 6.5, 7.0])
         safety = compute_safety(ds, 4)
-        pos = safety.position()
+        pos = position(safety)
         assert safety.k_plus[pos[0]] == 2
         assert 0 not in borderline_subset(ds, 4)
 
@@ -167,6 +172,22 @@ class TestAdasynWeights:
         with pytest.raises(SamplerParameterError):
             adasyn_weights(self._safety(2, [1]), [])
 
+    def test_rows_follow_dataset_ids(self):
+        # minority ids 0, 2, 5: simplex means 2.5/4 and 1/4
+        safety = NeighborhoodSafety(np.array([0, 2, 5]), 4, np.array([3, 1, 2]),
+                                    np.array([1, 3, 2]))
+        w = adasyn_weights(safety, [(2, 5), (0,)])
+        assert w.tolist() == [(2.5 / 4) / (3.5 / 4), (1 / 4) / (3.5 / 4)]
+
+    @pytest.mark.parametrize("vertex", [1, 3, 9, -1])
+    def test_non_minority_vertex_is_a_typed_error(self, vertex):
+        # the same check as safelevel_alphas, not a bare KeyError
+        safety = NeighborhoodSafety(np.array([0, 2, 5]), 4, np.array([3, 1, 2]),
+                                    np.array([1, 3, 2]))
+        for fn in (adasyn_weights, safelevel_alphas):
+            with pytest.raises(SamplerParameterError, match="minority vertex ids"):
+                fn(safety, [(0, vertex)])
+
 
 def borderline_triangle_dataset():
     """One borderline minority point whose neighborhood holds two safe
@@ -221,28 +242,31 @@ class TestBorderlineSampler:
         batch = oversample(ds, SamplerConfig(Method.BORDERLINE, k=k, target_count=30, seed=2))
         assert all(len(pr.simplex) <= 2 for pr in batch.provenance)
 
-    def test_one_full_distance_matrix_per_run(self, monkeypatch):
-        # the support reuses the safety neighbor rows instead of computing a
-        # second n x n distance matrix
-        ds = random_imbalanced_dataset(60)
-        full_size = []
-        real = graphs.pairwise_distances
-
-        def counting(points):
-            full_size.append(len(points) == ds.n)
-            return real(points)
-
-        monkeypatch.setattr(graphs, "pairwise_distances", counting)
-        monkeypatch.setattr(variants, "pairwise_distances", counting)
-        oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=5, seed=0, target_count=10))
-        assert sum(full_size) == 1
-
     def test_deterministic(self):
         ds = random_imbalanced_dataset(62)
         k = min(4, ds.n_minority - 1)
         a = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=k, p=2, seed=3))
         b = oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=k, p=2, seed=3))
         assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("method", ["s_borderline", "s_safelevel", "s_adasyn"])
+def test_peak_memory_below_one_distance_matrix(method):
+    # safety counts search minority x all rows in blocks, so neither they nor
+    # a whole run ever hold an n x n float64 matrix (72 MB at n = 3000)
+    rng = np.random.Generator(np.random.PCG64(0))
+    n, n_plus = 3000, 30
+    ds = Dataset(np.vstack([rng.normal(0.5, 1.0, size=(n_plus, 2)),
+                            rng.normal(0.0, 1.0, size=(n - n_plus, 2))]),
+                 [1] * n_plus + [-1] * (n - n_plus))
+    tracemalloc.start()
+    try:
+        compute_safety(ds, 5)
+        oversample(ds, SamplerConfig(Method(method), k=5, seed=0, target_count=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def fully_safe_dataset(seed=0):
@@ -269,7 +293,7 @@ class TestSafelevelSampler:
         ])
         ds = Dataset(np.vstack([minority, majority]), [1, 1, 1] + [-1] * 7)
         safety = compute_safety(ds, 2)
-        pos = safety.position()
+        pos = position(safety)
         assert safety.k_plus[pos[0]] == 0
         assert safety.k_plus[pos[1]] == 2 and safety.k_plus[pos[2]] == 2
         alphas = safelevel_alphas(safety, (0, 1, 2))
