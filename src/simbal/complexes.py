@@ -44,38 +44,6 @@ class Skeleton:
         return sorted(self.maximal_simplices)
 
 
-def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
-    """Deterministic vertex order by repeatedly removing a minimum-degree vertex.
-
-    Lazy bucket queue: decremented vertices are re-pushed and stale entries are
-    skipped on pop (an entry is stale once its vertex was removed or moved to a
-    lower bucket).
-    """
-    deg = [len(a) for a in adj]
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n - 1, -1, -1):
-        buckets[deg[v]].append(v)
-    removed = [False] * n
-    order: list[int] = []
-    cursor = 0
-    for _ in range(n):
-        v = -1
-        while v < 0:
-            while not buckets[cursor]:
-                cursor += 1
-            cand = buckets[cursor].pop()
-            if not removed[cand] and deg[cand] == cursor:
-                v = cand
-        removed[v] = True
-        order.append(v)
-        for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-                cursor = min(cursor, deg[w])
-    return order
-
-
 def _bron_kerbosch_pivot(adj: list[set[int]], r: set[int], p: set[int], x: set[int],
                          out: list[frozenset[int]]) -> None:
     if not p and not x:
@@ -91,18 +59,12 @@ def _bron_kerbosch_pivot(adj: list[set[int]], r: set[int], p: set[int], x: set[i
 def maximal_cliques(g: NeighborhoodGraph) -> frozenset[Simplex]:
     """All inclusion-maximal cliques; isolated vertices come back as 1-tuples.
 
-    Bron-Kerbosch with pivoting, seeded by a degeneracy vertex ordering so the
-    outer branching stays shallow on sparse neighborhood graphs.
+    Bron-Kerbosch with Tomita pivoting, run once from P = all vertices, X = {}.
     """
-    n = g.n_vertices
-    adj = g.adjacency()
-    order = _degeneracy_order(n, adj)
-    pos = {v: i for i, v in enumerate(order)}
+    if g.n_vertices == 0:
+        return frozenset()
     found: list[frozenset[int]] = []
-    for v in order:
-        later = {u for u in adj[v] if pos[u] > pos[v]}
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        _bron_kerbosch_pivot(adj, {v}, later, earlier, found)
+    _bron_kerbosch_pivot(g.adjacency(), set(), set(range(g.n_vertices)), set(), found)
     return frozenset(tuple(sorted(c)) for c in found)
 
 

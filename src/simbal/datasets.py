@@ -6,7 +6,7 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,9 +59,6 @@ class Dataset:
     def minority_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == MINORITY)
 
-    def majority_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == MAJORITY)
-
     def minority_features(self) -> np.ndarray:
         return self.features[self.labels == MINORITY]
 
@@ -112,10 +109,6 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_minority < 1 or self.n_majority < 1:
             raise DatasetError("class sizes must be positive")
-
-    @property
-    def n_total(self) -> int:
-        return self.n_minority + self.n_majority
 
 
 def _moons(rng, n_min, n_maj):

@@ -330,16 +330,10 @@ def rank_methods(report: EvalReport, metric: str = "f1") -> dict[str, float]:
     for d in ds_names:
         scores = [(report.cell(d, m).mean_f1 if metric == "f1"
                    else report.cell(d, m).mean_mcc) for m in methods]
-        order = sorted(range(len(methods)), key=lambda i: -scores[i])
-        pos = 0
-        while pos < len(order):
-            tied = [order[pos]]
-            while pos + len(tied) < len(order) and scores[order[pos + len(tied)]] == scores[tied[0]]:
-                tied.append(order[pos + len(tied)])
-            avg_rank = pos + (len(tied) + 1) / 2.0
-            for i in tied:
-                totals[methods[i]] += avg_rank
-            pos += len(tied)
+        for m, s in zip(methods, scores):
+            # the ranks of s and its ties run from (#higher + 1) to (#higher + #equal)
+            higher = sum(1 for t in scores if t > s)
+            totals[m] += higher + (sum(1 for t in scores if t == s) + 1) / 2
     return {m: totals[m] / len(ds_names) for m in methods}
 
 

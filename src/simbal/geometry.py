@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import MAXIMAL, Skeleton, p_skeleton
-from .graphs import as_points, knn_graph
+from .graphs import UNION, as_points, knn_graph
 
 # Projected-gradient solver defaults; simplices here are tiny (p+1 <= k+1
 # vertices), so a tight tolerance is cheap.
@@ -113,7 +113,7 @@ def distance_to_simplex(q, vertices, tol: float = PROJECTION_TOL,
 
 
 def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXIMAL,
-                        symmetrize: str | None = None) -> float:
+                        symmetrize: str = UNION) -> float:
     """Mean distance from each majority point to the nearest minority simplex.
 
     The geometric model is the p-skeleton of the minority kNN clique complex;
@@ -130,8 +130,7 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
     if mino.shape[0] == 1:
         sk = Skeleton(1, MAXIMAL, frozenset({(0,)}))
     else:
-        kwargs = {} if symmetrize is None else {"symmetrize": symmetrize}
-        sk = p_skeleton(knn_graph(mino, k, **kwargs), p)
+        sk = p_skeleton(knn_graph(mino, k, symmetrize), p)
     simplices = sk.sorted_simplices()
     total = 0.0
     for q in maj:

@@ -54,10 +54,6 @@ class NeighborhoodGraph:
             if not (0 <= u < v < self.n_vertices):
                 raise GraphParameterError(f"invalid edge ({u}, {v}) for n={self.n_vertices}")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
         for u, v in self.edges:

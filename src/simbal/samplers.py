@@ -267,16 +267,36 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     if m == 0:
         return _empty_batch(ds.d, meta)
     minority = ds.minority_features()
-    mu = minority.mean(axis=0)
-    cov = np.cov(minority, rowvar=False).reshape(ds.d, ds.d)
-    ridge = GAUSSIAN_RIDGE_REL * np.trace(cov) / ds.d + GAUSSIAN_RIDGE_ABS
-    chol = np.linalg.cholesky(cov + ridge * np.eye(ds.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = minority.mean(axis=0)
+        cov = np.cov(minority, rowvar=False).reshape(ds.d, ds.d)
+        ridge = GAUSSIAN_RIDGE_REL * np.trace(cov) / ds.d + GAUSSIAN_RIDGE_ABS
+        cov = cov + ridge * np.eye(ds.d)
+    if not np.isfinite(cov).all():
+        raise SamplerParameterError("the minority covariance overflows; rescale the features")
+    chol = np.linalg.cholesky(cov)
     z = np.array([rng.standard_normal(ds.d)
                   for rng in SampleStreams(seed).point_streams(range(m))])
-    # one matrix-vector product per point, as chol @ z_i rounds
-    points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix-vector product per point, as chol @ z_i rounds
+        points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
+    if not np.isfinite(points).all():
+        raise SamplerParameterError("Gaussian draws overflow; rescale the features")
     prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
     return SyntheticBatch(points, prov, meta)
+
+
+def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
+                  symmetrize: str) -> tuple[Skeleton, dict]:
+    """Skeleton of the kNN clique complex over the dataset rows ``ids``, k clamped to ids.size - 1.
+
+    Returns (skeleton over positions in ``ids``, clamp info).
+    """
+    if ids.size < 2:
+        raise SamplerParameterError("need at least 2 minority points to build a graph")
+    k_used = min(int(k), ids.size - 1)
+    sk = p_skeleton(knn_graph(ds.features[ids], k_used, symmetrize), p)
+    return sk, {"k_requested": int(k), "k_used": k_used, "k_clamped": k_used != int(k)}
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
@@ -287,13 +307,7 @@ def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
     clamp info).
     """
     idx_min = ds.minority_indices()
-    n_plus = idx_min.size
-    if n_plus < 2:
-        raise SamplerParameterError("need at least 2 minority points to build a graph")
-    k_used = min(int(k), n_plus - 1)
-    graph = knn_graph(ds.features[idx_min], k_used, symmetrize)
-    sk = p_skeleton(graph, p)
-    info = {"k_requested": int(k), "k_used": k_used, "k_clamped": k_used != int(k)}
+    sk, info = _knn_skeleton(ds, idx_min, k, p, symmetrize)
     return sk, idx_min, info
 
 
@@ -351,9 +365,12 @@ def _combine(features: np.ndarray, verts: np.ndarray, lam: np.ndarray) -> np.nda
     return np.matmul(lam[:, None, :], features[verts])[:, 0, :]
 
 
-def dataset_level_simplices(sk: Skeleton, idx_min: np.ndarray) -> list[tuple[int, ...]]:
-    """Map a minority-local skeleton to ascending dataset-level vertex tuples."""
-    return sorted(tuple(int(idx_min[v]) for v in s) for s in sk.sorted_simplices())
+def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> list[tuple[int, ...]]:
+    """Map a local skeleton to sorted dataset-level vertex tuples.
+
+    ``ids`` ascend, so the map is monotone and keeps the skeleton's order.
+    """
+    return [tuple(int(ids[v]) for v in s) for s in sk.sorted_simplices()]
 
 
 def oversample_simplicial(ds: Dataset, k: int, p: int | None = MAXIMAL,

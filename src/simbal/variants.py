@@ -21,9 +21,10 @@ from functools import partial
 
 import numpy as np
 
-from .complexes import MAXIMAL, p_skeleton
+# p_skeleton, knn_graph and pairwise_distances are unused here; the benchmark's
+# span tracer wraps them at this site
+from .complexes import MAXIMAL, p_skeleton  # noqa: F401
 from .datasets import Dataset, MINORITY
-# pairwise_distances is unused here; the benchmark's span tracer wraps it at this site
 from .graphs import UNION, knn_graph, nearest, pairwise_distances  # noqa: F401
 from .samplers import (
     ADASYN,
@@ -38,10 +39,10 @@ from .samplers import (
     SamplerParameterError,
     SyntheticBatch,
     _duplicated_instead,
+    _knn_skeleton,
     _resolve_m,
     _sample_from_simplices,
     dataset_level_simplices,
-    minority_skeleton,
     oversample,
 )
 
@@ -74,14 +75,6 @@ class NeighborhoodSafety:
         object.__setattr__(self, "minority_indices", idx)
         object.__setattr__(self, "k_plus", kp)
         object.__setattr__(self, "k_minus", km)
-
-    @property
-    def delta_plus(self) -> np.ndarray:
-        return self.k_plus / self.k
-
-    @property
-    def delta_minus(self) -> np.ndarray:
-        return self.k_minus / self.k
 
 
 def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.ndarray]:
@@ -213,21 +206,19 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
     p = 1 if edge_only else cfg.p
     if variant == BORDERLINE:
         safety_k = min(int(cfg.k), ds.n_minority - 1)
-        border, support = _borderline_support(ds, safety_k)
-        m = _resolve_m(ds, cfg.target_count)
-        k_used = min(safety_k, support.size - 1)
-        sk = p_skeleton(knn_graph(ds.features[support], k_used, cfg.symmetrize), p)
-        simplices = [s for s in dataset_level_simplices(sk, support)
-                     if any(v in border for v in s)]
-        info = {"k_requested": int(cfg.k), "k_used": k_used, "k_clamped": k_used != int(cfg.k),
-                "safety_k": safety_k, "borderline": tuple(sorted(border))}
+        border, ids = _borderline_support(ds, safety_k)
     elif ds.n_minority == 1:
         return _duplicated_instead(ds, cfg.target_count, cfg.seed, cfg.method,
                                    "single minority point; duplicated instead of interpolating")
     else:
-        m = _resolve_m(ds, cfg.target_count)
-        sk, idx_min, info = minority_skeleton(ds, cfg.k, p, cfg.symmetrize)
-        simplices = dataset_level_simplices(sk, idx_min)
+        ids = ds.minority_indices()
+    m = _resolve_m(ds, cfg.target_count)
+    sk, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
+    simplices = dataset_level_simplices(sk, ids)
+    if variant == BORDERLINE:
+        # the support has at most n_plus points, so clamping k to it clamps safety_k too
+        simplices = [s for s in simplices if any(v in border for v in s)]
+        info.update(safety_k=safety_k, borderline=tuple(sorted(border)))
     meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
             "p": "max" if p is MAXIMAL else int(p)}
     weights = alpha_fn = None

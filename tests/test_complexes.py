@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
-from simbal.graphs import NeighborhoodGraph
+from simbal.graphs import MUTUAL, NeighborhoodGraph, knn_graph
 
 from helpers import (
     brute_force_maximal_cliques,
@@ -15,6 +16,27 @@ from helpers import (
 def complete_graph(n):
     return NeighborhoodGraph(n, frozenset((u, v) for u in range(n)
                                           for v in range(u + 1, n)))
+
+
+def star_with_hub(n_leaves=12):
+    """Hub 0 joined to every leaf, leaves paired up: a fan of triangles through the hub."""
+    edges = {(0, v) for v in range(1, n_leaves + 1)} | {(v, v + 1) for v in range(1, n_leaves, 2)}
+    return NeighborhoodGraph(n_leaves + 1, frozenset(edges))
+
+
+def mutual_knn_with_isolated():
+    """Mutual 3-NN graph of a cloud plus three far outliers, which no cloud point lists back."""
+    cloud = np.random.Generator(np.random.PCG64(4)).normal(size=(10, 2))
+    g = knn_graph(np.vstack([cloud, [[40.0, 0.0], [0.0, 40.0], [-40.0, -40.0]]]), 3, MUTUAL)
+    assert g.degrees()[10:].tolist() == [0, 0, 0]
+    return g
+
+
+ORACLE_GRAPHS = {
+    **{str(seed): random_graph(seed, edge_prob=(0.2, 0.5, 0.8)[seed % 3]) for seed in range(30)},
+    "star": star_with_hub(),
+    "mutual_knn": mutual_knn_with_isolated(),
+}
 
 
 class TestMaximalCliques:
@@ -30,12 +52,14 @@ class TestMaximalCliques:
         g = NeighborhoodGraph(4, frozenset())
         assert maximal_cliques(g) == {(0,), (1,), (2,), (3,)}
 
+    def test_no_vertices(self):
+        assert maximal_cliques(NeighborhoodGraph(0, frozenset())) == frozenset()
+
     def test_complete_graph_single_clique(self):
         assert maximal_cliques(complete_graph(6)) == {tuple(range(6))}
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_subset_enumeration(self, seed):
-        g = random_graph(seed, edge_prob=(0.2, 0.5, 0.8)[seed % 3])
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS.values(), ids=ORACLE_GRAPHS.keys())
+    def test_matches_subset_enumeration(self, g):
         assert maximal_cliques(g) == brute_force_maximal_cliques(g)
 
 

@@ -225,6 +225,14 @@ class TestGaussian:
         batch = oversample_gaussian(tiny_dataset(), m=3, seed=0)
         assert all(pr.kind == "gaussian" and pr.simplex == () for pr in batch.provenance)
 
+    def test_overflowing_fit_is_a_typed_error(self):
+        # np.cov of coordinates near 1e155 overflows; the draws used to be all inf
+        feats = np.random.Generator(np.random.PCG64(5)).normal(size=(100, 3))
+        labels = [1] * 40 + [-1] * 60
+        assert np.isfinite(oversample_gaussian(Dataset(feats * 1e150, labels)).points).all()
+        with pytest.raises(SamplerParameterError, match="overflows"):
+            oversample_gaussian(Dataset(feats * 1e155, labels))
+
     def test_fallback_below_two_minority(self):
         ds = Dataset([[4.0], [1.0], [2.0]], [1, -1, -1])
         batch = oversample_gaussian(ds, seed=1)

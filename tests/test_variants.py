@@ -52,15 +52,15 @@ class TestComputeSafety:
         ds = line_dataset([0.0], [1.0, 2.0, 3.0, 4.0, 5.0])
         safety = compute_safety(ds, 3)
         assert safety.k_plus.tolist() == [0]
-        assert safety.delta_plus.tolist() == [0.0]
-        assert safety.delta_minus.tolist() == [1.0]
+        assert (safety.k_plus / safety.k).tolist() == [0.0]
+        assert (safety.k_minus / safety.k).tolist() == [1.0]
 
     def test_two_of_five_neighbors_minority(self):
         ds = line_dataset([0.0, 1.0, 2.0], [3.0, 4.0, 5.0, 50.0, 51.0, 52.0, 53.0])
         safety = compute_safety(ds, 5)
         pos = position(safety)
         assert safety.k_plus[pos[0]] == 2
-        assert safety.delta_plus[pos[0]] == pytest.approx(0.4)
+        assert safety.k_plus[pos[0]] / safety.k == pytest.approx(0.4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
