@@ -88,16 +88,18 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     size_cap = p + 1
     kept: set[Simplex] = set()
     generated = 0
-    for clique in cliques:
+    # sorted, so the error names the first clique (lexicographic) that passes the cap
+    for clique in sorted(cliques):
         if len(clique) <= size_cap:
             kept.add(clique)
             continue
         n_subsets = comb(len(clique), size_cap)
         generated += n_subsets
-        if n_subsets > subdivision_cap or generated > subdivision_cap:
+        if generated > subdivision_cap:
             raise SubdivisionCapExceeded(
-                f"subdividing a {len(clique)}-clique into C({len(clique)},{size_cap})="
-                f"{n_subsets} simplices exceeds the cap of {subdivision_cap}; use a smaller p"
+                f"subdividing the {len(clique)}-clique {clique} into C({len(clique)},{size_cap})="
+                f"{n_subsets} simplices brings the count to {generated}, past the cap of "
+                f"{subdivision_cap}; use a smaller p"
             )
         kept.update(combinations(clique, size_cap))
     # Deduplication is the whole of re-maximalization here: a maximal clique of

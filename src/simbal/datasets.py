@@ -66,7 +66,15 @@ class Dataset:
         return self.features[self.labels == MAJORITY]
 
     def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx, dtype=int)
+        """Rows picked by integer ids in [0, n) or by a length-n boolean mask."""
+        idx = np.asarray(idx)
+        is_mask = idx.dtype == bool and idx.shape == (self.n,)
+        is_ids = idx.ndim == 1 and (idx.size == 0 or np.issubdtype(idx.dtype, np.integer)
+                                    and 0 <= idx.min() and idx.max() < self.n)
+        if not (is_mask or is_ids):
+            raise DatasetError(f"subset takes integer row ids in [0, {self.n}) or a "
+                               f"length-{self.n} boolean mask, got {idx.dtype} {idx.shape}")
+        idx = idx if is_mask else idx.astype(int)
         return Dataset(self.features[idx], self.labels[idx])
 
 

@@ -2,7 +2,8 @@
 
 The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
-fold. Everything is seed-deterministic; per-cell sampler seeds derive from
+fold. The grid search prepares each split once and scores every configuration
+on it. Everything is seed-deterministic; per-cell sampler seeds derive from
 the master seed and the (dataset, method, config, fold) coordinates.
 """
 
@@ -201,21 +202,26 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     return Dataset((train.features - mu) / sd, train.labels), (test_points - mu) / sd
 
 
-def _eval_fold(train: Dataset, test: Dataset, method, k, p, sampler_seed: int,
+def _prepare(train: Dataset, test: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """One split ready to score: standardized training fold, test points, test labels."""
+    return (*_standardize(train, test.features), test.labels)
+
+
+def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
                k_clf: int, symmetrize: str, safelevel_formula: str):
-    """One pipeline run; returns (ConfusionCounts, diagnostic or None)."""
-    std_train, std_test_pts = _standardize(train, test.features)
+    """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
+    train, test_points, test_labels = split
     diagnostic = None
-    fit_train = std_train
+    fit_train = train
     if method != IMBALANCED:
-        cfg = SamplerConfig(method=method, k=k, p=p, seed=sampler_seed,
+        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
-            fit_train = oversample(std_train, cfg).augmented(std_train)
+            fit_train = oversample(train, cfg).augmented(train)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
             diagnostic = f"{method_name(method)}(k={k}, p={p}): {exc}"
-    preds = knn_classify(fit_train, std_test_pts, k_clf)
-    return confusion_counts(test.labels, preds), diagnostic
+    preds = knn_classify(fit_train, test_points, k_clf)
+    return confusion_counts(test_labels, preds), diagnostic
 
 
 def _summarize(counts) -> tuple[float, float, float, float]:
@@ -227,31 +233,47 @@ def _summarize(counts) -> tuple[float, float, float, float]:
             float(mccs.mean()), float(mccs.std(ddof=ddof)))
 
 
-def _score_config(ds, splits, method, k, p, seeds, opts):
-    """Mean/std F1 and MCC over the given splits for one configuration, plus diagnostics."""
-    counts, diags = [], []
-    for fold_idx, (train_idx, test_idx) in enumerate(splits):
-        fold_counts, diag = _eval_fold(ds.subset(train_idx), ds.subset(test_idx), method,
-                                       k, p, seeds[fold_idx], *opts)
-        counts.append(fold_counts)
-        if diag is not None:
-            diags.append(f"fold {fold_idx}: {diag}")
-    return (*_summarize(counts), diags)
+def _select(ds, splits, jobs, tail, opts):
+    """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
 
-
-def _best_config(ds, splits, method, combos, seed_coords, opts):
-    """(scores, k, p) of the combo with the best mean F1; the first wins ties.
-
-    Fold f of combo c gets the sampler seed derived from
-    ``seed_coords(c) + (f,)``.
+    Fold-major: each split is subset and standardized once, and every combo of
+    every job is scored on it before the next. Combo c on fold f is seeded from
+    ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps the first.
     """
-    best = None
-    for c_idx, (k, p) in enumerate(combos):
-        seeds = [_derived_seed(*seed_coords(c_idx), f) for f in range(len(splits))]
-        scored = _score_config(ds, splits, method, k, p, seeds, opts)
-        if best is None or scored[0] > best[0][0]:
-            best = (scored, k, p)
-    return best
+    tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
+    for f, (train_idx, test_idx) in enumerate(splits):
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx))
+        for (method, combos, head), tally in zip(jobs, tallies):
+            for c, ((k, p), (counts, diags)) in enumerate(zip(combos, tally)):
+                fold_counts, diag = _eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
+                counts.append(fold_counts)
+                if diag is not None:
+                    diags.append(f"fold {f}: {diag}")
+        del split  # freed before the next split is prepared
+    return [max(((*_summarize(counts), diags, k, p)
+                 for (k, p), (counts, diags) in zip(combos, tally)), key=lambda r: r[0])
+            for (_, combos, _), tally in zip(jobs, tallies)]
+
+
+def _nested(ds, splits, jobs, cv: CVConfig, opts):
+    """``_select`` with (k, p) chosen per outer split on an inner CV; reports the mode."""
+    tallies = [([], [], []) for _ in jobs]  # counts, diagnostics, chosen (k, p)
+    for f, (train_idx, test_idx) in enumerate(splits):
+        train = ds.subset(train_idx)
+        outer = _prepare(train, ds.subset(test_idx))
+        for (method, combos, head), (counts, diags, chosen) in zip(jobs, tallies):
+            inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
+                                  _derived_seed(*head, f))
+            *_, k, p = _select(train, inner, [(method, combos, head)], (f,), opts)[0]
+            chosen.append((k, p))
+            # arity-5 coordinates cannot collide with the arity-6 inner seeds
+            fold_counts, diag = _eval_fold(outer, method, k, p, (*head, f, 0), *opts)
+            counts.append(fold_counts)
+            if diag is not None:
+                diags.append(f"outer fold {f}: {diag}")
+        del outer  # freed before the next split is prepared
+    return [(*_summarize(counts), diags, *Counter(chosen).most_common(1)[0][0])
+            for counts, diags, chosen in tallies]
 
 
 def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAULT_P_GRID,
@@ -270,14 +292,11 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     cells = []
     for d_idx, (ds_name, ds) in enumerate(datasets.items()):
         splits = stratified_cv(ds, cv.folds, cv.repeats, _derived_seed(seed, d_idx))
-        for m_idx, method in enumerate(methods):
-            combos = method_grid(method, k_grid, p_grid)
-            if cv.mode == "outer":
-                (mf1, sf1, mmcc, smcc, diags), k, p = _best_config(
-                    ds, splits, method, combos, lambda c: (seed, d_idx, m_idx, c), opts)
-            else:
-                mf1, sf1, mmcc, smcc, diags, k, p = _nested_cell(
-                    ds, splits, method, combos, cv, seed, d_idx, m_idx, opts)
+        jobs = [(method, method_grid(method, k_grid, p_grid), (seed, d_idx, m_idx))
+                for m_idx, method in enumerate(methods)]
+        best = (_select(ds, splits, jobs, (), opts) if cv.mode == "outer"
+                else _nested(ds, splits, jobs, cv, opts))
+        for method, (mf1, sf1, mmcc, smcc, diags, k, p) in zip(methods, best):
             # k is None only for grid-free methods, where p is meaningless;
             # for the rest the MAXIMAL sentinel prints as "max"
             display_p = None if k is None else ("max" if p is MAXIMAL else int(p))
@@ -291,25 +310,6 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
             "p_grid": tuple("max" if p is MAXIMAL else int(p) for p in p_grid),
             "vote_ties": "minority"}
     return EvalReport(tuple(cells), meta)
-
-
-def _nested_cell(ds, splits, method, combos, cv, seed, d_idx, m_idx, opts):
-    counts, diags, chosen = [], [], []
-    for fold_idx, (train_idx, test_idx) in enumerate(splits):
-        train = ds.subset(train_idx)
-        inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
-                              _derived_seed(seed, d_idx, m_idx, fold_idx))
-        _, k, p = _best_config(train, inner, method, combos,
-                               lambda c: (seed, d_idx, m_idx, c, fold_idx), opts)
-        chosen.append((k, p))
-        # arity-5 coordinates cannot collide with the arity-6 inner seeds
-        fold_counts, diag = _eval_fold(train, ds.subset(test_idx), method, k, p,
-                                       _derived_seed(seed, d_idx, m_idx, fold_idx, 0), *opts)
-        counts.append(fold_counts)
-        if diag is not None:
-            diags.append(f"outer fold {fold_idx}: {diag}")
-    k, p = Counter(chosen).most_common(1)[0][0]
-    return (*_summarize(counts), diags, k, p)
 
 
 def rank_methods(report: EvalReport, metric: str = "f1") -> dict[str, float]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 
 from simbal import Dataset, Method, NeighborhoodGraph, oversample, sample_dirichlet
-from simbal import samplers, variants
+from simbal import evaluation, samplers, variants
+from simbal.complexes import MAXIMAL
 from simbal.samplers import Provenance, SampleStreams, SyntheticBatch
 
 
@@ -183,3 +185,83 @@ def per_point_oversample(ds: Dataset, cfg) -> SyntheticBatch:
         return per_point_gaussian(ds, m, cfg.seed)
     with mock.patch.object(variants, "_sample_from_simplices", per_point_simplices):
         return oversample(ds, cfg)
+
+
+def _per_config_fold(train, test, method, k, p, sampler_seed, k_clf, symmetrize,
+                     safelevel_formula):
+    """One pipeline run that standardizes its own split."""
+    std_train, std_test_pts = evaluation._standardize(train, test.features)
+    diagnostic = None
+    fit_train = std_train
+    if method != evaluation.IMBALANCED:
+        cfg = samplers.SamplerConfig(method=method, k=k, p=p, seed=sampler_seed,
+                                     symmetrize=symmetrize,
+                                     safelevel_formula=safelevel_formula)
+        try:
+            fit_train = evaluation.oversample(std_train, cfg).augmented(std_train)
+        except evaluation.SAMPLER_DOMAIN_ERRORS as exc:
+            diagnostic = f"{evaluation.method_name(method)}(k={k}, p={p}): {exc}"
+    preds = evaluation.knn_classify(fit_train, std_test_pts, k_clf)
+    return evaluation.confusion_counts(test.labels, preds), diagnostic
+
+
+def _per_config_best(ds, splits, method, combos, seed_coords, opts):
+    """(scores, k, p) of the first combo with the best mean F1, one combo at a time."""
+    best = None
+    for c_idx, (k, p) in enumerate(combos):
+        counts, diags = [], []
+        for f, (train_idx, test_idx) in enumerate(splits):
+            fold_counts, diag = _per_config_fold(
+                ds.subset(train_idx), ds.subset(test_idx), method, k, p,
+                evaluation._derived_seed(*seed_coords(c_idx), f), *opts)
+            counts.append(fold_counts)
+            if diag is not None:
+                diags.append(f"fold {f}: {diag}")
+        scored = (*evaluation._summarize(counts), diags)
+        if best is None or scored[0] > best[0][0]:
+            best = (scored, k, p)
+    return best
+
+
+def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
+                           symmetrize="union", safelevel_formula="inverse"):
+    """``grid_search_eval`` the config-major way: every (method, k, p) runs over
+    all splits, and every fold subsets and standardizes its split again.
+
+    This is the definition the fold-major harness must match byte for byte.
+    """
+    ev = evaluation
+    opts = (k_clf, symmetrize, safelevel_formula)
+    cells = []
+    for d, (name, ds) in enumerate(datasets.items()):
+        splits = ev.stratified_cv(ds, cv.folds, cv.repeats, ev._derived_seed(seed, d))
+        for m, method in enumerate(methods):
+            combos = ev.method_grid(method, k_grid, p_grid)
+            if cv.mode == "outer":
+                (*scores, diags), k, p = _per_config_best(
+                    ds, splits, method, combos, lambda c: (seed, d, m, c), opts)
+            else:
+                counts, diags, chosen = [], [], []
+                for f, (train_idx, test_idx) in enumerate(splits):
+                    train = ds.subset(train_idx)
+                    inner = ev.stratified_cv(train, cv.inner_folds, cv.inner_repeats,
+                                             ev._derived_seed(seed, d, m, f))
+                    _, k, p = _per_config_best(train, inner, method, combos,
+                                               lambda c: (seed, d, m, c, f), opts)
+                    chosen.append((k, p))
+                    fold_counts, diag = _per_config_fold(
+                        train, ds.subset(test_idx), method, k, p,
+                        ev._derived_seed(seed, d, m, f, 0), *opts)
+                    counts.append(fold_counts)
+                    if diag is not None:
+                        diags.append(f"outer fold {f}: {diag}")
+                scores = ev._summarize(counts)
+                k, p = Counter(chosen).most_common(1)[0][0]
+            display_p = None if k is None else ("max" if p is MAXIMAL else int(p))
+            cells.append(ev.CellResult(name, ev.method_name(method), *scores, k, display_p,
+                                       tuple(diags)))
+    meta = {"seed": int(seed), "k_clf": int(k_clf), "cv": cv,
+            "k_grid": tuple(int(k) for k in k_grid),
+            "p_grid": tuple("max" if p is MAXIMAL else int(p) for p in p_grid),
+            "vote_ties": "minority"}
+    return ev.EvalReport(tuple(cells), meta)

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,32 @@ class TestPSkeleton:
     def test_subdivision_cap(self):
         with pytest.raises(SubdivisionCapExceeded, match="smaller p"):
             p_skeleton(complete_graph(25), 2, subdivision_cap=100)
+
+    @pytest.mark.parametrize("cap", [3, 10, 30])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cap_names_first_sorted_clique_past_it(self, p, cap):
+        # walk the brute-force maximal cliques in sorted order: the error must
+        # name the first one at which the running subset count passes the cap
+        raised = 0
+        for seed in range(40):
+            g = random_graph(seed + 700, edge_prob=0.7)
+            count, first = 0, None
+            for clique in sorted(brute_force_maximal_cliques(g)):
+                if len(clique) > p + 1:
+                    count += comb(len(clique), p + 1)
+                    if count > cap:
+                        first = clique
+                        break
+            if first is None:
+                assert p_skeleton(g, p, subdivision_cap=cap).maximal_simplices == \
+                    brute_force_skeleton(g, p)
+                continue
+            raised += 1
+            with pytest.raises(SubdivisionCapExceeded) as info:
+                p_skeleton(g, p, subdivision_cap=cap)
+            assert f"the {len(first)}-clique {first} " in str(info.value)
+            assert f"count to {count}," in str(info.value)
+        assert raised >= 5
 
     @pytest.mark.parametrize("p", [1, 2, MAXIMAL])
     @pytest.mark.parametrize("seed", range(15))

@@ -18,6 +18,20 @@ class TestDatasetType:
         assert sub.labels.tolist() == [1, -1]
         assert sub.features[0].tolist() == [4.0, 5.0]
 
+    def test_subset_by_boolean_mask(self):
+        ds = Dataset(np.arange(10.0).reshape(5, 2), [1, -1, -1, 1, -1])
+        sub = ds.subset(ds.labels == MINORITY)
+        assert sub.features.tolist() == [[0.0, 1.0], [6.0, 7.0]]
+        assert sub.labels.tolist() == [1, 1]
+        assert ds.subset(np.array([3, 0])).labels.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("idx", [[0.9, 3.7], [True, False], [[0, 1]], [0, 5], [-1], 2,
+                                     ["0"]])
+    def test_subset_rejects_other_selectors(self, idx):
+        ds = Dataset(np.arange(10.0).reshape(5, 2), [1, -1, -1, 1, -1])
+        with pytest.raises(DatasetError, match="subset"):
+            ds.subset(idx)
+
     def test_rejects_bad_labels(self):
         with pytest.raises(DatasetError):
             Dataset([[0.0], [1.0]], [1, 2])

@@ -1,5 +1,6 @@
 import csv
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from simbal import (
     IMBALANCED,
     Method,
     Shape,
+    SyntheticSpec,
     default_k_grid,
+    generate_synthetic,
     grid_search_eval,
     knn_classify,
     method_grid,
@@ -29,6 +32,8 @@ from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
 from simbal.samplers import SamplerParameterError
+
+from helpers import per_config_grid_search
 
 
 def brute_knn_predict(train, test_points, k_clf):
@@ -295,6 +300,68 @@ class TestGridSearchEval:
                                   k_grid=(3,), cv=CVConfig(folds=2, repeats=1))
         with pytest.raises(EvaluationError, match="no cell"):
             report.cell("clusters", "smote")
+
+
+HARNESS_METHODS = [IMBALANCED, Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
+                   Method.BORDERLINE]
+
+
+def harness_datasets():
+    """Separated clusters, where borderline raises on every fold, plus noisy moons."""
+    moons = generate_synthetic(SyntheticSpec(Shape.MOONS, n_minority=16, n_majority=48,
+                                             seed=5))
+    return {"clusters": cluster_dataset(seed=0), "moons": moons}
+
+
+def count_standardize(monkeypatch):
+    """Count ``_standardize`` calls; check at each that at most one earlier
+    prepared training fold is still alive."""
+    calls, live = [], []
+
+    def counted(train, test_points):
+        live[:] = [r for r in live if r() is not None]
+        assert len(live) <= 1, "prepared splits are being held"
+        std_train, std_test = _standardize(train, test_points)
+        calls.append(train.n)
+        live.append(weakref.ref(std_train))
+        return std_train, std_test
+
+    monkeypatch.setattr(evaluation, "_standardize", counted)
+    return calls
+
+
+class TestFoldMajorHarness:
+    @pytest.mark.parametrize("methods,k_grid", [
+        ([IMBALANCED], (3,)),
+        ([Method.SMOTE], (3, 5)),
+        (HARNESS_METHODS, (3, 4, 5)),
+    ])
+    def test_outer_standardizes_each_split_once(self, monkeypatch, methods, k_grid):
+        calls = count_standardize(monkeypatch)
+        grid_search_eval(harness_datasets(), methods, k_grid, p_grid=(1, MAXIMAL),
+                         cv=CVConfig(folds=3, repeats=2), seed=1)
+        assert len(calls) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("methods", [[Method.SMOTE], HARNESS_METHODS])
+    def test_nested_standardizes_outer_once_inner_per_method(self, monkeypatch, methods):
+        calls = count_standardize(monkeypatch)
+        cv = CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2)
+        grid_search_eval(harness_datasets(), methods, (3, 5), p_grid=(1, MAXIMAL), cv=cv,
+                         seed=2)
+        assert len(calls) == 2 * 2 * (1 + len(methods) * 2 * 2)
+
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=2, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_matches_per_config_oracle(self, cv):
+        args = (harness_datasets(), HARNESS_METHODS, (3, 5), (1, MAXIMAL), cv, 7)
+        got = grid_search_eval(*args)
+        want = per_config_grid_search(*args)
+        assert repr(got.cells) == repr(want.cells)
+        assert got.meta == want.meta
+        # the borderline cell fell back on every fold, so the oracle saw diagnostics
+        assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
 
 
 def make_report(score_grid):

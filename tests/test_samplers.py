@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simbal import (
     Dataset,
@@ -27,9 +27,11 @@ from simbal.samplers import (
     POINT_SAMPLERS,
     SampleStreams,
     SamplerParameterError,
+    SyntheticBatch,
     _dirichlet_rows,
 )
 from simbal.geometry import sample_dirichlet
+from simbal.variants import EmptyBorderlineError
 
 from helpers import (
     in_convex_hull,
@@ -411,3 +413,65 @@ def test_any_seed_any_method_meets_contracts(seed, method):
     assert batch.m == ds.n_majority - ds.n_minority
     assert np.all(np.isfinite(batch.points))
     assert reconstruction_error(batch, ds.features) <= 1e-9
+
+
+GEOMETRIES = ("generic", "duplicate", "collinear", "coplanar", "borderline-pair")
+
+
+def adversarial_dataset(geometry, d, n_plus, n_minus, scale, seed) -> Dataset:
+    """Minority sets built to break the geometry, on a majority cloud around them.
+
+    ``duplicate`` repeats a few base points, ``collinear`` and ``coplanar`` lay
+    the minority on a random line or plane, and ``borderline-pair`` puts two
+    close minority points inside the majority cloud and the rest in a far
+    cluster, so the borderline support is often just that pair.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if geometry == "duplicate":
+        base = rng.normal(size=(int(rng.integers(1, 4)), d))
+        mino = base[rng.integers(0, base.shape[0], size=n_plus)]
+    elif geometry in ("collinear", "coplanar"):
+        span = rng.normal(size=(1 if geometry == "collinear" else 2, d))
+        mino = rng.normal(size=d) + rng.normal(size=(n_plus, span.shape[0])) @ span
+    elif geometry == "borderline-pair":
+        mino = np.vstack([rng.normal(0.0, 0.05, size=(2, d)),
+                          rng.normal(50.0, 1.0, size=(n_plus - 2, d))])
+    else:
+        mino = rng.normal(size=(n_plus, d))
+    maj = rng.normal(0.0, 1.5, size=(n_minus, d))
+    return Dataset(np.vstack([mino, maj]) * scale,
+                   [1] * n_plus + [-1] * n_minus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GEOMETRIES), st.sampled_from([1, 2, 3, 5]), st.integers(2, 9),
+       st.integers(0, 12), st.sampled_from([1.0, 1e150, 1e-150]),
+       st.sampled_from([1, 2, 3, MAXIMAL]), st.integers(0, 8), st.integers(0, 2 ** 32))
+@example("generic", 1, 2, 3, 1.0, 3, 0, 0)
+@example("duplicate", 2, 5, 4, 1e150, MAXIMAL, 2, 1)
+@example("collinear", 3, 6, 9, 1e-150, 3, 1, 2)
+@example("coplanar", 5, 8, 10, 1e150, 2, 0, 3)
+@example("borderline-pair", 2, 6, 20, 1e-150, MAXIMAL, 2, 4)
+def test_adversarial_inputs_meet_contracts(geometry, d, n_plus, extra_minus, scale, p,
+                                           extra_k, seed):
+    # k runs past n_plus - 1, so the clamp leaves p > k_used in many draws
+    ds = adversarial_dataset(geometry, d, n_plus, n_plus + 1 + extra_minus, scale, seed)
+    k = (1 if p is MAXIMAL else p) + extra_k
+    for method in ALL_METHODS:
+        cfg = SamplerConfig(method, k=k, p=p, seed=seed)
+        first, again = (_outcome(lambda: oversample(ds, cfg)) for _ in range(2))
+        if isinstance(first[0], type):
+            # a minority with no majority-dominated point is the one declared refusal
+            assert first[0] is EmptyBorderlineError and "borderline" in method.value
+            assert first == again
+            continue
+        points, provenance, meta = first
+        assert np.array_equal(points, again[0])
+        assert provenance == again[1] and meta == again[2]
+        assert np.all(np.isfinite(points))
+        if method is Method.GAUSSIAN:
+            continue
+        batch = SyntheticBatch(points, provenance)
+        assert reconstruction_error(batch, ds.features) <= 1e-12 * scale
+        for pt, pr in list(zip(points, provenance))[:4]:
+            assert in_convex_hull(pt / scale, ds.features[list(pr.simplex)] / scale)
