@@ -264,7 +264,10 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
         for (method, combos, head), (counts, diags, chosen) in zip(jobs, tallies):
             inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                                   _derived_seed(*head, f))
-            *_, k, p = _select(train, inner, [(method, combos, head)], (f,), opts)[0]
+            # a lone combo is chosen without its inner CV; the split above
+            # still rejects a training part too small for it
+            k, p = (combos[0] if len(combos) == 1 else
+                    _select(train, inner, [(method, combos, head)], (f,), opts)[0][-2:])
             chosen.append((k, p))
             # arity-5 coordinates cannot collide with the arity-6 inner seeds
             fold_counts, diag = _eval_fold(outer, method, k, p, (*head, f, 0), *opts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -11,6 +12,7 @@ import numpy as np
 from simbal import Dataset, Method, NeighborhoodGraph, oversample, sample_dirichlet
 from simbal import evaluation, samplers, variants
 from simbal.complexes import MAXIMAL
+from simbal.graphs import nearest
 from simbal.samplers import Provenance, SampleStreams, SyntheticBatch
 
 
@@ -265,3 +267,17 @@ def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
             "p_grid": tuple("max" if p is MAXIMAL else int(p) for p in p_grid),
             "vote_ties": "minority"}
     return ev.EvalReport(tuple(cells), meta)
+
+
+def nearest_id_digests() -> list[str]:
+    """sha256 of the ``nearest`` ids (k = 5, self skipped) of the first 250 of
+    1750 Gaussian rows in d = 16, the safety counts' query, and of 400 rows
+    with unit noise on a 1e8 offset, where every pair is a candidate."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    gauss = np.vstack([rng.normal(size=(250, 16)), rng.normal(1.0, 1.0, size=(1500, 16))])
+    offset = 1e8 + rng.normal(size=(400, 16))
+    digests = []
+    for ref, n_query in ((gauss, 250), (offset, 400)):
+        ids = nearest(ref[:n_query], ref, 5, np.arange(n_query))
+        digests.append(hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest())
+    return digests

@@ -342,13 +342,30 @@ class TestFoldMajorHarness:
                          cv=CVConfig(folds=3, repeats=2), seed=1)
         assert len(calls) == 2 * 3 * 2
 
-    @pytest.mark.parametrize("methods", [[Method.SMOTE], HARNESS_METHODS])
+    @pytest.mark.parametrize("methods", [[Method.SMOTE], HARNESS_METHODS,
+                                         [IMBALANCED, Method.RANDOM]])
     def test_nested_standardizes_outer_once_inner_per_method(self, monkeypatch, methods):
+        # only a method with several combos runs its inner CV: grid-free
+        # methods have nothing to select
         calls = count_standardize(monkeypatch)
         cv = CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2)
         grid_search_eval(harness_datasets(), methods, (3, 5), p_grid=(1, MAXIMAL), cv=cv,
                          seed=2)
-        assert len(calls) == 2 * 2 * (1 + len(methods) * 2 * 2)
+        selecting = sum(len(method_grid(m, (3, 5), (1, MAXIMAL))) > 1 for m in methods)
+        assert len(calls) == 2 * 2 * (1 + selecting * 2 * 2)
+
+    def test_nested_one_combo_grid_skips_inner_cv(self, monkeypatch):
+        calls = count_standardize(monkeypatch)
+        cv = CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2)
+        report = grid_search_eval(harness_datasets(), [Method.SMOTE], (3,), cv=cv, seed=2)
+        assert len(calls) == 2 * 2
+        assert {(c.best_k, c.best_p) for c in report.cells} == {(3, 1)}
+
+    def test_nested_inner_split_errors_still_raise(self):
+        # the skipped selection keeps its stratified_cv call
+        cv = CVConfig(folds=2, repeats=1, mode="nested", inner_folds=8, inner_repeats=1)
+        with pytest.raises(EvaluationError, match="fewer than 8 folds"):
+            grid_search_eval(harness_datasets(), [IMBALANCED], (3,), cv=cv, seed=2)
 
     @pytest.mark.parametrize("cv", [
         CVConfig(folds=3, repeats=2),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from simbal import MUTUAL, UNION, graphs, knn_graph, pairwise_distances
 from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances, nearest
+
+from helpers import nearest_id_digests
 
 
 def brute_knn_edges(pts, k, symmetrize):
@@ -74,11 +81,24 @@ def brute_nearest(query, ref, k, self_ids=None):
 
 
 def tie_heavy_points(rng, kind, n, d):
-    """Gaussian, small integer grid, or rows drawn from a few base points."""
+    """Gaussian, small integer grid, rows drawn from a few base points, or a
+    set that breaks the Gram identity: unit noise on a 1e8 offset, shells of
+    radius 1 +- a few ulps around the first row, or per-row magnitudes 10^+-8."""
     if kind == "gaussian":
         return rng.normal(size=(n, d))
     if kind == "grid":
         return rng.integers(0, 3, size=(n, d)).astype(float)
+    if kind == "offset":
+        return 1e8 + rng.normal(size=(n, d))
+    if kind == "shells":
+        unit = rng.normal(size=(n, d))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        centre = 3.0 * rng.normal(size=d)
+        pts = centre + unit * (1.0 + rng.integers(-3, 4, size=(n, 1)) * 2.0**-52)
+        pts[0] = centre
+        return pts
+    if kind == "mixed":
+        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 1))
     base = rng.normal(size=(max(1, n // 4), d))
     return base[rng.integers(0, len(base), size=n)]
 
@@ -123,14 +143,18 @@ class TestNearest:
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["gaussian", "grid", "dup"]),
-       mode=st.sampled_from(["self", "subset", "cross"]), n=st.integers(2, 30),
-       d=st.integers(1, 4), scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155]),
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "grid", "dup", "offset", "shells", "mixed"]),
+       mode=st.sampled_from(["self", "subset", "cross"]),
+       n=st.integers(2, 30) | st.sampled_from([60, 120]),
+       d=st.integers(1, 4) | st.sampled_from([16, 32]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155, 1e-160]),
        block_elems=st.sampled_from([1, 7, 64, graphs._BLOCK_ELEMS]), data=st.data())
 def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elems, data):
     # self excluded over the whole set (the kNN graph), over a subset of query
     # rows (the safety counts), or a separate query set with no exclusion (the
-    # classifier); small block sizes split the rows across several blocks
+    # classifier); small block sizes split the rows across several blocks, and
+    # n up to 120 leaves k + 1 < n, so the Gram filter selects within a row
     rng = np.random.Generator(np.random.PCG64(seed))
     ref = tie_heavy_points(rng, kind, n, d) * scale
     self_ids = None
@@ -146,6 +170,61 @@ def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elem
     with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems):
         got = nearest(query, ref, k, self_ids)
     assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
+
+
+class TestNearestPath:
+    def test_gaussian_input_never_takes_the_exact_path(self):
+        pts = random_points(10, n=200, d=8)
+        with mock.patch.object(graphs, "_every_pair", wraps=graphs._every_pair) as exact:
+            got = nearest(pts, pts, 5, np.arange(200))
+        assert exact.call_count == 0
+        assert np.array_equal(got, brute_nearest(pts, pts, 5, np.arange(200)))
+
+    def test_overflowing_norms_always_take_the_exact_path(self):
+        # squared norms are inf at x1e155, so every block re-ranks every pair
+        pts = random_points(11, n=200, d=8) * 1e155
+        with mock.patch.object(graphs, "_BLOCK_ELEMS", 200 * 50), \
+                mock.patch.object(graphs, "_every_pair", wraps=graphs._every_pair) as exact:
+            got = nearest(pts, pts, 5, np.arange(200))
+        assert exact.call_count == 200 // 50
+        assert np.array_equal(got, brute_nearest(pts, pts, 5, np.arange(200)))
+
+    def test_all_tied_rows_stay_under_one_distance_matrix(self):
+        # every pair ties, so the filter keeps all of them; the re-rank still
+        # gathers them in chunks of _BLOCK_ELEMS elements
+        n, d = 1000, 16
+        pts = np.ones((n, d))
+        kept, candidates = [], graphs._candidates
+
+        def counted(*args):
+            pairs = candidates(*args)
+            kept.append(pairs.size)
+            return pairs
+
+        with mock.patch.object(graphs, "_BLOCK_ELEMS", 50_000), \
+                mock.patch.object(graphs, "_candidates", counted):
+            tracemalloc.start()
+            try:
+                got = nearest(pts, pts, 5, np.arange(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sum(kept) == n * n
+        assert peak < n * n * 8
+        assert got[0].tolist() == [1, 2, 3, 4, 5] and got[-1].tolist() == [0, 1, 2, 3, 4]
+
+
+def test_ids_do_not_depend_on_blas_threads():
+    # the GEMM's summation order changes with the BLAS thread count; the
+    # filter's bound holds for any order and the exact re-rank fixes the ids
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from helpers import nearest_id_digests as f; print(*f())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.split() == nearest_id_digests()
 
 
 class TestKnnGraph:
