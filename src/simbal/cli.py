@@ -12,12 +12,14 @@ import argparse
 import csv
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
 from .complexes import MAXIMAL
 from .datasets import Dataset, MAJORITY, MINORITY, Shape
 from .evaluation import (
+    BENCHMARK_METHODS,
     CVConfig,
     IMBALANCED,
     parse_method,
@@ -116,21 +118,17 @@ def write_augmented_csv(path: str, header: list[str], label_column: str,
                         minority_label: str, synthetic_points: np.ndarray) -> None:
     label_idx = header.index(label_column)
     feature_cols = [i for i in range(len(header)) if i != label_idx]
+    rows = chain(zip(ds.features, label_strings, repeat("0")),
+                 zip(synthetic_points, repeat(minority_label), repeat("1")))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header + ["synthetic"])
-        for row_idx in range(ds.n):
+        for values, label, synthetic in rows:
             row = [""] * len(header)
             for j, col in enumerate(feature_cols):
-                row[col] = _fmt(ds.features[row_idx, j])
-            row[label_idx] = label_strings[row_idx]
-            writer.writerow(row + ["0"])
-        for pt in synthetic_points:
-            row = [""] * len(header)
-            for j, col in enumerate(feature_cols):
-                row[col] = _fmt(pt[j])
-            row[label_idx] = minority_label
-            writer.writerow(row + ["1"])
+                row[col] = _fmt(values[j])
+            row[label_idx] = label
+            writer.writerow(row + [synthetic])
 
 
 def _resolve_seed(args) -> int:
@@ -217,9 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balance binary datasets by synthesizing minority points "
                     "from neighborhood simplices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by every command that runs a sampler
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--symmetrize", choices=[UNION, MUTUAL], default=UNION,
+                          help="kNN edge symmetrization (default: union)")
+    sampling.add_argument("--safelevel-formula", choices=[INVERSE_SAFETY, PLUS_ONE_SAFETY],
+                          default=INVERSE_SAFETY,
+                          help="safety-to-alpha mapping for safelevel methods")
 
     method_names = ", ".join(m.value for m in Method)
-    over = sub.add_parser("oversample", help="append synthetic minority rows to a CSV")
+    over = sub.add_parser("oversample", parents=[sampling],
+                          help="append synthetic minority rows to a CSV")
     over.add_argument("input", help="input CSV path (header row required)")
     over.add_argument("output", help="output CSV path")
     over.add_argument("--method", default=Method.SIMPLICIAL.value,
@@ -231,34 +237,30 @@ def build_parser() -> argparse.ArgumentParser:
     over.add_argument("--label-column", default="label", help="label column name (default: label)")
     over.add_argument("--target-count", type=int, default=None,
                       help="synthetic row count (default: majority minus minority)")
-    over.add_argument("--symmetrize", choices=[UNION, MUTUAL], default=UNION,
-                      help="kNN edge symmetrization (default: union)")
-    over.add_argument("--safelevel-formula", choices=[INVERSE_SAFETY, PLUS_ONE_SAFETY],
-                      default=INVERSE_SAFETY,
-                      help="safety-to-alpha mapping for safelevel methods")
     over.set_defaults(fn=cmd_oversample)
 
-    bench = sub.add_parser("benchmark", help="run the synthetic-shape benchmark")
-    bench.add_argument("--methods",
-                       default="random,global,gaussian,smote,simplicial",
+    bench = sub.add_parser("benchmark", parents=[sampling],
+                           help="run the synthetic-shape benchmark")
+    default_methods = ",".join(m.value for m in BENCHMARK_METHODS)
+    bench.add_argument("--methods", default=default_methods,
                        help=f"comma-separated list from: {IMBALANCED}, {method_names} "
-                            "(default: random,global,gaussian,smote,simplicial)")
+                            f"(default: {default_methods})")
     bench.add_argument("--datasets",
                        default=",".join(s.value for s in Shape),
                        help="comma-separated shape list")
-    bench.add_argument("--folds", type=int, default=4, help="CV folds (default: 4)")
-    bench.add_argument("--repeats", type=int, default=5, help="CV repeats (default: 5)")
+    bench.add_argument("--folds", type=int, default=CVConfig.folds,
+                       help=f"CV folds (default: {CVConfig.folds})")
+    bench.add_argument("--repeats", type=int, default=CVConfig.repeats,
+                       help=f"CV repeats (default: {CVConfig.repeats})")
     bench.add_argument("--nested", action="store_true",
-                       help="select k and p per outer fold on an inner 25x4-fold CV "
+                       help="select k and p per outer fold on an inner "
+                            f"{CVConfig.inner_repeats}x{CVConfig.inner_folds}-fold CV "
                             "(much slower)")
     bench.add_argument("--seed", type=int, default=None, help="master seed (default: random, logged)")
     bench.add_argument("--format", choices=["csv", "text"], default="text",
                        help="stdout format when --output is not given")
     bench.add_argument("--output", default=None,
                        help="path prefix; writes <prefix>.csv and <prefix>.txt")
-    bench.add_argument("--symmetrize", choices=[UNION, MUTUAL], default=UNION)
-    bench.add_argument("--safelevel-formula", choices=[INVERSE_SAFETY, PLUS_ONE_SAFETY],
-                       default=INVERSE_SAFETY)
     bench.set_defaults(fn=cmd_benchmark)
 
     demo = sub.add_parser("distance-demo",

@@ -7,7 +7,7 @@ A simplex is represented as a strictly ascending tuple of vertex ids; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -34,10 +34,8 @@ class SubdivisionCapExceeded(RuntimeError):
 class Skeleton:
     """Maximal simplices of the p-skeleton of a clique complex."""
 
-    n_vertices: int
     max_dim: int | None  # None = MAXIMAL
     maximal_simplices: frozenset[Simplex]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def sorted_simplices(self) -> list[Simplex]:
         """Canonical (lexicographic) ordering, used for deterministic sampling."""
@@ -84,7 +82,7 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
             )
     cliques = maximal_cliques(g)
     if p is MAXIMAL:
-        return Skeleton(g.n_vertices, MAXIMAL, cliques, meta=dict(g.meta))
+        return Skeleton(MAXIMAL, cliques)
     size_cap = p + 1
     kept: set[Simplex] = set()
     generated = 0
@@ -105,4 +103,4 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     # Deduplication is the whole of re-maximalization here: a maximal clique of
     # size < p+1 contained in a generated (p+1)-subset would itself sit inside a
     # larger clique, contradicting its maximality.
-    return Skeleton(g.n_vertices, p, frozenset(kept), meta=dict(g.meta))
+    return Skeleton(p, frozenset(kept))

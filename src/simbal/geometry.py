@@ -128,7 +128,7 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
             f"dimension mismatch: majority d={maj.shape[1]}, minority d={mino.shape[1]}"
         )
     if mino.shape[0] == 1:
-        sk = Skeleton(1, MAXIMAL, frozenset({(0,)}))
+        sk = Skeleton(MAXIMAL, frozenset({(0,)}))
     else:
         sk = p_skeleton(knn_graph(mino, k, symmetrize), p)
     simplices = sk.sorted_simplices()

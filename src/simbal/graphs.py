@@ -16,7 +16,7 @@ index wins. Distances are Euclidean throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class NeighborhoodGraph:
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.n_vertices < 0:
@@ -229,4 +228,4 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
         edges = {(min(u, v), max(u, v)) for u, v in directed}
     else:
         edges = {(u, v) for u, v in directed if u < v and (v, u) in directed}
-    return NeighborhoodGraph(n, frozenset(edges), meta={"k": k, "symmetrize": symmetrize})
+    return NeighborhoodGraph(n, frozenset(edges))

@@ -3,7 +3,9 @@
 The simplex-based sampler builds a kNN graph over the minority points, takes
 the maximal simplices of the p-skeleton of its clique complex, and synthesizes
 each new point as a Dirichlet-weighted combination of one simplex's vertices.
-The edge-based sampler is the same pipeline with p forced to 1.
+The edge-based sampler is the same pipeline with p forced to 1. Random
+duplication draws the same way from 0-simplices, and global pair sampling
+from the edges of the complete minority graph.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -156,7 +158,8 @@ class SyntheticBatch:
 class SampleStreams:
     """Deterministic RNG streams for one sampler invocation.
 
-    The base stream drives simplex selection; synthetic point i gets its own
+    The base stream drives simplex selection, one pick per point in point
+    order, so a larger batch extends a smaller one; synthetic point i gets its own
     stream, ``PCG64(seed).jumped(i+1)``, so per-point draws do not depend on
     generation order and parallel generation matches sequential generation.
     Samplers reach those streams by PCG64 jump-ahead on one reused generator
@@ -203,18 +206,12 @@ def _empty_batch(d: int, meta: dict) -> SyntheticBatch:
 
 
 def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
-    """Duplicate minority rows uniformly with replacement."""
+    """Duplicate minority rows uniformly with replacement: simplices of one vertex."""
     if ds.n_minority < 1:
         raise SamplerParameterError("need at least one minority point")
-    m = _resolve_m(ds, m)
     meta = {"method": Method.RANDOM.value, "seed": int(seed)}
-    if m == 0:
-        return _empty_batch(ds.d, meta)
-    streams = SampleStreams(seed)
-    idx_min = ds.minority_indices()
-    picks = idx_min[streams.selection.integers(0, idx_min.size, size=m)]
-    prov = tuple(Provenance((int(j),), (1.0,)) for j in picks)
-    return SyntheticBatch(ds.features[picks], prov, meta)
+    return _sample_from_simplices(ds.features, [(v,) for v in ds.minority_indices().tolist()],
+                                  _resolve_m(ds, m), SampleStreams(seed), meta)
 
 
 def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
@@ -232,29 +229,14 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
                                    "fewer than 2 minority points; duplicated instead of combining")
     m = _resolve_m(ds, m)
     meta = {"method": Method.GLOBAL.value, "seed": int(seed)}
-    if m == 0:
-        return _empty_batch(ds.d, meta)
     streams = SampleStreams(seed)
     idx_min = ds.minority_indices()
-    n_plus = idx_min.size
-    first = streams.selection.integers(0, n_plus, size=m)
-    second = streams.selection.integers(0, n_plus - 1, size=m)
-    second = second + (second >= first)  # distinct partner, still uniform
-    pairs = np.stack([idx_min[first], idx_min[second]], axis=1)
-    lam = dirichlet_weights(1.0, np.array([rng.standard_exponential(2)
-                                           for rng in streams.point_streams(range(m))]))
-    # Provenance lists each pair ascending, its weights swapped along with it.
-    # Swapped rows multiply through a reversed view of their weights, the
-    # operand layout (and so the rounding) of the per-point definition.
-    swap = pairs[:, 0] > pairs[:, 1]
-    pairs[swap] = pairs[swap, ::-1]
-    points = np.empty((m, ds.d))
-    points[~swap] = _combine(ds.features, pairs[~swap], lam[~swap])
-    points[swap] = _combine(ds.features, pairs[swap], lam[swap][:, ::-1])
-    lam[swap] = lam[swap, ::-1]
-    prov = tuple(Provenance(tuple(pair), tuple(weights))
-                 for pair, weights in zip(pairs.tolist(), lam.tolist()))
-    return SyntheticBatch(points, prov, meta)
+    # row i is point i's (first, partner) draw; the partner skips the first, so
+    # the pair is uniform over distinct pairs, then listed ascending
+    pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
+    pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
+    pairs.sort(axis=1)
+    return _draw_simplices(ds.features, list(map(tuple, idx_min[pairs].tolist())), streams, meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -315,30 +297,46 @@ def _sample_from_simplices(features: np.ndarray, simplices: list[tuple[int, ...]
                            m: int, streams: SampleStreams, meta: dict,
                            weights: np.ndarray | None = None,
                            alpha_fn=None) -> SyntheticBatch:
-    """Shared back half of every simplex-based sampler.
+    """Pick one of ``simplices`` per point on the selection stream, then draw them.
 
     ``simplices`` hold dataset-level vertex ids in canonical order;
     ``weights`` switches selection from uniform to the given distribution;
     ``alpha_fn`` maps a simplex to its Dirichlet parameters (default all-ones).
+    The m picks are one call, so a larger m extends a batch.
     """
-    if m == 0:
-        return _empty_batch(features.shape[1], meta)
     if weights is None:
         sel = streams.selection.integers(0, len(simplices), size=m)
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
-    chosen = [simplices[c] for c in sel.tolist()]
-    sizes = np.fromiter(map(len, chosen), dtype=int, count=m)
-    points = np.empty((m, features.shape[1]))
-    prov = [None] * m
+    return _draw_simplices(features, [simplices[c] for c in sel.tolist()], streams, meta,
+                           alpha_fn)
+
+
+def _draw_simplices(features: np.ndarray, chosen: list[tuple[int, ...]],
+                    streams: SampleStreams, meta: dict, alpha_fn=None) -> SyntheticBatch:
+    """Shared back half of every barycentric sampler: point i from simplex ``chosen[i]``.
+
+    ``chosen`` holds one simplex per point, as ascending dataset-level ids.
+    Point i is ``lam @ features[chosen[i]]`` with ``lam`` drawn from point i's
+    own stream, Dirichlet(``alpha_fn`` or all-ones), and its provenance
+    records both. A lone vertex has the constant weight 1 and is copied
+    without a draw.
+    """
+    sizes = np.fromiter(map(len, chosen), dtype=int, count=len(chosen))
+    points = np.empty((len(chosen), features.shape[1]))
+    prov = [None] * len(chosen)
     # Rows of one simplex size at a time: padding rows to a common width would
     # change how numpy's pairwise sum rounds the normalizing totals.
     for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
         verts = np.array([chosen[i] for i in rows.tolist()], dtype=int)
-        lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
-                              size, streams.point_streams(rows))
-        points[rows] = _combine(features, verts, lam)
+        if size == 1:
+            lam = np.ones((rows.size, 1))
+            points[rows] = features[verts[:, 0]]
+        else:
+            lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
+                                  size, streams.point_streams(rows))
+            points[rows] = _combine(features, verts, lam)
         for i, weights in zip(rows.tolist(), lam.tolist()):
             prov[i] = Provenance(chosen[i], tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)

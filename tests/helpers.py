@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -142,21 +142,22 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
 
 
 def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
-    """The global sampler, one generator and one Dirichlet draw per point (n_plus >= 2)."""
+    """The global sampler, one selection draw, generator and Dirichlet draw per point.
+
+    Point i's pair is one ``integers(0, [n_plus, n_plus - 1])`` draw, the
+    partner shifted past the first index and the pair sorted; its weights are
+    ``sample_dirichlet((1, 1), point_stream(i))`` over that ascending pair.
+    """
     streams = SampleStreams(seed)
     idx_min = ds.minority_indices()
     n_plus = idx_min.size
-    first = streams.selection.integers(0, n_plus, size=m)
-    second = streams.selection.integers(0, n_plus - 1, size=m)
-    second = second + (second >= first)
     points = np.empty((m, ds.d))
     prov = []
     for i in range(m):
-        pair = (int(idx_min[first[i]]), int(idx_min[second[i]]))
+        first, second = streams.selection.integers(0, [n_plus, n_plus - 1]).tolist()
+        second += second >= first
+        pair = tuple(sorted((int(idx_min[first]), int(idx_min[second]))))
         lam = sample_dirichlet((1.0, 1.0), streams.point_stream(i))
-        if pair[0] > pair[1]:
-            pair = (pair[1], pair[0])
-            lam = lam[::-1]
         points[i] = lam @ ds.features[list(pair)]
         prov.append(Provenance(pair, tuple(lam.tolist())))
     return SyntheticBatch(points, tuple(prov), {"method": "global", "seed": seed})
@@ -281,3 +282,61 @@ def nearest_id_digests() -> list[str]:
         ids = nearest(ref[:n_query], ref, 5, np.arange(n_query))
         digests.append(hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest())
     return digests
+
+
+def _two_class(rng, minority, n_minus: int, shift: float = 0.5, spread: float = 1.0) -> Dataset:
+    """``minority`` rows plus ``n_minus`` Gaussian majority rows around ``shift``."""
+    minority = np.asarray(minority, dtype=float)
+    majority = rng.normal(shift, spread, size=(n_minus, minority.shape[1]))
+    return Dataset(np.vstack([minority, majority]),
+                   [1] * minority.shape[0] + [-1] * n_minus)
+
+
+def sweep_datasets() -> dict[str, Dataset]:
+    """``random_imbalanced_dataset(0..39)`` plus named edge sets: tiny and
+    oversized minorities, tight clusters, d = 1, distance ties, duplicates and
+    coordinates near the float range's ends."""
+    sets = {f"random-{s}": random_imbalanced_dataset(s) for s in range(40)}
+    rng = np.random.Generator(np.random.PCG64(8))
+    for n_plus in range(4):
+        sets[f"n_plus-{n_plus}"] = _two_class(rng, rng.normal(size=(n_plus, 3)), 20)
+    sets["minority-larger"] = _two_class(rng, rng.normal(size=(12, 3)), 5)
+    for size in (8, 9, 12):
+        sets[f"cluster-{size}"] = _two_class(rng, rng.normal(0.0, 0.01, size=(size, 3)), 60,
+                                             shift=2.0)
+    sets["d-1"] = _two_class(rng, rng.normal(size=(10, 1)), 30)
+    grid = [[float(x), float(y)] for x in range(4) for y in range(4)]
+    sets["grid-4x4"] = _two_class(rng, grid, 40, shift=1.5, spread=1.5)
+    sets["duplicated-6x"] = _two_class(rng, np.repeat(rng.normal(size=(4, 3)), 6, axis=0), 50)
+    base = random_imbalanced_dataset(0)
+    for scale in (1e150, 1e-150, 1e155):
+        sets[f"scaled-{scale:g}"] = Dataset(base.features * scale, base.labels)
+    return sets
+
+
+def sampler_sweep_digests() -> dict[str, str]:
+    """One sha256 per method over every cell of the sampler sweep.
+
+    Cells run ``oversample`` on each of ``sweep_datasets()`` for every k in
+    {1, 3, 5, 11}, p in {max, 1, 2}, symmetrization, safe-level formula and
+    seed in {0, 2**64 - 1}. A cell adds its points' bytes, ``repr`` of its
+    provenance and ``repr`` of its meta, or the type and message of the error
+    it raised. Two commits sample alike where their digests match; the points
+    depend on how the BLAS rounds, so compare runs on one machine.
+    """
+    hashes = {method.value: hashlib.sha256() for method in Method}
+    for ds in sweep_datasets().values():
+        for method in Method:
+            for k, p, symmetrize, formula, seed in product(
+                    (1, 3, 5, 11), (MAXIMAL, 1, 2), ("union", "mutual"),
+                    ("inverse", "plus-one"), (0, 2 ** 64 - 1)):
+                try:
+                    batch = oversample(ds, samplers.SamplerConfig(
+                        method, k, p, seed, None, symmetrize, formula))
+                except (ValueError, RuntimeError) as exc:
+                    cell = repr((type(exc).__name__, str(exc))).encode()
+                else:
+                    cell = (batch.points.tobytes() + repr(batch.provenance).encode()
+                            + repr(batch.meta).encode())
+                hashes[method.value].update(cell)
+    return {name: h.hexdigest() for name, h in hashes.items()}

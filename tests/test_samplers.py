@@ -396,6 +396,39 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
         assert got[2] == want[2]
 
 
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_larger_target_count_extends_the_batch(method):
+    # point i is a function of i alone: its selection draw comes i-th on the
+    # selection stream and its weights from its own stream
+    for seed in range(10):
+        ds = random_imbalanced_dataset(seed)
+        small, large = (_outcome(lambda: oversample(ds, SamplerConfig(
+            method, k=5, seed=seed, target_count=m))) for m in (37, 80))
+        if isinstance(small[0], type):
+            assert small == large
+            continue
+        assert small[0].tobytes() == large[0][:37].tobytes()
+        assert small[1] == large[1][:37]
+
+
+@pytest.mark.parametrize("method", [Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
+                                    Method.SAFELEVEL, Method.S_SAFELEVEL,
+                                    Method.ADASYN, Method.S_ADASYN])
+def test_lone_vertex_rows_copy_their_vertex(method):
+    # vertex 2's nearest minority point is 1, whose own is 0, so the mutual
+    # 1-NN graph leaves 2 isolated; its -0.0 coordinates must survive the copy
+    mino = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, -0.0, -0.0]]
+    maj = [[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0], [10.0, 10.0, 11.0]]
+    ds = Dataset(mino + maj, [1, 1, 1, -1, -1, -1, -1])
+    batch = oversample(ds, SamplerConfig(method, k=1, seed=3, target_count=64,
+                                         symmetrize="mutual"))
+    lone = [i for i, pr in enumerate(batch.provenance) if pr.simplex == (2,)]
+    assert lone
+    for i in lone:
+        assert batch.provenance[i].lam == (1.0,)
+        assert batch.points[i].tobytes() == ds.features[2].tobytes()
+
+
 def test_tight_cluster_has_big_simplices():
     batch = oversample(tight_cluster_dataset(), SamplerConfig(Method.SIMPLICIAL, k=9))
     assert max(len(pr.simplex) for pr in batch.provenance) >= 8
