@@ -120,20 +120,27 @@ def _every_pair(n_rows: int, n_cols: int) -> np.ndarray:
 def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
     """Flat row-major ids of the (row, col) pairs that can rank in the first kk of their row.
 
-    Rounding bound, with u = 2**-53 and D = ||q - r||^2 (Higham, "Accuracy
-    and Stability of Numerical Algorithms", ch. 3; each bound holds for any
-    summation order, so for any BLAS and thread count):
-    - the re-rank computes D' = fl(sum fl(fl(q_k - r_k)^2)): nonnegative
+    ``q`` and ``r`` are the query and reference points q*, r* shifted by one
+    centre, ``qn`` and ``rn`` their squared norms. Rounding bound, with
+    u = 2**-53 and D = ||q* - r*||^2 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 3; each bound holds for any summation order,
+    so for any BLAS and thread count):
+    - the shift rounds each coordinate once (a subnormal difference is exact),
+      so q - r is off from q* - r* by e, ||e|| <= u (||q|| + ||r||) / (1 - u);
+      then S = ||q - r||^2 has |S - D| <= 2 ||q* - r*|| ||e|| + ||e||^2,
+      at most 4.01 u (||q||^2 + ||r||^2) as ||q* - r*|| <= (||q|| + ||r||) / (1 - u);
+    - the re-rank computes D' = fl(sum fl(fl(q*_k - r*_k)^2)): nonnegative
       terms through at most d + 2 roundings, so |D' - D| <= gamma_{d+2} D;
     - here g = fl(||r||^2 + fl(-2q.r)) with the same norms: |fl(q.r) - q.r|
       <= gamma_d ||q|| ||r||, one more rounding for the sum, so
-      |g + ||q||^2 - D| <= gamma_{d+1} (||q|| + ||r||)^2;
-    - together |g + ||q||^2 - D'| <= 4 gamma_{d+2} (||q||^2 + ||r||^2), with
-      gamma_m = m u / (1 - m u);
+      |g + ||q||^2 - S| <= gamma_{d+1} (||q|| + ||r||)^2;
+    - together |g + ||q||^2 - D'| <= (4 gamma_{d+2} + 5u) (||q||^2 + ||r||^2),
+      with gamma_m = m u / (1 - m u);
     - the order is by fl(sqrt(D')), and fl(sqrt(x)) <= fl(sqrt(y)) only if
       x < (1 + 5u) y: another 11u (qn + rn) on the threshold;
     - the three sums below, on values under 3 (qn + rn), add 9u (qn + rn).
-    E = c (qn + rn) + a with c = 32 (d + 2) u is more than twice the sum.
+    E = c (qn + rn) + a with c = 32 (d + 2) u is more than twice the sum,
+    which is under (4 (d + 2) + 25) u <= 12.4 (d + 2) u since d + 2 >= 3.
     Underflow (IEEE gradual underflow) adds an absolute error of at most
     2**-1075 per operation, under 4 (d + 2) 2**-1074 in all:
     a = (d + 2) 2**-1060 covers it with room and lies far below any normal
@@ -177,13 +184,14 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     ``self_ids[i]``, when given, is the ``ref`` row that query row i skips.
     Query rows go in blocks of ``_BLOCK_ELEMS // n_ref``, never as a full
     (n_query, n_ref) matrix. Per block one GEMM filters the candidates of
-    each row: Gram-identity squared distances, kept within a rounding bound
-    from Higham's gamma_{d+2} (``_candidates``) of the k-th smallest, so
-    every tie survives. The candidates' distances are then recomputed from
-    coordinate differences, as in ``cross_distances``, and sorted by (row,
-    distance, index). A block with squared norms past an overflow-safe limit
-    re-ranks every pair. The ids are exact whatever the BLAS and its thread
-    count.
+    each row: Gram-identity squared distances of both sets shifted by the
+    mean of ``ref`` (so data far from the origin still filter), kept within
+    a rounding bound from Higham's gamma_{d+2} (``_candidates``) of the k-th
+    smallest, so every tie survives. The candidates' distances are then
+    recomputed from the original coordinates' differences, as in
+    ``cross_distances``, and sorted by (row, distance, index). A block with
+    squared norms past an overflow-safe limit re-ranks every pair. The ids
+    are exact whatever the BLAS and its thread count.
     """
     q, r = as_points(query), as_points(ref)
     k, skip = int(k), self_ids is not None
@@ -192,13 +200,19 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     if skip and np.shape(self_ids) != (q.shape[0],):
         raise GraphParameterError(f"need one self id per query row, not {np.shape(self_ids)}")
     _check_dims(q, r)
-    qn, rn = _sq_norms(q), _sq_norms(r)
+    # the filter works on both sets shifted by the reference mean: distances
+    # stay, and the norms its bound scales with shrink (see ``_candidates``)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = r.mean(axis=0)
+        centre[~np.isfinite(centre)] = 0.0  # an overflowed mean: shift nothing
+        qc, rc = q - centre, r - centre
+    qn, rn = _sq_norms(qc), _sq_norms(rc)
     out = np.empty((q.shape[0], k), dtype=int)
     block = max(1, _BLOCK_ELEMS // r.shape[0])
     for start in range(0, q.shape[0], block):
         stop = min(start + block, q.shape[0])
-        qb = q[start:stop]
-        order = _rerank(qb, r, _candidates(qb, r, qn[start:stop], rn, k + skip), k + skip)
+        pairs = _candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip)
+        order = _rerank(q[start:stop], r, pairs, k + skip)
         if skip:
             # drop self by id (an inf sentinel would tie with distances that
             # overflow to inf); if self lies beyond the first k+1, drop the last
@@ -222,10 +236,13 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
         raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if symmetrize not in (UNION, MUTUAL):
         raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
-    nbrs = nearest(pts, pts, k, np.arange(n)).tolist()
-    directed = {(u, v) for u in range(n) for v in nbrs[u]}
-    if symmetrize == UNION:
-        edges = {(min(u, v), max(u, v)) for u, v in directed}
-    else:
-        edges = {(u, v) for u, v in directed if u < v and (v, u) in directed}
-    return NeighborhoodGraph(n, frozenset(edges))
+    src = np.repeat(np.arange(n), k)
+    dst = nearest(pts, pts, k, np.arange(n)).ravel()
+    # each undirected pair as min * n + max; a row lists distinct ids, so a pair
+    # listed from both ends appears exactly twice
+    pairs, listed = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                              return_counts=True)
+    if symmetrize == MUTUAL:
+        pairs = pairs[listed == 2]
+    lo, hi = np.divmod(pairs, n)
+    return NeighborhoodGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))

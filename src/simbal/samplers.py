@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .graphs import MUTUAL, UNION, knn_graph
 
 # The step of PCG64.jumped: stream i is the seed state advanced by (i+1) of these.
 PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+_MASK_128 = 2 ** 128 - 1
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -162,30 +164,92 @@ class SampleStreams:
     order, so a larger batch extends a smaller one; synthetic point i gets its own
     stream, ``PCG64(seed).jumped(i+1)``, so per-point draws do not depend on
     generation order and parallel generation matches sequential generation.
-    Samplers reach those streams by PCG64 jump-ahead on one reused generator
-    (``point_streams``) instead of building a generator per point.
+    Samplers reach those streams on one reused generator (``point_streams``)
+    instead of building a generator per point: one jump moves PCG64's LCG state
+    by the affine map s -> A s + C (mod 2**128), so the state of stream i is
+    computed directly and set.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
+        # row b: the (A, C) maps of d * 16**b jumps for d = 1..15, built on first use
+        self._jumps: list[list[tuple[int, int]]] = []
 
     def point_stream(self, i: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed).jumped(i + 1))
+
+    @staticmethod
+    def _one_jump(bits: np.random.PCG64, start: dict) -> tuple[int, int]:
+        """(A, C) of one jump, read off ``advance`` from two states.
+
+        The map is affine, so A is the difference of the images of s0 + 1 and
+        s0, and C = s1 - A s0; nothing of PCG64's multiplier is assumed.
+        """
+        s0 = start["state"]["state"]
+        images = []
+        for s in (s0, (s0 + 1) & _MASK_128):
+            bits.state = {**start, "state": {**start["state"], "state": s}}
+            bits.advance(PCG64_JUMP)
+            images.append(bits.state["state"]["state"])
+        a = (images[1] - images[0]) & _MASK_128
+        return a, (images[0] - a * s0) & _MASK_128
+
+    @staticmethod
+    def _multiples(one: tuple[int, int]) -> list[tuple[int, int]]:
+        """The maps of ``one`` applied 1..15 times."""
+        row = [one]
+        for _ in range(14):
+            a, c = row[-1]
+            row.append((a * one[0] & _MASK_128, (a * one[1] + c) & _MASK_128))
+        return row
+
+    def _advance(self, s: int, n: int) -> int:
+        """LCG state ``s`` moved ``n`` jumps ahead: one map per nonzero hex digit of n.
+
+        The LCG's period is 2**128, so n counts modulo it and a negative n moves back.
+        """
+        rows, b, n = self._jumps, 0, n & _MASK_128
+        while n:
+            if b == len(rows):  # 16**b jumps: 15 * 16**(b-1) jumps, then 16**(b-1)
+                (a, c), (a1, c1) = rows[-1][-1], rows[-1][0]
+                rows.append(self._multiples((a * a1 & _MASK_128, (a * c1 + c) & _MASK_128)))
+            n, digit = divmod(n, 16)
+            if digit:
+                a, c = rows[b][digit - 1]
+                s = (a * s + c) & _MASK_128
+            b += 1
+        return s
 
     def point_streams(self, points):
         """Point i's stream for each i in ``points``, in that order.
 
         One generator is yielded again and again: before each yield its bit
-        generator is reset to the seed state and advanced by (i+1) jumps, the
-        exact state of ``point_stream(i)``. Draw from it before taking the next.
+        generator is set to the state of ``point_stream(i)``, reached from the
+        previous index's state, or from the seed state when ``points`` goes
+        back, in O(log gap) map compositions. Draw from it before taking the next.
         """
         bits = np.random.PCG64(self.seed)
         start = bits.state
+        if not self._jumps:
+            self._jumps.append(self._multiples(self._one_jump(bits, start)))
+        near = self._jumps[0]
+        state = {**start, "state": dict(start["state"])}
         rng = np.random.Generator(bits)
+        done, s = 0, start["state"]["state"]  # s is the state after `done` jumps
         for i in points:
-            bits.state = start
-            bits.advance((int(i) + 1) * PCG64_JUMP % 2 ** 128)
+            target = int(i) + 1
+            if target < done:
+                done, s = 0, start["state"]["state"]
+            gap = target - done
+            if 0 < gap < 16:  # the samplers' usual gaps: one map, inline
+                a, c = near[gap - 1]
+                s = (a * s + c) & _MASK_128
+            else:
+                s = self._advance(s, gap)
+            done = target
+            state["state"]["state"] = s
+            bits.state = state
             yield rng
 
 
@@ -210,8 +274,11 @@ def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     if ds.n_minority < 1:
         raise SamplerParameterError("need at least one minority point")
     meta = {"method": Method.RANDOM.value, "seed": int(seed)}
-    return _sample_from_simplices(ds.features, [(v,) for v in ds.minority_indices().tolist()],
-                                  _resolve_m(ds, m), SampleStreams(seed), meta)
+    m = _resolve_m(ds, m)
+    streams = SampleStreams(seed)
+    picks = streams.selection.integers(0, ds.n_minority, size=m)
+    return _draw_simplices(ds.features, [(np.arange(m), ds.minority_indices()[picks, None])],
+                           streams, meta)
 
 
 def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
@@ -236,7 +303,7 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    return _draw_simplices(ds.features, list(map(tuple, idx_min[pairs].tolist())), streams, meta)
+    return _draw_simplices(ds.features, [(np.arange(m), idx_min[pairs])], streams, meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -308,37 +375,48 @@ def _sample_from_simplices(features: np.ndarray, simplices: list[tuple[int, ...]
         sel = streams.selection.integers(0, len(simplices), size=m)
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
-    return _draw_simplices(features, [simplices[c] for c in sel.tolist()], streams, meta,
-                           alpha_fn)
+    sizes = np.fromiter(map(len, simplices), dtype=int, count=len(simplices))
+    flat = np.fromiter(chain.from_iterable(simplices), dtype=int, count=int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes  # where each simplex starts in ``flat``
+    picked = sizes[sel]
+    chosen = []
+    for size in np.unique(picked).tolist():
+        rows = np.flatnonzero(picked == size)
+        chosen.append((rows, flat[first[sel[rows], None] + np.arange(size)]))
+    return _draw_simplices(features, chosen, streams, meta, alpha_fn)
 
 
-def _draw_simplices(features: np.ndarray, chosen: list[tuple[int, ...]],
+def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndarray]],
                     streams: SampleStreams, meta: dict, alpha_fn=None) -> SyntheticBatch:
-    """Shared back half of every barycentric sampler: point i from simplex ``chosen[i]``.
+    """Shared back half of every barycentric sampler: each point from its chosen simplex.
 
-    ``chosen`` holds one simplex per point, as ascending dataset-level ids.
-    Point i is ``lam @ features[chosen[i]]`` with ``lam`` drawn from point i's
-    own stream, Dirichlet(``alpha_fn`` or all-ones), and its provenance
-    records both. A lone vertex has the constant weight 1 and is copied
-    without a draw.
+    ``chosen`` holds (rows, verts) pairs, one per simplex size: point
+    ``rows[j]`` comes from the simplex ``verts[j]``, ascending dataset-level
+    ids, and the rows of all pairs number the points 0..m-1 once each. Point i
+    is ``lam @ features[simplex]`` with ``lam`` drawn from point i's own
+    stream, Dirichlet(``alpha_fn`` or all-ones), and its provenance records
+    both. A lone vertex has the constant weight 1 and is copied without a draw.
+    Sizes are drawn one at a time: padding rows to a common width would change
+    how numpy's pairwise sum rounds the normalizing totals.
     """
-    sizes = np.fromiter(map(len, chosen), dtype=int, count=len(chosen))
-    points = np.empty((len(chosen), features.shape[1]))
-    prov = [None] * len(chosen)
-    # Rows of one simplex size at a time: padding rows to a common width would
-    # change how numpy's pairwise sum rounds the normalizing totals.
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        verts = np.array([chosen[i] for i in rows.tolist()], dtype=int)
+    m = sum(rows.size for rows, _ in chosen)
+    points = np.empty((m, features.shape[1]))
+    prov = [None] * m
+    shared = {}  # points of one simplex share its tuple in their provenance
+    for rows, verts in chosen:
+        size = verts.shape[1]
+        if not rows.size:
+            continue
         if size == 1:
             lam = np.ones((rows.size, 1))
             points[rows] = features[verts[:, 0]]
         else:
             lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
-                                  size, streams.point_streams(rows))
+                                  size, streams.point_streams(rows.tolist()))
             points[rows] = _combine(features, verts, lam)
-        for i, weights in zip(rows.tolist(), lam.tolist()):
-            prov[i] = Provenance(chosen[i], tuple(weights))
+        for i, simplex, weights in zip(rows.tolist(), verts.tolist(), lam.tolist()):
+            simplex = tuple(simplex)
+            prov[i] = Provenance(shared.setdefault(simplex, simplex), tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)
 
 
@@ -368,7 +446,8 @@ def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> list[tuple[int, ..
 
     ``ids`` ascend, so the map is monotone and keeps the skeleton's order.
     """
-    return [tuple(int(ids[v]) for v in s) for s in sk.sorted_simplices()]
+    ids = ids.tolist()
+    return [tuple(ids[v] for v in s) for s in sk.sorted_simplices()]
 
 
 def oversample_simplicial(ds: Dataset, k: int, p: int | None = MAXIMAL,

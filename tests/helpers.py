@@ -64,6 +64,27 @@ def brute_force_maximal_cliques(g: NeighborhoodGraph) -> set[tuple[int, ...]]:
             if not any(set(c) < set(other) for other in cliques)}
 
 
+def set_based_maximal_cliques(g: NeighborhoodGraph) -> frozenset[tuple[int, ...]]:
+    """Maximal cliques by pivoting Bron-Kerbosch on Python sets: the oracle for
+    the bitset enumeration on graphs too large for subset enumeration."""
+    adj = g.adjacency()
+    found = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            found.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: (len(p & adj[u]), -u))
+        for v in sorted(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p.discard(v)
+            x.add(v)
+
+    if g.n_vertices:
+        expand(set(), set(range(g.n_vertices)), set())
+    return frozenset(found)
+
+
 def brute_force_skeleton(g: NeighborhoodGraph, p) -> set[tuple[int, ...]]:
     """Maximal simplices of the p-skeleton by direct definition.
 
@@ -270,15 +291,20 @@ def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
     return ev.EvalReport(tuple(cells), meta)
 
 
-def nearest_id_digests() -> list[str]:
-    """sha256 of the ``nearest`` ids (k = 5, self skipped) of the first 250 of
-    1750 Gaussian rows in d = 16, the safety counts' query, and of 400 rows
-    with unit noise on a 1e8 offset, where every pair is a candidate."""
+def nearest_id_sets() -> list[tuple[np.ndarray, int]]:
+    """(ref, n_query) pairs whose first n_query rows query ``ref``: the first 250
+    of 1750 Gaussian rows in d = 16, the safety counts' query, and 400 rows
+    with unit noise on a 1e8 offset, far from the origin."""
     rng = np.random.Generator(np.random.PCG64(0))
     gauss = np.vstack([rng.normal(size=(250, 16)), rng.normal(1.0, 1.0, size=(1500, 16))])
     offset = 1e8 + rng.normal(size=(400, 16))
+    return [(gauss, 250), (offset, 400)]
+
+
+def nearest_id_digests() -> list[str]:
+    """sha256 of the ``nearest`` ids (k = 5, self skipped) of each of ``nearest_id_sets()``."""
     digests = []
-    for ref, n_query in ((gauss, 250), (offset, 400)):
+    for ref, n_query in nearest_id_sets():
         ids = nearest(ref[:n_query], ref, 5, np.arange(n_query))
         digests.append(hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest())
     return digests

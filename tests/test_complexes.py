@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
-from simbal.graphs import MUTUAL, NeighborhoodGraph, knn_graph
+from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, knn_graph
 
 from helpers import (
     brute_force_maximal_cliques,
     brute_force_skeleton,
     random_graph,
+    set_based_maximal_cliques,
 )
 
 
@@ -63,6 +64,39 @@ class TestMaximalCliques:
     @pytest.mark.parametrize("g", ORACLE_GRAPHS.values(), ids=ORACLE_GRAPHS.keys())
     def test_matches_subset_enumeration(self, g):
         assert maximal_cliques(g) == brute_force_maximal_cliques(g)
+
+
+def knn_graph_of_random_points(seed, symmetrize):
+    """kNN graph of 65..600 Gaussian points in d = 2..8 with k = 1..8: masks past 64 bits."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, d, k = int(rng.integers(65, 601)), int(rng.integers(2, 9)), int(rng.integers(1, 9))
+    return knn_graph(rng.normal(size=(n, d)), k, symmetrize)
+
+
+def erdos_renyi(n, prob, seed):
+    """G(n, prob), its edges as numpy ints, as a caller may build them."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    keep = rng.uniform(size=(n, n)) < prob
+    return NeighborhoodGraph(n, frozenset(zip(*np.nonzero(np.triu(keep, 1)))))
+
+
+WIDE_GRAPHS = {
+    **{f"knn-{seed}-{sym}": knn_graph_of_random_points(seed, sym)
+       for seed in range(6) for sym in (UNION, MUTUAL)},
+    "knn-600-k8": knn_graph(np.random.Generator(np.random.PCG64(6)).normal(size=(600, 3)), 8),
+    "knn-65-k1": knn_graph(np.random.Generator(np.random.PCG64(7)).normal(size=(65, 2)), 1,
+                           MUTUAL),
+    **{f"dense-{n}": erdos_renyi(n, prob, seed=n)
+       for n, prob in ((70, 0.6), (100, 0.5), (130, 0.4))},
+    "complete-90": complete_graph(90),
+    "edgeless-90": NeighborhoodGraph(90, frozenset()),
+    "single-vertex": NeighborhoodGraph(1, frozenset()),
+}
+
+
+@pytest.mark.parametrize("g", WIDE_GRAPHS.values(), ids=WIDE_GRAPHS.keys())
+def test_bitset_cliques_match_set_based_oracle(g):
+    assert maximal_cliques(g) == set_based_maximal_cliques(g)
 
 
 class TestPSkeleton:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from simbal import MUTUAL, UNION, graphs, knn_graph, pairwise_distances
 from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances, nearest
 
-from helpers import nearest_id_digests
+from helpers import nearest_id_digests, nearest_id_sets
 
 
 def brute_knn_edges(pts, k, symmetrize):
@@ -212,6 +212,23 @@ class TestNearestPath:
         assert sum(kept) == n * n
         assert peak < n * n * 8
         assert got[0].tolist() == [1, 2, 3, 4, 5] and got[-1].tolist() == [0, 1, 2, 3, 4]
+
+
+def test_far_offset_filters_on_centred_points():
+    # unit noise on a 1e8 offset: uncentred, the bound scales with ||q||^2 ~ 1.6e17
+    # and keeps every pair; shifted by the reference mean the filter keeps few
+    ref, n = nearest_id_sets()[1]
+    kept, candidates = [], graphs._candidates
+
+    def counted(*args):
+        pairs = candidates(*args)
+        kept.append(pairs.size)
+        return pairs
+
+    with mock.patch.object(graphs, "_candidates", counted):
+        got = nearest(ref, ref, 5, np.arange(n))
+    assert sum(kept) < 0.05 * n * n
+    assert np.array_equal(got, brute_nearest(ref, ref, 5, np.arange(n)))
 
 
 def test_ids_do_not_depend_on_blas_threads():

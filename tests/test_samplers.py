@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -321,6 +323,16 @@ class TestSimplicial:
         assert all(len(pr.simplex) == 5 for pr in batch.provenance)
 
 
+STREAM_ORDERS = {
+    "gapped": [0, 1, 2, 5, 17, 18, 33, 300, 315, 316, 4096, 65_551],
+    "descending": list(range(40, -1, -3)),
+    "repeated": [5, 5, 0, 5, 3, 3, 4],
+    "empty": [],
+    "negative": [-1, 4, -7, -7],
+    "sparse": [10 ** 9, 3, 10 ** 9 - 1, 123_456_789, 10 ** 9, 0, 2 ** 31 + 1, 2 ** 31],
+}
+
+
 class TestStreams:
     def test_point_streams_are_fixed_offsets(self):
         ds = tiny_dataset(seed=21)
@@ -343,6 +355,27 @@ class TestStreams:
         assert np.array_equal(draws[0], streams.point_stream(7).standard_normal(3))
         assert np.array_equal(draws[1], streams.point_stream(2).standard_normal(3))
         assert np.array_equal(draws[2], draws[0])
+
+    @pytest.mark.parametrize("order", STREAM_ORDERS.values(), ids=STREAM_ORDERS.keys())
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_point_streams_are_jumped_generators(self, seed, order):
+        # each state is computed from the previous index's, or from the seed state
+        # when the order goes back; indices near 10**9 build no table up to them
+        streams = SampleStreams(seed)
+        began = time.perf_counter()
+        exponential = [(rng.bit_generator.state, rng.standard_exponential(3))
+                       for rng in streams.point_streams(order)]
+        gamma = [(rng.standard_gamma(0.4), rng.uniform(size=2))
+                 for rng in streams.point_streams(order)]
+        assert time.perf_counter() - began < 0.5
+        assert len(exponential) == len(gamma) == len(order)
+        for i, (state, draws), (g, u) in zip(order, exponential, gamma):
+            jumped = np.random.PCG64(seed).jumped(i + 1)
+            assert state == jumped.state
+            assert np.array_equal(draws, np.random.Generator(jumped).standard_exponential(3))
+            rng = np.random.Generator(np.random.PCG64(seed).jumped(i + 1))
+            assert g == rng.standard_gamma(0.4)
+            assert np.array_equal(u, rng.uniform(size=2))
 
     def test_dirichlet_rows_match_sample_dirichlet(self):
         # small alphas take the boosted path with uniforms; 1e-300 underflows
