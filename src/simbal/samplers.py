@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -173,8 +172,6 @@ class SampleStreams:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
-        # row b: the (A, C) maps of d * 16**b jumps for d = 1..15, built on first use
-        self._jumps: list[list[tuple[int, int]]] = []
 
     def point_stream(self, i: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed).jumped(i + 1))
@@ -196,29 +193,20 @@ class SampleStreams:
         return a, (images[0] - a * s0) & _MASK_128
 
     @staticmethod
-    def _multiples(one: tuple[int, int]) -> list[tuple[int, int]]:
-        """The maps of ``one`` applied 1..15 times."""
-        row = [one]
-        for _ in range(14):
-            a, c = row[-1]
-            row.append((a * one[0] & _MASK_128, (a * one[1] + c) & _MASK_128))
-        return row
+    def _advance(s: int, n: int, a: int, c: int) -> int:
+        """LCG state ``s`` moved ``n`` jumps ahead, given the map (a, c) of one jump.
 
-    def _advance(self, s: int, n: int) -> int:
-        """LCG state ``s`` moved ``n`` jumps ahead: one map per nonzero hex digit of n.
-
-        The LCG's period is 2**128, so n counts modulo it and a negative n moves back.
+        Square and multiply: the map of 2**b jumps is the square of that of
+        2**(b-1), and each set bit of n applies its map once; maps of one
+        jump count commute, so the order does not matter. The LCG's period is
+        2**128, so n counts modulo it and a negative n moves back.
         """
-        rows, b, n = self._jumps, 0, n & _MASK_128
+        n &= _MASK_128
         while n:
-            if b == len(rows):  # 16**b jumps: 15 * 16**(b-1) jumps, then 16**(b-1)
-                (a, c), (a1, c1) = rows[-1][-1], rows[-1][0]
-                rows.append(self._multiples((a * a1 & _MASK_128, (a * c1 + c) & _MASK_128)))
-            n, digit = divmod(n, 16)
-            if digit:
-                a, c = rows[b][digit - 1]
+            if n & 1:
                 s = (a * s + c) & _MASK_128
-            b += 1
+            n >>= 1
+            a, c = a * a & _MASK_128, (a * c + c) & _MASK_128
         return s
 
     def point_streams(self, points):
@@ -226,27 +214,18 @@ class SampleStreams:
 
         One generator is yielded again and again: before each yield its bit
         generator is set to the state of ``point_stream(i)``, reached from the
-        previous index's state, or from the seed state when ``points`` goes
-        back, in O(log gap) map compositions. Draw from it before taking the next.
+        previous index's state in O(log gap) map applications; a gap back is
+        one of 2**128 minus it. Draw from it before taking the next.
         """
         bits = np.random.PCG64(self.seed)
         start = bits.state
-        if not self._jumps:
-            self._jumps.append(self._multiples(self._one_jump(bits, start)))
-        near = self._jumps[0]
+        a, c = self._one_jump(bits, start)
         state = {**start, "state": dict(start["state"])}
         rng = np.random.Generator(bits)
         done, s = 0, start["state"]["state"]  # s is the state after `done` jumps
         for i in points:
             target = int(i) + 1
-            if target < done:
-                done, s = 0, start["state"]["state"]
-            gap = target - done
-            if 0 < gap < 16:  # the samplers' usual gaps: one map, inline
-                a, c = near[gap - 1]
-                s = (a * s + c) & _MASK_128
-            else:
-                s = self._advance(s, gap)
+            s = self._advance(s, target - done, a, c)
             done = target
             state["state"]["state"] = s
             bits.state = state
@@ -274,11 +253,8 @@ def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     if ds.n_minority < 1:
         raise SamplerParameterError("need at least one minority point")
     meta = {"method": Method.RANDOM.value, "seed": int(seed)}
-    m = _resolve_m(ds, m)
-    streams = SampleStreams(seed)
-    picks = streams.selection.integers(0, ds.n_minority, size=m)
-    return _draw_simplices(ds.features, [(np.arange(m), ds.minority_indices()[picks, None])],
-                           streams, meta)
+    return _sample_from_simplices(ds.features, [(v,) for v in ds.minority_indices().tolist()],
+                                  _resolve_m(ds, m), SampleStreams(seed), meta)
 
 
 def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
@@ -303,7 +279,9 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    return _draw_simplices(ds.features, [(np.arange(m), idx_min[pairs])], streams, meta)
+    verts = idx_min[pairs]
+    return _draw_simplices(ds.features, [(np.arange(m), verts, list(map(tuple, verts.tolist())))],
+                           streams, meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -376,34 +354,33 @@ def _sample_from_simplices(features: np.ndarray, simplices: list[tuple[int, ...]
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
     sizes = np.fromiter(map(len, simplices), dtype=int, count=len(simplices))
-    flat = np.fromiter(chain.from_iterable(simplices), dtype=int, count=int(sizes.sum()))
-    first = np.cumsum(sizes) - sizes  # where each simplex starts in ``flat``
     picked = sizes[sel]
     chosen = []
     for size in np.unique(picked).tolist():
         rows = np.flatnonzero(picked == size)
-        chosen.append((rows, flat[first[sel[rows], None] + np.arange(size)]))
+        named = [simplices[c] for c in sel[rows].tolist()]
+        chosen.append((rows, np.array(named, dtype=int), named))
     return _draw_simplices(features, chosen, streams, meta, alpha_fn)
 
 
-def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndarray]],
+def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndarray, list]],
                     streams: SampleStreams, meta: dict, alpha_fn=None) -> SyntheticBatch:
     """Shared back half of every barycentric sampler: each point from its chosen simplex.
 
-    ``chosen`` holds (rows, verts) pairs, one per simplex size: point
+    ``chosen`` holds (rows, verts, named) triples, one per simplex size: point
     ``rows[j]`` comes from the simplex ``verts[j]``, ascending dataset-level
-    ids, and the rows of all pairs number the points 0..m-1 once each. Point i
+    ids, whose tuple of Python ints ``named[j]`` goes into its provenance; the
+    rows of all triples number the points 0..m-1 once each. Point i
     is ``lam @ features[simplex]`` with ``lam`` drawn from point i's own
     stream, Dirichlet(``alpha_fn`` or all-ones), and its provenance records
     both. A lone vertex has the constant weight 1 and is copied without a draw.
     Sizes are drawn one at a time: padding rows to a common width would change
     how numpy's pairwise sum rounds the normalizing totals.
     """
-    m = sum(rows.size for rows, _ in chosen)
+    m = sum(rows.size for rows, _, _ in chosen)
     points = np.empty((m, features.shape[1]))
     prov = [None] * m
-    shared = {}  # points of one simplex share its tuple in their provenance
-    for rows, verts in chosen:
+    for rows, verts, named in chosen:
         size = verts.shape[1]
         if not rows.size:
             continue
@@ -414,9 +391,8 @@ def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndar
             lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
                                   size, streams.point_streams(rows.tolist()))
             points[rows] = _combine(features, verts, lam)
-        for i, simplex, weights in zip(rows.tolist(), verts.tolist(), lam.tolist()):
-            simplex = tuple(simplex)
-            prov[i] = Provenance(shared.setdefault(simplex, simplex), tuple(weights))
+        for i, simplex, weights in zip(rows.tolist(), named, lam.tolist()):
+            prov[i] = Provenance(simplex, tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)
 
 

@@ -1,4 +1,4 @@
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,15 +359,19 @@ class TestStreams:
     @pytest.mark.parametrize("order", STREAM_ORDERS.values(), ids=STREAM_ORDERS.keys())
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
     def test_point_streams_are_jumped_generators(self, seed, order):
-        # each state is computed from the previous index's, or from the seed state
-        # when the order goes back; indices near 10**9 build no table up to them
+        # each state is computed from the previous index's, also when the order
+        # goes back; indices near 10**9 build no table up to them
         streams = SampleStreams(seed)
-        began = time.perf_counter()
-        exponential = [(rng.bit_generator.state, rng.standard_exponential(3))
-                       for rng in streams.point_streams(order)]
-        gamma = [(rng.standard_gamma(0.4), rng.uniform(size=2))
-                 for rng in streams.point_streams(order)]
-        assert time.perf_counter() - began < 0.5
+        tracemalloc.start()
+        try:
+            exponential = [(rng.bit_generator.state, rng.standard_exponential(3))
+                           for rng in streams.point_streams(order)]
+            gamma = [(rng.standard_gamma(0.4), rng.uniform(size=2))
+                     for rng in streams.point_streams(order)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         assert len(exponential) == len(gamma) == len(order)
         for i, (state, draws), (g, u) in zip(order, exponential, gamma):
             jumped = np.random.PCG64(seed).jumped(i + 1)
