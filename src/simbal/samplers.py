@@ -17,19 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import MAXIMAL, Skeleton, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
 # sample_dirichlet is not called here any more, but stays importable from this
-# module: perfbench traces the per-point Dirichlet path at this lookup site.
+# module: perfbench traces the Dirichlet draw at this lookup site.
 from .geometry import dirichlet_weights, gamma_shapes, sample_dirichlet  # noqa: F401
 from .graphs import MUTUAL, UNION, knn_graph
-
-# The step of PCG64.jumped: stream i is the seed state advanced by (i+1) of these.
-PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-_MASK_128 = 2 ** 128 - 1
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -118,7 +115,7 @@ class SamplerConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Source record for one synthetic point."""
 
@@ -159,77 +156,38 @@ class SyntheticBatch:
 class SampleStreams:
     """Deterministic RNG streams for one sampler invocation.
 
-    The base stream drives simplex selection, one pick per point in point
-    order, so a larger batch extends a smaller one; synthetic point i gets its own
-    stream, ``PCG64(seed).jumped(i+1)``, so per-point draws do not depend on
-    generation order and parallel generation matches sequential generation.
-    Samplers reach those streams on one reused generator (``point_streams``)
-    instead of building a generator per point: one jump moves PCG64's LCG state
-    by the affine map s -> A s + C (mod 2**128), so the state of stream i is
-    computed directly and set.
+    ``selection`` (``PCG64(seed)``) picks the simplices, one pick per point in
+    point order. ``weights`` (``PCG64(seed).jumped(1)``) holds the raw
+    Dirichlet variates of every point in point order: point i's simplex has
+    w_i vertices, lone ones included, and its draws are the w_i values after
+    the w_0 + ... + w_{i-1} of the points before it. ``uniforms``
+    (``PCG64(seed).jumped(2)``) holds the uniforms of the small-alpha boost in
+    the same layout. Each is read by one vectorised call per batch, and numpy
+    fills arrays in order, so a larger batch extends a smaller one bit for bit.
+    The jumped streams are built on first use: ``jumped`` costs about three
+    times a seeded ``PCG64``, and random reads no weights, only safe-level
+    reads uniforms.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
 
+    @cached_property
+    def weights(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed).jumped(1))
+
+    @cached_property
+    def uniforms(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed).jumped(2))
+
     def point_stream(self, i: int) -> np.random.Generator:
+        """The generator of ``PCG64(seed).jumped(i + 1)``.
+
+        No sampler draws from it: it stays because perfbench traces this
+        lookup site.
+        """
         return np.random.Generator(np.random.PCG64(self.seed).jumped(i + 1))
-
-    @staticmethod
-    def _one_jump(bits: np.random.PCG64, start: dict) -> tuple[int, int]:
-        """(A, C) of one jump, read off ``advance`` from two states.
-
-        The map is affine, so A is the difference of the images of s0 + 1 and
-        s0, and C = s1 - A s0; nothing of PCG64's multiplier is assumed.
-        """
-        s0 = start["state"]["state"]
-        images = []
-        for s in (s0, (s0 + 1) & _MASK_128):
-            bits.state = {**start, "state": {**start["state"], "state": s}}
-            bits.advance(PCG64_JUMP)
-            images.append(bits.state["state"]["state"])
-        a = (images[1] - images[0]) & _MASK_128
-        return a, (images[0] - a * s0) & _MASK_128
-
-    @staticmethod
-    def _advance(s: int, n: int, a: int, c: int) -> int:
-        """LCG state ``s`` moved ``n`` jumps ahead, given the map (a, c) of one jump.
-
-        Square and multiply: the map of 2**b jumps is the square of that of
-        2**(b-1), and each set bit of n applies its map once; maps of one
-        jump count commute, so the order does not matter. The LCG's period is
-        2**128, so n counts modulo it and a negative n moves back.
-        """
-        n &= _MASK_128
-        while n:
-            if n & 1:
-                s = (a * s + c) & _MASK_128
-            n >>= 1
-            a, c = a * a & _MASK_128, (a * c + c) & _MASK_128
-        return s
-
-    def point_streams(self, points):
-        """Point i's stream for each i in ``points``, in that order.
-
-        One generator is yielded again and again: before each yield its bit
-        generator is set to the state of ``point_stream(i)``, reached from the
-        previous index's state in O(log gap) map applications; a gap back is
-        one of 2**128 minus it. Draw from it before taking the next.
-        """
-        bits = np.random.PCG64(self.seed)
-        start = bits.state
-        a, c = self._one_jump(bits, start)
-        state = {**start, "state": dict(start["state"])}
-        rng = np.random.Generator(bits)
-        done, s = 0, start["state"]["state"]  # s is the state after `done` jumps
-        for i in points:
-            target = int(i) + 1
-            s = self._advance(s, target - done, a, c)
-            done = target
-            state["state"]["state"] = s
-            bits.state = state
-            yield rng
 
 
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
@@ -302,8 +260,7 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     if not np.isfinite(cov).all():
         raise SamplerParameterError("the minority covariance overflows; rescale the features")
     chol = np.linalg.cholesky(cov)
-    z = np.array([rng.standard_normal(ds.d)
-                  for rng in SampleStreams(seed).point_streams(range(m))])
+    z = SampleStreams(seed).weights.standard_normal((m, ds.d))
     with np.errstate(over="ignore", invalid="ignore"):
         # one matrix-vector product per point, as chol @ z_i rounds
         points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
@@ -370,46 +327,48 @@ def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndar
     ``chosen`` holds (rows, verts, named) triples, one per simplex size: point
     ``rows[j]`` comes from the simplex ``verts[j]``, ascending dataset-level
     ids, whose tuple of Python ints ``named[j]`` goes into its provenance; the
-    rows of all triples number the points 0..m-1 once each. Point i
-    is ``lam @ features[simplex]`` with ``lam`` drawn from point i's own
-    stream, Dirichlet(``alpha_fn`` or all-ones), and its provenance records
-    both. A lone vertex has the constant weight 1 and is copied without a draw.
-    Sizes are drawn one at a time: padding rows to a common width would change
-    how numpy's pairwise sum rounds the normalizing totals.
+    rows of all triples number the points 0..m-1 once each. Point i is
+    ``lam @ features[simplex]`` with ``lam`` ~ Dirichlet(``alpha_fn`` or
+    all-ones), and its provenance records both. The raw variates of all m
+    points come from one call on the weights stream (and one on the uniforms
+    stream when ``alpha_fn`` is given), laid out in point order as
+    ``SampleStreams`` describes; all-ones draws are standard exponentials,
+    which is what ``standard_gamma(1.0)`` draws. A lone vertex takes its
+    share of draws but has the constant weight 1 and is copied. Sizes are
+    normalized one at a time: padding rows to a common width would change how
+    numpy's pairwise sum rounds the normalizing totals.
     """
     m = sum(rows.size for rows, _, _ in chosen)
+    width = np.zeros(m, dtype=np.intp)
+    for rows, verts, _ in chosen:
+        width[rows] = verts.shape[1]
+    start = np.cumsum(width) - width
+    slots = [start[rows, None] + np.arange(verts.shape[1]) for rows, verts, _ in chosen]
+    total = int(width.sum())
+    if alpha_fn is None:
+        alphas, uniforms = [1.0] * len(chosen), None
+        gammas = streams.weights.standard_exponential(total)
+    else:
+        alphas = [alpha_fn(verts) for _, verts, _ in chosen]
+        shapes = np.empty(total)
+        for at, alpha in zip(slots, alphas):
+            shapes[at] = gamma_shapes(alpha)
+        gammas = streams.weights.standard_gamma(shapes)
+        uniforms = streams.uniforms.uniform(size=total)
     points = np.empty((m, features.shape[1]))
     prov = [None] * m
-    for rows, verts, named in chosen:
-        size = verts.shape[1]
+    for (rows, verts, named), at, alpha in zip(chosen, slots, alphas):
         if not rows.size:
             continue
-        if size == 1:
+        if verts.shape[1] == 1:
             lam = np.ones((rows.size, 1))
             points[rows] = features[verts[:, 0]]
         else:
-            lam = _dirichlet_rows(None if alpha_fn is None else alpha_fn(verts),
-                                  size, streams.point_streams(rows.tolist()))
+            lam = dirichlet_weights(alpha, gammas[at], None if uniforms is None else uniforms[at])
             points[rows] = _combine(features, verts, lam)
         for i, simplex, weights in zip(rows.tolist(), named, lam.tolist()):
             prov[i] = Provenance(simplex, tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)
-
-
-def _dirichlet_rows(alpha: np.ndarray | None, size: int, rngs) -> np.ndarray:
-    """One row of Dirichlet weights per generator in ``rngs``.
-
-    ``alpha`` holds a row of parameters per generator, or None for all-ones.
-    Each generator gives the raw draws ``sample_dirichlet`` would take from it,
-    except that all-ones rows skip the trailing uniforms, which they never read:
-    Gamma(1) is the standard exponential, and a per-point stream is not reused.
-    """
-    if alpha is None:
-        return dirichlet_weights(1.0, np.array([rng.standard_exponential(size) for rng in rngs]))
-    draws = [(rng.standard_gamma(s), rng.uniform(size=size))
-             for rng, s in zip(rngs, gamma_shapes(alpha))]
-    return dirichlet_weights(alpha, np.array([g for g, _ in draws]),
-                             np.array([u for _, u in draws]))
 
 
 def _combine(features: np.ndarray, verts: np.ndarray, lam: np.ndarray) -> np.ndarray:

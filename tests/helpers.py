@@ -9,9 +9,10 @@ from unittest import mock
 
 import numpy as np
 
-from simbal import Dataset, Method, NeighborhoodGraph, oversample, sample_dirichlet
+from simbal import Dataset, Method, NeighborhoodGraph, oversample
 from simbal import evaluation, samplers, variants
 from simbal.complexes import MAXIMAL
+from simbal.geometry import dirichlet_weights, gamma_shapes
 from simbal.graphs import nearest
 from simbal.samplers import Provenance, SampleStreams, SyntheticBatch
 
@@ -138,12 +139,27 @@ def reconstruction_error(batch, features) -> float:
     return worst
 
 
+def per_point_draw(streams: SampleStreams, alpha) -> np.ndarray:
+    """One point's Dirichlet(alpha) weights, drawn the per-point way.
+
+    The point takes the next len(alpha) Gamma variates of the weights stream
+    and the next len(alpha) uniforms of the uniforms stream, whether or not an
+    alpha below 1 reads them. Gamma(1) is the standard exponential, so
+    all-ones draws are the exponentials the batched sampler takes.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    gammas = streams.weights.standard_gamma(gamma_shapes(alpha))
+    return dirichlet_weights(alpha, gammas, streams.uniforms.uniform(size=alpha.size))
+
+
 def per_point_simplices(features, simplices, m, streams, meta, weights=None,
                         alpha_fn=None) -> SyntheticBatch:
-    """The simplex sampler's back half, one generator and one Dirichlet draw per point.
+    """The simplex sampler's back half, one Dirichlet draw per point, in point order.
 
     This is the definition the batched sampler must match bit for bit: point i
-    draws ``sample_dirichlet(alpha, point_stream(i))`` and is ``lam @ X[simplex]``.
+    takes its simplex's size of draws from the weights and uniforms streams
+    after points 0..i-1 took theirs, lone vertices included, and is
+    ``lam @ X[simplex]``.
     """
     if m == 0:
         return SyntheticBatch(np.empty((0, features.shape[1])), (), meta)
@@ -156,18 +172,18 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
     for i in range(m):
         simplex = simplices[int(sel[i])]
         alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
-        lam = sample_dirichlet(alpha, streams.point_stream(i))
+        lam = per_point_draw(streams, alpha)
         points[i] = lam @ features[list(simplex)]
         prov.append(Provenance(simplex, tuple(lam.tolist())))
     return SyntheticBatch(points, tuple(prov), meta)
 
 
 def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
-    """The global sampler, one selection draw, generator and Dirichlet draw per point.
+    """The global sampler, one selection draw and one Dirichlet draw per point.
 
     Point i's pair is one ``integers(0, [n_plus, n_plus - 1])`` draw, the
     partner shifted past the first index and the pair sorted; its weights are
-    ``sample_dirichlet((1, 1), point_stream(i))`` over that ascending pair.
+    the next two draws of the weights stream, over that ascending pair.
     """
     streams = SampleStreams(seed)
     idx_min = ds.minority_indices()
@@ -178,14 +194,15 @@ def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
         first, second = streams.selection.integers(0, [n_plus, n_plus - 1]).tolist()
         second += second >= first
         pair = tuple(sorted((int(idx_min[first]), int(idx_min[second]))))
-        lam = sample_dirichlet((1.0, 1.0), streams.point_stream(i))
+        lam = per_point_draw(streams, (1.0, 1.0))
         points[i] = lam @ ds.features[list(pair)]
         prov.append(Provenance(pair, tuple(lam.tolist())))
     return SyntheticBatch(points, tuple(prov), {"method": "global", "seed": seed})
 
 
 def per_point_gaussian(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
-    """The Gaussian sampler, one generator per point (n_plus >= 2)."""
+    """The Gaussian sampler, point i from the next d normals of the weights stream
+    (n_plus >= 2)."""
     minority = ds.minority_features()
     mu = minority.mean(axis=0)
     cov = np.cov(minority, rowvar=False).reshape(ds.d, ds.d)
@@ -194,7 +211,7 @@ def per_point_gaussian(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
     streams = SampleStreams(seed)
     points = np.empty((m, ds.d))
     for i in range(m):
-        z = streams.point_stream(i).standard_normal(ds.d)
+        z = streams.weights.standard_normal(ds.d)
         points[i] = mu + chol @ z
     prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
     return SyntheticBatch(points, prov, {"method": "gaussian", "seed": seed})

@@ -1,4 +1,5 @@
-import tracemalloc
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -27,17 +28,18 @@ from simbal.samplers import (
     INVERSE_SAFETY,
     PLUS_ONE_SAFETY,
     POINT_SAMPLERS,
+    Provenance,
     SampleStreams,
     SamplerParameterError,
     SyntheticBatch,
-    _dirichlet_rows,
 )
-from simbal.geometry import sample_dirichlet
+from simbal import samplers, variants
 from simbal.variants import EmptyBorderlineError
 
 from helpers import (
     in_convex_hull,
     per_point_oversample,
+    per_point_simplices,
     random_imbalanced_dataset,
     reconstruction_error,
 )
@@ -323,74 +325,93 @@ class TestSimplicial:
         assert all(len(pr.simplex) == 5 for pr in batch.provenance)
 
 
-STREAM_ORDERS = {
-    "gapped": [0, 1, 2, 5, 17, 18, 33, 300, 315, 316, 4096, 65_551],
-    "descending": list(range(40, -1, -3)),
-    "repeated": [5, 5, 0, 5, 3, 3, 4],
-    "empty": [],
-    "negative": [-1, 4, -7, -7],
-    "sparse": [10 ** 9, 3, 10 ** 9 - 1, 123_456_789, 10 ** 9, 0, 2 ** 31 + 1, 2 ** 31],
-}
+def lone_vertex_dataset() -> Dataset:
+    """Three minority points whose mutual 1-NN graph leaves vertex 2 isolated."""
+    mino = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, -0.0, -0.0]]
+    maj = [[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0], [10.0, 10.0, 11.0]]
+    return Dataset(mino + maj, [1, 1, 1, -1, -1, -1, -1])
+
+
+class CountingGenerator:
+    """A generator that counts the calls of each of its methods in ``calls``."""
+
+    def __init__(self, rng, name, calls):
+        self._rng, self._name, self._calls = rng, name, calls
+
+    def __getattr__(self, attr):
+        method = getattr(self._rng, attr)
+
+        def counted(*args, **kwargs):
+            self._calls[self._name, attr] += 1
+            return method(*args, **kwargs)
+        return counted
 
 
 class TestStreams:
-    def test_point_streams_are_fixed_offsets(self):
-        ds = tiny_dataset(seed=21)
-        seed = 22
-        batch = oversample_simplicial(ds, k=3, p=MAXIMAL, m=6, seed=seed)
-        for i, pr in enumerate(batch.provenance):
-            lam = sample_dirichlet(np.ones(len(pr.simplex)),
-                                   SampleStreams(seed).point_stream(i))
-            assert np.array_equal(np.asarray(pr.lam), lam)
-
     @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
-    def test_point_streams_match_jumped(self, seed):
+    def test_streams_are_the_seed_and_its_first_two_jumps(self, seed):
         streams = SampleStreams(seed)
-        for i, rng in enumerate(streams.point_streams(range(300))):
-            assert rng.bit_generator.state == np.random.PCG64(seed).jumped(i + 1).state
+        assert streams.selection.bit_generator.state == np.random.PCG64(seed).state
+        assert streams.weights.bit_generator.state == np.random.PCG64(seed).jumped(1).state
+        assert streams.uniforms.bit_generator.state == np.random.PCG64(seed).jumped(2).state
 
-    def test_point_streams_follow_given_order(self):
-        streams = SampleStreams(5)
-        draws = [rng.standard_normal(3) for rng in streams.point_streams([7, 2, 7])]
-        assert np.array_equal(draws[0], streams.point_stream(7).standard_normal(3))
-        assert np.array_equal(draws[1], streams.point_stream(2).standard_normal(3))
-        assert np.array_equal(draws[2], draws[0])
+    @pytest.mark.parametrize("method,ds,cfg", [
+        (Method.SMOTE, tiny_dataset(seed=21), {"k": 3}),
+        (Method.SIMPLICIAL, tiny_dataset(seed=21), {"k": 3}),
+        (Method.SIMPLICIAL, lone_vertex_dataset(), {"k": 1, "symmetrize": "mutual"}),
+    ], ids=["smote", "simplicial", "simplicial-lone-vertices"])
+    def test_weights_are_slices_of_one_exponential_draw(self, method, ds, cfg):
+        # point i's weights are the next len(simplex) exponentials of the
+        # seed's first jump after points 0..i-1 took theirs, lone vertices too
+        seed = 22
+        batch = oversample(ds, SamplerConfig(method, seed=seed, target_count=60, **cfg))
+        sizes = [len(pr.simplex) for pr in batch.provenance]
+        raw = np.random.Generator(np.random.PCG64(seed).jumped(1)).standard_exponential(sum(sizes))
+        if "symmetrize" in cfg:
+            assert 1 in sizes and 2 in sizes
+        start = 0
+        for pr, size in zip(batch.provenance, sizes):
+            draws = raw[start:start + size]
+            start += size
+            assert np.asarray(pr.lam).tobytes() == (draws / draws.sum()).tobytes()
 
-    @pytest.mark.parametrize("order", STREAM_ORDERS.values(), ids=STREAM_ORDERS.keys())
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-    def test_point_streams_are_jumped_generators(self, seed, order):
-        # each state is computed from the previous index's, also when the order
-        # goes back; indices near 10**9 build no table up to them
-        streams = SampleStreams(seed)
-        tracemalloc.start()
-        try:
-            exponential = [(rng.bit_generator.state, rng.standard_exponential(3))
-                           for rng in streams.point_streams(order)]
-            gamma = [(rng.standard_gamma(0.4), rng.uniform(size=2))
-                     for rng in streams.point_streams(order)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-        assert len(exponential) == len(gamma) == len(order)
-        for i, (state, draws), (g, u) in zip(order, exponential, gamma):
-            jumped = np.random.PCG64(seed).jumped(i + 1)
-            assert state == jumped.state
-            assert np.array_equal(draws, np.random.Generator(jumped).standard_exponential(3))
-            rng = np.random.Generator(np.random.PCG64(seed).jumped(i + 1))
-            assert g == rng.standard_gamma(0.4)
-            assert np.array_equal(u, rng.uniform(size=2))
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_one_draw_call_per_stream_whatever_m(self, method, monkeypatch):
+        # a per-point loop over any stream would make m calls
+        calls = Counter()
 
-    def test_dirichlet_rows_match_sample_dirichlet(self):
-        # small alphas take the boosted path with uniforms; 1e-300 underflows
-        # every component and falls back to the simplex centre
-        alpha = np.array([[0.3, 2.0, 1.0], [1e-300, 1e-300, 1e-300], [5.0, 0.01, 1.0],
-                          [1.0, 1.0, 1.0]])
-        streams = SampleStreams(9)
-        rows = _dirichlet_rows(alpha, 3, streams.point_streams(range(4)))
-        for i in range(4):
-            assert np.array_equal(rows[i], sample_dirichlet(alpha[i], streams.point_stream(i)))
-        assert rows[1].tolist() == [1 / 3] * 3
+        class CountingStreams(SampleStreams):
+            def __init__(self, seed):
+                super().__init__(seed)
+                for name in ("selection", "weights", "uniforms"):
+                    setattr(self, name, CountingGenerator(getattr(self, name), name, calls))
+
+        ds = random_imbalanced_dataset(2)
+        for m in (1, 40, 400):
+            cfg = SamplerConfig(method, k=5, seed=7, target_count=m)
+            want = oversample(ds, cfg)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(samplers, "SampleStreams", CountingStreams)
+                patch.setattr(variants, "SampleStreams", CountingStreams)
+                got = oversample(ds, cfg)
+            assert np.array_equal(got.points, want.points) and got.provenance == want.provenance
+            assert calls and max(calls.values()) == 1, dict(calls)
+
+
+class TestProvenance:
+    def test_records_are_slotted_and_frozen(self):
+        pr = Provenance((0, 2), (0.25, 0.75))
+        assert not hasattr(pr, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            pr.lam = (1.0, 0.0)
+
+    def test_equality_hash_and_repr(self):
+        pr = Provenance((0, 2), (0.25, 0.75))
+        assert pr == Provenance((0, 2), (0.25, 0.75))
+        assert hash(pr) == hash(Provenance((0, 2), (0.25, 0.75)))
+        assert pr != Provenance((0, 2), (0.25, 0.75), kind="gaussian")
+        assert repr(pr) == "Provenance(simplex=(0, 2), lam=(0.25, 0.75), kind='barycentric')"
 
 
 def tight_cluster_dataset() -> Dataset:
@@ -433,10 +454,27 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
         assert got[2] == want[2]
 
 
+def test_small_alphas_match_per_point_oracle():
+    # no method's alphas go below 1, so only a custom alpha_fn reads the
+    # uniforms stream; 1e-300 underflows every component of simplex (3, 4, 5)
+    # and falls back to the simplex centre
+    vertex_alpha = np.array([0.3, 2.0, 1.0, 1e-300, 1e-300, 1e-300, 5.0, 0.01])
+    features = np.random.Generator(np.random.PCG64(9)).normal(size=(8, 3))
+    simplices = [(0,), (0, 1), (3, 4, 5), (0, 1, 2, 6), (5, 6, 7), (2, 7)]
+    alpha_fn = lambda verts: vertex_alpha[np.asarray(verts)]  # noqa: E731
+    got, want = (sample(features, simplices, 200, SampleStreams(9), {}, alpha_fn=alpha_fn)
+                 for sample in (samplers._sample_from_simplices, per_point_simplices))
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.provenance == want.provenance
+    centred = [pr.lam for pr in got.provenance if pr.simplex == (3, 4, 5)]
+    assert centred and all(lam == (1 / 3,) * 3 for lam in centred)
+
+
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_larger_target_count_extends_the_batch(method):
-    # point i is a function of i alone: its selection draw comes i-th on the
-    # selection stream and its weights from its own stream
+    # the first 37 points are the same in both batches: point i's selection
+    # draw comes i-th on the selection stream, and its weights follow those of
+    # points 0..i-1 on the weights stream
     for seed in range(10):
         ds = random_imbalanced_dataset(seed)
         small, large = (_outcome(lambda: oversample(ds, SamplerConfig(
@@ -454,9 +492,7 @@ def test_larger_target_count_extends_the_batch(method):
 def test_lone_vertex_rows_copy_their_vertex(method):
     # vertex 2's nearest minority point is 1, whose own is 0, so the mutual
     # 1-NN graph leaves 2 isolated; its -0.0 coordinates must survive the copy
-    mino = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, -0.0, -0.0]]
-    maj = [[10.0, 10.0, 10.0], [11.0, 10.0, 10.0], [10.0, 11.0, 10.0], [10.0, 10.0, 11.0]]
-    ds = Dataset(mino + maj, [1, 1, 1, -1, -1, -1, -1])
+    ds = lone_vertex_dataset()
     batch = oversample(ds, SamplerConfig(method, k=1, seed=3, target_count=64,
                                          symmetrize="mutual"))
     lone = [i for i, pr in enumerate(batch.provenance) if pr.simplex == (2,)]
