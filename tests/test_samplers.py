@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -347,6 +348,16 @@ class CountingGenerator:
         return counted
 
 
+STREAM_ORDERS = {
+    "gapped": [0, 1, 2, 5, 17, 18, 33, 300, 315, 316, 4096, 65_551],
+    "descending": list(range(40, -1, -3)),
+    "repeated": [5, 5, 0, 5, 3, 3, 4],
+    "empty": [],
+    "negative": [-1, 4, -7, -7],
+    "sparse": [10 ** 9, 3, 10 ** 9 - 1, 123_456_789, 10 ** 9, 0, 2 ** 31 + 1, 2 ** 31],
+}
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
     def test_streams_are_the_seed_and_its_first_two_jumps(self, seed):
@@ -354,6 +365,38 @@ class TestStreams:
         assert streams.selection.bit_generator.state == np.random.PCG64(seed).state
         assert streams.weights.bit_generator.state == np.random.PCG64(seed).jumped(1).state
         assert streams.uniforms.bit_generator.state == np.random.PCG64(seed).jumped(2).state
+
+    @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
+    def test_point_streams_match_jumped(self, seed):
+        streams = SampleStreams(seed)
+        for i in range(300):
+            assert streams.point_stream(i).bit_generator.state == \
+                np.random.PCG64(seed).jumped(i + 1).state
+
+    @pytest.mark.parametrize("order", STREAM_ORDERS.values(), ids=STREAM_ORDERS.keys())
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_point_streams_are_jumped_generators(self, seed, order):
+        # point_stream(i) is PCG64(seed).jumped(i + 1) in any lookup order;
+        # indices near 10**9 build no table up to them
+        streams = SampleStreams(seed)
+        tracemalloc.start()
+        try:
+            exponential = [(rng.bit_generator.state, rng.standard_exponential(3))
+                           for rng in map(streams.point_stream, order)]
+            gamma = [(rng.standard_gamma(0.4), rng.uniform(size=2))
+                     for rng in map(streams.point_stream, order)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert len(exponential) == len(gamma) == len(order)
+        for i, (state, draws), (g, u) in zip(order, exponential, gamma):
+            jumped = np.random.PCG64(seed).jumped(i + 1)
+            assert state == jumped.state
+            assert np.array_equal(draws, np.random.Generator(jumped).standard_exponential(3))
+            rng = np.random.Generator(np.random.PCG64(seed).jumped(i + 1))
+            assert g == rng.standard_gamma(0.4)
+            assert np.array_equal(u, rng.uniform(size=2))
 
     @pytest.mark.parametrize("method,ds,cfg", [
         (Method.SMOTE, tiny_dataset(seed=21), {"k": 3}),
