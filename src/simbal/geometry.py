@@ -1,16 +1,14 @@
-"""Barycentric geometry: Dirichlet weights and simplex projection distances."""
+"""Barycentric geometry: Dirichlet weights and exact point-to-hull distances."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from .complexes import MAXIMAL, Skeleton, p_skeleton
+from . import graphs
+from .complexes import MAXIMAL, p_skeleton
 from .graphs import UNION, as_points, knn_graph
-
-# Projected-gradient solver defaults; simplices here are tiny (p+1 <= k+1
-# vertices), so a tight tolerance is cheap.
-PROJECTION_TOL = 1e-10
-PROJECTION_MAX_ITER = 10_000
 
 
 class GeometryParameterError(ValueError):
@@ -62,54 +60,58 @@ def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
     return dirichlet_weights(a, g, rng.uniform(size=a.size))
 
 
-def project_to_probability_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto {w : w >= 0, sum(w) = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css - 1.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _hull_distances(queries: np.ndarray, points: np.ndarray, simplices) -> np.ndarray:
+    """Distance from each query row to the nearest hull of a ``points`` row-id tuple.
+
+    Johnson's distance sub-algorithm of GJK (Gilbert, Johnson & Keerthi, IEEE
+    J. Robotics and Automation 4(2), 1988): the nearest point lies in the
+    relative interior of a face of at most d + 1 vertices (Caratheodory). The
+    distinct such faces, at most sum_{s <= min(w, d+1)} C(w, s) per simplex of
+    w vertices, are solved per size as one stack: the normal equations of each
+    face's affine hull in differences to its first vertex, through ``pinv`` of
+    the Gram stack, so repeated or collinear vertices raise nothing. Only
+    weights all >= 0 count, and the distance is to the point they rebuild,
+    not the solve's residual: a near-singular face can only over-estimate.
+    Coordinates are divided by one power of two (exact), so no square
+    overflows or underflows. Faces and query rows go in blocks, so no
+    temporary of the solve exceeds ``_BLOCK_ELEMS`` elements.
+    """
+    d = points.shape[1]
+    exp = np.frexp(max(np.abs(queries).max(), np.abs(points).max()))[1]
+    q, pts = np.ldexp(queries, -exp), np.ldexp(points, -exp)
+    faces = {face for simplex in simplices for size in range(1, min(len(simplex), d + 1) + 1)
+             for face in combinations(simplex, size)}
+    best = np.full(q.shape[0], np.inf)
+    for size in sorted({len(f) for f in faces}):
+        ids = np.array(sorted(f for f in faces if len(f) == size), dtype=int).reshape(-1, size)
+        face_block = max(1, graphs._BLOCK_ELEMS // (size * d))
+        for f0 in range(0, ids.shape[0], face_block):
+            verts = pts[ids[f0:f0 + face_block]]
+            base, edges = verts[:, 0], verts[:, 1:] - verts[:, :1]
+            inv = np.linalg.pinv(np.einsum("fsd,ftd->fst", edges, edges))
+            row_block = max(1, graphs._BLOCK_ELEMS // (verts.shape[0] * d))
+            for r0 in range(0, q.shape[0], row_block):
+                diff = q[r0:r0 + row_block, None, :] - base
+                mu = np.einsum("fst,bft->bfs", inv, np.einsum("bfd,fsd->bfs", diff, edges))
+                res = diff - np.einsum("bfs,fsd->bfd", mu, edges)
+                dist = np.sqrt(np.einsum("bfd,bfd->bf", res, res))
+                dist[(mu < 0.0).any(axis=-1) | (mu.sum(axis=-1) > 1.0)] = np.inf
+                best[r0:r0 + row_block] = np.minimum(best[r0:r0 + row_block], dist.min(axis=1))
+    return np.ldexp(best, exp)
 
 
-def distance_to_simplex(q, vertices, tol: float = PROJECTION_TOL,
-                        max_iter: int = PROJECTION_MAX_ITER) -> float:
+def distance_to_simplex(q, vertices) -> float:
     """Euclidean distance from point q to the convex hull of the vertex rows.
 
-    Minimizes ||lam @ V - q|| over the probability simplex by accelerated
-    projected gradient descent with a fixed 1/L step, L being the largest
-    eigenvalue of the vertex Gram matrix.
+    Raises ``GraphParameterError`` for an empty or non-finite q or vertex set.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim == 1:
-        verts = verts.reshape(-1, 1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if verts.ndim != 2 or q.shape[0] != verts.shape[1]:
+    verts = as_points(vertices)
+    q = as_points(np.asarray(q, dtype=float).reshape(1, -1))
+    if q.shape[1] != verts.shape[1]:
         raise GeometryParameterError(
-            f"point/vertex shape mismatch: q {q.shape} vs vertices {verts.shape}"
+            f"point/vertex shape mismatch: q {q.shape[1:]} vs vertices {verts.shape}"
         )
-    n_verts = verts.shape[0]
-    if n_verts == 1:
-        return float(np.linalg.norm(verts[0] - q))
-    gram = verts @ verts.T
-    lipschitz = float(np.linalg.eigvalsh(gram)[-1])
-    if lipschitz <= 0.0:
-        # All vertices at the origin; the hull is a single point.
-        return float(np.linalg.norm(q))
-    step = 1.0 / lipschitz
-    lam = np.full(n_verts, 1.0 / n_verts)
-    momentum = lam.copy()
-    t = 1.0
-    for _ in range(max_iter):
-        grad = (momentum @ verts - q) @ verts.T
-        nxt = project_to_probability_simplex(momentum - step * grad)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = nxt + ((t - 1.0) / t_next) * (nxt - lam)
-        shift = float(np.max(np.abs(nxt - lam)))
-        lam = nxt
-        t = t_next
-        if shift <= tol:
-            break
-    return float(np.linalg.norm(lam @ verts - q))
+    return float(_hull_distances(q, verts, [tuple(range(verts.shape[0]))])[0])
 
 
 def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXIMAL,
@@ -117,9 +119,9 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
     """Mean distance from each majority point to the nearest minority simplex.
 
     The geometric model is the p-skeleton of the minority kNN clique complex;
-    each majority point contributes its minimum projection distance over the
-    model's maximal simplices. A single minority point degenerates to the mean
-    point-to-point distance.
+    each majority point contributes its distance to the nearest of the model's
+    maximal simplices, all solved in one ``_hull_distances`` call. A single
+    minority point degenerates to the mean point-to-point distance.
     """
     maj = as_points(majority_pts)
     mino = as_points(minority_pts)
@@ -128,11 +130,7 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
             f"dimension mismatch: majority d={maj.shape[1]}, minority d={mino.shape[1]}"
         )
     if mino.shape[0] == 1:
-        sk = Skeleton(MAXIMAL, frozenset({(0,)}))
+        simplices = [(0,)]
     else:
-        sk = p_skeleton(knn_graph(mino, k, symmetrize), p)
-    simplices = sk.sorted_simplices()
-    total = 0.0
-    for q in maj:
-        total += min(distance_to_simplex(q, mino[list(s)]) for s in simplices)
-    return total / maj.shape[0]
+        simplices = p_skeleton(knn_graph(mino, k, symmetrize), p).maximal_simplices
+    return float(np.mean(_hull_distances(maj, mino, simplices)))

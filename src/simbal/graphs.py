@@ -27,9 +27,9 @@ MUTUAL = "mutual"
 # Elements of one temporary: the (block, n_ref) Gram block that ``nearest``
 # filters candidates with (8 MB of float64), the (pairs, d) coordinate
 # differences of its exact re-rank, gathered in chunks even when every pair
-# is a candidate, and the (block, n_b, d) difference tensor of
-# ``cross_distances``. It sets the row block size, so no full
-# (n_query, n_ref) matrix is ever held.
+# is a candidate, the (block, n_b, d) difference tensor of ``cross_distances``
+# and the (block, n_faces, d) tensors of ``geometry._hull_distances``. It sets
+# the row block size, so no full (n_query, n_ref) matrix is ever held.
 _BLOCK_ELEMS = 1_000_000
 
 # A block whose squared norms reach this (or are inf) is re-ranked on every

@@ -325,6 +325,19 @@ class TestDistanceDemo:
         assert len(vals) == 4
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "0"]])
+    def test_prints_the_pinned_text(self, capsys, seed_args):
+        assert main(["distance-demo", *seed_args]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "d1 = 0.7071 (origin to the edge between two standard basis points)",
+            "d2 = 0.5774 (origin to the triangle spanned by all three)",
+            "mean distance from a majority cloud to the minority model (k=4, seed=0):",
+            "  p=1: 1.4078",
+            "  p=2: 1.4047",
+            "  p=3: 1.4047",
+            "  p=max: 1.4047",
+        ]
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

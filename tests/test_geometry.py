@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from simbal import (
     MAXIMAL,
     distance_to_simplex,
+    graphs,
     mean_model_distance,
     sample_dirichlet,
 )
-from simbal.geometry import GeometryParameterError, project_to_probability_simplex
+from simbal.geometry import GeometryParameterError
 
 
 def rng_for(seed):
@@ -52,22 +53,6 @@ class TestSampleDirichlet:
             sample_dirichlet(alpha, rng_for(0))
 
 
-class TestProjectToProbabilitySimplex:
-    def test_already_feasible_fixed(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_to_probability_simplex(v), v, atol=1e-12)
-
-    def test_matches_exhaustive_small_cases(self):
-        rng = rng_for(5)
-        grid = np.array([w for w in np.ndindex(51, 51) if sum(w) <= 50]) / 50.0
-        grid = np.column_stack([grid, 1.0 - grid.sum(axis=1)])
-        for _ in range(20):
-            v = rng.normal(scale=2.0, size=3)
-            proj = project_to_probability_simplex(v)
-            best = grid[np.argmin(((grid - v) ** 2).sum(axis=1))]
-            assert np.linalg.norm(proj - v) <= np.linalg.norm(best - v) + 1e-9
-
-
 class TestDistanceToSimplex:
     def test_edge_distance_from_origin(self):
         verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -80,7 +65,7 @@ class TestDistanceToSimplex:
 
     def test_vertex_on_simplex_is_zero(self):
         verts = rng_for(6).normal(size=(4, 3))
-        for v in verts:
+        for v in [*verts, verts.mean(axis=0)]:  # the centroid needs all d + 1
             assert distance_to_simplex(v, verts) == pytest.approx(0.0, abs=1e-7)
 
     def test_single_vertex(self):
@@ -90,19 +75,64 @@ class TestDistanceToSimplex:
         from scipy.optimize import minimize
 
         rng = rng_for(7)
+        cases = []
         for _ in range(30):
             k = int(rng.integers(2, 6))
             d = int(rng.integers(2, 6))
-            verts = rng.normal(size=(k, d))
-            q = rng.normal(size=d)
-            got = distance_to_simplex(q, verts)
-            res = minimize(
-                lambda lam: float(np.sum((lam @ verts - q) ** 2)),
-                np.full(k, 1.0 / k),
-                constraints=[{"type": "eq", "fun": lambda lam: lam.sum() - 1.0}],
-                bounds=[(0.0, 1.0)] * k, method="SLSQP",
-                options={"ftol": 1e-14, "maxiter": 500})
-            assert got == pytest.approx(float(np.sqrt(res.fun)), abs=1e-5)
+            cases.append((rng.normal(size=(k, d)), rng.normal(size=d)))
+        # two inputs that need an exact solve to meet 1e-7; the second
+        # repeats a vertex, so some of its faces are singular
+        for seed, repeat in ((89, False), (216, True)):
+            r = np.random.default_rng(seed)
+            k, d = int(r.integers(1, 7)), int(r.integers(1, 6))
+            verts = r.normal(size=(k, d))
+            q = 2 * r.normal(size=d)
+            if repeat:
+                verts[1] = verts[0]
+            cases.append((verts, q))
+        for verts, q in cases:
+            k = verts.shape[0]
+            best = min(
+                minimize(
+                    lambda lam: float(np.sum((lam @ verts - q) ** 2)), start,
+                    constraints=[{"type": "eq", "fun": lambda lam: lam.sum() - 1.0}],
+                    bounds=[(0.0, 1.0)] * k, method="SLSQP",
+                    options={"ftol": 1e-14, "maxiter": 500}).fun
+                for start in [np.full(k, 1.0 / k), *np.eye(k)])
+            assert distance_to_simplex(q, verts) == pytest.approx(float(np.sqrt(best)), abs=1e-7)
+
+    def test_far_from_the_origin(self):
+        # differences to a face vertex keep the offset out of the rounding
+        got = distance_to_simplex(np.full(3, 1e8), np.eye(3) + 1e8)
+        assert abs(got - 1.0 / np.sqrt(3.0)) <= 1e-15
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_power_of_two_scaling_is_exact(self, e):
+        rng = rng_for(10)
+        for _ in range(20):
+            verts = rng.normal(size=(int(rng.integers(1, 6)), 3))
+            q = rng.normal(size=3)
+            assert distance_to_simplex(np.ldexp(q, e), np.ldexp(verts, e)) == np.ldexp(
+                distance_to_simplex(q, verts), e)
+
+    def test_huge_coordinates(self):
+        got = distance_to_simplex(np.zeros(3), 1e200 * np.eye(3))
+        assert got == pytest.approx(1e200 / np.sqrt(3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("q, verts", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([np.inf, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[np.nan, 0.0], [1.0, 1.0]]),
+        ([0.0, 0.0], [[-np.inf, 0.0], [1.0, 1.0]]),
+        ([0.0, 0.0], np.zeros((0, 2))),
+    ])
+    def test_invalid_input_raises_typed_error(self, q, verts):
+        with pytest.raises(graphs.GraphParameterError):
+            distance_to_simplex(q, verts)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GeometryParameterError):
+            distance_to_simplex(np.zeros(2), np.eye(3))
 
     def test_face_distance_never_smaller(self):
         rng = rng_for(8)
@@ -146,6 +176,34 @@ class TestMeanModelDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryParameterError):
             mean_model_distance(np.zeros((2, 2)), np.zeros((3, 3)), k=1)
+
+    @staticmethod
+    def demo_clouds():
+        """The minority and majority clouds of ``simbal distance-demo``."""
+        rng = rng_for(0)
+        mino = rng.normal(0.0, 1.0, size=(12, 2))
+        return mino, rng.normal(0.0, 2.0, size=(30, 2))
+
+    def test_same_faces_give_the_same_bits(self):
+        # in d = 2, p = 2, 3 and MAXIMAL have the same faces of up to d + 1
+        # vertices, and the nearest point lies on one of them (Caratheodory)
+        mino, maj = self.demo_clouds()
+        d2, d3, dmax = (mean_model_distance(maj, mino, k=4, p=p) for p in (2, 3, MAXIMAL))
+        assert d2 == d3 == dmax
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        mino, maj = self.demo_clouds()
+        full = mean_model_distance(maj, mino, k=4)
+        monkeypatch.setattr(graphs, "_BLOCK_ELEMS", 7)
+        assert mean_model_distance(maj, mino, k=4) == full
+
+    @pytest.mark.parametrize("e", [-400, 400])
+    def test_power_of_two_scaling_is_exact(self, e):
+        rng = rng_for(11)
+        mino = rng.normal(size=(10, 3))
+        maj = 2.0 * rng.normal(size=(8, 3))
+        assert mean_model_distance(np.ldexp(maj, e), np.ldexp(mino, e), k=4) == np.ldexp(
+            mean_model_distance(maj, mino, k=4), e)
 
 
 @settings(max_examples=50, deadline=None)
