@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import NeighborhoodGraph
+from .graphs import NeighborhoodGraph, _integer
 
 # Sentinel for "no cap on simplex dimension" (the full clique complex).
 MAXIMAL = None
@@ -36,10 +36,6 @@ class Skeleton:
 
     max_dim: int | None  # None = MAXIMAL
     maximal_simplices: frozenset[Simplex]
-
-    def sorted_simplices(self) -> list[Simplex]:
-        """Canonical (lexicographic) ordering, used for deterministic sampling."""
-        return sorted(self.maximal_simplices)
 
 
 def _bron_kerbosch_pivot(adj: list[int], r: Simplex, p: int, x: int,
@@ -95,7 +91,7 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     cliques are kept once (set semantics).
     """
     if p is not MAXIMAL:
-        p = int(p)
+        p = _integer(p, "p", SkeletonParameterError)
         if p < 1:
             raise SkeletonParameterError(
                 f"p must be >= 1 or MAXIMAL, got {p} (p=0 would reduce to point duplication)"

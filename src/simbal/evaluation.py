@@ -19,7 +19,7 @@ from .complexes import MAXIMAL, SubdivisionCapExceeded
 from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, SyntheticSpec,
                        generate_synthetic)
 # cross_distances is unused here; the benchmark's span tracer wraps it at this site
-from .graphs import UNION, cross_distances, nearest  # noqa: F401
+from .graphs import UNION, _integer, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, oversample)
@@ -53,9 +53,10 @@ def knn_classify(train: Dataset, test_points, k_clf: int = DEFAULT_K_CLF) -> np.
     """
     if train.n < 1:
         raise EvaluationError("training set is empty")
+    k_clf = _integer(k_clf, "k_clf", EvaluationError)
     if k_clf < 1:
         raise EvaluationError(f"k_clf must be >= 1, got {k_clf}")
-    k_eff = min(int(k_clf), train.n)
+    k_eff = min(k_clf, train.n)
     votes = np.sum(train.labels[nearest(test_points, train.features, k_eff)] == MINORITY, axis=1)
     return np.where(2 * votes >= k_eff, MINORITY, MAJORITY)
 

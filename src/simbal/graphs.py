@@ -16,6 +16,7 @@ index wins. Distances are Euclidean throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ _NORM_LIMIT = 2.0 ** 1000
 
 class GraphParameterError(ValueError):
     """Raised when a graph parameter is outside its valid range."""
+
+
+def _integer(value, what: str, error: type[ValueError] = GraphParameterError) -> int:
+    """``value`` as a Python int: numpy ints pass, a float raises ``error``, not truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def as_points(points) -> np.ndarray:
@@ -194,7 +203,7 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     are exact whatever the BLAS and its thread count.
     """
     q, r = as_points(query), as_points(ref)
-    k, skip = int(k), self_ids is not None
+    k, skip = _integer(k, "k"), self_ids is not None
     if not 1 <= k <= r.shape[0] - skip:
         raise GraphParameterError(f"k must satisfy 1 <= k <= {r.shape[0] - skip}, got {k}")
     if skip and np.shape(self_ids) != (q.shape[0],):
@@ -230,7 +239,7 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
     lower index); the directed lists are then merged. With ``union`` an edge
     exists if either endpoint lists the other, with ``mutual`` only if both do.
     """
-    pts = as_points(points)
+    pts, k = as_points(points), _integer(k, "k")
     n = pts.shape[0]
     if not 1 <= k <= n - 1:
         raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")

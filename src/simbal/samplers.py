@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .datasets import Dataset, DatasetError, MINORITY
 # sample_dirichlet is not called here any more, but stays importable from this
 # module: perfbench traces the Dirichlet draw at this lookup site.
 from .geometry import dirichlet_weights, gamma_shapes, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, knn_graph
+from .graphs import MUTUAL, UNION, _integer, knn_graph
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -88,12 +89,12 @@ class SamplerConfig:
         if not isinstance(self.method, Method):
             raise SamplerParameterError(f"method must be a Method, got {self.method!r}")
         if self.method in GRAPH_METHODS:
-            if self.k is None or int(self.k) < 1:
+            if self.k is None or _integer(self.k, "k", SamplerParameterError) < 1:
                 raise SamplerParameterError(
                     f"method {self.method.value} needs a neighborhood size k >= 1, got {self.k!r}"
                 )
             if self.p is not MAXIMAL:
-                if int(self.p) < 1:
+                if _integer(self.p, "p", SamplerParameterError) < 1:
                     raise SamplerParameterError(f"p must be >= 1 or MAXIMAL, got {self.p}")
                 # edge-only methods force p to 1, so the p given cannot exceed k
                 if not GRAPH_VARIANTS[self.method][1] and int(self.p) > int(self.k):
@@ -101,9 +102,10 @@ class SamplerConfig:
                         f"p={self.p} exceeds k={self.k}; a k-neighborhood cannot ask for "
                         f"higher-order simplices than it has neighbors"
                     )
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= _integer(self.seed, "seed", SamplerParameterError) < 2 ** 64:
             raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.target_count is not None and int(self.target_count) < 0:
+        if (self.target_count is not None
+                and _integer(self.target_count, "target_count", SamplerParameterError) < 0):
             raise SamplerParameterError(f"target_count must be >= 0, got {self.target_count}")
         if self.safelevel_formula not in (INVERSE_SAFETY, PLUS_ONE_SAFETY):
             raise SamplerParameterError(
@@ -122,6 +124,10 @@ class Provenance:
     simplex: tuple[int, ...]  # dataset-level vertex ids, ascending; () for gaussian
     lam: tuple[float, ...]    # barycentric weights, aligned with simplex
     kind: str = "barycentric"
+
+
+# The record of every Gaussian point; frozen, so one instance serves a batch.
+_GAUSSIAN_PROVENANCE = Provenance((), (), kind="gaussian")
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,9 @@ class SampleStreams:
     point order. ``weights`` (``PCG64(seed).jumped(1)``) holds the raw
     Dirichlet variates of every point in point order: point i's simplex has
     w_i vertices, lone ones included, and its draws are the w_i values after
-    the w_0 + ... + w_{i-1} of the points before it. ``uniforms``
+    the w_0 + ... + w_{i-1} of the points before it. That is the row-major
+    order of the unpadded slots of the batch's (m, w) simplex array, the order
+    in which a boolean-mask assignment fills them. ``uniforms``
     (``PCG64(seed).jumped(2)``) holds the uniforms of the small-alpha boost in
     the same layout. Each is read by one vectorised call per batch, and numpy
     fills arrays in order, so a larger batch extends a smaller one bit for bit.
@@ -170,7 +178,7 @@ class SampleStreams:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed", SamplerParameterError)
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
 
     @cached_property
@@ -192,7 +200,7 @@ class SampleStreams:
 
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
     if target_count is not None:
-        return int(target_count)
+        return _integer(target_count, "target_count", SamplerParameterError)
     gap = ds.n_majority - ds.n_minority
     if gap < 0:
         raise DatasetError(
@@ -211,7 +219,7 @@ def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     if ds.n_minority < 1:
         raise SamplerParameterError("need at least one minority point")
     meta = {"method": Method.RANDOM.value, "seed": int(seed)}
-    return _sample_from_simplices(ds.features, [(v,) for v in ds.minority_indices().tolist()],
+    return _sample_from_simplices(ds.features, ds.minority_indices()[:, None],
                                   _resolve_m(ds, m), SampleStreams(seed), meta)
 
 
@@ -237,9 +245,7 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    verts = idx_min[pairs]
-    return _draw_simplices(ds.features, [(np.arange(m), verts, list(map(tuple, verts.tolist())))],
-                           streams, meta)
+    return _draw_simplices(ds.features, idx_min[pairs], streams, meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -266,8 +272,7 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
         points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
     if not np.isfinite(points).all():
         raise SamplerParameterError("Gaussian draws overflow; rescale the features")
-    prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
-    return SyntheticBatch(points, prov, meta)
+    return SyntheticBatch(points, (_GAUSSIAN_PROVENANCE,) * m, meta)
 
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
@@ -295,79 +300,69 @@ def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
     return sk, idx_min, info
 
 
-def _sample_from_simplices(features: np.ndarray, simplices: list[tuple[int, ...]],
-                           m: int, streams: SampleStreams, meta: dict,
+def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,
+                           streams: SampleStreams, meta: dict,
                            weights: np.ndarray | None = None,
                            alpha_fn=None) -> SyntheticBatch:
-    """Pick one of ``simplices`` per point on the selection stream, then draw them.
+    """Pick one row of the simplex ``table`` per point on the selection stream, then draw them.
 
-    ``simplices`` hold dataset-level vertex ids in canonical order;
-    ``weights`` switches selection from uniform to the given distribution;
-    ``alpha_fn`` maps a simplex to its Dirichlet parameters (default all-ones).
-    The m picks are one call, so a larger m extends a batch.
+    ``table`` holds one simplex per row, dataset-level ids ascending and padded
+    with -1, in canonical order (see ``dataset_level_simplices``); ``weights``
+    switches selection from uniform to the given distribution; ``alpha_fn``
+    maps an array of vertex ids to their Dirichlet parameters (default
+    all-ones). The m picks are one call, so a larger m extends a batch.
     """
     if weights is None:
-        sel = streams.selection.integers(0, len(simplices), size=m)
+        sel = streams.selection.integers(0, table.shape[0], size=m)
     else:
-        sel = streams.selection.choice(len(simplices), size=m, p=weights)
-    sizes = np.fromiter(map(len, simplices), dtype=int, count=len(simplices))
-    picked = sizes[sel]
-    chosen = []
-    for size in np.unique(picked).tolist():
-        rows = np.flatnonzero(picked == size)
-        named = [simplices[c] for c in sel[rows].tolist()]
-        chosen.append((rows, np.array(named, dtype=int), named))
-    return _draw_simplices(features, chosen, streams, meta, alpha_fn)
+        sel = streams.selection.choice(table.shape[0], size=m, p=weights)
+    return _draw_simplices(features, table[sel], streams, meta, alpha_fn)
 
 
-def _draw_simplices(features: np.ndarray, chosen: list[tuple[np.ndarray, np.ndarray, list]],
-                    streams: SampleStreams, meta: dict, alpha_fn=None) -> SyntheticBatch:
+def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStreams,
+                    meta: dict, alpha_fn=None) -> SyntheticBatch:
     """Shared back half of every barycentric sampler: each point from its chosen simplex.
 
-    ``chosen`` holds (rows, verts, named) triples, one per simplex size: point
-    ``rows[j]`` comes from the simplex ``verts[j]``, ascending dataset-level
-    ids, whose tuple of Python ints ``named[j]`` goes into its provenance; the
-    rows of all triples number the points 0..m-1 once each. Point i is
-    ``lam @ features[simplex]`` with ``lam`` ~ Dirichlet(``alpha_fn`` or
-    all-ones), and its provenance records both. The raw variates of all m
-    points come from one call on the weights stream (and one on the uniforms
-    stream when ``alpha_fn`` is given), laid out in point order as
-    ``SampleStreams`` describes; all-ones draws are standard exponentials,
-    which is what ``standard_gamma(1.0)`` draws. A lone vertex takes its
-    share of draws but has the constant weight 1 and is copied. Sizes are
-    normalized one at a time: padding rows to a common width would change how
-    numpy's pairwise sum rounds the normalizing totals.
+    Row i of ``verts`` is point i's simplex: ascending dataset-level ids, padded
+    with -1. Point i is ``lam @ features[simplex]`` with ``lam`` ~
+    Dirichlet(``alpha_fn`` of its ids, or all-ones), and its provenance records
+    both. The raw variates of all m points come from one call on the weights
+    stream (and one on the uniforms stream when ``alpha_fn`` is given), laid
+    out in point order as ``SampleStreams`` describes: a boolean-mask
+    assignment fills the unpadded slots row by row. All-ones draws are
+    standard exponentials, which is what ``standard_gamma(1.0)`` draws. A
+    lone vertex takes its share of draws but has the constant weight 1 and is
+    copied. Widths are normalized and combined one at a time: padding rows to
+    a common width would change how numpy's pairwise sum rounds the
+    normalizing totals.
     """
-    m = sum(rows.size for rows, _, _ in chosen)
-    width = np.zeros(m, dtype=np.intp)
-    for rows, verts, _ in chosen:
-        width[rows] = verts.shape[1]
-    start = np.cumsum(width) - width
-    slots = [start[rows, None] + np.arange(verts.shape[1]) for rows, verts, _ in chosen]
+    m = verts.shape[0]
+    if m == 0:
+        return _empty_batch(features.shape[1], meta)
+    filled = verts >= 0
+    width = np.count_nonzero(filled, axis=1)
     total = int(width.sum())
+    alpha, gammas, uniforms = np.ones(verts.shape), np.zeros(verts.shape), np.zeros(verts.shape)
     if alpha_fn is None:
-        alphas, uniforms = [1.0] * len(chosen), None
-        gammas = streams.weights.standard_exponential(total)
+        gammas[filled] = streams.weights.standard_exponential(total)
     else:
-        alphas = [alpha_fn(verts) for _, verts, _ in chosen]
-        shapes = np.empty(total)
-        for at, alpha in zip(slots, alphas):
-            shapes[at] = gamma_shapes(alpha)
-        gammas = streams.weights.standard_gamma(shapes)
-        uniforms = streams.uniforms.uniform(size=total)
+        alpha[filled] = alpha_fn(verts[filled])
+        gammas[filled] = streams.weights.standard_gamma(gamma_shapes(alpha[filled]))
+        uniforms[filled] = streams.uniforms.uniform(size=total)
     points = np.empty((m, features.shape[1]))
-    prov = [None] * m
-    for (rows, verts, named), at, alpha in zip(chosen, slots, alphas):
-        if not rows.size:
-            continue
-        if verts.shape[1] == 1:
+    prov, shared = [None] * m, {}  # the batch keeps one tuple per simplex, not per point
+    for w in np.unique(width).tolist():
+        rows = np.flatnonzero(width == w)
+        simplices = verts[rows, :w]
+        if w == 1:
             lam = np.ones((rows.size, 1))
-            points[rows] = features[verts[:, 0]]
+            points[rows] = features[simplices[:, 0]]
         else:
-            lam = dirichlet_weights(alpha, gammas[at], None if uniforms is None else uniforms[at])
-            points[rows] = _combine(features, verts, lam)
-        for i, simplex, weights in zip(rows.tolist(), named, lam.tolist()):
-            prov[i] = Provenance(simplex, tuple(weights))
+            lam = dirichlet_weights(alpha[rows, :w], gammas[rows, :w], uniforms[rows, :w])
+            points[rows] = _combine(features, simplices, lam)
+        for i, simplex, weights in zip(rows.tolist(), map(tuple, simplices.tolist()),
+                                       lam.tolist()):
+            prov[i] = Provenance(shared.setdefault(simplex, simplex), tuple(weights))
     return SyntheticBatch(points, tuple(prov), meta)
 
 
@@ -376,13 +371,17 @@ def _combine(features: np.ndarray, verts: np.ndarray, lam: np.ndarray) -> np.nda
     return np.matmul(lam[:, None, :], features[verts])[:, 0, :]
 
 
-def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> list[tuple[int, ...]]:
-    """Map a local skeleton to sorted dataset-level vertex tuples.
+def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> np.ndarray:
+    """The simplex table of a local skeleton: row i holds the ``ids`` of the
+    i-th simplex in lexicographic order, padded with -1.
 
-    ``ids`` ascend, so the map is monotone and keeps the skeleton's order.
+    ``ids`` ascend, so the map is monotone and the rows ascend too.
     """
-    ids = ids.tolist()
-    return [tuple(ids[v] for v in s) for s in sk.sorted_simplices()]
+    simplices = sorted(sk.maximal_simplices)
+    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
+    local = np.full((sizes.size, sizes.max(initial=0)), -1)
+    local[np.arange(local.shape[1]) < sizes[:, None]] = list(chain.from_iterable(simplices))
+    return np.append(ids, -1)[local]
 
 
 def oversample_simplicial(ds: Dataset, k: int, p: int | None = MAXIMAL,

@@ -25,7 +25,7 @@ import numpy as np
 # span tracer wraps them at this site
 from .complexes import MAXIMAL, p_skeleton  # noqa: F401
 from .datasets import Dataset, MINORITY
-from .graphs import UNION, knn_graph, nearest, pairwise_distances  # noqa: F401
+from .graphs import UNION, _integer, knn_graph, nearest, pairwise_distances  # noqa: F401
 from .samplers import (
     ADASYN,
     BORDERLINE,
@@ -83,7 +83,7 @@ def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.
     Row r lists the k nearest neighbors of the r-th minority point in
     (distance, index) order, self excluded.
     """
-    k = int(k)
+    k = _integer(k, "safety neighborhood size", SamplerParameterError)
     if k < 1:
         raise SamplerParameterError(f"safety neighborhood size must be >= 1, got {k}")
     if k >= ds.n:
@@ -154,13 +154,18 @@ def adasyn_weights(safety: NeighborhoodSafety, simplices) -> np.ndarray:
     simplices = list(simplices)
     if not simplices:
         raise SamplerParameterError("need at least one simplex to weight")
-    sizes = np.array([len(s) for s in simplices])
-    k_minus = safety.k_minus[_rows(safety, [v for s in simplices for v in s], "ADASYN weights")]
+    return _adasyn_weights(safety, [v for s in simplices for v in s],
+                           np.array([len(s) for s in simplices]))
+
+
+def _adasyn_weights(safety: NeighborhoodSafety, vertices, sizes: np.ndarray) -> np.ndarray:
+    """``adasyn_weights`` of simplices of ``sizes`` vertices, listed in turn in ``vertices``."""
+    k_minus = safety.k_minus[_rows(safety, vertices, "ADASYN weights")]
     # exact integer sums per simplex, then mean and ratio as floats
     raw = np.add.reduceat(k_minus, np.cumsum(sizes) - sizes) / sizes / safety.k
     total = raw.sum()
     if total <= 0.0:
-        return np.full(len(simplices), 1.0 / len(simplices))
+        return np.full(sizes.size, 1.0 / sizes.size)
     return raw / total
 
 
@@ -214,10 +219,10 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
         ids = ds.minority_indices()
     m = _resolve_m(ds, cfg.target_count)
     sk, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
-    simplices = dataset_level_simplices(sk, ids)
+    table = dataset_level_simplices(sk, ids)
     if variant == BORDERLINE:
         # the support has at most n_plus points, so clamping k to it clamps safety_k too
-        simplices = [s for s in simplices if any(v in border for v in s)]
+        table = table[np.isin(table, list(border)).any(axis=1)]
         info.update(safety_k=safety_k, borderline=tuple(sorted(border)))
     meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
             "p": "max" if p is MAXIMAL else int(p)}
@@ -228,7 +233,7 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
             meta["formula"] = cfg.safelevel_formula
             alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
         else:
-            weights = adasyn_weights(safety, simplices)
-    meta.update(info, n_candidate_simplices=len(simplices))
-    return _sample_from_simplices(ds.features, simplices, m, SampleStreams(cfg.seed), meta,
+            weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
+    meta.update(info, n_candidate_simplices=table.shape[0])
+    return _sample_from_simplices(ds.features, table, m, SampleStreams(cfg.seed), meta,
                                   weights=weights, alpha_fn=alpha_fn)

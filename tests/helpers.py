@@ -159,7 +159,8 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
     This is the definition the batched sampler must match bit for bit: point i
     takes its simplex's size of draws from the weights and uniforms streams
     after points 0..i-1 took theirs, lone vertices included, and is
-    ``lam @ X[simplex]``.
+    ``lam @ X[simplex]``. ``simplices`` is the sampler's table, one simplex per
+    row padded with -1; the pads are stripped from the row a point picks.
     """
     if m == 0:
         return SyntheticBatch(np.empty((0, features.shape[1])), (), meta)
@@ -170,7 +171,7 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
     points = np.empty((m, features.shape[1]))
     prov = []
     for i in range(m):
-        simplex = simplices[int(sel[i])]
+        simplex = tuple(v for v in simplices[int(sel[i])].tolist() if v >= 0)
         alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
         lam = per_point_draw(streams, alpha)
         points[i] = lam @ features[list(simplex)]

@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from simbal import (
     oversample_simplicial,
     oversample_smote,
 )
-from simbal.complexes import SubdivisionCapExceeded
-from simbal.evaluation import method_grid
+from simbal.complexes import Skeleton, SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
+from simbal.evaluation import EvaluationError, knn_classify, method_grid
+from simbal.graphs import GraphParameterError, nearest
 from simbal.samplers import (
     GRAPH_METHODS,
     GRAPH_VARIANTS,
@@ -91,6 +93,43 @@ class TestSamplerConfig:
     def test_seed_range(self):
         with pytest.raises(SamplerParameterError):
             SamplerConfig(Method.RANDOM, seed=2 ** 64)
+
+    def test_numpy_integers_are_accepted(self):
+        ds = random_imbalanced_dataset(2)
+        cfg = SamplerConfig(Method.SIMPLICIAL, k=np.int64(3), p=np.int32(2),
+                            seed=np.uint64(2 ** 64 - 1), target_count=np.int64(4))
+        batch = oversample(ds, cfg)
+        assert batch.m == 4 and batch.meta["k_used"] == 3
+        assert batch.provenance == oversample(ds, SamplerConfig(
+            Method.SIMPLICIAL, k=3, p=2, seed=2 ** 64 - 1, target_count=4)).provenance
+
+
+_POINTS = np.arange(12.0).reshape(6, 2)
+_LABELLED = Dataset(_POINTS, [1, 1, 1, -1, -1, -1])
+
+# a float where a count belongs is an error, never the integer below it
+NON_INTEGRAL = {
+    "config-k": (lambda: SamplerConfig(Method.SIMPLICIAL, k=2.7), SamplerParameterError),
+    "config-p": (lambda: SamplerConfig(Method.SIMPLICIAL, k=3, p=2.5), SamplerParameterError),
+    "config-target_count": (lambda: SamplerConfig(Method.RANDOM, target_count=3.9),
+                            SamplerParameterError),
+    "config-seed": (lambda: SamplerConfig(Method.RANDOM, seed=1.5), SamplerParameterError),
+    "oversample_random-m": (lambda: oversample_random(_LABELLED, 3.9), SamplerParameterError),
+    "oversample_random-seed": (lambda: oversample_random(_LABELLED, 3, seed=1.5),
+                               SamplerParameterError),
+    "compute_safety-k": (lambda: variants.compute_safety(_LABELLED, 2.5), SamplerParameterError),
+    "knn_graph-k": (lambda: knn_graph(_POINTS, 2.5), GraphParameterError),
+    "nearest-k": (lambda: nearest(_POINTS, _POINTS, 2.5), GraphParameterError),
+    "p_skeleton-p": (lambda: p_skeleton(knn_graph(_POINTS, 2), 1.5), SkeletonParameterError),
+    "knn_classify-k_clf": (lambda: knn_classify(_LABELLED, _POINTS, k_clf=2.5), EvaluationError),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGRAL)
+def test_non_integral_counts_are_typed_errors(case):
+    run, error = NON_INTEGRAL[case]
+    with pytest.raises(error, match="must be an integer"):
+        run()
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -231,6 +270,8 @@ class TestGaussian:
     def test_provenance_kind(self):
         batch = oversample_gaussian(tiny_dataset(), m=3, seed=0)
         assert all(pr.kind == "gaussian" and pr.simplex == () for pr in batch.provenance)
+        assert batch.provenance == (Provenance((), (), kind="gaussian"),) * 3
+        assert repr(batch.provenance[2]) == "Provenance(simplex=(), lam=(), kind='gaussian')"
 
     def test_overflowing_fit_is_a_typed_error(self):
         # np.cov of coordinates near 1e155 overflows; the draws used to be all inf
@@ -503,7 +544,8 @@ def test_small_alphas_match_per_point_oracle():
     # and falls back to the simplex centre
     vertex_alpha = np.array([0.3, 2.0, 1.0, 1e-300, 1e-300, 1e-300, 5.0, 0.01])
     features = np.random.Generator(np.random.PCG64(9)).normal(size=(8, 3))
-    simplices = [(0,), (0, 1), (3, 4, 5), (0, 1, 2, 6), (5, 6, 7), (2, 7)]
+    simplices = np.array([[0, -1, -1, -1], [0, 1, -1, -1], [3, 4, 5, -1],
+                          [0, 1, 2, 6], [5, 6, 7, -1], [2, 7, -1, -1]])
     alpha_fn = lambda verts: vertex_alpha[np.asarray(verts)]  # noqa: E731
     got, want = (sample(features, simplices, 200, SampleStreams(9), {}, alpha_fn=alpha_fn)
                  for sample in (samplers._sample_from_simplices, per_point_simplices))
@@ -511,6 +553,23 @@ def test_small_alphas_match_per_point_oracle():
     assert got.provenance == want.provenance
     centred = [pr.lam for pr in got.provenance if pr.simplex == (3, 4, 5)]
     assert centred and all(lam == (1 / 3,) * 3 for lam in centred)
+
+
+def test_simplex_table_rows_are_the_sorted_simplices():
+    # pick i names the i-th simplex of sorted(maximal_simplices) through ids:
+    # a lone vertex, mixed widths, and (1, 2) before its extension (1, 2, 3)
+    simplices = {(5,), (3, 4), (1, 3), (0,), (1, 2, 3), (2, 4, 5, 6), (1, 2)}
+    ids = np.array([2, 5, 7, 11, 13, 17, 19])
+    table = samplers.dataset_level_simplices(Skeleton(MAXIMAL, frozenset(simplices)), ids)
+    assert table.tolist() == [[2, -1, -1, -1], [5, 7, -1, -1], [5, 7, 11, -1],
+                              [5, 11, -1, -1], [7, 13, 17, 19], [11, 13, -1, -1],
+                              [17, -1, -1, -1]]
+    for seed, p in product(range(4), (MAXIMAL, 1, 2)):
+        ds = random_imbalanced_dataset(seed)
+        sk, idx_min, _ = samplers.minority_skeleton(ds, 5, p)
+        table = samplers.dataset_level_simplices(sk, idx_min)
+        assert [tuple(v for v in row if v >= 0) for row in table.tolist()] == [
+            tuple(idx_min[list(s)].tolist()) for s in sorted(sk.maximal_simplices)]
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
