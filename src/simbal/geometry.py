@@ -23,7 +23,8 @@ def gamma_shapes(alpha) -> np.ndarray:
     sampling.
     """
     a = np.asarray(alpha, dtype=float)
-    if not 0.0 < a.min() <= a.max() < np.inf:  # a NaN fails the first comparison
+    # a NaN fails the first comparison; an empty alpha has nothing to reject
+    if not 0.0 < a.min(initial=1.0) <= a.max(initial=1.0) < np.inf:
         raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
     return np.where(a < 1.0, a + 1.0, a)
 

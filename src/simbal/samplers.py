@@ -15,7 +15,7 @@ and audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -130,33 +130,45 @@ class Provenance:
 _GAUSSIAN_PROVENANCE = Provenance((), (), kind="gaussian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticBatch:
+    """Synthetic points and sources; == is identity, so compare ``.points`` and ``.provenance``."""
+
     points: np.ndarray
-    provenance: tuple[Provenance, ...]
-    meta: dict = field(default_factory=dict, compare=False)
+    simplices: np.ndarray  # (m, w) dataset-level vertex ids per point, ascending, -1-padded
+    lam: np.ndarray        # (m, w) barycentric weights aligned with simplices, 0 in the pads
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise SamplerParameterError(f"points must be 2-d, got shape {pts.shape}")
-        if len(self.provenance) != pts.shape[0]:
-            raise SamplerParameterError("one provenance record per synthetic point required")
-        object.__setattr__(self, "points", pts)
+        simplices, lam = np.asarray(self.simplices, np.intp), np.asarray(self.lam, float)
+        if (pts.ndim != 2 or simplices.ndim != 2 or lam.shape != simplices.shape
+                or len(simplices) != len(pts)):
+            raise SamplerParameterError(f"points {pts.shape}, simplices {simplices.shape} and lam "
+                                        f"{lam.shape} must be (m, d), (m, w) and (m, w)")
+        for name, value in (("points", pts), ("simplices", simplices), ("lam", lam)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def provenance(self) -> tuple[Provenance, ...]:
+        """One record per point, built on first access; a row with no ids is Gaussian."""
+        records, shared = [_GAUSSIAN_PROVENANCE] * self.m, {}  # one tuple per distinct simplex
+        width = np.count_nonzero(self.simplices >= 0, axis=1)
+        for w in np.unique(width[width > 0]).tolist():
+            rows = np.flatnonzero(width == w)
+            simplices, lams = (map(tuple, a[rows, :w].tolist()) for a in (self.simplices, self.lam))
+            for i, simplex, lam in zip(rows.tolist(), simplices, lams):
+                records[i] = Provenance(shared.setdefault(simplex, simplex), lam)
+        return tuple(records)
 
     @property
     def m(self) -> int:
         return self.points.shape[0]
 
-    def labels(self) -> np.ndarray:
-        return np.full(self.m, MINORITY)
-
     def augmented(self, ds: Dataset) -> Dataset:
         """Original dataset with the synthetic minority rows appended."""
-        return Dataset(
-            np.vstack([ds.features, self.points]),
-            np.concatenate([ds.labels, self.labels()]),
-        )
+        return Dataset(np.vstack([ds.features, self.points]),
+                       np.concatenate([ds.labels, np.full(self.m, MINORITY)]))
 
 
 class SampleStreams:
@@ -200,7 +212,9 @@ class SampleStreams:
 
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
     if target_count is not None:
-        return _integer(target_count, "target_count", SamplerParameterError)
+        if _integer(target_count, "target_count", SamplerParameterError) < 0:
+            raise SamplerParameterError(f"target_count must be >= 0, got {target_count}")
+        return int(target_count)
     gap = ds.n_majority - ds.n_minority
     if gap < 0:
         raise DatasetError(
@@ -208,10 +222,6 @@ def _resolve_m(ds: Dataset, target_count: int | None) -> int:
             f"(n={ds.n_majority}); nothing to oversample"
         )
     return gap
-
-
-def _empty_batch(d: int, meta: dict) -> SyntheticBatch:
-    return SyntheticBatch(np.empty((0, d)), (), meta)
 
 
 def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -227,8 +237,7 @@ def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
                        warning: str) -> SyntheticBatch:
     """Random duplication standing in for a sampler short of minority points."""
     batch = oversample_random(ds, m, seed)
-    meta = dict(batch.meta, method=method.value, warnings=(warning,))
-    return SyntheticBatch(batch.points, batch.provenance, meta)
+    return replace(batch, meta=dict(batch.meta, method=method.value, warnings=(warning,)))
 
 
 def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -256,7 +265,8 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     m = _resolve_m(ds, m)
     meta = {"method": Method.GAUSSIAN.value, "seed": int(seed)}
     if m == 0:
-        return _empty_batch(ds.d, meta)
+        return SyntheticBatch(np.empty((0, ds.d)), np.empty((0, 0), np.intp), np.empty((0, 0)),
+                              meta)
     minority = ds.minority_features()
     with np.errstate(over="ignore", invalid="ignore"):
         mu = minority.mean(axis=0)
@@ -272,7 +282,7 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
         points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
     if not np.isfinite(points).all():
         raise SamplerParameterError("Gaussian draws overflow; rescale the features")
-    return SyntheticBatch(points, (_GAUSSIAN_PROVENANCE,) * m, meta)
+    return SyntheticBatch(points, np.empty((m, 0), np.intp), np.empty((m, 0)), meta)
 
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
@@ -325,20 +335,16 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
 
     Row i of ``verts`` is point i's simplex: ascending dataset-level ids, padded
     with -1. Point i is ``lam @ features[simplex]`` with ``lam`` ~
-    Dirichlet(``alpha_fn`` of its ids, or all-ones), and its provenance records
-    both. The raw variates of all m points come from one call on the weights
-    stream (and one on the uniforms stream when ``alpha_fn`` is given), laid
-    out in point order as ``SampleStreams`` describes: a boolean-mask
-    assignment fills the unpadded slots row by row. All-ones draws are
-    standard exponentials, which is what ``standard_gamma(1.0)`` draws. A
-    lone vertex takes its share of draws but has the constant weight 1 and is
-    copied. Widths are normalized and combined one at a time: padding rows to
-    a common width would change how numpy's pairwise sum rounds the
+    Dirichlet(``alpha_fn`` of its ids, or all-ones); the batch keeps ``verts``
+    and ``lam``, padded alike. The raw variates of all points come from one
+    call on the weights stream (and one on the uniforms stream when
+    ``alpha_fn`` is given), in the layout ``SampleStreams`` describes. All-ones
+    draws are standard exponentials, which is what ``standard_gamma(1.0)``
+    draws. A lone vertex takes its share of draws but has the constant weight
+    1 and is copied. Widths are normalized and combined one at a time: padding
+    rows to a common width would change how numpy's pairwise sum rounds the
     normalizing totals.
     """
-    m = verts.shape[0]
-    if m == 0:
-        return _empty_batch(features.shape[1], meta)
     filled = verts >= 0
     width = np.count_nonzero(filled, axis=1)
     total = int(width.sum())
@@ -349,26 +355,19 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
         alpha[filled] = alpha_fn(verts[filled])
         gammas[filled] = streams.weights.standard_gamma(gamma_shapes(alpha[filled]))
         uniforms[filled] = streams.uniforms.uniform(size=total)
-    points = np.empty((m, features.shape[1]))
-    prov, shared = [None] * m, {}  # the batch keeps one tuple per simplex, not per point
+    points, lam = np.empty((verts.shape[0], features.shape[1])), np.zeros(verts.shape)
     for w in np.unique(width).tolist():
         rows = np.flatnonzero(width == w)
         simplices = verts[rows, :w]
         if w == 1:
-            lam = np.ones((rows.size, 1))
+            lam[rows, 0] = 1.0
             points[rows] = features[simplices[:, 0]]
         else:
-            lam = dirichlet_weights(alpha[rows, :w], gammas[rows, :w], uniforms[rows, :w])
-            points[rows] = _combine(features, simplices, lam)
-        for i, simplex, weights in zip(rows.tolist(), map(tuple, simplices.tolist()),
-                                       lam.tolist()):
-            prov[i] = Provenance(shared.setdefault(simplex, simplex), tuple(weights))
-    return SyntheticBatch(points, tuple(prov), meta)
-
-
-def _combine(features: np.ndarray, verts: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Row i is lam[i] @ features[verts[i]], one vector-matrix product per row."""
-    return np.matmul(lam[:, None, :], features[verts])[:, 0, :]
+            weights = dirichlet_weights(alpha[rows, :w], gammas[rows, :w], uniforms[rows, :w])
+            lam[rows, :w] = weights
+            # one vector-matrix product per row: weights[i] @ features[simplices[i]]
+            points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]
+    return SyntheticBatch(points, verts, lam, meta)
 
 
 def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> np.ndarray:

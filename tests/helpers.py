@@ -14,7 +14,7 @@ from simbal import evaluation, samplers, variants
 from simbal.complexes import MAXIMAL
 from simbal.geometry import dirichlet_weights, gamma_shapes
 from simbal.graphs import nearest
-from simbal.samplers import Provenance, SampleStreams, SyntheticBatch
+from simbal.samplers import SampleStreams, SyntheticBatch
 
 
 def random_imbalanced_dataset(seed: int) -> Dataset:
@@ -160,23 +160,21 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
     takes its simplex's size of draws from the weights and uniforms streams
     after points 0..i-1 took theirs, lone vertices included, and is
     ``lam @ X[simplex]``. ``simplices`` is the sampler's table, one simplex per
-    row padded with -1; the pads are stripped from the row a point picks.
+    row padded with -1; the pads are stripped from the row a point picks, and
+    the point's weights fill the unpadded slots of its row of ``lam``.
     """
-    if m == 0:
-        return SyntheticBatch(np.empty((0, features.shape[1])), (), meta)
     if weights is None:
         sel = streams.selection.integers(0, len(simplices), size=m)
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
-    points = np.empty((m, features.shape[1]))
-    prov = []
-    for i in range(m):
-        simplex = tuple(v for v in simplices[int(sel[i])].tolist() if v >= 0)
+    chosen = np.asarray(simplices)[sel]
+    points, lam = np.empty((m, features.shape[1])), np.zeros(chosen.shape)
+    for i, row in enumerate(chosen.tolist()):
+        simplex = tuple(v for v in row if v >= 0)
         alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
-        lam = per_point_draw(streams, alpha)
-        points[i] = lam @ features[list(simplex)]
-        prov.append(Provenance(simplex, tuple(lam.tolist())))
-    return SyntheticBatch(points, tuple(prov), meta)
+        lam[i, :len(simplex)] = per_point_draw(streams, alpha)
+        points[i] = lam[i, :len(simplex)] @ features[list(simplex)]
+    return SyntheticBatch(points, chosen, lam, meta)
 
 
 def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
@@ -189,16 +187,14 @@ def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
     streams = SampleStreams(seed)
     idx_min = ds.minority_indices()
     n_plus = idx_min.size
-    points = np.empty((m, ds.d))
-    prov = []
+    points, pairs, lam = np.empty((m, ds.d)), np.empty((m, 2), dtype=int), np.empty((m, 2))
     for i in range(m):
         first, second = streams.selection.integers(0, [n_plus, n_plus - 1]).tolist()
         second += second >= first
-        pair = tuple(sorted((int(idx_min[first]), int(idx_min[second]))))
-        lam = per_point_draw(streams, (1.0, 1.0))
-        points[i] = lam @ ds.features[list(pair)]
-        prov.append(Provenance(pair, tuple(lam.tolist())))
-    return SyntheticBatch(points, tuple(prov), {"method": "global", "seed": seed})
+        pairs[i] = sorted((int(idx_min[first]), int(idx_min[second])))
+        lam[i] = per_point_draw(streams, (1.0, 1.0))
+        points[i] = lam[i] @ ds.features[pairs[i]]
+    return SyntheticBatch(points, pairs, lam, {"method": "global", "seed": seed})
 
 
 def per_point_gaussian(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
@@ -214,8 +210,9 @@ def per_point_gaussian(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
     for i in range(m):
         z = streams.weights.standard_normal(ds.d)
         points[i] = mu + chol @ z
-    prov = tuple(Provenance((), (), kind="gaussian") for _ in range(m))
-    return SyntheticBatch(points, prov, {"method": "gaussian", "seed": seed})
+    # a Gaussian point has no source simplex: its rows of ids and weights are empty
+    return SyntheticBatch(points, np.empty((m, 0), dtype=int), np.empty((m, 0)),
+                          {"method": "gaussian", "seed": seed})
 
 
 def per_point_oversample(ds: Dataset, cfg) -> SyntheticBatch:

@@ -125,6 +125,12 @@ NON_INTEGRAL = {
 }
 
 
+@pytest.mark.parametrize("sampler", [oversample_random, oversample_global, oversample_gaussian])
+def test_negative_counts_are_typed_errors(sampler):
+    with pytest.raises(SamplerParameterError, match="target_count must be >= 0, got -2"):
+        sampler(_LABELLED, -2)
+
+
 @pytest.mark.parametrize("case", NON_INTEGRAL)
 def test_non_integral_counts_are_typed_errors(case):
     run, error = NON_INTEGRAL[case]
@@ -179,7 +185,7 @@ class TestCommonContracts:
         k = min(5, ds.n_minority - 1)
         assert oversample(ds, SamplerConfig(method, k=k, target_count=7)).m == 7
         empty = oversample(ds, SamplerConfig(method, k=k, target_count=0))
-        assert empty.m == 0 and empty.points.shape == (0, ds.d)
+        assert empty.m == 0 and empty.points.shape == (0, ds.d) and empty.provenance == ()
 
     def test_seeds_differ(self):
         ds = tiny_dataset()
@@ -498,6 +504,69 @@ class TestProvenance:
         assert repr(pr) == "Provenance(simplex=(0, 2), lam=(0.25, 0.75), kind='barycentric')"
 
 
+class TestSyntheticBatch:
+    @pytest.mark.parametrize("method", [Method.SIMPLICIAL, Method.GLOBAL])
+    def test_records_are_built_on_first_access_and_kept(self, method):
+        batch = oversample(random_imbalanced_dataset(1), SamplerConfig(method, k=5, seed=4))
+        assert "provenance" not in vars(batch)
+        records = batch.provenance
+        assert batch.provenance is records and len(records) == batch.m
+        for pr, ids, lam in zip(records, batch.simplices.tolist(), batch.lam.tolist()):
+            w = len(pr.simplex)
+            assert pr.kind == "barycentric"
+            assert ids[:w] == list(pr.simplex) and lam[:w] == list(pr.lam)
+            assert all(v == -1 for v in ids[w:]) and all(x == 0.0 for x in lam[w:])
+
+    def test_records_of_one_simplex_share_its_tuple(self):
+        batch = oversample(random_imbalanced_dataset(2), SamplerConfig(Method.SIMPLICIAL, k=3,
+                                                                       target_count=500))
+        first = {}
+        for pr in batch.provenance:
+            assert first.setdefault(pr.simplex, pr.simplex) is pr.simplex
+        assert len(first) < batch.m
+
+    def test_duplicated_batches_keep_their_records(self):
+        # one minority point: the graph, global and Gaussian samplers duplicate it
+        lone = Dataset([[0.0, 1.0], [2.0, 2.0], [3.0, 1.0]], [-1, 1, -1])
+        for method in (Method.GLOBAL, Method.GAUSSIAN, Method.SIMPLICIAL, Method.S_SAFELEVEL):
+            batch = oversample(lone, SamplerConfig(method, k=2, target_count=3))
+            assert batch.meta["warnings"] and batch.meta["method"] == method.value
+            assert batch.provenance == (Provenance((1,), (1.0,)),) * 3
+
+    def test_unread_batch_holds_only_its_arrays(self):
+        # the records cost more than the points they describe; none may be
+        # built before .provenance is read
+        ds = random_imbalanced_dataset(3)
+        cfg = SamplerConfig(Method.SIMPLICIAL, k=5, seed=6, target_count=3000)
+        oversample(ds, cfg)  # warm any lazily built state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = oversample(ds, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = batch.points.nbytes + batch.simplices.nbytes + batch.lam.nbytes
+        assert arrays <= held <= arrays + 4 * 1024
+
+    def test_batches_compare_by_identity(self):
+        ds = tiny_dataset()
+        cfg = SamplerConfig(Method.SIMPLICIAL, k=3, seed=2)
+        a, b = oversample(ds, cfg), oversample(ds, cfg)
+        assert a == a and a != b and hash(a) == hash(a) != hash(b)
+        assert np.array_equal(a.points, b.points) and a.provenance == b.provenance
+
+    @pytest.mark.parametrize("points,simplices,lam", [
+        (np.zeros(3), np.zeros((3, 1), int), np.ones((3, 1))),
+        (np.zeros((3, 2)), np.zeros(3, int), np.ones(3)),
+        (np.zeros((3, 2)), np.zeros((2, 1), int), np.ones((2, 1))),
+        (np.zeros((3, 2)), np.zeros((3, 2), int), np.ones((3, 1))),
+    ], ids=["points-1d", "simplices-1d", "rows-unaligned", "lam-unaligned"])
+    def test_misshapen_arrays_are_typed_errors(self, points, simplices, lam):
+        with pytest.raises(SamplerParameterError, match=r"\(m, d\), \(m, w\) and \(m, w\)"):
+            SyntheticBatch(points, simplices, lam)
+
+
 def tight_cluster_dataset() -> Dataset:
     """Twelve minority points in a tight cluster: with k=9 its cliques exceed 8 vertices."""
     rng = np.random.Generator(np.random.PCG64(41))
@@ -507,12 +576,12 @@ def tight_cluster_dataset() -> Dataset:
 
 
 def _outcome(run):
-    """A batch's points, provenance and meta, or the error it raised."""
+    """A batch's points, provenance, meta, simplex ids and weights, or the error it raised."""
     try:
         batch = run()
     except (ValueError, SubdivisionCapExceeded) as exc:
         return type(exc), str(exc)
-    return batch.points, batch.provenance, batch.meta
+    return batch.points, batch.provenance, batch.meta, batch.simplices, batch.lam
 
 
 ORACLE_CASES = [(method, p, formula)
@@ -536,6 +605,7 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert got[2] == want[2]
+        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
 
 
 def test_small_alphas_match_per_point_oracle():
@@ -673,13 +743,14 @@ def test_adversarial_inputs_meet_contracts(geometry, d, n_plus, extra_minus, sca
             assert first[0] is EmptyBorderlineError and "borderline" in method.value
             assert first == again
             continue
-        points, provenance, meta = first
+        points, provenance, meta, simplices, lam = first
         assert np.array_equal(points, again[0])
         assert provenance == again[1] and meta == again[2]
         assert np.all(np.isfinite(points))
         if method is Method.GAUSSIAN:
             continue
-        batch = SyntheticBatch(points, provenance)
+        batch = SyntheticBatch(points, simplices, lam)
+        assert batch.provenance == provenance
         assert reconstruction_error(batch, ds.features) <= 1e-12 * scale
         for pt, pr in list(zip(points, provenance))[:4]:
             assert in_convex_hull(pt / scale, ds.features[list(pr.simplex)] / scale)
