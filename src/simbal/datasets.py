@@ -30,15 +30,16 @@ class Dataset:
 
     def __post_init__(self):
         feats = as_points(self.features)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise DatasetError(
                 f"labels must be length-{feats.shape[0]} 1-d, got shape {labels.shape}"
             )
-        if not np.all(np.isin(labels, (MINORITY, MAJORITY))):
+        # read exactly: a float label must equal +1 or -1, a non-numeric one is refused
+        if labels.dtype.kind not in "iuf" or not np.all(abs(labels) == 1):
             raise DatasetError("labels must contain only +1 (minority) and -1 (majority)")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
 
     @property
     def n(self) -> int:

@@ -77,6 +77,8 @@ class CVConfig:
     inner_repeats: int = 25
 
     def __post_init__(self):
+        for name in ("folds", "repeats", "inner_folds", "inner_repeats"):
+            _integer(getattr(self, name), name, EvaluationError)
         if self.folds < 2 or self.repeats < 1:
             raise EvaluationError("need folds >= 2 and repeats >= 1")
         if self.mode not in ("outer", "nested"):
@@ -91,6 +93,8 @@ def stratified_cv(ds: Dataset, folds: int, repeats: int, seed: int) -> list[tupl
     Each repeat shuffles every class independently and deals its members
     round-robin across folds, so per-fold class counts differ by at most one.
     """
+    folds = _integer(folds, "folds", EvaluationError)
+    repeats = _integer(repeats, "repeats", EvaluationError)
     if folds < 2:
         raise EvaluationError(f"folds must be >= 2, got {folds}")
     for label, count in ((MINORITY, ds.n_minority), (MAJORITY, ds.n_majority)):

@@ -191,6 +191,8 @@ class SampleStreams:
 
     def __init__(self, seed: int):
         self.seed = _integer(seed, "seed", SamplerParameterError)
+        if not 0 <= self.seed < 2 ** 64:
+            raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
 
     @cached_property

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -99,12 +100,46 @@ def test_bitset_cliques_match_set_based_oracle(g):
     assert maximal_cliques(g) == set_based_maximal_cliques(g)
 
 
+def moon_moser(n_triangles):
+    """The complement of n disjoint triangles: its maximal cliques take one vertex
+    of each triangle, 3**n of them, the most any graph on 3n vertices has."""
+    n = 3 * n_triangles
+    return NeighborhoodGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                                          if u // 3 != v // 3))
+
+
+def lowest_degree_first(g):
+    """g relabelled in ascending degree order (stable), so the lowest-vertex pivot
+    is the vertex that prunes least."""
+    new_id = np.argsort(np.argsort(g.degrees(), kind="stable"), kind="stable")
+    return NeighborhoodGraph(g.n_vertices, frozenset(
+        tuple(sorted((int(new_id[u]), int(new_id[v])))) for u, v in g.edges))
+
+
+ADVERSARIAL_GRAPHS = {
+    # closed forms are given where the clique set has one
+    "moon-moser-6": (moon_moser(6), frozenset(product(*(range(3 * t, 3 * t + 3)
+                                                          for t in range(6))))),
+    "dense-30-lowest-degree-first": (lowest_degree_first(erdos_renyi(30, 0.7, seed=30)), None),
+    "complete-40-plus-5-isolated": (NeighborhoodGraph(45, complete_graph(40).edges),
+                                    frozenset({tuple(range(40))} | {(v,) for v in range(40, 45)})),
+}
+
+
+@pytest.mark.parametrize("g, closed_form", ADVERSARIAL_GRAPHS.values(),
+                         ids=ADVERSARIAL_GRAPHS.keys())
+def test_adversarial_cliques_match_set_based_oracle(g, closed_form):
+    cliques = maximal_cliques(g)
+    assert cliques == set_based_maximal_cliques(g)
+    if closed_form is not None:
+        assert cliques == closed_form
+
+
 class TestPSkeleton:
     def test_maximal_keeps_cliques_verbatim(self):
         g = NeighborhoodGraph(4, frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}))
         sk = p_skeleton(g, MAXIMAL)
         assert sk.maximal_simplices == maximal_cliques(g)
-        assert sk.max_dim is MAXIMAL
 
     def test_p1_subdivides_triangle_into_edges(self):
         g = NeighborhoodGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))

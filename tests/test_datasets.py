@@ -36,6 +36,16 @@ class TestDatasetType:
         with pytest.raises(DatasetError):
             Dataset([[0.0], [1.0]], [1, 2])
 
+    @pytest.mark.parametrize("labels", [[1.7, -1.2], [1, -1.5], [1.0, -1.9], ["a", "b"], [1, "a"],
+                                        ["1", "-1"], [1 + 0j, -1], [True, True]])
+    def test_rejects_labels_that_are_not_exactly_plus_or_minus_one(self, labels):
+        with pytest.raises(DatasetError, match="only \\+1"):
+            Dataset([[0.0], [1.0]], labels)
+
+    def test_float_labels_equal_to_one_are_read_as_ints(self):
+        ds = Dataset([[0.0], [1.0], [2.0]], np.array([1.0, -1.0, -1.0]))
+        assert ds.labels.dtype == int and ds.labels.tolist() == [1, -1, -1]
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(DatasetError):
             Dataset([[0.0], [1.0]], [1])

@@ -23,7 +23,7 @@ from simbal import (
     oversample_smote,
 )
 from simbal.complexes import Skeleton, SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
-from simbal.evaluation import EvaluationError, knn_classify, method_grid
+from simbal.evaluation import CVConfig, EvaluationError, knn_classify, method_grid, stratified_cv
 from simbal.graphs import GraphParameterError, nearest
 from simbal.samplers import (
     GRAPH_METHODS,
@@ -122,6 +122,12 @@ NON_INTEGRAL = {
     "nearest-k": (lambda: nearest(_POINTS, _POINTS, 2.5), GraphParameterError),
     "p_skeleton-p": (lambda: p_skeleton(knn_graph(_POINTS, 2), 1.5), SkeletonParameterError),
     "knn_classify-k_clf": (lambda: knn_classify(_LABELLED, _POINTS, k_clf=2.5), EvaluationError),
+    "cv-folds": (lambda: CVConfig(folds=4.0), EvaluationError),
+    "cv-repeats": (lambda: CVConfig(repeats=1.5), EvaluationError),
+    "cv-inner_folds": (lambda: CVConfig(mode="nested", inner_folds=4.0), EvaluationError),
+    "cv-inner_repeats": (lambda: CVConfig(mode="nested", inner_repeats=2.5), EvaluationError),
+    "stratified_cv-folds": (lambda: stratified_cv(_LABELLED, 3.0, 1, 0), EvaluationError),
+    "stratified_cv-repeats": (lambda: stratified_cv(_LABELLED, 3, 1.5, 0), EvaluationError),
 }
 
 
@@ -129,6 +135,15 @@ NON_INTEGRAL = {
 def test_negative_counts_are_typed_errors(sampler):
     with pytest.raises(SamplerParameterError, match="target_count must be >= 0, got -2"):
         sampler(_LABELLED, -2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("sampler", [oversample_random, oversample_global, oversample_gaussian])
+def test_out_of_range_seeds_are_typed_errors(sampler, seed):
+    # the same check and wording as SamplerConfig's
+    with pytest.raises(SamplerParameterError,
+                       match=f"seed must fit in 64 unsigned bits, got {seed}"):
+        sampler(_LABELLED, 3, seed=seed)
 
 
 @pytest.mark.parametrize("case", NON_INTEGRAL)
@@ -630,7 +645,7 @@ def test_simplex_table_rows_are_the_sorted_simplices():
     # a lone vertex, mixed widths, and (1, 2) before its extension (1, 2, 3)
     simplices = {(5,), (3, 4), (1, 3), (0,), (1, 2, 3), (2, 4, 5, 6), (1, 2)}
     ids = np.array([2, 5, 7, 11, 13, 17, 19])
-    table = samplers.dataset_level_simplices(Skeleton(MAXIMAL, frozenset(simplices)), ids)
+    table = samplers.dataset_level_simplices(Skeleton(frozenset(simplices)), ids)
     assert table.tolist() == [[2, -1, -1, -1], [5, 7, -1, -1], [5, 7, 11, -1],
                               [5, 11, -1, -1], [7, 13, 17, 19], [11, 13, -1, -1],
                               [17, -1, -1, -1]]
