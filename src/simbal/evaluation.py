@@ -95,27 +95,20 @@ def stratified_cv(ds: Dataset, folds: int, repeats: int, seed: int) -> list[tupl
     """
     folds = _integer(folds, "folds", EvaluationError)
     repeats = _integer(repeats, "repeats", EvaluationError)
-    if folds < 2:
-        raise EvaluationError(f"folds must be >= 2, got {folds}")
+    if folds < 2 or repeats < 1:
+        raise EvaluationError(f"need folds >= 2 and repeats >= 1, got {folds} and {repeats}")
     for label, count in ((MINORITY, ds.n_minority), (MAJORITY, ds.n_majority)):
         if count < folds:
             raise EvaluationError(
                 f"class {label:+d} has {count} members, fewer than {folds} folds"
             )
-    splits = []
+    splits, fold = [], np.empty(ds.n, dtype=int)
     for rep in range(repeats):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep))))
-        fold_members: list[list[int]] = [[] for _ in range(folds)]
         for label in (MINORITY, MAJORITY):
             members = np.flatnonzero(ds.labels == label)
-            perm = members[rng.permutation(members.size)]
-            for f in range(folds):
-                fold_members[f].extend(perm[f::folds].tolist())
-        all_idx = np.arange(ds.n)
-        for f in range(folds):
-            test = np.sort(np.array(fold_members[f], dtype=int))
-            train = np.setdiff1d(all_idx, test, assume_unique=True)
-            splits.append((train, test))
+            fold[members[rng.permutation(members.size)]] = np.arange(members.size) % folds
+        splits.extend((np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(folds))
     return splits
 
 
@@ -363,7 +356,7 @@ def report_to_text(report: EvalReport) -> str:
     """Aligned table per dataset plus the mean-rank summary row."""
     ds_names = report.datasets()
     methods = report.methods()
-    width = max(10, *(len(m) for m in methods))
+    width = max([10, *map(len, methods)])
     header = "dataset".ljust(16) + "".join(m.rjust(width + 2) for m in methods)
     lines = [header, "-" * len(header)]
     for d in ds_names:

@@ -173,9 +173,8 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
     return np.flatnonzero(g <= t[:, None])
 
 
-def _rerank(q, r, pairs, kk: int) -> np.ndarray:
-    """(len(q), kk) first candidate cols per row, in exact (distance, index) order."""
-    rows, cols = np.divmod(pairs, len(r))
+def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
+    """(len(q), kk) first cols per row of ascending ``rows``, in exact (distance, index) order."""
     dist = np.empty(rows.size)
     step = max(1, _BLOCK_ELEMS // q.shape[1])
     for s in range(0, rows.size, step):
@@ -192,14 +191,14 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
 
     ``self_ids[i]``, when given, is the ``ref`` row that query row i skips.
     Query rows go in blocks of ``_BLOCK_ELEMS // n_ref``, never as a full
-    (n_query, n_ref) matrix. Per block one GEMM filters the candidates of
-    each row: Gram-identity squared distances of both sets shifted by the
-    mean of ``ref`` (so data far from the origin still filter), kept within
-    a rounding bound from Higham's gamma_{d+2} (``_candidates``) of the k-th
-    smallest, so every tie survives. The candidates' distances are then
-    recomputed from the original coordinates' differences, as in
-    ``cross_distances``, and sorted by (row, distance, index). A block with
-    squared norms past an overflow-safe limit re-ranks every pair. The ids
+    (n_query, n_ref) matrix. Per block one GEMM filters the candidates of each
+    row: Gram-identity squared distances of both sets shifted by the mean of
+    ``ref`` (so data far from the origin still filter), kept within a rounding
+    bound from Higham's gamma_{d+2} (``_candidates``) of the k-th smallest, so
+    every tie survives; with self skipped, of the (k+1)-th. The candidates'
+    distances are then recomputed from the original coordinates' differences,
+    as in ``cross_distances``, and sorted by (row, distance, index). A block
+    with squared norms past an overflow-safe limit re-ranks every pair. The ids
     are exact whatever the BLAS and its thread count.
     """
     q, r = as_points(query), as_points(ref)
@@ -220,15 +219,12 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     block = max(1, _BLOCK_ELEMS // r.shape[0])
     for start in range(0, q.shape[0], block):
         stop = min(start + block, q.shape[0])
-        pairs = _candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip)
-        order = _rerank(q[start:stop], r, pairs, k + skip)
+        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip), len(r))
         if skip:
-            # drop self by id (an inf sentinel would tie with distances that
-            # overflow to inf); if self lies beyond the first k+1, drop the last
-            keep = order != np.asarray(self_ids)[start:stop, None]
-            keep[keep.all(axis=1), -1] = False
-            order = order[keep].reshape(stop - start, k)
-        out[start:stop] = order
+            # drop self by id: an inf sentinel would tie with overflowed distances
+            keep = cols != np.asarray(self_ids)[start + rows]
+            rows, cols = rows[keep], cols[keep]
+        out[start:stop] = _rerank(q[start:stop], r, rows, cols, k)
     return out
 
 

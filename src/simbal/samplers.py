@@ -26,7 +26,7 @@ from .complexes import MAXIMAL, Skeleton, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
 # sample_dirichlet is not called here any more, but stays importable from this
 # module: perfbench traces the Dirichlet draw at this lookup site.
-from .geometry import dirichlet_weights, gamma_shapes, sample_dirichlet  # noqa: F401
+from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
 from .graphs import MUTUAL, UNION, _integer, knn_graph
 
 # Ridge added to the fitted covariance diagonal before factorization.
@@ -180,13 +180,10 @@ class SampleStreams:
     w_i vertices, lone ones included, and its draws are the w_i values after
     the w_0 + ... + w_{i-1} of the points before it. That is the row-major
     order of the unpadded slots of the batch's (m, w) simplex array, the order
-    in which a boolean-mask assignment fills them. ``uniforms``
-    (``PCG64(seed).jumped(2)``) holds the uniforms of the small-alpha boost in
-    the same layout. Each is read by one vectorised call per batch, and numpy
-    fills arrays in order, so a larger batch extends a smaller one bit for bit.
-    The jumped streams are built on first use: ``jumped`` costs about three
-    times a seeded ``PCG64``, and random reads no weights, only safe-level
-    reads uniforms.
+    in which a boolean-mask assignment fills them. Every ``alpha_fn`` value is
+    at least 1, so no Gamma shape is boosted and no third stream is needed.
+    Each stream is read by one vectorised call per batch, and numpy fills
+    arrays in order, so a larger batch extends a smaller one bit for bit.
     """
 
     def __init__(self, seed: int):
@@ -194,14 +191,7 @@ class SampleStreams:
         if not 0 <= self.seed < 2 ** 64:
             raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
-
-    @cached_property
-    def weights(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed).jumped(1))
-
-    @cached_property
-    def uniforms(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed).jumped(2))
+        self.weights = np.random.Generator(np.random.PCG64(self.seed).jumped(1))
 
     def point_stream(self, i: int) -> np.random.Generator:
         """The generator of ``PCG64(seed).jumped(i + 1)``.
@@ -266,9 +256,6 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
                                    "fewer than 2 minority points; duplicated instead of fitting")
     m = _resolve_m(ds, m)
     meta = {"method": Method.GAUSSIAN.value, "seed": int(seed)}
-    if m == 0:
-        return SyntheticBatch(np.empty((0, ds.d)), np.empty((0, 0), np.intp), np.empty((0, 0)),
-                              meta)
     minority = ds.minority_features()
     with np.errstate(over="ignore", invalid="ignore"):
         mu = minority.mean(axis=0)
@@ -339,24 +326,23 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
     with -1. Point i is ``lam @ features[simplex]`` with ``lam`` ~
     Dirichlet(``alpha_fn`` of its ids, or all-ones); the batch keeps ``verts``
     and ``lam``, padded alike. The raw variates of all points come from one
-    call on the weights stream (and one on the uniforms stream when
-    ``alpha_fn`` is given), in the layout ``SampleStreams`` describes. All-ones
-    draws are standard exponentials, which is what ``standard_gamma(1.0)``
-    draws. A lone vertex takes its share of draws but has the constant weight
-    1 and is copied. Widths are normalized and combined one at a time: padding
-    rows to a common width would change how numpy's pairwise sum rounds the
+    call on the weights stream, in the layout ``SampleStreams`` describes.
+    Every ``alpha_fn`` value is at least 1, so no shape is boosted and each
+    variate is ``standard_gamma`` of its alpha; all-ones draws are standard
+    exponentials, which is what ``standard_gamma(1.0)`` draws. A lone vertex
+    takes its share of draws but has the constant weight 1 and is copied.
+    Widths are normalized and combined one at a time: padding rows to a
+    common width would change how numpy's pairwise sum rounds the
     normalizing totals.
     """
     filled = verts >= 0
     width = np.count_nonzero(filled, axis=1)
-    total = int(width.sum())
-    alpha, gammas, uniforms = np.ones(verts.shape), np.zeros(verts.shape), np.zeros(verts.shape)
+    alpha, gammas = np.ones(verts.shape), np.zeros(verts.shape)
     if alpha_fn is None:
-        gammas[filled] = streams.weights.standard_exponential(total)
+        gammas[filled] = streams.weights.standard_exponential(int(width.sum()))
     else:
         alpha[filled] = alpha_fn(verts[filled])
-        gammas[filled] = streams.weights.standard_gamma(gamma_shapes(alpha[filled]))
-        uniforms[filled] = streams.uniforms.uniform(size=total)
+        gammas[filled] = streams.weights.standard_gamma(alpha[filled])
     points, lam = np.empty((verts.shape[0], features.shape[1])), np.zeros(verts.shape)
     for w in np.unique(width).tolist():
         rows = np.flatnonzero(width == w)
@@ -365,7 +351,7 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
             lam[rows, 0] = 1.0
             points[rows] = features[simplices[:, 0]]
         else:
-            weights = dirichlet_weights(alpha[rows, :w], gammas[rows, :w], uniforms[rows, :w])
+            weights = dirichlet_weights(alpha[rows, :w], gammas[rows, :w])
             lam[rows, :w] = weights
             # one vector-matrix product per row: weights[i] @ features[simplices[i]]
             points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]

@@ -12,7 +12,7 @@ import numpy as np
 from simbal import Dataset, Method, NeighborhoodGraph, oversample
 from simbal import evaluation, samplers, variants
 from simbal.complexes import MAXIMAL
-from simbal.geometry import dirichlet_weights, gamma_shapes
+from simbal.geometry import dirichlet_weights
 from simbal.graphs import nearest
 from simbal.samplers import SampleStreams, SyntheticBatch
 
@@ -142,14 +142,13 @@ def reconstruction_error(batch, features) -> float:
 def per_point_draw(streams: SampleStreams, alpha) -> np.ndarray:
     """One point's Dirichlet(alpha) weights, drawn the per-point way.
 
-    The point takes the next len(alpha) Gamma variates of the weights stream
-    and the next len(alpha) uniforms of the uniforms stream, whether or not an
-    alpha below 1 reads them. Gamma(1) is the standard exponential, so
-    all-ones draws are the exponentials the batched sampler takes.
+    The point takes the next len(alpha) Gamma variates of the weights stream;
+    every alpha is at least 1, so none is boosted. Gamma(1) is the standard
+    exponential, so all-ones draws are the exponentials the batched sampler
+    takes.
     """
     alpha = np.asarray(alpha, dtype=float)
-    gammas = streams.weights.standard_gamma(gamma_shapes(alpha))
-    return dirichlet_weights(alpha, gammas, streams.uniforms.uniform(size=alpha.size))
+    return dirichlet_weights(alpha, streams.weights.standard_gamma(alpha))
 
 
 def per_point_simplices(features, simplices, m, streams, meta, weights=None,
@@ -157,11 +156,11 @@ def per_point_simplices(features, simplices, m, streams, meta, weights=None,
     """The simplex sampler's back half, one Dirichlet draw per point, in point order.
 
     This is the definition the batched sampler must match bit for bit: point i
-    takes its simplex's size of draws from the weights and uniforms streams
-    after points 0..i-1 took theirs, lone vertices included, and is
-    ``lam @ X[simplex]``. ``simplices`` is the sampler's table, one simplex per
-    row padded with -1; the pads are stripped from the row a point picks, and
-    the point's weights fill the unpadded slots of its row of ``lam``.
+    takes its simplex's size of draws from the weights stream after points
+    0..i-1 took theirs, lone vertices included, and is ``lam @ X[simplex]``.
+    ``simplices`` is the sampler's table, one simplex per row padded with -1;
+    the pads are stripped from the row a point picks, and the point's weights
+    fill the unpadded slots of its row of ``lam``.
     """
     if weights is None:
         sel = streams.selection.integers(0, len(simplices), size=m)

@@ -138,6 +138,12 @@ class TestStratifiedCV:
         with pytest.raises(EvaluationError):
             stratified_cv(cluster_dataset(), 1, 1, seed=0)
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_bad_repeat_count(self, repeats):
+        # checked as CVConfig checks it, not an empty list of splits
+        with pytest.raises(EvaluationError, match="repeats >= 1"):
+            stratified_cv(cluster_dataset(), 3, repeats, seed=0)
+
 
 class TestStandardize:
     def test_train_stats_only(self):
@@ -505,6 +511,13 @@ class TestReportFormats:
         assert "0.8750" in text and "0.6250" in text
         assert any(line.startswith("rank") for line in lines)
         assert "diagnostics" not in text
+
+    def test_text_table_of_no_methods(self):
+        # an empty grid search reports no cells; its table is the bare frame
+        report = grid_search_eval({"a": cluster_dataset()}, [], (3,))
+        assert report.cells == ()
+        assert report_to_text(report).splitlines() == ["dataset".ljust(16), "-" * 16,
+                                                      "rank".ljust(16)]
 
     def test_text_diagnostics_section(self):
         report = EvalReport((

@@ -172,6 +172,25 @@ def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elem
     assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
 
 
+@pytest.mark.parametrize("kind", ["dup", "grid", "copies"])
+def test_first_k_ids_do_not_depend_on_k(kind):
+    # the prefix rule: with self skipped, the first k ids at any K >= k are
+    # the ids at k. Tied copies at distance 0 rank by index, so a later
+    # copy's self lies past its first k+1 candidates
+    for seed in range(4):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if kind == "copies":
+            pts = np.repeat(rng.normal(size=(5, 2)), rng.integers(1, 9, size=5), axis=0)
+        else:
+            pts = tie_heavy_points(rng, kind, 40, 2)
+        n, ids = len(pts), np.arange(len(pts))
+        self_rank = (nearest(pts, pts, n) == ids[:, None]).argmax(axis=1)
+        assert self_rank.max() >= 3
+        widest = nearest(pts, pts, n - 1, ids)
+        for k in range(1, n):
+            assert np.array_equal(widest[:, :k], nearest(pts, pts, k, ids))
+
+
 class TestNearestPath:
     def test_gaussian_input_never_takes_the_exact_path(self):
         pts = random_points(10, n=200, d=8)

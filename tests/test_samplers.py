@@ -42,7 +42,6 @@ from simbal.variants import EmptyBorderlineError
 from helpers import (
     in_convex_hull,
     per_point_oversample,
-    per_point_simplices,
     random_imbalanced_dataset,
     reconstruction_error,
 )
@@ -302,6 +301,18 @@ class TestGaussian:
         with pytest.raises(SamplerParameterError, match="overflows"):
             oversample_gaussian(Dataset(feats * 1e155, labels))
 
+    def test_empty_batch_takes_the_general_path(self):
+        # m = 0 fits the covariance like any m: an empty (0, d) batch, or the
+        # same overflow error
+        feats = np.random.Generator(np.random.PCG64(5)).normal(size=(100, 3))
+        labels = [1] * 40 + [-1] * 60
+        batch = oversample_gaussian(Dataset(feats, labels), m=0, seed=4)
+        assert batch.points.shape == (0, 3)
+        assert batch.simplices.shape == batch.lam.shape == (0, 0)
+        assert batch.meta == {"method": "gaussian", "seed": 4} and batch.provenance == ()
+        with pytest.raises(SamplerParameterError, match="overflows"):
+            oversample_gaussian(Dataset(feats * 1e155, labels), m=0)
+
     def test_fallback_below_two_minority(self):
         ds = Dataset([[4.0], [1.0], [2.0]], [1, -1, -1])
         batch = oversample_gaussian(ds, seed=1)
@@ -422,11 +433,10 @@ STREAM_ORDERS = {
 
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
-    def test_streams_are_the_seed_and_its_first_two_jumps(self, seed):
+    def test_streams_are_the_seed_and_its_first_jump(self, seed):
         streams = SampleStreams(seed)
         assert streams.selection.bit_generator.state == np.random.PCG64(seed).state
         assert streams.weights.bit_generator.state == np.random.PCG64(seed).jumped(1).state
-        assert streams.uniforms.bit_generator.state == np.random.PCG64(seed).jumped(2).state
 
     @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
     def test_point_streams_match_jumped(self, seed):
@@ -488,7 +498,7 @@ class TestStreams:
         class CountingStreams(SampleStreams):
             def __init__(self, seed):
                 super().__init__(seed)
-                for name in ("selection", "weights", "uniforms"):
+                for name in ("selection", "weights"):
                     setattr(self, name, CountingGenerator(getattr(self, name), name, calls))
 
         ds = random_imbalanced_dataset(2)
@@ -621,23 +631,6 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
         assert got[1] == want[1]
         assert got[2] == want[2]
         assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
-
-
-def test_small_alphas_match_per_point_oracle():
-    # no method's alphas go below 1, so only a custom alpha_fn reads the
-    # uniforms stream; 1e-300 underflows every component of simplex (3, 4, 5)
-    # and falls back to the simplex centre
-    vertex_alpha = np.array([0.3, 2.0, 1.0, 1e-300, 1e-300, 1e-300, 5.0, 0.01])
-    features = np.random.Generator(np.random.PCG64(9)).normal(size=(8, 3))
-    simplices = np.array([[0, -1, -1, -1], [0, 1, -1, -1], [3, 4, 5, -1],
-                          [0, 1, 2, 6], [5, 6, 7, -1], [2, 7, -1, -1]])
-    alpha_fn = lambda verts: vertex_alpha[np.asarray(verts)]  # noqa: E731
-    got, want = (sample(features, simplices, 200, SampleStreams(9), {}, alpha_fn=alpha_fn)
-                 for sample in (samplers._sample_from_simplices, per_point_simplices))
-    assert got.points.tobytes() == want.points.tobytes()
-    assert got.provenance == want.provenance
-    centred = [pr.lam for pr in got.provenance if pr.simplex == (3, 4, 5)]
-    assert centred and all(lam == (1 / 3,) * 3 for lam in centred)
 
 
 def test_simplex_table_rows_are_the_sorted_simplices():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from simbal import (
     Dataset,
@@ -137,6 +138,15 @@ class TestSafelevelAlphas:
     def test_unknown_formula(self):
         with pytest.raises(SamplerParameterError):
             safelevel_alphas(self._safety(2, [1]), (0,), formula="squared")
+
+    @given(st.integers(1, 10 ** 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k), min_size=1, max_size=20))))
+    def test_alphas_are_never_below_one(self, case):
+        # the sampler draws Gamma(alpha) with no small-shape boost: it rests on this
+        k, k_plus = case
+        safety = self._safety(k, k_plus)
+        for formula in ("inverse", "plus-one"):
+            assert safelevel_alphas(safety, range(len(k_plus)), formula=formula).min() >= 1.0
 
 
 class TestAdasynWeights:
