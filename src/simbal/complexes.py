@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .graphs import NeighborhoodGraph, _integer
 
 # Sentinel for "no cap on simplex dimension" (the full clique complex).
 MAXIMAL = None
 
-# Refuse to subdivide a clique into more candidate simplices than this.
+# Refuse to subdivide a clique into more candidate simplices than this (p >= 2).
 DEFAULT_SUBDIVISION_CAP = 1_000_000
 
 Simplex = tuple[int, ...]
@@ -27,7 +29,7 @@ class SkeletonParameterError(ValueError):
 
 
 class SubdivisionCapExceeded(RuntimeError):
-    """Raised when subdividing an oversized clique would blow up combinatorially."""
+    """Raised when subdividing an oversized clique would blow up combinatorially (p >= 2 only)."""
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,23 @@ def maximal_cliques(g: NeighborhoodGraph) -> frozenset[Simplex]:
     return frozenset(found)
 
 
+def _one_skeleton(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 1-skeleton of the graph on 0..n-1 with edges lo < hi, in lexicographic order, as a
+    -1-padded table in that order: a lone vertex v is a (v, -1) row, before every (v, x)."""
+    lone = np.flatnonzero(np.bincount(np.concatenate([lo, hi]), minlength=n) == 0)
+    return np.insert(np.column_stack([lo, hi]), np.searchsorted(lo, lone),
+                     np.column_stack([lone, np.full_like(lone, -1)]), axis=0)
+
+
 def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
                subdivision_cap: int = DEFAULT_SUBDIVISION_CAP) -> Skeleton:
     """Maximal simplices of the p-skeleton of the clique complex of g.
 
     Maximal cliques of size at most p+1 are kept whole; larger ones are
     replaced by all their (p+1)-subsets. Subsets shared between overlapping
-    cliques are kept once (set semantics).
+    cliques are kept once (set semantics). At p = 1 these are the edges and
+    isolated vertices, read off with no clique step, so ``subdivision_cap``
+    binds only for p >= 2.
     """
     if p is not MAXIMAL:
         p = _integer(p, "p", SkeletonParameterError)
@@ -89,6 +101,9 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
             raise SkeletonParameterError(
                 f"p must be >= 1 or MAXIMAL, got {p} (p=0 would reduce to point duplication)"
             )
+    if p == 1:
+        table = _one_skeleton(g.n_vertices, *np.array(sorted(g.edges), np.intp).reshape(-1, 2).T)
+        return Skeleton(frozenset(tuple(v for v in row if v >= 0) for row in table.tolist()))
     cliques = maximal_cliques(g)
     if p is MAXIMAL:
         return Skeleton(cliques)

@@ -78,13 +78,6 @@ class NeighborhoodGraph:
             if not (0 <= u < v < self.n_vertices):
                 raise GraphParameterError(f"invalid edge ({u}, {v}) for n={self.n_vertices}")
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=int)
         for u, v in self.edges:
@@ -228,13 +221,8 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     return out
 
 
-def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
-    """Symmetrized k-nearest-neighbor graph.
-
-    Each vertex lists its k nearest other vertices (distance ties broken by
-    lower index); the directed lists are then merged. With ``union`` an edge
-    exists if either endpoint lists the other, with ``mutual`` only if both do.
-    """
+def _knn_pairs(points, k: int, symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, lo, hi): the edges lo < hi of ``knn_graph(points, k, symmetrize)``, lexicographic."""
     pts, k = as_points(points), _integer(k, "k")
     n = pts.shape[0]
     if not 1 <= k <= n - 1:
@@ -249,5 +237,15 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
                               return_counts=True)
     if symmetrize == MUTUAL:
         pairs = pairs[listed == 2]
-    lo, hi = np.divmod(pairs, n)
+    return n, *np.divmod(pairs, n)
+
+
+def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
+    """Symmetrized k-nearest-neighbor graph.
+
+    Each vertex lists its k nearest other vertices (distance ties broken by
+    lower index); the directed lists are then merged. With ``union`` an edge
+    exists if either endpoint lists the other, with ``mutual`` only if both do.
+    """
+    n, lo, hi = _knn_pairs(points, k, symmetrize)
     return NeighborhoodGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))

@@ -3,9 +3,11 @@
 The simplex-based sampler builds a kNN graph over the minority points, takes
 the maximal simplices of the p-skeleton of its clique complex, and synthesizes
 each new point as a Dirichlet-weighted combination of one simplex's vertices.
-The edge-based sampler is the same pipeline with p forced to 1. Random
-duplication draws the same way from 0-simplices, and global pair sampling
-from the edges of the complete minority graph.
+The edge-based sampler is the same pipeline with p forced to 1: it reads the
+graph's edges and isolated vertices straight from the kNN pairs, with no
+clique step, so the subdivision cap binds only for p >= 2. Random duplication
+draws the same way from 0-simplices, and global pair sampling from the edges
+of the complete minority graph.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -22,12 +24,12 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import MAXIMAL, Skeleton, p_skeleton
+from .complexes import MAXIMAL, Skeleton, _one_skeleton, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
 # sample_dirichlet is not called here any more, but stays importable from this
 # module: perfbench traces the Dirichlet draw at this lookup site.
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, knn_graph
+from .graphs import MUTUAL, UNION, _integer, _knn_pairs, knn_graph
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -274,17 +276,24 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     return SyntheticBatch(points, np.empty((m, 0), np.intp), np.empty((m, 0)), meta)
 
 
-def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
-                  symmetrize: str) -> tuple[Skeleton, dict]:
-    """Skeleton of the kNN clique complex over the dataset rows ``ids``, k clamped to ids.size - 1.
-
-    Returns (skeleton over positions in ``ids``, clamp info).
-    """
+def _clamped_k(ids: np.ndarray, k: int) -> tuple[int, dict]:
+    """k clamped to ids.size - 1, with the clamp info a graph batch records."""
     if ids.size < 2:
         raise SamplerParameterError("need at least 2 minority points to build a graph")
     k_used = min(int(k), ids.size - 1)
+    return k_used, {"k_requested": int(k), "k_used": k_used, "k_clamped": k_used != int(k)}
+
+
+def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
+                  symmetrize: str) -> tuple[np.ndarray, dict]:
+    """(``dataset_level_simplices`` table of the kNN clique complex p-skeleton over the
+    dataset rows ``ids``, clamp info); at p = 1 the table comes with no clique step."""
+    k_used, info = _clamped_k(ids, k)
+    if p == 1:
+        local = _one_skeleton(*_knn_pairs(ds.features[ids], k_used, symmetrize))
+        return np.append(ids, -1)[local], info
     sk = p_skeleton(knn_graph(ds.features[ids], k_used, symmetrize), p)
-    return sk, {"k_requested": int(k), "k_used": k_used, "k_clamped": k_used != int(k)}
+    return dataset_level_simplices(sk, ids), info
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
@@ -295,8 +304,8 @@ def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
     clamp info).
     """
     idx_min = ds.minority_indices()
-    sk, info = _knn_skeleton(ds, idx_min, k, p, symmetrize)
-    return sk, idx_min, info
+    k_used, info = _clamped_k(idx_min, k)
+    return p_skeleton(knn_graph(ds.features[idx_min], k_used, symmetrize), p), idx_min, info
 
 
 def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,

@@ -42,7 +42,6 @@ from .samplers import (
     _knn_skeleton,
     _resolve_m,
     _sample_from_simplices,
-    dataset_level_simplices,
     oversample,
 )
 
@@ -70,8 +69,9 @@ class NeighborhoodSafety:
         idx = np.asarray(self.minority_indices, dtype=int)
         if not (kp.shape == km.shape == idx.shape):
             raise SamplerParameterError("safety arrays must be aligned")
-        if np.any(kp < 0) or np.any(km < 0) or np.any(kp + km != self.k):
-            raise SamplerParameterError("neighbor counts must be nonnegative and sum to k")
+        if self.k < 1 or np.any(kp < 0) or np.any(km < 0) or np.any(kp + km != self.k):
+            raise SamplerParameterError(
+                f"need k >= 1 (got {self.k}) and nonnegative neighbor counts that sum to k")
         object.__setattr__(self, "minority_indices", idx)
         object.__setattr__(self, "k_plus", kp)
         object.__setattr__(self, "k_minus", km)
@@ -218,8 +218,7 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
     else:
         ids = ds.minority_indices()
     m = _resolve_m(ds, cfg.target_count)
-    sk, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
-    table = dataset_level_simplices(sk, ids)
+    table, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
     if variant == BORDERLINE:
         # the support has at most n_plus points, so clamping k to it clamps safety_k too
         table = table[np.isin(table, list(border)).any(axis=1)]

@@ -47,9 +47,18 @@ def random_graph(seed: int, max_n: int = 12, edge_prob: float = 0.5) -> Neighbor
     return NeighborhoodGraph(n, frozenset(edges))
 
 
+def adjacency(g: NeighborhoodGraph) -> list[set[int]]:
+    """The neighbour set of each vertex of ``g``."""
+    adj: list[set[int]] = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def brute_force_cliques(g: NeighborhoodGraph) -> set[tuple[int, ...]]:
     """All cliques by subset enumeration (n <= ~15 only)."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     cliques = set()
     verts = range(g.n_vertices)
     for size in range(1, g.n_vertices + 1):
@@ -68,7 +77,7 @@ def brute_force_maximal_cliques(g: NeighborhoodGraph) -> set[tuple[int, ...]]:
 def set_based_maximal_cliques(g: NeighborhoodGraph) -> frozenset[tuple[int, ...]]:
     """Maximal cliques by pivoting Bron-Kerbosch on Python sets: the oracle for
     the bitset enumeration on graphs too large for subset enumeration."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     found = []
 
     def expand(r, p, x):

@@ -24,7 +24,7 @@ from simbal import (
 )
 from simbal.complexes import Skeleton, SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
 from simbal.evaluation import CVConfig, EvaluationError, knn_classify, method_grid, stratified_cv
-from simbal.graphs import GraphParameterError, nearest
+from simbal.graphs import MUTUAL, UNION, GraphParameterError, nearest
 from simbal.samplers import (
     GRAPH_METHODS,
     GRAPH_VARIANTS,
@@ -40,6 +40,7 @@ from simbal import samplers, variants
 from simbal.variants import EmptyBorderlineError
 
 from helpers import (
+    brute_force_skeleton,
     in_convex_hull,
     per_point_oversample,
     random_imbalanced_dataset,
@@ -648,6 +649,29 @@ def test_simplex_table_rows_are_the_sorted_simplices():
         table = samplers.dataset_level_simplices(sk, idx_min)
         assert [tuple(v for v in row if v >= 0) for row in table.tolist()] == [
             tuple(idx_min[list(s)].tolist()) for s in sorted(sk.maximal_simplices)]
+
+
+@pytest.mark.parametrize("symmetrize", [UNION, MUTUAL])
+def test_edge_table_matches_brute_force_skeleton(symmetrize):
+    # the p = 1 table, read from the kNN pairs, against the 1-skeleton by
+    # subset enumeration: values, order, shape and dtype, on tie-heavy rows of
+    # a larger dataset; mutual graphs leave vertices isolated, (v, -1) rows
+    lone = 0
+    for seed in range(40):
+        rng = np.random.Generator(np.random.PCG64(seed + 900))
+        n, d = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        features = np.round(rng.normal(size=(n + 10, d)), 1) * 10.0 ** rng.integers(-3, 4)
+        ds = Dataset(features, [1, -1] * ((n + 10) // 2) + [1] * ((n + 10) % 2))
+        ids = np.sort(rng.choice(n + 10, n, replace=False))
+        k = int(rng.integers(1, n))
+        table, info = samplers._knn_skeleton(ds, ids, k, 1, symmetrize)
+        g = knn_graph(ds.features[ids], k, symmetrize)
+        want = samplers.dataset_level_simplices(
+            Skeleton(frozenset(brute_force_skeleton(g, 1))), ids)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert np.array_equal(table, want) and info["k_used"] == k
+        lone += bool((table < 0).any())
+    assert lone >= (5 if symmetrize == MUTUAL else 0)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)

@@ -139,6 +139,11 @@ class TestSafelevelAlphas:
         with pytest.raises(SamplerParameterError):
             safelevel_alphas(self._safety(2, [1]), (0,), formula="squared")
 
+    def test_empty_neighborhood_is_rejected(self):
+        # k = 0 with all-zero counts would give alpha = 0 (inverse) or NaN (plus-one)
+        with pytest.raises(SamplerParameterError, match=r"need k >= 1 \(got 0\)"):
+            safelevel_alphas(NeighborhoodSafety(np.arange(2), 0, [0, 0], [0, 0]), (0, 1))
+
     @given(st.integers(1, 10 ** 6).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k), min_size=1, max_size=20))))
     def test_alphas_are_never_below_one(self, case):
