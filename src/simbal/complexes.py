@@ -3,12 +3,16 @@
 A simplex is represented as a strictly ascending tuple of vertex ids; a
 (p+1)-clique of the graph is a p-simplex of the clique complex. ``MAXIMAL``
 (``None``) requests the full clique complex, i.e. no dimension cap.
+
+``_skeleton_table`` is the one builder: sorted edge arrays in, a -1-padded
+simplex table out. The samplers call it on the kNN pairs; the public functions
+on a graph's edges, returning the rows as tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -58,6 +62,56 @@ def _bron_kerbosch_pivot(adj: list[int], r: Simplex, p: int, x: int,
         branch ^= low
 
 
+def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL,
+                    subdivision_cap: int = DEFAULT_SUBDIVISION_CAP) -> np.ndarray:
+    """The p-skeleton of the clique complex of the graph on 0..n-1 with edges lo < hi
+    (lexicographic) as a table: one maximal simplex per row, ids ascending, padded
+    with -1 (below every id, so a row sorts as its tuple), rows in lexicographic order.
+
+    At p = 1 the rows are the edges and the lone vertices, with no clique step.
+    Otherwise they are the maximal cliques, those larger than p+1 replaced by
+    their (p+1)-subsets: only there does ``subdivision_cap`` bind.
+    """
+    if p is not MAXIMAL:
+        p = _integer(p, "p", SkeletonParameterError)
+        if p < 1:
+            raise SkeletonParameterError(f"p must be >= 1 or MAXIMAL, got {p} "
+                                         "(p=0 would reduce to point duplication)")
+    if p == 1:
+        lone = np.flatnonzero(np.bincount(np.concatenate([lo, hi]), minlength=n) == 0)
+        return np.insert(np.column_stack([lo, hi]), np.searchsorted(lo, lone),
+                         np.column_stack([lone, np.full_like(lone, -1)]), axis=0)
+    adj = [0] * n
+    for u, v in zip(lo.tolist(), hi.tolist()):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    simplices: list[Simplex] = []
+    if n:
+        _bron_kerbosch_pivot(adj, (), (1 << n) - 1, 0, simplices)
+    if p is not MAXIMAL:
+        size_cap, generated = p + 1, 0
+        kept = {s for s in simplices if len(s) <= size_cap}
+        # sorted, so the error names the first clique (lexicographic) that passes the cap
+        for clique in sorted(s for s in simplices if len(s) > size_cap):
+            n_subsets = comb(len(clique), size_cap)
+            generated += n_subsets
+            if generated > subdivision_cap:
+                raise SubdivisionCapExceeded(
+                    f"subdividing the {len(clique)}-clique {clique} into C({len(clique)},"
+                    f"{size_cap})={n_subsets} simplices brings the count to {generated}, past "
+                    f"the cap of {subdivision_cap}; use a smaller p"
+                )
+            kept.update(combinations(clique, size_cap))
+        # the set's deduplication is the whole of re-maximalization: a maximal clique of
+        # size < p+1 inside a generated (p+1)-subset would contradict its maximality
+        simplices = list(kept)
+    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
+    # at least one column, which lexsort needs, even for n = 0
+    table = np.full((sizes.size, sizes.max(initial=1)), -1)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = list(chain.from_iterable(simplices))
+    return table[np.lexsort(table.T[::-1])]
+
+
 def maximal_cliques(g: NeighborhoodGraph) -> frozenset[Simplex]:
     """All inclusion-maximal cliques; isolated vertices come back as 1-tuples.
 
@@ -66,23 +120,7 @@ def maximal_cliques(g: NeighborhoodGraph) -> frozenset[Simplex]:
     Computers & OR 2011). The lowest-vertex pivot is 1.3-1.5x faster than
     Tomita's on sparse kNN graphs but drops its worst-case bound on dense ones.
     """
-    if g.n_vertices == 0:
-        return frozenset()
-    adj = [0] * g.n_vertices
-    for u, v in g.edges:
-        adj[u] |= 1 << int(v)  # int(): an edge of numpy ints would shift in 64 bits
-        adj[v] |= 1 << int(u)
-    found: list[Simplex] = []
-    _bron_kerbosch_pivot(adj, (), (1 << g.n_vertices) - 1, 0, found)
-    return frozenset(found)
-
-
-def _one_skeleton(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The 1-skeleton of the graph on 0..n-1 with edges lo < hi, in lexicographic order, as a
-    -1-padded table in that order: a lone vertex v is a (v, -1) row, before every (v, x)."""
-    lone = np.flatnonzero(np.bincount(np.concatenate([lo, hi]), minlength=n) == 0)
-    return np.insert(np.column_stack([lo, hi]), np.searchsorted(lo, lone),
-                     np.column_stack([lone, np.full_like(lone, -1)]), axis=0)
+    return p_skeleton(g, MAXIMAL).maximal_simplices
 
 
 def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
@@ -95,36 +133,5 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     isolated vertices, read off with no clique step, so ``subdivision_cap``
     binds only for p >= 2.
     """
-    if p is not MAXIMAL:
-        p = _integer(p, "p", SkeletonParameterError)
-        if p < 1:
-            raise SkeletonParameterError(
-                f"p must be >= 1 or MAXIMAL, got {p} (p=0 would reduce to point duplication)"
-            )
-    if p == 1:
-        table = _one_skeleton(g.n_vertices, *np.array(sorted(g.edges), np.intp).reshape(-1, 2).T)
-        return Skeleton(frozenset(tuple(v for v in row if v >= 0) for row in table.tolist()))
-    cliques = maximal_cliques(g)
-    if p is MAXIMAL:
-        return Skeleton(cliques)
-    size_cap = p + 1
-    kept: set[Simplex] = set()
-    generated = 0
-    # sorted, so the error names the first clique (lexicographic) that passes the cap
-    for clique in sorted(cliques):
-        if len(clique) <= size_cap:
-            kept.add(clique)
-            continue
-        n_subsets = comb(len(clique), size_cap)
-        generated += n_subsets
-        if generated > subdivision_cap:
-            raise SubdivisionCapExceeded(
-                f"subdividing the {len(clique)}-clique {clique} into C({len(clique)},{size_cap})="
-                f"{n_subsets} simplices brings the count to {generated}, past the cap of "
-                f"{subdivision_cap}; use a smaller p"
-            )
-        kept.update(combinations(clique, size_cap))
-    # Deduplication is the whole of re-maximalization here: a maximal clique of
-    # size < p+1 contained in a generated (p+1)-subset would itself sit inside a
-    # larger clique, contradicting its maximality.
-    return Skeleton(frozenset(kept))
+    table = _skeleton_table(*g._pairs(), p, subdivision_cap)
+    return Skeleton(frozenset(tuple(v for v in row if v >= 0) for row in table.tolist()))

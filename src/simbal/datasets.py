@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import as_points
+from .graphs import _integer, as_points
 
 MINORITY = 1
 MAJORITY = -1
@@ -19,6 +19,11 @@ MAJORITY = -1
 
 class DatasetError(ValueError):
     """Raised for malformed feature/label data."""
+
+
+def _binary_labels(labels: np.ndarray) -> bool:
+    """Whether every label is exactly +1 or -1; a non-numeric one never is."""
+    return labels.dtype.kind in "iuf" and bool(np.all(abs(labels) == 1))
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,7 @@ class Dataset:
             raise DatasetError(
                 f"labels must be length-{feats.shape[0]} 1-d, got shape {labels.shape}"
             )
-        # read exactly: a float label must equal +1 or -1, a non-numeric one is refused
-        if labels.dtype.kind not in "iuf" or not np.all(abs(labels) == 1):
+        if not _binary_labels(labels):
             raise DatasetError("labels must contain only +1 (minority) and -1 (majority)")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels.astype(int, copy=False))
@@ -116,8 +120,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_minority", "n_majority", "seed"):
+            _integer(getattr(self, name), name, DatasetError)
         if self.n_minority < 1 or self.n_majority < 1:
             raise DatasetError("class sizes must be positive")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
+        if self.noise is not None and not (np.isfinite(self.noise) and self.noise >= 0):
+            raise DatasetError(f"noise must be finite and >= 0, got {self.noise!r}")
 
 
 def _moons(rng, n_min, n_maj):

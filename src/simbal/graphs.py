@@ -78,12 +78,12 @@ class NeighborhoodGraph:
             if not (0 <= u < v < self.n_vertices):
                 raise GraphParameterError(f"invalid edge ({u}, {v}) for n={self.n_vertices}")
 
+    def _pairs(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(n, lo, hi): the edges lo < hi in lexicographic order, as ``_knn_pairs`` gives them."""
+        return self.n_vertices, *np.array(sorted(self.edges), np.intp).reshape(-1, 2).T
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(np.concatenate(self._pairs()[1:]), minlength=self.n_vertices)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import MINORITY
+from .datasets import MINORITY, _binary_labels
 
 
 class MetricError(ValueError):
@@ -33,11 +33,12 @@ class ConfusionCounts:
 
 
 def confusion_counts(y_true, y_pred) -> ConfusionCounts:
-    """Tally the four cells; +1 is the positive (minority) class."""
-    yt = np.asarray(y_true, dtype=int)
-    yp = np.asarray(y_pred, dtype=int)
+    """Tally the four cells; +1 is the positive (minority) class, -1 the negative."""
+    yt, yp = np.asarray(y_true), np.asarray(y_pred)
     if yt.shape != yp.shape or yt.ndim != 1:
         raise MetricError(f"label vectors must be equal-length 1-d, got {yt.shape} vs {yp.shape}")
+    if not (_binary_labels(yt) and _binary_labels(yp)):
+        raise MetricError("labels must contain only +1 (minority) and -1 (majority)")
     pos_t = yt == MINORITY
     pos_p = yp == MINORITY
     return ConfusionCounts(

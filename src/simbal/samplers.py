@@ -1,13 +1,12 @@
 """Minority oversamplers: random, global, Gaussian, edge-based and simplex-based.
 
-The simplex-based sampler builds a kNN graph over the minority points, takes
-the maximal simplices of the p-skeleton of its clique complex, and synthesizes
-each new point as a Dirichlet-weighted combination of one simplex's vertices.
-The edge-based sampler is the same pipeline with p forced to 1: it reads the
-graph's edges and isolated vertices straight from the kNN pairs, with no
-clique step, so the subdivision cap binds only for p >= 2. Random duplication
-draws the same way from 0-simplices, and global pair sampling from the edges
-of the complete minority graph.
+The simplex-based sampler turns the kNN pairs of the minority points into a
+table of the maximal simplices of the p-skeleton of their clique complex
+(``complexes._skeleton_table``) and synthesizes each new point as a
+Dirichlet-weighted combination of one simplex's vertices. The edge-based
+sampler is the same pipeline with p forced to 1. Random duplication draws the
+same way from 0-simplices, and global pair sampling from the edges of the
+complete minority graph.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -20,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .complexes import MAXIMAL, Skeleton, _one_skeleton, p_skeleton
+from .complexes import MAXIMAL, Skeleton, _skeleton_table, p_skeleton
 from .datasets import Dataset, DatasetError, MINORITY
 # sample_dirichlet is not called here any more, but stays importable from this
 # module: perfbench traces the Dirichlet draw at this lookup site.
@@ -286,14 +284,11 @@ def _clamped_k(ids: np.ndarray, k: int) -> tuple[int, dict]:
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
                   symmetrize: str) -> tuple[np.ndarray, dict]:
-    """(``dataset_level_simplices`` table of the kNN clique complex p-skeleton over the
-    dataset rows ``ids``, clamp info); at p = 1 the table comes with no clique step."""
+    """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
+    rows ``ids``, mapped to dataset ids; ``ids`` ascend, so the rows keep their order."""
     k_used, info = _clamped_k(ids, k)
-    if p == 1:
-        local = _one_skeleton(*_knn_pairs(ds.features[ids], k_used, symmetrize))
-        return np.append(ids, -1)[local], info
-    sk = p_skeleton(knn_graph(ds.features[ids], k_used, symmetrize), p)
-    return dataset_level_simplices(sk, ids), info
+    local = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
+    return np.append(ids, -1)[local], info
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
@@ -315,7 +310,7 @@ def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,
     """Pick one row of the simplex ``table`` per point on the selection stream, then draw them.
 
     ``table`` holds one simplex per row, dataset-level ids ascending and padded
-    with -1, in canonical order (see ``dataset_level_simplices``); ``weights``
+    with -1, rows in lexicographic order (built by ``_knn_skeleton``); ``weights``
     switches selection from uniform to the given distribution; ``alpha_fn``
     maps an array of vertex ids to their Dirichlet parameters (default
     all-ones). The m picks are one call, so a larger m extends a batch.
@@ -365,19 +360,6 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
             # one vector-matrix product per row: weights[i] @ features[simplices[i]]
             points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]
     return SyntheticBatch(points, verts, lam, meta)
-
-
-def dataset_level_simplices(sk: Skeleton, ids: np.ndarray) -> np.ndarray:
-    """The simplex table of a local skeleton: row i holds the ``ids`` of the
-    i-th simplex in lexicographic order, padded with -1.
-
-    ``ids`` ascend, so the map is monotone and the rows ascend too.
-    """
-    simplices = sorted(sk.maximal_simplices)
-    sizes = np.fromiter(map(len, simplices), dtype=np.intp, count=len(simplices))
-    local = np.full((sizes.size, sizes.max(initial=0)), -1)
-    local[np.arange(local.shape[1]) < sizes[:, None]] = list(chain.from_iterable(simplices))
-    return np.append(ids, -1)[local]
 
 
 def oversample_simplicial(ds: Dataset, k: int, p: int | None = MAXIMAL,

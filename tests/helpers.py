@@ -110,6 +110,15 @@ def brute_force_skeleton(g: NeighborhoodGraph, p) -> set[tuple[int, ...]]:
             if not any(set(c) < set(other) for other in capped)}
 
 
+def skeleton_table(g: NeighborhoodGraph, p) -> np.ndarray:
+    """``brute_force_skeleton(g, p)`` as the samplers' table: one simplex per row in
+    sorted order, padded with -1 to the widest."""
+    simplices = sorted(brute_force_skeleton(g, p))
+    width = max(map(len, simplices), default=0)
+    return np.array([s + (-1,) * (width - len(s)) for s in simplices],
+                    dtype=np.intp).reshape(-1, width)
+
+
 def in_convex_hull(point, vertices, tol: float = 1e-7) -> bool:
     """Feasibility of barycentric weights via linear programming."""
     from scipy.optimize import linprog

@@ -148,8 +148,9 @@ class TestPSkeleton:
         assert sk.maximal_simplices == {(0, 1), (0, 2), (1, 2)}
 
     def test_p1_of_an_edgeless_graph_is_its_vertices(self):
-        for n in range(4):
-            sk = p_skeleton(NeighborhoodGraph(n, frozenset()), 1)
+        # and so at every p; n = 0 sends a table of no rows through the sort
+        for n, p in product(range(4), (1, 2, MAXIMAL)):
+            sk = p_skeleton(NeighborhoodGraph(n, frozenset()), p)
             assert sk.maximal_simplices == {(v,) for v in range(n)}
 
     def test_shared_subsets_counted_once(self):

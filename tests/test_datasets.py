@@ -101,3 +101,9 @@ class TestGenerateSynthetic:
     def test_invalid_sizes(self):
         with pytest.raises(DatasetError):
             SyntheticSpec(Shape.MOONS, n_minority=0)
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("noise", -0.1),
+                                              ("noise", float("nan")), ("noise", float("inf"))])
+    def test_invalid_seed_and_noise(self, field, value):
+        with pytest.raises(DatasetError, match=f"{field} must be"):
+            SyntheticSpec(Shape.MOONS, **{field: value})

@@ -38,6 +38,13 @@ class TestConfusionCounts:
         with pytest.raises(MetricError):
             confusion_counts([1, -1], [1])
 
+    @pytest.mark.parametrize("y_true, y_pred", [([0, 1, 0], [1, 1, 0]), ([1.7, -1], [1, -1]),
+                                                ([1, -1], [1, 0.5])])
+    def test_rejects_labels_that_are_not_plus_or_minus_one(self, y_true, y_pred):
+        # 0 is not the majority label, and 1.7 is not truncated to a positive
+        with pytest.raises(MetricError, match=r"only \+1 \(minority\) and -1"):
+            confusion_counts(y_true, y_pred)
+
 
 class TestF1:
     def test_perfect(self):

@@ -12,6 +12,8 @@ from simbal import (
     MAXIMAL,
     Method,
     SamplerConfig,
+    Shape,
+    SyntheticSpec,
     knn_graph,
     minority_skeleton,
     oversample,
@@ -22,7 +24,8 @@ from simbal import (
     oversample_simplicial,
     oversample_smote,
 )
-from simbal.complexes import Skeleton, SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
+from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
+from simbal.datasets import DatasetError
 from simbal.evaluation import CVConfig, EvaluationError, knn_classify, method_grid, stratified_cv
 from simbal.graphs import MUTUAL, UNION, GraphParameterError, nearest
 from simbal.samplers import (
@@ -40,11 +43,11 @@ from simbal import samplers, variants
 from simbal.variants import EmptyBorderlineError
 
 from helpers import (
-    brute_force_skeleton,
     in_convex_hull,
     per_point_oversample,
     random_imbalanced_dataset,
     reconstruction_error,
+    skeleton_table,
 )
 
 ALL_METHODS = list(Method)
@@ -128,6 +131,11 @@ NON_INTEGRAL = {
     "cv-inner_repeats": (lambda: CVConfig(mode="nested", inner_repeats=2.5), EvaluationError),
     "stratified_cv-folds": (lambda: stratified_cv(_LABELLED, 3.0, 1, 0), EvaluationError),
     "stratified_cv-repeats": (lambda: stratified_cv(_LABELLED, 3, 1.5, 0), EvaluationError),
+    "synthetic_spec-n_minority": (lambda: SyntheticSpec(Shape.MOONS, n_minority=10.5),
+                                  DatasetError),
+    "synthetic_spec-n_majority": (lambda: SyntheticSpec(Shape.MOONS, n_majority=40.0),
+                                  DatasetError),
+    "synthetic_spec-seed": (lambda: SyntheticSpec(Shape.MOONS, seed=1.5), DatasetError),
 }
 
 
@@ -635,27 +643,26 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
 
 
 def test_simplex_table_rows_are_the_sorted_simplices():
-    # pick i names the i-th simplex of sorted(maximal_simplices) through ids:
-    # a lone vertex, mixed widths, and (1, 2) before its extension (1, 2, 3)
-    simplices = {(5,), (3, 4), (1, 3), (0,), (1, 2, 3), (2, 4, 5, 6), (1, 2)}
-    ids = np.array([2, 5, 7, 11, 13, 17, 19])
-    table = samplers.dataset_level_simplices(Skeleton(frozenset(simplices)), ids)
-    assert table.tolist() == [[2, -1, -1, -1], [5, 7, -1, -1], [5, 7, 11, -1],
-                              [5, 11, -1, -1], [7, 13, 17, 19], [11, 13, -1, -1],
-                              [17, -1, -1, -1]]
-    for seed, p in product(range(4), (MAXIMAL, 1, 2)):
+    # row i of the sampler's table is the i-th simplex of sorted(maximal_simplices)
+    # of the public skeleton, through the minority ids, padded to the widest
+    for seed, p, symmetrize in product(range(4), (MAXIMAL, 1, 2), (UNION, MUTUAL)):
         ds = random_imbalanced_dataset(seed)
-        sk, idx_min, _ = samplers.minority_skeleton(ds, 5, p)
-        table = samplers.dataset_level_simplices(sk, idx_min)
+        sk, idx_min, info = samplers.minority_skeleton(ds, 5, p, symmetrize)
+        table, table_info = samplers._knn_skeleton(ds, idx_min, 5, p, symmetrize)
+        simplices = sorted(sk.maximal_simplices)
+        assert table_info == info
+        assert table.shape == (len(simplices), max(map(len, simplices)))
         assert [tuple(v for v in row if v >= 0) for row in table.tolist()] == [
-            tuple(idx_min[list(s)].tolist()) for s in sorted(sk.maximal_simplices)]
+            tuple(idx_min[list(s)].tolist()) for s in simplices]
 
 
-@pytest.mark.parametrize("symmetrize", [UNION, MUTUAL])
-def test_edge_table_matches_brute_force_skeleton(symmetrize):
-    # the p = 1 table, read from the kNN pairs, against the 1-skeleton by
+@pytest.mark.parametrize("p, symmetrize", [
+    pytest.param(p, sym, id=sym if p == 1 else f"p{'max' if p is MAXIMAL else p}-{sym}")
+    for p in (1, 2, MAXIMAL) for sym in (UNION, MUTUAL)])
+def test_edge_table_matches_brute_force_skeleton(p, symmetrize):
+    # the sampler's table, built from the kNN pairs, against the p-skeleton by
     # subset enumeration: values, order, shape and dtype, on tie-heavy rows of
-    # a larger dataset; mutual graphs leave vertices isolated, (v, -1) rows
+    # a larger dataset; mutual graphs leave vertices isolated, (v, -1, ...) rows
     lone = 0
     for seed in range(40):
         rng = np.random.Generator(np.random.PCG64(seed + 900))
@@ -664,13 +671,11 @@ def test_edge_table_matches_brute_force_skeleton(symmetrize):
         ds = Dataset(features, [1, -1] * ((n + 10) // 2) + [1] * ((n + 10) % 2))
         ids = np.sort(rng.choice(n + 10, n, replace=False))
         k = int(rng.integers(1, n))
-        table, info = samplers._knn_skeleton(ds, ids, k, 1, symmetrize)
-        g = knn_graph(ds.features[ids], k, symmetrize)
-        want = samplers.dataset_level_simplices(
-            Skeleton(frozenset(brute_force_skeleton(g, 1))), ids)
+        table, info = samplers._knn_skeleton(ds, ids, k, p, symmetrize)
+        want = np.append(ids, -1)[skeleton_table(knn_graph(ds.features[ids], k, symmetrize), p)]
         assert table.dtype == want.dtype and table.shape == want.shape
         assert np.array_equal(table, want) and info["k_used"] == k
-        lone += bool((table < 0).any())
+        lone += bool((table[:, 1] < 0).any())
     assert lone >= (5 if symmetrize == MUTUAL else 0)
 
 
