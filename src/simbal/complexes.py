@@ -5,8 +5,8 @@ A simplex is represented as a strictly ascending tuple of vertex ids; a
 (``None``) requests the full clique complex, i.e. no dimension cap.
 
 ``_skeleton_table`` is the one builder: sorted edge arrays in, a -1-padded
-simplex table out. The samplers call it on the kNN pairs; the public functions
-on a graph's edges, returning the rows as tuples.
+simplex table out. The samplers and ``geometry.mean_model_distance`` call it on
+the kNN pairs; ``p_skeleton`` on a graph's edges, returning the rows as tuples.
 """
 
 from __future__ import annotations
@@ -133,5 +133,9 @@ def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
     isolated vertices, read off with no clique step, so ``subdivision_cap``
     binds only for p >= 2.
     """
-    table = _skeleton_table(*g._pairs(), p, subdivision_cap)
+    return _table_skeleton(_skeleton_table(*g._pairs(), p, subdivision_cap))
+
+
+def _table_skeleton(table: np.ndarray) -> Skeleton:
+    """The rows of a ``_skeleton_table`` as a ``Skeleton``, pads stripped."""
     return Skeleton(frozenset(tuple(v for v in row if v >= 0) for row in table.tolist()))

@@ -120,6 +120,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.shape, Shape):
+            raise DatasetError(f"shape must be a Shape, got {self.shape!r}")
         for name in ("n_minority", "n_majority", "seed"):
             _integer(getattr(self, name), name, DatasetError)
         if self.n_minority < 1 or self.n_majority < 1:

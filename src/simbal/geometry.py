@@ -7,39 +7,20 @@ from itertools import combinations
 import numpy as np
 
 from . import graphs
-from .complexes import MAXIMAL, p_skeleton
-from .graphs import UNION, as_points, knn_graph
+from .complexes import MAXIMAL, _skeleton_table, _table_skeleton
+from .graphs import UNION, _knn_pairs, as_points
 
 
 class GeometryParameterError(ValueError):
     """Raised for invalid barycentric or Dirichlet parameters."""
 
 
-def gamma_shapes(alpha) -> np.ndarray:
-    """Gamma shapes whose draws ``dirichlet_weights`` turns into Dirichlet(alpha) weights.
+def dirichlet_weights(gammas: np.ndarray) -> np.ndarray:
+    """Dirichlet weights along the last axis from independent Gamma(alpha_i) draws.
 
-    Components with alpha < 1 are drawn as Gamma(alpha+1) and boosted later,
-    which avoids the underflow-to-zero failure mode of direct small-shape Gamma
-    sampling.
+    Each row is normalized by its own sum; a row whose every component
+    underflowed gets the simplex centre.
     """
-    a = np.asarray(alpha, dtype=float)
-    # a NaN fails the first comparison; an empty alpha has nothing to reject
-    if not 0.0 < a.min(initial=1.0) <= a.max(initial=1.0) < np.inf:
-        raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
-    return np.where(a < 1.0, a + 1.0, a)
-
-
-def dirichlet_weights(alpha, gammas: np.ndarray, uniforms: np.ndarray | None = None) -> np.ndarray:
-    """Dirichlet(alpha) weights along the last axis from raw Gamma and uniform draws.
-
-    ``gammas`` are standard Gamma draws of ``gamma_shapes(alpha)``; components
-    with alpha < 1 become Gamma(alpha+1) * U**(1/alpha), U from ``uniforms``,
-    which may be omitted when no alpha is below 1. Each row is normalized by its
-    own sum; a row whose every component underflowed gets the simplex centre.
-    """
-    a = np.asarray(alpha, dtype=float)
-    if a.min() < 1.0:
-        gammas = np.where(a < 1.0, gammas * uniforms ** (1.0 / a), gammas)
     total = gammas.sum(axis=-1, keepdims=True)
     if total.min() > 0.0:
         return gammas / total
@@ -50,15 +31,21 @@ def dirichlet_weights(alpha, gammas: np.ndarray, uniforms: np.ndarray | None = N
 def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
     """One draw from Dirichlet(alpha) as a length-len(alpha) weight vector.
 
-    Uses the Gamma-normalization construction with the small-alpha boost of
-    ``dirichlet_weights``; takes len(alpha) Gamma then len(alpha) uniform draws
-    from ``rng``.
+    Takes len(alpha) Gamma then len(alpha) uniform draws from ``rng``. A
+    component with alpha < 1 is drawn as Gamma(alpha+1) * U**(1/alpha), which
+    has the Gamma(alpha) law but does not underflow to zero as direct
+    small-shape Gamma sampling does.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise GeometryParameterError(f"alpha must be a 1-d vector, got shape {a.shape}")
-    g = rng.standard_gamma(gamma_shapes(a))
-    return dirichlet_weights(a, g, rng.uniform(size=a.size))
+    # a NaN fails the first comparison
+    if not 0.0 < a.min() <= a.max() < np.inf:
+        raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
+    small = a < 1.0
+    g = rng.standard_gamma(np.where(small, a + 1.0, a))
+    u = rng.uniform(size=a.size)
+    return dirichlet_weights(np.where(small, g * u ** (1.0 / a), g))
 
 
 def _hull_distances(queries: np.ndarray, points: np.ndarray, simplices) -> np.ndarray:
@@ -133,5 +120,6 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
     if mino.shape[0] == 1:
         simplices = [(0,)]
     else:
-        simplices = p_skeleton(knn_graph(mino, k, symmetrize), p).maximal_simplices
+        table = _skeleton_table(*_knn_pairs(mino, k, symmetrize), p)
+        simplices = _table_skeleton(table).maximal_simplices
     return float(np.mean(_hull_distances(maj, mino, simplices)))

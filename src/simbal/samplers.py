@@ -22,12 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import MAXIMAL, Skeleton, _skeleton_table, p_skeleton
+# p_skeleton, knn_graph and sample_dirichlet are not called here any more, but
+# stay importable from this module: perfbench traces them at these lookup sites.
+from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _table_skeleton,  # noqa: F401
+                        p_skeleton)
 from .datasets import Dataset, DatasetError, MINORITY
-# sample_dirichlet is not called here any more, but stays importable from this
-# module: perfbench traces the Dirichlet draw at this lookup site.
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, _knn_pairs, knn_graph
+from .graphs import MUTUAL, UNION, _integer, _knn_pairs, knn_graph  # noqa: F401
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -180,10 +181,11 @@ class SampleStreams:
     w_i vertices, lone ones included, and its draws are the w_i values after
     the w_0 + ... + w_{i-1} of the points before it. That is the row-major
     order of the unpadded slots of the batch's (m, w) simplex array, the order
-    in which a boolean-mask assignment fills them. Every ``alpha_fn`` value is
-    at least 1, so no Gamma shape is boosted and no third stream is needed.
-    Each stream is read by one vectorised call per batch, and numpy fills
-    arrays in order, so a larger batch extends a smaller one bit for bit.
+    in which a boolean-mask assignment fills them. Each variate is Gamma of
+    its alpha, drawn directly: only ``sample_dirichlet`` boosts alpha < 1
+    with uniforms, so no third stream is needed. Each stream is read by one
+    vectorised call per batch, and numpy fills arrays in order, so a larger
+    batch extends a smaller one bit for bit.
     """
 
     def __init__(self, seed: int):
@@ -274,21 +276,16 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     return SyntheticBatch(points, np.empty((m, 0), np.intp), np.empty((m, 0)), meta)
 
 
-def _clamped_k(ids: np.ndarray, k: int) -> tuple[int, dict]:
-    """k clamped to ids.size - 1, with the clamp info a graph batch records."""
-    if ids.size < 2:
-        raise SamplerParameterError("need at least 2 minority points to build a graph")
-    k_used = min(int(k), ids.size - 1)
-    return k_used, {"k_requested": int(k), "k_used": k_used, "k_clamped": k_used != int(k)}
-
-
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
                   symmetrize: str) -> tuple[np.ndarray, dict]:
     """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
-    rows ``ids``, mapped to dataset ids; ``ids`` ascend, so the rows keep their order."""
-    k_used, info = _clamped_k(ids, k)
-    local = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
-    return np.append(ids, -1)[local], info
+    rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1."""
+    if ids.size < 2:
+        raise SamplerParameterError("need at least 2 minority points to build a graph")
+    k = _integer(k, "k", SamplerParameterError)
+    k_used = min(k, ids.size - 1)
+    table = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
+    return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
@@ -299,8 +296,8 @@ def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
     clamp info).
     """
     idx_min = ds.minority_indices()
-    k_used, info = _clamped_k(idx_min, k)
-    return p_skeleton(knn_graph(ds.features[idx_min], k_used, symmetrize), p), idx_min, info
+    table, info = _knn_skeleton(ds, idx_min, k, p, symmetrize)
+    return _table_skeleton(table), idx_min, info
 
 
 def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,
@@ -310,10 +307,11 @@ def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,
     """Pick one row of the simplex ``table`` per point on the selection stream, then draw them.
 
     ``table`` holds one simplex per row, dataset-level ids ascending and padded
-    with -1, rows in lexicographic order (built by ``_knn_skeleton``); ``weights``
-    switches selection from uniform to the given distribution; ``alpha_fn``
-    maps an array of vertex ids to their Dirichlet parameters (default
-    all-ones). The m picks are one call, so a larger m extends a batch.
+    with -1, rows in lexicographic order (``_knn_skeleton``'s, mapped to
+    dataset ids); ``weights`` switches selection from uniform to the given
+    distribution; ``alpha_fn`` maps an array of vertex ids to their Dirichlet
+    parameters (default all-ones). The m picks are one call, so a larger m
+    extends a batch.
     """
     if weights is None:
         sel = streams.selection.integers(0, table.shape[0], size=m)
@@ -330,9 +328,9 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
     with -1. Point i is ``lam @ features[simplex]`` with ``lam`` ~
     Dirichlet(``alpha_fn`` of its ids, or all-ones); the batch keeps ``verts``
     and ``lam``, padded alike. The raw variates of all points come from one
-    call on the weights stream, in the layout ``SampleStreams`` describes.
-    Every ``alpha_fn`` value is at least 1, so no shape is boosted and each
-    variate is ``standard_gamma`` of its alpha; all-ones draws are standard
+    call on the weights stream, in the layout ``SampleStreams`` describes:
+    each is ``standard_gamma`` of its alpha, with no small-shape boost (only
+    ``sample_dirichlet`` boosts alpha < 1), and all-ones draws are standard
     exponentials, which is what ``standard_gamma(1.0)`` draws. A lone vertex
     takes its share of draws but has the constant weight 1 and is copied.
     Widths are normalized and combined one at a time: padding rows to a
@@ -341,12 +339,11 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
     """
     filled = verts >= 0
     width = np.count_nonzero(filled, axis=1)
-    alpha, gammas = np.ones(verts.shape), np.zeros(verts.shape)
+    gammas = np.zeros(verts.shape)
     if alpha_fn is None:
         gammas[filled] = streams.weights.standard_exponential(int(width.sum()))
     else:
-        alpha[filled] = alpha_fn(verts[filled])
-        gammas[filled] = streams.weights.standard_gamma(alpha[filled])
+        gammas[filled] = streams.weights.standard_gamma(alpha_fn(verts[filled]))
     points, lam = np.empty((verts.shape[0], features.shape[1])), np.zeros(verts.shape)
     for w in np.unique(width).tolist():
         rows = np.flatnonzero(width == w)
@@ -355,7 +352,7 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
             lam[rows, 0] = 1.0
             points[rows] = features[simplices[:, 0]]
         else:
-            weights = dirichlet_weights(alpha[rows, :w], gammas[rows, :w])
+            weights = dirichlet_weights(gammas[rows, :w])
             lam[rows, :w] = weights
             # one vector-matrix product per row: weights[i] @ features[simplices[i]]
             points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]

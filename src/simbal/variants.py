@@ -218,7 +218,9 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
     else:
         ids = ds.minority_indices()
     m = _resolve_m(ds, cfg.target_count)
-    table, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
+    local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize)
+    # ids ascend, so mapping positions to dataset ids keeps the rows' order
+    table = np.append(ids, -1)[local]
     if variant == BORDERLINE:
         # the support has at most n_plus points, so clamping k to it clamps safety_k too
         table = table[np.isin(table, list(border)).any(axis=1)]

@@ -160,13 +160,12 @@ def reconstruction_error(batch, features) -> float:
 def per_point_draw(streams: SampleStreams, alpha) -> np.ndarray:
     """One point's Dirichlet(alpha) weights, drawn the per-point way.
 
-    The point takes the next len(alpha) Gamma variates of the weights stream;
-    every alpha is at least 1, so none is boosted. Gamma(1) is the standard
-    exponential, so all-ones draws are the exponentials the batched sampler
-    takes.
+    The point takes the next len(alpha) Gamma variates of the weights stream,
+    Gamma(alpha) drawn directly: only ``sample_dirichlet`` boosts alpha < 1.
+    Gamma(1) is the standard exponential, so all-ones draws are the
+    exponentials the batched sampler takes.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    return dirichlet_weights(alpha, streams.weights.standard_gamma(alpha))
+    return dirichlet_weights(streams.weights.standard_gamma(np.asarray(alpha, dtype=float)))
 
 
 def per_point_simplices(features, simplices, m, streams, meta, weights=None,

@@ -107,3 +107,8 @@ class TestGenerateSynthetic:
     def test_invalid_seed_and_noise(self, field, value):
         with pytest.raises(DatasetError, match=f"{field} must be"):
             SyntheticSpec(Shape.MOONS, **{field: value})
+
+    def test_shape_given_as_its_name_is_rejected(self):
+        # a shape's name is not a Shape: a typed error, not a KeyError from the shape table
+        with pytest.raises(DatasetError, match="shape must be a Shape, got 'moons'"):
+            generate_synthetic(SyntheticSpec("moons"))

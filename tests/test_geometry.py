@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from simbal import (
     mean_model_distance,
     sample_dirichlet,
 )
-from simbal.geometry import GeometryParameterError
+from simbal.geometry import GeometryParameterError, dirichlet_weights
 
 
 def rng_for(seed):
@@ -46,6 +48,29 @@ class TestSampleDirichlet:
         a = sample_dirichlet([1, 2, 3], rng_for(7))
         b = sample_dirichlet([1, 2, 3], rng_for(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [[0.3, 1.0, 2.5], [0.01, 0.01]])
+    def test_small_alpha_boost_is_gamma_of_alpha_plus_one_times_uniform_power(self, alpha):
+        # the draw order and the boost, bit for bit: len(alpha) Gamma variates of
+        # the shapes alpha + 1 (alpha < 1) or alpha, then len(alpha) uniforms;
+        # a boosted component is G * U ** (1 / alpha), and the row its own sum
+        rng = rng_for(11)
+        clone = np.random.PCG64()
+        clone.state = rng.bit_generator.state
+        twin = np.random.Generator(clone)
+        a = np.asarray(alpha)
+        for _ in range(50):
+            g = twin.standard_gamma(np.where(a < 1.0, a + 1.0, a))
+            u = twin.uniform(size=a.size)
+            boosted = np.where(a < 1.0, g * u ** (1.0 / a), g)
+            assert sample_dirichlet(alpha, rng).tobytes() == (boosted / boosted.sum()).tobytes()
+
+    def test_all_underflowed_row_gets_the_centre(self):
+        gammas = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = dirichlet_weights(gammas)
+        assert lam.tolist() == [[1 / 3, 1 / 3, 1 / 3], [0.25, 0.75, 0.0]]
 
     @pytest.mark.parametrize("alpha", [[0.0, 1.0], [-1.0], [np.nan, 1.0], []])
     def test_invalid_alpha(self, alpha):

@@ -121,6 +121,7 @@ NON_INTEGRAL = {
     "oversample_random-seed": (lambda: oversample_random(_LABELLED, 3, seed=1.5),
                                SamplerParameterError),
     "compute_safety-k": (lambda: variants.compute_safety(_LABELLED, 2.5), SamplerParameterError),
+    "minority_skeleton-k": (lambda: minority_skeleton(_LABELLED, 2.5), SamplerParameterError),
     "knn_graph-k": (lambda: knn_graph(_POINTS, 2.5), GraphParameterError),
     "nearest-k": (lambda: nearest(_POINTS, _POINTS, 2.5), GraphParameterError),
     "p_skeleton-p": (lambda: p_skeleton(knn_graph(_POINTS, 2), 1.5), SkeletonParameterError),
@@ -644,7 +645,7 @@ def test_batched_sampling_matches_per_point_oracle(method, p, formula):
 
 def test_simplex_table_rows_are_the_sorted_simplices():
     # row i of the sampler's table is the i-th simplex of sorted(maximal_simplices)
-    # of the public skeleton, through the minority ids, padded to the widest
+    # of the public skeleton, both over minority positions, padded to the widest
     for seed, p, symmetrize in product(range(4), (MAXIMAL, 1, 2), (UNION, MUTUAL)):
         ds = random_imbalanced_dataset(seed)
         sk, idx_min, info = samplers.minority_skeleton(ds, 5, p, symmetrize)
@@ -652,8 +653,7 @@ def test_simplex_table_rows_are_the_sorted_simplices():
         simplices = sorted(sk.maximal_simplices)
         assert table_info == info
         assert table.shape == (len(simplices), max(map(len, simplices)))
-        assert [tuple(v for v in row if v >= 0) for row in table.tolist()] == [
-            tuple(idx_min[list(s)].tolist()) for s in simplices]
+        assert [tuple(v for v in row if v >= 0) for row in table.tolist()] == simplices
 
 
 @pytest.mark.parametrize("p, symmetrize", [
@@ -672,7 +672,7 @@ def test_edge_table_matches_brute_force_skeleton(p, symmetrize):
         ids = np.sort(rng.choice(n + 10, n, replace=False))
         k = int(rng.integers(1, n))
         table, info = samplers._knn_skeleton(ds, ids, k, p, symmetrize)
-        want = np.append(ids, -1)[skeleton_table(knn_graph(ds.features[ids], k, symmetrize), p)]
+        want = skeleton_table(knn_graph(ds.features[ids], k, symmetrize), p)
         assert table.dtype == want.dtype and table.shape == want.shape
         assert np.array_equal(table, want) and info["k_used"] == k
         lone += bool((table[:, 1] < 0).any())

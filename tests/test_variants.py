@@ -147,7 +147,8 @@ class TestSafelevelAlphas:
     @given(st.integers(1, 10 ** 6).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k), min_size=1, max_size=20))))
     def test_alphas_are_never_below_one(self, case):
-        # the sampler draws Gamma(alpha) with no small-shape boost: it rests on this
+        # the sampler draws Gamma(alpha) directly, with no small-shape boost (only
+        # sample_dirichlet boosts alpha < 1), so alpha >= 1 keeps its draws off zero
         k, k_plus = case
         safety = self._safety(k, k_plus)
         for formula in ("inverse", "plus-one"):
