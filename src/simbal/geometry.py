@@ -36,7 +36,10 @@ def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
     has the Gamma(alpha) law but does not underflow to zero as direct
     small-shape Gamma sampling does.
     """
-    a = np.asarray(alpha, dtype=float)
+    try:
+        a = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError):
+        raise GeometryParameterError(f"alpha must be numeric, got {alpha!r}") from None
     if a.ndim != 1 or a.size < 1:
         raise GeometryParameterError(f"alpha must be a 1-d vector, got shape {a.shape}")
     # a NaN fails the first comparison

@@ -2,8 +2,11 @@
 
 ``nearest`` is the one neighbour query: the kNN graph, the safety counts and
 the kNN classifier all go through it. It runs over row blocks of the query.
-One GEMM per block gives every squared distance by the Gram identity
-||q||^2 + ||r||^2 - 2 q.r, but those values only filter. With a rounding
+GEMMs give every squared distance of a block by the Gram identity
+||q||^2 + ||r||^2 - 2 q.r, but those values only filter. The filter has its
+own, smaller working set: it takes a block in sub-blocks of at most
+``_FILTER_ELEMS`` Gram entries, written into scratch arrays that each thread
+reuses, so no Gram-sized temporary is allocated. With a rounding
 bound on them, built from Higham's gamma_{d+2} ("Accuracy and Stability of
 Numerical Algorithms", ch. 3) and derived at ``_candidates``, each row keeps
 every column that can rank among its first k, ties included. Only these
@@ -17,6 +20,7 @@ index wins. Distances are Euclidean throughout.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +29,23 @@ import numpy as np
 UNION = "union"
 MUTUAL = "mutual"
 
-# Elements of one temporary: the (block, n_ref) Gram block that ``nearest``
-# filters candidates with (8 MB of float64), the (pairs, d) coordinate
-# differences of its exact re-rank, gathered in chunks even when every pair
-# is a candidate, the (block, n_b, d) difference tensor of ``cross_distances``
-# and the (block, n_faces, d) tensors of ``geometry._hull_distances``. It sets
-# the row block size, so no full (n_query, n_ref) matrix is ever held.
+# Elements of one temporary: the (block, n_ref) row block that ``nearest``
+# re-ranks (its Gram filter works on smaller sub-blocks, ``_FILTER_ELEMS``),
+# the (pairs, d) coordinate differences of that exact re-rank, gathered in
+# chunks even when every pair is a candidate, the (block, n_b, d) difference
+# tensor of ``cross_distances`` and the (block, n_faces, d) tensors of
+# ``geometry._hull_distances``. It sets the row block size, so no full
+# (n_query, n_ref) matrix is ever held.
 _BLOCK_ELEMS = 1_000_000
+
+# Elements of each of the three scratch arrays (two float64, one bool) that
+# ``_candidates`` filters a block through, ``_FILTER_ELEMS // n_ref`` rows at a
+# time: about 1.1 MB, so the filter's working set stays in cache. Each thread
+# keeps its own set for the life of the thread, so a query allocates and frees
+# no Gram-sized array (fresh ones cost a page fault per 4 KB page on every
+# call); a row longer than this gets arrays of its own, for that call only.
+_FILTER_ELEMS = 2 ** 16
+_scratch = threading.local()
 
 # A block whose squared norms reach this (or are inf) is re-ranked on every
 # pair: below it no term of the Gram block or of its bound can overflow.
@@ -119,6 +133,17 @@ def _every_pair(n_rows: int, n_cols: int) -> np.ndarray:
     return np.arange(n_rows * n_cols)
 
 
+def _filter_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's (float64, float64, bool) scratch arrays with at least ``size`` elements."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        n = max(size, _FILTER_ELEMS)
+        bufs = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        if size <= _FILTER_ELEMS:
+            _scratch.bufs = bufs
+    return bufs
+
+
 def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
     """Flat row-major ids of the (row, col) pairs that can rank in the first kk of their row.
 
@@ -153,17 +178,25 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
     """
     if not max(qn.max(), rn.max()) < _NORM_LIMIT:  # also false on inf
         return _every_pair(len(q), len(r))
-    d = q.shape[1]
+    n_ref, d = r.shape
     c, a = (d + 2) * 2.0 ** -48, (d + 2) * 2.0 ** -1060
     col = c * rn + a
-    g = (-2.0 * q) @ r.T
-    g += rn
-    hi = g + col
-    hi.partition(kk - 1, axis=1)
-    t = hi[:, kk - 1] + 2.0 * c * qn
-    del hi
-    g -= col
-    return np.flatnonzero(g <= t[:, None])
+    q2 = -2.0 * q
+    step = max(1, _FILTER_ELEMS // n_ref)
+    g_buf, hi_buf, keep_buf = _filter_buffers(step * n_ref)
+    found = []
+    for s in range(0, len(q), step):
+        m = min(step, len(q) - s) * n_ref
+        g, hi = g_buf[:m].reshape(-1, n_ref), hi_buf[:m].reshape(-1, n_ref)
+        np.matmul(q2[s:s + step], r.T, out=g)
+        g += rn
+        np.add(g, col, out=hi)
+        hi.partition(kk - 1, axis=1)
+        t = hi[:, kk - 1] + 2.0 * c * qn[s:s + step]
+        g -= col
+        keep = np.less_equal(g, t[:, None], out=keep_buf[:m].reshape(-1, n_ref))
+        found.append(np.flatnonzero(keep) + s * n_ref)
+    return np.concatenate(found)
 
 
 def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
@@ -184,8 +217,9 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
 
     ``self_ids[i]``, when given, is the ``ref`` row that query row i skips.
     Query rows go in blocks of ``_BLOCK_ELEMS // n_ref``, never as a full
-    (n_query, n_ref) matrix. Per block one GEMM filters the candidates of each
-    row: Gram-identity squared distances of both sets shifted by the mean of
+    (n_query, n_ref) matrix. Per block, GEMMs over sub-blocks of
+    ``_FILTER_ELEMS // n_ref`` rows filter the candidates of each row:
+    Gram-identity squared distances of both sets shifted by the mean of
     ``ref`` (so data far from the origin still filter), kept within a rounding
     bound from Higham's gamma_{d+2} (``_candidates``) of the k-th smallest, so
     every tie survives; with self skipped, of the (k+1)-th. The candidates'
@@ -198,8 +232,15 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     k, skip = _integer(k, "k"), self_ids is not None
     if not 1 <= k <= r.shape[0] - skip:
         raise GraphParameterError(f"k must satisfy 1 <= k <= {r.shape[0] - skip}, got {k}")
-    if skip and np.shape(self_ids) != (q.shape[0],):
-        raise GraphParameterError(f"need one self id per query row, not {np.shape(self_ids)}")
+    if skip:
+        try:
+            self_ids = np.asarray(self_ids)
+        except ValueError:  # a ragged nesting
+            raise GraphParameterError("need one self id per query row") from None
+        if self_ids.shape != (q.shape[0],):
+            raise GraphParameterError(f"need one self id per query row, not {self_ids.shape}")
+        if self_ids.dtype.kind not in "iu" or not 0 <= self_ids.min() <= self_ids.max() < len(r):
+            raise GraphParameterError(f"self ids must be integers in [0, {len(r)})")
     _check_dims(q, r)
     # the filter works on both sets shifted by the reference mean: distances
     # stay, and the norms its bound scales with shrink (see ``_candidates``)
@@ -215,7 +256,7 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
         rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip), len(r))
         if skip:
             # drop self by id: an inf sentinel would tie with overflowed distances
-            keep = cols != np.asarray(self_ids)[start + rows]
+            keep = cols != self_ids[start + rows]
             rows, cols = rows[keep], cols[keep]
         out[start:stop] = _rerank(q[start:stop], r, rows, cols, k)
     return out

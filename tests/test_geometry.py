@@ -72,7 +72,8 @@ class TestSampleDirichlet:
             lam = dirichlet_weights(gammas)
         assert lam.tolist() == [[1 / 3, 1 / 3, 1 / 3], [0.25, 0.75, 0.0]]
 
-    @pytest.mark.parametrize("alpha", [[0.0, 1.0], [-1.0], [np.nan, 1.0], []])
+    @pytest.mark.parametrize("alpha", [[0.0, 1.0], [-1.0], [np.nan, 1.0], [], ["a", 1],
+                                       [[1.0], [1.0, 2.0]]])
     def test_invalid_alpha(self, alpha):
         with pytest.raises(GeometryParameterError):
             sample_dirichlet(alpha, rng_for(0))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -137,9 +138,16 @@ class TestNearest:
 
     def test_one_self_id_per_query_row(self):
         pts = random_points(9, n=5, d=2)
-        for self_ids in ([0], np.arange(4), np.arange(6), [[0, 1, 2, 3, 4]]):
+        for self_ids in ([0], np.arange(4), np.arange(6), [[0, 1, 2, 3, 4]], [[0, 1], [2, 3, 4]]):
             with pytest.raises(GraphParameterError):
                 nearest(pts, pts, 2, self_ids)
+
+    def test_self_ids_are_reference_rows(self):
+        # a self id of 0.5 matches no column, so row 0 would keep itself
+        pts = random_points(9, n=3, d=2)
+        for self_ids in ([0.5, 1.0, 2.0], [5, 6, 7], [-1, 0, 1], [True, False, True]):
+            with pytest.raises(GraphParameterError, match="self ids"):
+                nearest(pts, pts, 1, self_ids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,12 +157,15 @@ class TestNearest:
        n=st.integers(2, 30) | st.sampled_from([60, 120]),
        d=st.integers(1, 4) | st.sampled_from([16, 32]),
        scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155, 1e-160]),
-       block_elems=st.sampled_from([1, 7, 64, graphs._BLOCK_ELEMS]), data=st.data())
-def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elems, data):
+       block_elems=st.sampled_from([1, 7, 64, graphs._BLOCK_ELEMS]),
+       filter_elems=st.sampled_from([1, 7, 64, graphs._FILTER_ELEMS]), data=st.data())
+def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elems,
+                                       filter_elems, data):
     # self excluded over the whole set (the kNN graph), over a subset of query
     # rows (the safety counts), or a separate query set with no exclusion (the
-    # classifier); small block sizes split the rows across several blocks, and
-    # n up to 120 leaves k + 1 < n, so the Gram filter selects within a row
+    # classifier); small block sizes split the rows across several blocks, the
+    # filter's sub-blocks split those unevenly, and n up to 120 leaves
+    # k + 1 < n, so the Gram filter selects within a row
     rng = np.random.Generator(np.random.PCG64(seed))
     ref = tie_heavy_points(rng, kind, n, d) * scale
     self_ids = None
@@ -167,7 +178,8 @@ def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elem
         query = np.vstack([tie_heavy_points(rng, kind, int(rng.integers(1, 10)), d) * scale,
                            ref[:1]])
     k = data.draw(st.integers(1, n - (self_ids is not None)))
-    with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems):
+    with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems), \
+            mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems):
         got = nearest(query, ref, k, self_ids)
     assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
 
@@ -233,6 +245,59 @@ class TestNearestPath:
         assert got[0].tolist() == [1, 2, 3, 4, 5] and got[-1].tolist() == [0, 1, 2, 3, 4]
 
 
+def test_safety_query_holds_no_gram_sized_array():
+    # 250 x 1750 rows in d = 16: a Gram block of the query is 3.5 MB; the
+    # filter's scratch arrays, allocated here by a thread that has none yet,
+    # are 1.1 MB
+    ref, n = nearest_id_sets()[0]
+    peak = []
+
+    def query():
+        tracemalloc.start()
+        try:
+            nearest(ref[:n], ref, 5, np.arange(n))
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=query)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(peak) == 1
+    assert peak[0] < 2_000_000
+
+
+def test_threads_filter_through_their_own_buffers():
+    # four threads query inputs of different shapes at once; a buffer shared
+    # between threads would mix their Gram rows
+    rng = np.random.Generator(np.random.PCG64(12))
+    inputs = [(ref[:n], ref, np.arange(n)) for ref, n in nearest_id_sets()]
+    inputs += [(rng.normal(size=(300, 8)), rng.normal(size=(900, 8)), None),
+               (rng.integers(0, 3, size=(500, 3)).astype(float),) * 2 + (np.arange(500),)]
+    expected = [nearest(q, r, 5, ids) for q, r, ids in inputs]
+    start, results = threading.Barrier(len(inputs)), [[] for _ in inputs]
+
+    def run(i):
+        q, r, ids = inputs[i]
+        start.wait(timeout=60)
+        for _ in range(5):
+            results[i].append(nearest(q, r, 5, ids))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for want, got in zip(expected, results):
+        assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
+
+
 def test_far_offset_filters_on_centred_points():
     # unit noise on a 1e8 offset: uncentred, the bound scales with ||q||^2 ~ 1.6e17
     # and keeps every pair; shifted by the reference mean the filter keeps few
@@ -250,6 +315,12 @@ def test_far_offset_filters_on_centred_points():
     assert np.array_equal(got, brute_nearest(ref, ref, 5, np.arange(n)))
 
 
+# ``nearest_id_digests()``, pinned: the ids are exact, so they hold for any
+# BLAS, thread count and filter layout
+NEAREST_ID_DIGESTS = ["a1b76d2888ebbf499c19ffba48976342f402be617fa23977288eaa08b6ea6118",
+                      "18718995bd8bca69fc5869f554f16910f9aa4d0d4569551b9823778995ed2bde"]
+
+
 def test_ids_do_not_depend_on_blas_threads():
     # the GEMM's summation order changes with the BLAS thread count; the
     # filter's bound holds for any order and the exact re-rank fixes the ids
@@ -260,7 +331,7 @@ def test_ids_do_not_depend_on_blas_threads():
     run = subprocess.run(
         [sys.executable, "-c", "from helpers import nearest_id_digests as f; print(*f())"],
         env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert run.stdout.split() == nearest_id_digests()
+    assert run.stdout.split() == nearest_id_digests() == NEAREST_ID_DIGESTS
 
 
 class TestKnnGraph:
