@@ -2,9 +2,11 @@
 
 The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
-fold. The grid search prepares each split once and scores every configuration
-on it. Everything is seed-deterministic; per-cell sampler seeds derive from
-the master seed and the (dataset, method, config, fold) coordinates.
+fold. The grid search prepares each split once, ranking the neighbours of its
+training minority once at the largest k in the grid (each smaller k reads the
+first k columns), and scores every configuration on it. Everything is
+seed-deterministic; per-cell sampler seeds derive from the master seed and
+the (dataset, method, config, fold) coordinates.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, Synthet
 # cross_distances is unused here; the benchmark's span tracer wraps it at this site
 from .graphs import UNION, _integer, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
-from .samplers import (GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
+from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, oversample)
-from .variants import EmptyBorderlineError
+from .variants import EmptyBorderlineError, oversample_graph
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -38,6 +40,10 @@ DEFAULT_P_GRID = (MAXIMAL,)
 # anything else is a bug and propagates.
 SAMPLER_DOMAIN_ERRORS = (EmptyBorderlineError, SamplerParameterError,
                          SubdivisionCapExceeded, DatasetError)
+# Graph methods whose complex spans every minority point: they share a split's
+# neighbour lists. Borderline's support changes with k.
+_WHOLE_MINORITY = frozenset(m for m, (variant, _) in GRAPH_VARIANTS.items()
+                            if variant != BORDERLINE)
 
 
 class EvaluationError(ValueError):
@@ -171,16 +177,20 @@ def method_grid(method, k_grid, p_grid) -> list[tuple[int | None, int | str | No
     """
     if method not in GRAPH_VARIANTS:
         return [(None, None)]
+    ks = _integer_grid(k_grid, "k")
     if GRAPH_VARIANTS[method][1]:  # p forced to 1
-        return [(int(k), 1) for k in k_grid]
-    combos = []
-    for k in k_grid:
-        for p in p_grid:
-            if p is MAXIMAL or int(p) <= int(k):
-                combos.append((int(k), MAXIMAL if p is MAXIMAL else int(p)))
+        combos = [(k, 1) for k in ks]
+    else:
+        ps = _integer_grid(p_grid, "p")
+        combos = [(k, p) for k in ks for p in ps if p is MAXIMAL or p <= k]
     if not combos:
         raise EvaluationError(f"no valid (k, p) combination for {method_name(method)}")
     return combos
+
+
+def _integer_grid(grid, what: str) -> list:
+    """Grid values as ints, MAXIMAL kept; a non-integral value raises, not truncates."""
+    return [v if v is MAXIMAL else _integer(v, what, EvaluationError) for v in grid]
 
 
 def default_k_grid(n_minority: int, d: int) -> tuple[int, ...]:
@@ -200,22 +210,34 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     return Dataset((train.features - mu) / sd, train.labels), (test_points - mu) / sd
 
 
-def _prepare(train: Dataset, test: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """One split ready to score: standardized training fold, test points, test labels."""
-    return (*_standardize(train, test.features), test.labels)
+def _prepare(train: Dataset, test: Dataset, jobs):
+    """One split ready to score: standardized training fold, test points, test labels
+    and the training minority's neighbour lists at the largest k of the jobs'
+    ``_WHOLE_MINORITY`` methods, clamped to n_plus - 1; None if that is below 1."""
+    std_train, test_points = _standardize(train, test.features)
+    k = max((k for method, combos, _ in jobs if method in _WHOLE_MINORITY
+             for k, _ in combos), default=0)
+    k = min(k, std_train.n_minority - 1)
+    neighbors = None
+    if k >= 1:
+        x = std_train.minority_features()
+        neighbors = nearest(x, x, k, np.arange(len(x)))
+    return std_train, test_points, test.labels, neighbors
 
 
 def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
                k_clf: int, symmetrize: str, safelevel_formula: str):
     """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
-    train, test_points, test_labels = split
+    train, test_points, test_labels, neighbors = split
     diagnostic = None
     fit_train = train
     if method != IMBALANCED:
         cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
-            fit_train = oversample(train, cfg).augmented(train)
+            batch = (oversample_graph(train, cfg, neighbors) if method in GRAPH_VARIANTS
+                     else oversample(train, cfg))
+            fit_train = batch.augmented(train)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
             diagnostic = f"{method_name(method)}(k={k}, p={p}): {exc}"
     preds = knn_classify(fit_train, test_points, k_clf)
@@ -234,13 +256,15 @@ def _summarize(counts) -> tuple[float, float, float, float]:
 def _select(ds, splits, jobs, tail, opts):
     """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
 
-    Fold-major: each split is subset and standardized once, and every combo of
-    every job is scored on it before the next. Combo c on fold f is seeded from
-    ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps the first.
+    Fold-major: each split is subset and standardized once, its minority
+    neighbour lists are ranked once at the largest k of the jobs, and every
+    combo of every job is scored on it before the next. Combo c on fold f is
+    seeded from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max()
+    keeps the first.
     """
     tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
     for f, (train_idx, test_idx) in enumerate(splits):
-        split = _prepare(ds.subset(train_idx), ds.subset(test_idx))
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs)
         for (method, combos, head), tally in zip(jobs, tallies):
             for c, ((k, p), (counts, diags)) in enumerate(zip(combos, tally)):
                 fold_counts, diag = _eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
@@ -258,7 +282,7 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
     tallies = [([], [], []) for _ in jobs]  # counts, diagnostics, chosen (k, p)
     for f, (train_idx, test_idx) in enumerate(splits):
         train = ds.subset(train_idx)
-        outer = _prepare(train, ds.subset(test_idx))
+        outer = _prepare(train, ds.subset(test_idx), jobs)
         for (method, combos, head), (counts, diags, chosen) in zip(jobs, tallies):
             inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                                   _derived_seed(*head, f))
@@ -290,6 +314,7 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     """
     methods = list(methods)
     opts = (k_clf, symmetrize, safelevel_formula)
+    k_grid, p_grid = _integer_grid(k_grid, "k"), _integer_grid(p_grid, "p")
     cells = []
     for d_idx, (ds_name, ds) in enumerate(datasets.items()):
         splits = stratified_cv(ds, cv.folds, cv.repeats, _derived_seed(seed, d_idx))
@@ -306,9 +331,8 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
                 mean_f1=mf1, std_f1=sf1, mean_mcc=mmcc, std_mcc=smcc,
                 best_k=k, best_p=display_p,
                 diagnostics=tuple(diags)))
-    meta = {"seed": int(seed), "k_clf": int(k_clf), "cv": cv,
-            "k_grid": tuple(int(k) for k in k_grid),
-            "p_grid": tuple("max" if p is MAXIMAL else int(p) for p in p_grid),
+    meta = {"seed": int(seed), "k_clf": int(k_clf), "cv": cv, "k_grid": tuple(k_grid),
+            "p_grid": tuple("max" if p is MAXIMAL else p for p in p_grid),
             "vote_ties": "minority"}
     return EvalReport(tuple(cells), meta)
 

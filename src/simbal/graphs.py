@@ -270,8 +270,15 @@ def _knn_pairs(points, k: int, symmetrize: str) -> tuple[int, np.ndarray, np.nda
         raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if symmetrize not in (UNION, MUTUAL):
         raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
+    return _neighbor_pairs(nearest(pts, pts, k, np.arange(n)), symmetrize)
+
+
+def _neighbor_pairs(neighbors: np.ndarray, symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, lo, hi) as ``_knn_pairs`` gives them, from ``neighbors``, whose row i lists
+    vertex i's neighbours: (n, k) distinct ids other than i, as ``nearest`` ranks them."""
+    n, k = neighbors.shape
     src = np.repeat(np.arange(n), k)
-    dst = nearest(pts, pts, k, np.arange(n)).ravel()
+    dst = neighbors.ravel()
     # each undirected pair as min * n + max; a row lists distinct ids, so a pair
     # listed from both ends appears exactly twice
     pairs, listed = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),

@@ -28,7 +28,8 @@ from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _table_skeleton,  # 
                         p_skeleton)
 from .datasets import Dataset, DatasetError, MINORITY
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, _knn_pairs, knn_graph  # noqa: F401
+from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _neighbor_pairs
+from .graphs import knn_graph  # noqa: F401
 
 # Ridge added to the fitted covariance diagonal before factorization.
 GAUSSIAN_RIDGE_REL = 1e-6
@@ -172,6 +173,10 @@ class SyntheticBatch:
                        np.concatenate([ds.labels, np.full(self.m, MINORITY)]))
 
 
+# The step of one ``PCG64.jumped``: (sqrt(5) - 1) / 2 * 2**128, made odd.
+_PCG64_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
 class SampleStreams:
     """Deterministic RNG streams for one sampler invocation.
 
@@ -193,7 +198,8 @@ class SampleStreams:
         if not 0 <= self.seed < 2 ** 64:
             raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.selection = np.random.Generator(np.random.PCG64(self.seed))
-        self.weights = np.random.Generator(np.random.PCG64(self.seed).jumped(1))
+        # PCG64(seed).jumped(1), without the entropy-seeded PCG64 that jumped builds first
+        self.weights = np.random.Generator(np.random.PCG64(self.seed).advance(_PCG64_JUMP))
 
     def point_stream(self, i: int) -> np.random.Generator:
         """The generator of ``PCG64(seed).jumped(i + 1)``.
@@ -276,15 +282,22 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     return SyntheticBatch(points, np.empty((m, 0), np.intp), np.empty((m, 0)), meta)
 
 
-def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None,
-                  symmetrize: str) -> tuple[np.ndarray, dict]:
+def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetrize: str,
+                  neighbors: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
     """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
-    rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1."""
+    rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1.
+
+    ``neighbors``, when given, is ``nearest(x, x, K, arange)`` of those rows x
+    for some K >= the clamped k; by the (distance, index) order its first
+    k columns are the k-neighbour lists, so no search runs.
+    """
     if ids.size < 2:
         raise SamplerParameterError("need at least 2 minority points to build a graph")
     k = _integer(k, "k", SamplerParameterError)
     k_used = min(k, ids.size - 1)
-    table = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
+    pairs = (_knn_pairs(ds.features[ids], k_used, symmetrize) if neighbors is None
+             else _neighbor_pairs(neighbors[:, :k_used], symmetrize))
+    table = _skeleton_table(*pairs, p)
     return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
 
 

@@ -27,11 +27,11 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
-from simbal import evaluation
+from simbal import evaluation, graphs
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
-from simbal.samplers import SamplerParameterError
+from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError
 
 from helpers import per_config_grid_search
 
@@ -186,6 +186,23 @@ class TestMethodGrid:
         with pytest.raises(EvaluationError, match="no valid"):
             method_grid(Method.S_SAFELEVEL, (3,), (9,))
 
+    @pytest.mark.parametrize("method", list(GRAPH_VARIANTS))
+    def test_empty_k_grid_raises(self, method):
+        with pytest.raises(EvaluationError, match="no valid"):
+            method_grid(method, (), (1, MAXIMAL))
+
+    @pytest.mark.parametrize("k_grid,p_grid,what", [((2.5,), (MAXIMAL,), "k"),
+                                                    ((3, 5.0), (1,), "k"),
+                                                    ((3,), (2.7,), "p")])
+    def test_non_integral_values_raise(self, k_grid, p_grid, what):
+        with pytest.raises(EvaluationError, match=f"{what} must be an integer"):
+            method_grid(Method.SIMPLICIAL, k_grid, p_grid)
+
+    def test_numpy_integers_become_ints(self):
+        combos = method_grid(Method.SIMPLICIAL, np.array([3, 4]), (np.int64(2), MAXIMAL))
+        assert combos == [(3, 2), (3, MAXIMAL), (4, 2), (4, MAXIMAL)]
+        assert all(type(k) is int and type(p) in (int, type(None)) for k, p in combos)
+
 
 class TestDefaultKGrid:
     def test_hand_computed_values(self):
@@ -277,6 +294,22 @@ class TestGridSearchEval:
         assert cell.mean_mcc == base.mean_mcc
         assert base.diagnostics == ()
 
+    @pytest.mark.parametrize("method", list(GRAPH_VARIANTS))
+    def test_empty_k_grid_raises_typed(self, method):
+        with pytest.raises(EvaluationError, match="no valid"):
+            grid_search_eval(self._datasets(), [method], [], cv=CVConfig(folds=2, repeats=1))
+
+    @pytest.mark.parametrize("method,k_grid,p_grid,what", [
+        (Method.SMOTE, [2.5], (MAXIMAL,), "k"),
+        (Method.RANDOM, [2.5], (MAXIMAL,), "k"),  # grid-free, but the report lists the grid
+        (Method.SIMPLICIAL, [3], [2.7], "p"),
+        (Method.SMOTE, [3], [2.7], "p"),          # p forced to 1, but the report lists the grid
+    ])
+    def test_non_integral_grid_raises(self, method, k_grid, p_grid, what):
+        with pytest.raises(EvaluationError, match=f"{what} must be an integer"):
+            grid_search_eval(self._datasets(), [method], k_grid, p_grid,
+                             cv=CVConfig(folds=2, repeats=1))
+
     def test_config_typo_raises(self):
         # a misspelled option is a caller error, not a sampler failure to
         # score as the unsampled classifier
@@ -285,13 +318,17 @@ class TestGridSearchEval:
                              cv=CVConfig(folds=2, repeats=1), symmetrize="unoin")
 
     def test_non_domain_sampler_error_propagates(self, monkeypatch):
-        def broken(ds, cfg):
+        def broken(ds, cfg, *neighbors):
             raise ZeroDivisionError("sampler bug")
 
-        monkeypatch.setattr(evaluation, "oversample", broken)
-        with pytest.raises(ZeroDivisionError, match="sampler bug"):
-            grid_search_eval(self._datasets(), [Method.SMOTE], k_grid=(3,),
-                             cv=CVConfig(folds=2, repeats=1))
+        # graph methods go straight to the graph pipeline, which takes the
+        # split's neighbour lists; the rest through oversample
+        for site, method in (("oversample", Method.RANDOM), ("oversample_graph", Method.SMOTE),
+                             ("oversample_graph", Method.BORDERLINE)):
+            monkeypatch.setattr(evaluation, site, broken)
+            with pytest.raises(ZeroDivisionError, match="sampler bug"):
+                grid_search_eval(self._datasets(), [method], k_grid=(3,),
+                                 cv=CVConfig(folds=2, repeats=1))
 
     def test_nested_mode_runs(self):
         cv = CVConfig(folds=2, repeats=1, mode="nested",
@@ -310,6 +347,9 @@ class TestGridSearchEval:
 
 HARNESS_METHODS = [IMBALANCED, Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
                    Method.BORDERLINE]
+# The methods that take a split's minority neighbour lists.
+WHOLE_MINORITY = [Method.SMOTE, Method.SIMPLICIAL, Method.SAFELEVEL, Method.S_SAFELEVEL,
+                  Method.ADASYN, Method.S_ADASYN]
 
 
 def harness_datasets():
@@ -378,13 +418,67 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=2, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_matches_per_config_oracle(self, cv):
-        args = (harness_datasets(), HARNESS_METHODS, (3, 5), (1, MAXIMAL), cv, 7)
-        got = grid_search_eval(*args)
-        want = per_config_grid_search(*args)
-        assert repr(got.cells) == repr(want.cells)
-        assert got.meta == want.meta
-        # the borderline cell fell back on every fold, so the oracle saw diagnostics
-        assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
+        # the oracle calls oversample, which ranks every neighbourhood itself.
+        # k = 8 exceeds n_plus - 1 of the 10-minority clusters' training parts,
+        # so the split's lists are clamped there
+        methods = [IMBALANCED, Method.RANDOM, *GRAPH_VARIANTS]
+        for symmetrize in ("union", "mutual"):
+            args = (harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv, 7, 5, symmetrize)
+            got = grid_search_eval(*args)
+            want = per_config_grid_search(*args)
+            assert repr(got.cells) == repr(want.cells)
+            assert got.meta == want.meta
+            # the borderline cell fell back on every fold, so the oracle saw diagnostics
+            assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
+
+    @pytest.mark.parametrize("methods", [
+        [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],
+        [Method.BORDERLINE],
+        [Method.S_BORDERLINE, Method.SMOTE, Method.RANDOM],
+        WHOLE_MINORITY,
+        *([m] for m in WHOLE_MINORITY),
+    ])
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_minority_self_query_per_split(self, monkeypatch, methods, cv):
+        # a prepared split ranks its training minority once, at the largest k
+        # clamped to n_plus - 1, if a method scored on it spans the whole
+        # minority, and not at all otherwise; those methods then search nothing
+        # themselves (graphs.nearest is the samplers' search, via _knn_pairs)
+        splits, harness, sampler = {}, [], []
+        prepare, eval_fold, search = evaluation._prepare, evaluation._eval_fold, graphs.nearest
+
+        def recorded_prepare(train, test, jobs):
+            before = len(harness)
+            split = prepare(train, test, jobs)
+            splits[id(split)] = (split, train.n_minority, harness[before:], set())
+            return split
+
+        def recorded_eval_fold(split, method, *args):
+            splits[id(split)][3].add(method)
+            return eval_fold(split, method, *args)
+
+        def counting(calls):
+            def counted(query, ref, k, self_ids=None):
+                if self_ids is not None:
+                    calls.append((len(query), k))
+                return search(query, ref, k, self_ids)
+            return counted
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(evaluation, "nearest", counting(harness))
+        monkeypatch.setattr(graphs, "nearest", counting(sampler))
+        grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
+        for _, n_plus, queries, scored in splits.values():
+            memo = any(m in WHOLE_MINORITY for m in scored)
+            assert queries == ([(n_plus, min(8, n_plus - 1))] if memo else [])
+        assert len(harness) == sum(len(q) for _, _, q, _ in splits.values())
+        assert (len(harness) > 0) == any(m in WHOLE_MINORITY for m in methods)
+        if all(m in WHOLE_MINORITY for m in methods):
+            assert sampler == []
 
 
 def make_report(score_grid):

@@ -18,10 +18,12 @@ from simbal import (
     oversample_simplicial,
     safelevel_alphas,
 )
-from simbal.samplers import SamplerParameterError, minority_skeleton
-from simbal.variants import NeighborhoodSafety
+from simbal.graphs import nearest
+from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError, minority_skeleton
+from simbal.variants import NeighborhoodSafety, oversample_graph
 
-from helpers import in_convex_hull, random_imbalanced_dataset, reconstruction_error
+from helpers import (in_convex_hull, nearest_id_sets, random_imbalanced_dataset,
+                     reconstruction_error)
 
 
 def line_dataset(minority_x, majority_x):
@@ -393,3 +395,40 @@ class TestSinglePointFallbacks:
         ds = Dataset([[1.0, 2.0], [0.0, 0.0], [3.0, 3.0]], [1, -1, -1])
         with pytest.raises(EmptyBorderlineError):
             oversample(ds, SamplerConfig(Method.S_BORDERLINE, k=2, seed=0))
+
+
+def neighbor_list_datasets() -> dict[str, Dataset]:
+    """Two-class sets over the ``nearest_id_sets()`` rows, whose first rows are the
+    minority, plus a lattice minority with every point twice (distance ties
+    everywhere, broken by index) and a 4-point minority that clamps k at 3."""
+    sets = {}
+    for i, (ref, n_query) in enumerate(nearest_id_sets()):
+        n_plus = min(n_query, len(ref) // 4)
+        sets[f"nearest-{i}"] = Dataset(ref, [1] * n_plus + [-1] * (len(ref) - n_plus))
+    lattice = np.array([[x, y] for x in range(3) for y in range(3)] * 2, dtype=float)
+    majority = np.array([[x + 0.5, y + 0.5] for x in range(4) for y in range(4)])
+    sets["lattice-twice"] = Dataset(np.vstack([lattice, majority]), [1] * 18 + [-1] * 16)
+    sets["four-points"] = Dataset(np.vstack([lattice[:4], majority]), [1] * 4 + [-1] * 16)
+    return sets
+
+
+WHOLE_MINORITY = [m for m, (variant, _) in GRAPH_VARIANTS.items() if variant != "borderline"]
+
+
+@pytest.mark.parametrize("symmetrize", ["union", "mutual"])
+@pytest.mark.parametrize("name", list(neighbor_list_datasets()))
+def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
+    # the grid search ranks a split's minority once at its largest k, K, and
+    # hands the lists over; every k <= K must sample exactly as oversample does
+    ds = neighbor_list_datasets()[name]
+    x = ds.minority_features()
+    big_k = 5
+    lists = nearest(x, x, min(big_k, len(x) - 1), np.arange(len(x)))
+    for method in WHOLE_MINORITY:
+        for k in range(1, big_k + 1):
+            cfg = SamplerConfig(method, k, seed=k, target_count=40, symmetrize=symmetrize)
+            want, got = oversample(ds, cfg), oversample_graph(ds, cfg, lists)
+            assert np.array_equal(got.points, want.points), (method, k)
+            assert np.array_equal(got.simplices, want.simplices), (method, k)
+            assert np.array_equal(got.lam, want.lam), (method, k)
+            assert got.meta == want.meta, (method, k)
