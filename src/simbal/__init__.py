@@ -34,7 +34,6 @@ from .evaluation import (
     EvalReport,
     EvaluationError,
     IMBALANCED,
-    default_k_grid,
     grid_search_eval,
     knn_classify,
     method_grid,
@@ -93,7 +92,7 @@ __all__ = [
     "generate_synthetic",
     "BENCHMARK_K_GRID", "BENCHMARK_METHODS", "CVConfig", "CellResult",
     "DEFAULT_K_CLF", "DEFAULT_P_GRID", "EvalReport", "EvaluationError",
-    "IMBALANCED", "default_k_grid", "grid_search_eval", "knn_classify",
+    "IMBALANCED", "grid_search_eval", "knn_classify",
     "method_grid", "parse_method", "rank_methods", "report_to_csv",
     "report_to_text", "stratified_cv", "synthetic_benchmark",
     "GeometryParameterError", "distance_to_simplex",

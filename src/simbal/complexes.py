@@ -23,7 +23,7 @@ from .graphs import NeighborhoodGraph, _integer
 MAXIMAL = None
 
 # Refuse to subdivide a clique into more candidate simplices than this (p >= 2).
-DEFAULT_SUBDIVISION_CAP = 1_000_000
+SUBDIVISION_CAP = 1_000_000
 
 Simplex = tuple[int, ...]
 
@@ -62,15 +62,14 @@ def _bron_kerbosch_pivot(adj: list[int], r: Simplex, p: int, x: int,
         branch ^= low
 
 
-def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL,
-                    subdivision_cap: int = DEFAULT_SUBDIVISION_CAP) -> np.ndarray:
+def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL) -> np.ndarray:
     """The p-skeleton of the clique complex of the graph on 0..n-1 with edges lo < hi
     (lexicographic) as a table: one maximal simplex per row, ids ascending, padded
     with -1 (below every id, so a row sorts as its tuple), rows in lexicographic order.
 
     At p = 1 the rows are the edges and the lone vertices, with no clique step.
     Otherwise they are the maximal cliques, those larger than p+1 replaced by
-    their (p+1)-subsets: only there does ``subdivision_cap`` bind.
+    their (p+1)-subsets: only there does ``SUBDIVISION_CAP`` bind.
     """
     if p is not MAXIMAL:
         p = _integer(p, "p", SkeletonParameterError)
@@ -95,11 +94,11 @@ def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXI
         for clique in sorted(s for s in simplices if len(s) > size_cap):
             n_subsets = comb(len(clique), size_cap)
             generated += n_subsets
-            if generated > subdivision_cap:
+            if generated > SUBDIVISION_CAP:
                 raise SubdivisionCapExceeded(
                     f"subdividing the {len(clique)}-clique {clique} into C({len(clique)},"
                     f"{size_cap})={n_subsets} simplices brings the count to {generated}, past "
-                    f"the cap of {subdivision_cap}; use a smaller p"
+                    f"the cap of {SUBDIVISION_CAP}; use a smaller p"
                 )
             kept.update(combinations(clique, size_cap))
         # the set's deduplication is the whole of re-maximalization: a maximal clique of
@@ -123,17 +122,16 @@ def maximal_cliques(g: NeighborhoodGraph) -> frozenset[Simplex]:
     return p_skeleton(g, MAXIMAL).maximal_simplices
 
 
-def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL,
-               subdivision_cap: int = DEFAULT_SUBDIVISION_CAP) -> Skeleton:
+def p_skeleton(g: NeighborhoodGraph, p: int | None = MAXIMAL) -> Skeleton:
     """Maximal simplices of the p-skeleton of the clique complex of g.
 
     Maximal cliques of size at most p+1 are kept whole; larger ones are
     replaced by all their (p+1)-subsets. Subsets shared between overlapping
     cliques are kept once (set semantics). At p = 1 these are the edges and
-    isolated vertices, read off with no clique step, so ``subdivision_cap``
+    isolated vertices, read off with no clique step, so ``SUBDIVISION_CAP``
     binds only for p >= 2.
     """
-    return _table_skeleton(_skeleton_table(*g._pairs(), p, subdivision_cap))
+    return _table_skeleton(_skeleton_table(*g._pairs(), p))
 
 
 def _table_skeleton(table: np.ndarray) -> Skeleton:

@@ -11,7 +11,8 @@ the (dataset, method, config, fold) coordinates.
 
 from __future__ import annotations
 
-import math
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -101,6 +102,7 @@ def stratified_cv(ds: Dataset, folds: int, repeats: int, seed: int) -> list[tupl
     """
     folds = _integer(folds, "folds", EvaluationError)
     repeats = _integer(repeats, "repeats", EvaluationError)
+    seed = _seed(seed)
     if folds < 2 or repeats < 1:
         raise EvaluationError(f"need folds >= 2 and repeats >= 1, got {folds} and {repeats}")
     for label, count in ((MINORITY, ds.n_minority), (MAJORITY, ds.n_majority)):
@@ -193,10 +195,12 @@ def _integer_grid(grid, what: str) -> list:
     return [v if v is MAXIMAL else _integer(v, what, EvaluationError) for v in grid]
 
 
-def default_k_grid(n_minority: int, d: int) -> tuple[int, ...]:
-    """Neighborhood sizes 3, 5, ... up to ceil(cbrt(n_plus) + ln d)."""
-    upper = math.ceil(n_minority ** (1.0 / 3.0) + math.log(max(d, 1)))
-    return tuple(range(3, upper + 1, 2)) or (3,)
+def _seed(seed) -> int:
+    """A master seed as a Python int, checked once at each public entry."""
+    seed = _integer(seed, "seed", EvaluationError)
+    if seed < 0:
+        raise EvaluationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _derived_seed(*coords: int) -> int:
@@ -226,7 +230,7 @@ def _prepare(train: Dataset, test: Dataset, jobs):
 
 
 def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
-               k_clf: int, symmetrize: str, safelevel_formula: str):
+               symmetrize: str, safelevel_formula: str):
     """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
     train, test_points, test_labels, neighbors = split
     diagnostic = None
@@ -240,7 +244,7 @@ def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
             fit_train = batch.augmented(train)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
             diagnostic = f"{method_name(method)}(k={k}, p={p}): {exc}"
-    preds = knn_classify(fit_train, test_points, k_clf)
+    preds = knn_classify(fit_train, test_points)
     return confusion_counts(test_labels, preds), diagnostic
 
 
@@ -302,8 +306,7 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
 
 
 def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAULT_P_GRID,
-                     cv: CVConfig = CVConfig(), seed: int = 0, k_clf: int = DEFAULT_K_CLF,
-                     symmetrize: str = UNION,
+                     cv: CVConfig = CVConfig(), seed: int = 0, symmetrize: str = UNION,
                      safelevel_formula: str = INVERSE_SAFETY) -> EvalReport:
     """Evaluate every method on every dataset over its hyperparameter grid.
 
@@ -312,8 +315,9 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     configuration on an inner CV of its training part and the reported best
     (k, p) is the modal choice.
     """
+    seed = _seed(seed)
     methods = list(methods)
-    opts = (k_clf, symmetrize, safelevel_formula)
+    opts = (symmetrize, safelevel_formula)
     k_grid, p_grid = _integer_grid(k_grid, "k"), _integer_grid(p_grid, "p")
     cells = []
     for d_idx, (ds_name, ds) in enumerate(datasets.items()):
@@ -331,7 +335,7 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
                 mean_f1=mf1, std_f1=sf1, mean_mcc=mmcc, std_mcc=smcc,
                 best_k=k, best_p=display_p,
                 diagnostics=tuple(diags)))
-    meta = {"seed": int(seed), "k_clf": int(k_clf), "cv": cv, "k_grid": tuple(k_grid),
+    meta = {"seed": seed, "k_clf": DEFAULT_K_CLF, "cv": cv, "k_grid": tuple(k_grid),
             "p_grid": tuple("max" if p is MAXIMAL else p for p in p_grid),
             "vote_ties": "minority"}
     return EvalReport(tuple(cells), meta)
@@ -363,17 +367,22 @@ def rank_methods(report: EvalReport, metric: str = "f1") -> dict[str, float]:
 
 
 def report_to_csv(report: EvalReport) -> str:
-    """Long-format CSV: one row per (dataset, method, metric) plus rank rows."""
-    lines = ["dataset,method,metric,mean,std,best_k,best_p"]
+    """Long-format CSV: one row per (dataset, method, metric) plus rank rows.
+
+    Names holding a comma or a quote are quoted, so every row has 7 fields.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dataset", "method", "metric", "mean", "std", "best_k", "best_p"])
     for c in report.cells:
         for metric, mean, std in (("f1", c.mean_f1, c.std_f1),
                                   ("mcc", c.mean_mcc, c.std_mcc)):
             bk = "" if c.best_k is None else str(c.best_k)
             bp = "" if c.best_p is None else str(c.best_p)
-            lines.append(f"{c.dataset},{c.method},{metric},{mean!r},{std!r},{bk},{bp}")
+            writer.writerow([c.dataset, c.method, metric, repr(mean), repr(std), bk, bp])
     for m, rank in rank_methods(report).items():
-        lines.append(f"all,{m},rank,{rank!r},,,")
-    return "\n".join(lines) + "\n"
+        writer.writerow(["all", m, "rank", repr(rank), "", "", ""])
+    return buf.getvalue()
 
 
 def report_to_text(report: EvalReport) -> str:
@@ -381,16 +390,17 @@ def report_to_text(report: EvalReport) -> str:
     ds_names = report.datasets()
     methods = report.methods()
     width = max([10, *map(len, methods)])
-    header = "dataset".ljust(16) + "".join(m.rjust(width + 2) for m in methods)
+    first = max([15, *map(len, ds_names)]) + 1  # the longest name and a space, at least 16
+    header = "dataset".ljust(first) + "".join(m.rjust(width + 2) for m in methods)
     lines = [header, "-" * len(header)]
     for d in ds_names:
-        row = d.ljust(16)
+        row = d.ljust(first)
         for m in methods:
             c = report.cell(d, m)
             row += f"{c.mean_f1:.4f}".rjust(width + 2)
         lines.append(row)
     ranks = rank_methods(report)
-    row = "rank".ljust(16)
+    row = "rank".ljust(first)
     for m in methods:
         row += f"{ranks[m]:.4f}".rjust(width + 2)
     lines.append(row)
@@ -404,13 +414,13 @@ def report_to_text(report: EvalReport) -> str:
 def synthetic_benchmark(seed: int = 0, shapes=tuple(Shape),
                         methods=BENCHMARK_METHODS, k_grid=BENCHMARK_K_GRID,
                         p_grid=DEFAULT_P_GRID, cv: CVConfig = CVConfig(),
-                        k_clf: int = DEFAULT_K_CLF,
                         symmetrize: str = UNION,
                         safelevel_formula: str = INVERSE_SAFETY) -> EvalReport:
     """Grid-search evaluation over seeded draws of the synthetic shape suite."""
+    seed = _seed(seed)
     datasets = {
         shape.value: generate_synthetic(SyntheticSpec(shape, seed=_derived_seed(seed, i)))
         for i, shape in enumerate(shapes)
     }
     return grid_search_eval(datasets, methods, k_grid, p_grid, cv, seed,
-                            k_clf, symmetrize, safelevel_formula)
+                            symmetrize, safelevel_formula)

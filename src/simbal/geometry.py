@@ -105,11 +105,10 @@ def distance_to_simplex(q, vertices) -> float:
     return float(_hull_distances(q, verts, [tuple(range(verts.shape[0]))])[0])
 
 
-def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXIMAL,
-                        symmetrize: str = UNION) -> float:
+def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXIMAL) -> float:
     """Mean distance from each majority point to the nearest minority simplex.
 
-    The geometric model is the p-skeleton of the minority kNN clique complex;
+    The geometric model is the p-skeleton of the minority union-kNN clique complex;
     each majority point contributes its distance to the nearest of the model's
     maximal simplices, all solved in one ``_hull_distances`` call. A single
     minority point degenerates to the mean point-to-point distance.
@@ -123,6 +122,6 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
     if mino.shape[0] == 1:
         simplices = [(0,)]
     else:
-        table = _skeleton_table(*_knn_pairs(mino, k, symmetrize), p)
+        table = _skeleton_table(*_knn_pairs(mino, k, UNION), p)
         simplices = _table_skeleton(table).maximal_simplices
     return float(np.mean(_hull_distances(maj, mino, simplices)))

@@ -169,6 +169,9 @@ class SyntheticBatch:
 
     def augmented(self, ds: Dataset) -> Dataset:
         """Original dataset with the synthetic minority rows appended."""
+        if self.points.shape[1] != ds.d:
+            raise SamplerParameterError(f"the batch has width {self.points.shape[1]}, "
+                                        f"the dataset d={ds.d}")
         return Dataset(np.vstack([ds.features, self.points]),
                        np.concatenate([ds.labels, np.full(self.m, MINORITY)]))
 

@@ -242,9 +242,8 @@ def per_point_oversample(ds: Dataset, cfg) -> SyntheticBatch:
         return oversample(ds, cfg)
 
 
-def _per_config_fold(train, test, method, k, p, sampler_seed, k_clf, symmetrize,
-                     safelevel_formula):
-    """One pipeline run that standardizes its own split."""
+def _per_config_fold(train, test, method, k, p, sampler_seed, symmetrize, safelevel_formula):
+    """One pipeline run that standardizes its own split; a k = 5 classifier scores it."""
     std_train, std_test_pts = evaluation._standardize(train, test.features)
     diagnostic = None
     fit_train = std_train
@@ -256,7 +255,7 @@ def _per_config_fold(train, test, method, k, p, sampler_seed, k_clf, symmetrize,
             fit_train = evaluation.oversample(std_train, cfg).augmented(std_train)
         except evaluation.SAMPLER_DOMAIN_ERRORS as exc:
             diagnostic = f"{evaluation.method_name(method)}(k={k}, p={p}): {exc}"
-    preds = evaluation.knn_classify(fit_train, std_test_pts, k_clf)
+    preds = evaluation.knn_classify(fit_train, std_test_pts, 5)
     return evaluation.confusion_counts(test.labels, preds), diagnostic
 
 
@@ -278,7 +277,7 @@ def _per_config_best(ds, splits, method, combos, seed_coords, opts):
     return best
 
 
-def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
+def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed,
                            symmetrize="union", safelevel_formula="inverse"):
     """``grid_search_eval`` the config-major way: every (method, k, p) runs over
     all splits, and every fold subsets and standardizes its split again.
@@ -286,7 +285,7 @@ def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
     This is the definition the fold-major harness must match byte for byte.
     """
     ev = evaluation
-    opts = (k_clf, symmetrize, safelevel_formula)
+    opts = (symmetrize, safelevel_formula)
     cells = []
     for d, (name, ds) in enumerate(datasets.items()):
         splits = ev.stratified_cv(ds, cv.folds, cv.repeats, ev._derived_seed(seed, d))
@@ -315,7 +314,7 @@ def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed, k_clf=5,
             display_p = None if k is None else ("max" if p is MAXIMAL else int(p))
             cells.append(ev.CellResult(name, ev.method_name(method), *scores, k, display_p,
                                        tuple(diags)))
-    meta = {"seed": int(seed), "k_clf": int(k_clf), "cv": cv,
+    meta = {"seed": int(seed), "k_clf": 5, "cv": cv,
             "k_grid": tuple(int(k) for k in k_grid),
             "p_grid": tuple("max" if p is MAXIMAL else int(p) for p in p_grid),
             "vote_ties": "minority"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
+from simbal import complexes
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
 from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, knn_graph
 
@@ -172,23 +173,24 @@ class TestPSkeleton:
         with pytest.raises(SkeletonParameterError):
             p_skeleton(complete_graph(3), 0)
 
-    def test_subdivision_cap(self):
+    def test_subdivision_cap(self, monkeypatch):
+        monkeypatch.setattr(complexes, "SUBDIVISION_CAP", 100)
         with pytest.raises(SubdivisionCapExceeded, match="smaller p"):
-            p_skeleton(complete_graph(25), 2, subdivision_cap=100)
+            p_skeleton(complete_graph(25), 2)
 
     @pytest.mark.parametrize("cap", [3, 10, 30])
     @pytest.mark.parametrize("p", [1, 2])
-    def test_cap_names_first_sorted_clique_past_it(self, p, cap):
+    def test_cap_names_first_sorted_clique_past_it(self, p, cap, monkeypatch):
         # p = 2: walk the brute-force maximal cliques in sorted order: the error
         # must name the first one at which the running subset count passes the
         # cap. p = 1 reads the edges off the graph and subdivides nothing, so no
         # cap binds
+        monkeypatch.setattr(complexes, "SUBDIVISION_CAP", cap)
         raised = 0
         for seed in range(40):
             g = random_graph(seed + 700, edge_prob=0.7)
             if p == 1:
-                assert p_skeleton(g, 1, subdivision_cap=cap).maximal_simplices == \
-                    brute_force_skeleton(g, 1)
+                assert p_skeleton(g, 1).maximal_simplices == brute_force_skeleton(g, 1)
                 continue
             count, first = 0, None
             for clique in sorted(brute_force_maximal_cliques(g)):
@@ -198,12 +200,11 @@ class TestPSkeleton:
                         first = clique
                         break
             if first is None:
-                assert p_skeleton(g, p, subdivision_cap=cap).maximal_simplices == \
-                    brute_force_skeleton(g, p)
+                assert p_skeleton(g, p).maximal_simplices == brute_force_skeleton(g, p)
                 continue
             raised += 1
             with pytest.raises(SubdivisionCapExceeded) as info:
-                p_skeleton(g, p, subdivision_cap=cap)
+                p_skeleton(g, p)
             assert f"the {len(first)}-clique {first} " in str(info.value)
             assert f"count to {count}," in str(info.value)
         assert raised >= 5 or p == 1

@@ -15,7 +15,6 @@ from simbal import (
     Method,
     Shape,
     SyntheticSpec,
-    default_k_grid,
     generate_synthetic,
     grid_search_eval,
     knn_classify,
@@ -204,20 +203,6 @@ class TestMethodGrid:
         assert all(type(k) is int and type(p) in (int, type(None)) for k, p in combos)
 
 
-class TestDefaultKGrid:
-    def test_hand_computed_values(self):
-        assert default_k_grid(5, 2) == (3,)
-        assert default_k_grid(50, 10) == (3, 5)
-        assert default_k_grid(1000, 2) == (3, 5, 7, 9, 11)
-
-    def test_always_nonempty_odd(self):
-        for n in (2, 5, 20, 200):
-            for d in (1, 2, 50):
-                grid = default_k_grid(n, d)
-                assert grid and all(k % 2 == 1 for k in grid)
-                assert grid[0] == 3
-
-
 class TestParseMethod:
     def test_known_names(self):
         assert parse_method("simplicial") is Method.SIMPLICIAL
@@ -309,6 +294,17 @@ class TestGridSearchEval:
         with pytest.raises(EvaluationError, match=f"{what} must be an integer"):
             grid_search_eval(self._datasets(), [method], k_grid, p_grid,
                              cv=CVConfig(folds=2, repeats=1))
+
+    @pytest.mark.parametrize("entry", ["grid_search_eval", "synthetic_benchmark",
+                                       "stratified_cv"])
+    def test_negative_seed_raises_typed(self, entry):
+        run = {"grid_search_eval": lambda: grid_search_eval(
+                   self._datasets(), [Method.RANDOM], (3,), cv=CVConfig(folds=2, repeats=1),
+                   seed=-1),
+               "synthetic_benchmark": lambda: synthetic_benchmark(seed=-1),
+               "stratified_cv": lambda: stratified_cv(cluster_dataset(), 2, 1, -1)}[entry]
+        with pytest.raises(EvaluationError, match="seed must be >= 0, got -1"):
+            run()
 
     def test_config_typo_raises(self):
         # a misspelled option is a caller error, not a sampler failure to
@@ -423,7 +419,7 @@ class TestFoldMajorHarness:
         # so the split's lists are clamped there
         methods = [IMBALANCED, Method.RANDOM, *GRAPH_VARIANTS]
         for symmetrize in ("union", "mutual"):
-            args = (harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv, 7, 5, symmetrize)
+            args = (harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv, 7, symmetrize)
             got = grid_search_eval(*args)
             want = per_config_grid_search(*args)
             assert repr(got.cells) == repr(want.cells)
@@ -592,6 +588,14 @@ class TestReportFormats:
         assert [r[0] for r in rank_rows] == ["all", "all"]
         assert {r[1]: float(r[3]) for r in rank_rows} == {"x": 1.5, "y": 1.5}
 
+    @pytest.mark.parametrize("name", ["moons, noisy", 'q"x', '"q'])
+    def test_csv_quotes_names_with_commas_and_quotes(self, name):
+        report = make_report({name: {"x": 0.5, "y,z": 0.25}})
+        rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+        assert all(len(r) == 7 for r in rows)
+        assert [r[:2] for r in rows[1:5:2]] == [[name, "x"], [name, "y,z"]]
+        assert {r[1] for r in rows if r[2] == "rank"} == {"x", "y,z"}
+
     def test_csv_blank_hyperparameters_for_baselines(self):
         report = EvalReport((CellResult("a", "random", 0.5, 0.0, 0.0, 0.0,
                                         None, None),))
@@ -605,6 +609,18 @@ class TestReportFormats:
         assert "0.8750" in text and "0.6250" in text
         assert any(line.startswith("rank") for line in lines)
         assert "diagnostics" not in text
+
+    @pytest.mark.parametrize("name", ["a", "gaussian_in_circle", "n" * 40])
+    def test_text_table_lines_align(self, name):
+        # the first column fits the longest dataset name, never below 16
+        report = make_report({name: {"random": 0.5, "smote": 0.625}, "b": {"random": 0.25,
+                                                                            "smote": 0.75}})
+        lines = report_to_text(report).splitlines()
+        assert len(lines) == 5
+        assert len({len(line) for line in lines}) == 1
+        first = max(16, len(name) + 1)
+        assert lines[0] == "dataset".ljust(first) + "random".rjust(12) + "smote".rjust(12)
+        assert lines[2] == name.ljust(first) + "0.5000".rjust(12) + "0.6250".rjust(12)
 
     def test_text_table_of_no_methods(self):
         # an empty grid search reports no cells; its table is the bare frame

@@ -26,7 +26,8 @@ from simbal import (
 )
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded, p_skeleton
 from simbal.datasets import DatasetError
-from simbal.evaluation import CVConfig, EvaluationError, knn_classify, method_grid, stratified_cv
+from simbal.evaluation import (CVConfig, EvaluationError, grid_search_eval, knn_classify,
+                               method_grid, stratified_cv, synthetic_benchmark)
 from simbal.graphs import MUTUAL, UNION, GraphParameterError, nearest
 from simbal.samplers import (
     GRAPH_METHODS,
@@ -132,6 +133,10 @@ NON_INTEGRAL = {
     "cv-inner_repeats": (lambda: CVConfig(mode="nested", inner_repeats=2.5), EvaluationError),
     "stratified_cv-folds": (lambda: stratified_cv(_LABELLED, 3.0, 1, 0), EvaluationError),
     "stratified_cv-repeats": (lambda: stratified_cv(_LABELLED, 3, 1.5, 0), EvaluationError),
+    "stratified_cv-seed": (lambda: stratified_cv(_LABELLED, 3, 1, 1.5), EvaluationError),
+    "grid_search_eval-seed": (lambda: grid_search_eval({"a": _LABELLED}, [Method.RANDOM], (3,),
+                                                       seed=1.5), EvaluationError),
+    "synthetic_benchmark-seed": (lambda: synthetic_benchmark(seed=1.5), EvaluationError),
     "synthetic_spec-n_minority": (lambda: SyntheticSpec(Shape.MOONS, n_minority=10.5),
                                   DatasetError),
     "synthetic_spec-n_majority": (lambda: SyntheticSpec(Shape.MOONS, n_majority=40.0),
@@ -221,6 +226,12 @@ class TestCommonContracts:
         ds = tiny_dataset()
         aug = oversample_smote(ds, k=3, seed=0).augmented(ds)
         assert aug.n_minority == aug.n_majority == ds.n_majority
+
+    def test_augmenting_a_dataset_of_another_width_raises(self):
+        ds = tiny_dataset(d=2)
+        wide = Dataset(np.hstack([ds.features, ds.features[:, :1]]), ds.labels)
+        with pytest.raises(SamplerParameterError, match="width 2, the dataset d=3"):
+            oversample_smote(ds, k=3, seed=0).augmented(wide)
 
 
 class TestRandom:
