@@ -6,14 +6,15 @@ GEMMs give every squared distance of a block by the Gram identity
 ||q||^2 + ||r||^2 - 2 q.r, but those values only filter. The filter has its
 own, smaller working set: it takes a block in sub-blocks of at most
 ``_FILTER_ELEMS`` Gram entries, written into scratch arrays that each thread
-reuses, so no Gram-sized temporary is allocated. With a rounding
-bound on them, built from Higham's gamma_{d+2} ("Accuracy and Stability of
-Numerical Algorithms", ch. 3) and derived at ``_candidates``, each row keeps
+reuses, so no Gram-sized temporary is allocated. Each Gram row is folded
+into column classes, and the threshold comes from the classes' minima plus a
+rounding bound, built from Higham's gamma_{d+2} ("Accuracy and Stability of
+Numerical Algorithms", ch. 3) and derived at ``_candidates``: each row keeps
 every column that can rank among its first k, ties included. Only these
 candidates get their distances recomputed from coordinate differences, the
-formula ``cross_distances`` uses, and are sorted exactly. So the ids do not
-depend on the BLAS, its summation order or its thread count. When two
-candidate neighbors are at the same distance, the one with the lower vertex
+formula ``cross_distances`` uses, and are sorted exactly, row by row. So the
+ids do not depend on the BLAS, its summation order or its thread count. When
+two candidate neighbors are at the same distance, the one with the lower vertex
 index wins. Distances are Euclidean throughout.
 """
 
@@ -30,7 +31,8 @@ UNION = "union"
 MUTUAL = "mutual"
 
 # Elements of one temporary: the (block, n_ref) row block that ``nearest``
-# re-ranks (its Gram filter works on smaller sub-blocks, ``_FILTER_ELEMS``),
+# re-ranks (its Gram filter works on smaller sub-blocks, ``_FILTER_ELEMS``, and
+# its re-rank table, one row of candidates per query row, is no wider),
 # the (pairs, d) coordinate differences of that exact re-rank, gathered in
 # chunks even when every pair is a candidate, the (block, n_b, d) difference
 # tensor of ``cross_distances`` and the (block, n_faces, d) tensors of
@@ -38,13 +40,19 @@ MUTUAL = "mutual"
 # (n_query, n_ref) matrix is ever held.
 _BLOCK_ELEMS = 1_000_000
 
-# Elements of each of the three scratch arrays (two float64, one bool) that
-# ``_candidates`` filters a block through, ``_FILTER_ELEMS // n_ref`` rows at a
-# time: about 1.1 MB, so the filter's working set stays in cache. Each thread
-# keeps its own set for the life of the thread, so a query allocates and frees
-# no Gram-sized array (fresh ones cost a page fault per 4 KB page on every
-# call); a row longer than this gets arrays of its own, for that call only.
+# Elements of each of the three scratch arrays that ``_candidates`` filters a
+# block through, ``_FILTER_ELEMS // n_ref`` rows at a time: the float64 Gram
+# sub-block, the float64 one that holds its folded row minima, and the bool
+# mask of kept pairs; about 1.1 MB, so the filter's working set stays in cache.
+# Each thread keeps its own set for the life of the thread, so a query
+# allocates and frees no Gram-sized array (fresh ones cost a page fault per
+# 4 KB page on every call); a row longer than this gets arrays of its own, for
+# that call only.
 _FILTER_ELEMS = 2 ** 16
+# Column classes j mod w that ``_candidates`` folds each Gram row into, taking
+# its filter threshold from their minima: w = min(n_ref, max(_FOLD, 4 kk)) for
+# the first kk of a row.
+_FOLD = 128
 _scratch = threading.local()
 
 # A block whose squared norms reach this (or are inf) is re-ranked on every
@@ -158,58 +166,83 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
       at most 4.01 u (||q||^2 + ||r||^2) as ||q* - r*|| <= (||q|| + ||r||) / (1 - u);
     - the re-rank computes D' = fl(sum fl(fl(q*_k - r*_k)^2)): nonnegative
       terms through at most d + 2 roundings, so |D' - D| <= gamma_{d+2} D;
-    - here g = fl(||r||^2 + fl(-2q.r)) with the same norms: |fl(q.r) - q.r|
-      <= gamma_d ||q|| ||r||, one more rounding for the sum, so
-      |g + ||q||^2 - S| <= gamma_{d+1} (||q|| + ||r||)^2;
+    - here g = ||r||^2 - 2q.r with the same norms, one dot product of d + 1
+      terms (the -2 is exact), so |g + ||q||^2 - S| <= gamma_{d+1}
+      (2 sum_k |q_k r_k| + ||r||^2) <= gamma_{d+1} (||q|| + ||r||)^2, and
+      |g| < 2.01 (qn + rn);
     - together |g + ||q||^2 - D'| <= (4 gamma_{d+2} + 5u) (||q||^2 + ||r||^2),
       with gamma_m = m u / (1 - m u);
     - the order is by fl(sqrt(D')), and fl(sqrt(x)) <= fl(sqrt(y)) only if
-      x < (1 + 5u) y: another 11u (qn + rn) on the threshold;
-    - the three sums below, on values under 3 (qn + rn), add 9u (qn + rn).
-    E = c (qn + rn) + a with c = 32 (d + 2) u is more than twice the sum,
-    which is under (4 (d + 2) + 25) u <= 12.4 (d + 2) u since d + 2 >= 3.
+      x < (1 + 5u) y: another 11u (qn + rn).
+    So if column j ranks no later than column l in row i, ties included,
+    g_ij <= g_il + e_ij + e_il with e = (4 gamma_{d+2} + 16u) (qn + rn).
+    Row i folds its columns into the w = min(n_ref, max(_FOLD, 4 kk)) >= kk
+    classes j mod w and takes each class's smallest g. Their kk-th smallest,
+    M_i, is reached by kk distinct columns l (g_il <= M_i), and one of them
+    ranks no earlier than the row's kk-th: every column j of the exact first
+    kk, and every tie with it, has g_ij <= M_i + e_ij + e_il for that l.
+    Row i keeps column j when g_ij <= t_i = fl(fl(M_i + 2C) + fl(2c qn_i)),
+    with c = 32 (d + 2) u and C = fl(fl(c max_j rn_j) + a). Both sums and
+    the product round by at most 2.01u (|M_i| + 2C + 2c qn_i), which is under
+    4.1u (qn_i + max rn), so t_i >= M_i + 2c (1 - 2u) (qn_i + max rn) + a
+    - 4.1u (qn_i + max rn). That is at least M_i + e_ij + e_il when
+    c >= 4 gamma_{d+2} + 18.1u, under 10.1 (d + 2) u since d + 2 >= 3, and
+    c is more than twice it. In exact arithmetic the kept set also holds the
+    unfolded one, {j : g_ij <= T_i + 2c qn_i + E_j} with E_j = c rn_j + a
+    and T_i the row's kk-th smallest g_ij + E_j: T_i + E_j <= M_i + 2C,
+    because M_i is at least the row's kk-th smallest g.
     Underflow (IEEE gradual underflow) adds an absolute error of at most
     2**-1075 per operation, under 4 (d + 2) 2**-1074 in all:
     a = (d + 2) 2**-1060 covers it with room and lies far below any normal
-    squared distance.
-    ||q||^2 is the same along a row, so g leaves it out. Row i keeps column j
-    when g_ij - E_ij <= T_i, T_i the kk-th smallest g_ij + E_ij of the row:
-    every pair of the exact first kk is kept, and every tie with it.
+    squared distance. ||q||^2 is the same along a row, so g leaves it out.
     """
-    if not max(qn.max(), rn.max()) < _NORM_LIMIT:  # also false on inf
+    rn_max = rn.max()
+    if not max(qn.max(), rn_max) < _NORM_LIMIT:  # also false on inf
         return _every_pair(len(q), len(r))
     n_ref, d = r.shape
     c, a = (d + 2) * 2.0 ** -48, (d + 2) * 2.0 ** -1060
-    col = c * rn + a
-    q2 = -2.0 * q
+    slack, row_slack = 2.0 * (c * rn_max + a), 2.0 * c * qn
+    w = min(n_ref, max(_FOLD, 4 * kk))
+    whole = n_ref - n_ref % w
+    # one GEMM gives g = ||r||^2 - 2 q.r: (-2q, 1) times (r, ||r||^2)
+    q2 = np.concatenate((-2.0 * q, np.ones((len(q), 1))), axis=1)
+    r2 = np.concatenate((r, rn[:, None]), axis=1)
     step = max(1, _FILTER_ELEMS // n_ref)
-    g_buf, hi_buf, keep_buf = _filter_buffers(step * n_ref)
+    g_buf, min_buf, keep_buf = _filter_buffers(step * n_ref)
     found = []
     for s in range(0, len(q), step):
-        m = min(step, len(q) - s) * n_ref
-        g, hi = g_buf[:m].reshape(-1, n_ref), hi_buf[:m].reshape(-1, n_ref)
-        np.matmul(q2[s:s + step], r.T, out=g)
-        g += rn
-        np.add(g, col, out=hi)
-        hi.partition(kk - 1, axis=1)
-        t = hi[:, kk - 1] + 2.0 * c * qn[s:s + step]
-        g -= col
-        keep = np.less_equal(g, t[:, None], out=keep_buf[:m].reshape(-1, n_ref))
+        rows = min(step, len(q) - s)
+        g, mins = g_buf[:rows * n_ref].reshape(rows, n_ref), min_buf[:rows * w].reshape(rows, w)
+        np.matmul(q2[s:s + step], r2.T, out=g)
+        g[:, :whole].reshape(rows, -1, w).min(axis=1, out=mins)
+        rest = mins[:, :n_ref - whole]
+        np.minimum(rest, g[:, whole:], out=rest)
+        mins.partition(kk - 1, axis=1)
+        t = mins[:, kk - 1] + slack + row_slack[s:s + step]
+        keep = np.less_equal(g, t[:, None], out=keep_buf[:rows * n_ref].reshape(rows, n_ref))
         found.append(np.flatnonzero(keep) + s * n_ref)
     return np.concatenate(found)
 
 
 def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
-    """(len(q), kk) first cols per row of ascending ``rows``, in exact (distance, index) order."""
+    """(len(q), kk) first cols per row in exact (distance, index) order.
+
+    ``rows`` ascend, each row holds at least kk pairs, and ``cols`` ascend
+    within a row. Each row's distances go into one row of a table padded with
+    inf; a stable sort of each table row keeps the lower column first on a
+    tie, and every real distance, inf included, before the pads.
+    """
     dist = np.empty(rows.size)
     step = max(1, _BLOCK_ELEMS // q.shape[1])
     for s in range(0, rows.size, step):
         diff = q[rows[s:s + step]]
         diff -= r[cols[s:s + step]]
         dist[s:s + step] = np.sqrt(_sq_norms(diff))
-    order = np.lexsort((cols, dist, rows))
-    first = np.searchsorted(rows, np.arange(len(q)))
-    return cols[order[first[:, None] + np.arange(kk)]]
+    first = rows.searchsorted(np.arange(len(q) + 1))
+    table = np.full((len(q), (first[1:] - first[:-1]).max()), np.inf)
+    table[rows, np.arange(rows.size) - first[rows]] = dist
+    order = table.argsort(axis=1, kind="stable")[:, :kk]
+    return cols[first[:-1, None] + order]
 
 
 def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
@@ -221,10 +254,11 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     ``_FILTER_ELEMS // n_ref`` rows filter the candidates of each row:
     Gram-identity squared distances of both sets shifted by the mean of
     ``ref`` (so data far from the origin still filter), kept within a rounding
-    bound from Higham's gamma_{d+2} (``_candidates``) of the k-th smallest, so
+    bound from Higham's gamma_{d+2} (``_candidates``) of an upper bound on the
+    k-th smallest, the k-th smallest of the row's folded column minima, so
     every tie survives; with self skipped, of the (k+1)-th. The candidates'
     distances are then recomputed from the original coordinates' differences,
-    as in ``cross_distances``, and sorted by (row, distance, index). A block
+    as in ``cross_distances``, and each row's are sorted by (distance, index). A block
     with squared norms past an overflow-safe limit re-ranks every pair. The ids
     are exact whatever the BLAS and its thread count.
     """

@@ -65,6 +65,23 @@ class TestSampleDirichlet:
             boosted = np.where(a < 1.0, g * u ** (1.0 / a), g)
             assert sample_dirichlet(alpha, rng).tobytes() == (boosted / boosted.sum()).tobytes()
 
+    @pytest.mark.parametrize("alpha", [[1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 1.0],
+                                       [5.0, 1.0, 1.0, 1.0]])
+    def test_alpha_of_at_least_one_matches_the_general_formula(self, alpha):
+        # gate 5's alphas: nothing is boosted, but the uniforms are still drawn,
+        # so 2000 draws in a row equal the general formula's bit for bit
+        rng = rng_for(12)
+        clone = np.random.PCG64()
+        clone.state = rng.bit_generator.state
+        twin = np.random.Generator(clone)
+        a = np.asarray(alpha)
+        for _ in range(2_000):
+            g = twin.standard_gamma(np.where(a < 1.0, a + 1.0, a))
+            u = twin.uniform(size=a.size)
+            weights = np.where(a < 1.0, g * u ** (1.0 / a), g)
+            assert sample_dirichlet(alpha, rng).tobytes() == (weights / weights.sum()).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_all_underflowed_row_gets_the_centre(self):
         gammas = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])
         with warnings.catch_warnings():

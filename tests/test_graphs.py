@@ -158,14 +158,16 @@ class TestNearest:
        d=st.integers(1, 4) | st.sampled_from([16, 32]),
        scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155, 1e-160]),
        block_elems=st.sampled_from([1, 7, 64, graphs._BLOCK_ELEMS]),
-       filter_elems=st.sampled_from([1, 7, 64, graphs._FILTER_ELEMS]), data=st.data())
+       filter_elems=st.sampled_from([1, 7, 64, graphs._FILTER_ELEMS]),
+       fold=st.sampled_from([1, 7, graphs._FOLD]), data=st.data())
 def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elems,
-                                       filter_elems, data):
+                                       filter_elems, fold, data):
     # self excluded over the whole set (the kNN graph), over a subset of query
     # rows (the safety counts), or a separate query set with no exclusion (the
     # classifier); small block sizes split the rows across several blocks, the
     # filter's sub-blocks split those unevenly, and n up to 120 leaves
-    # k + 1 < n, so the Gram filter selects within a row
+    # k + 1 < n, so the Gram filter selects within a row; a small fold
+    # constant folds rows of these sizes into 4 (k + 1) column classes or fewer
     rng = np.random.Generator(np.random.PCG64(seed))
     ref = tie_heavy_points(rng, kind, n, d) * scale
     self_ids = None
@@ -179,9 +181,47 @@ def test_nearest_matches_sorted_oracle(seed, kind, mode, n, d, scale, block_elem
                            ref[:1]])
     k = data.draw(st.integers(1, n - (self_ids is not None)))
     with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems), \
-            mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems):
+            mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems), \
+            mock.patch.object(graphs, "_FOLD", fold):
         got = nearest(query, ref, k, self_ids)
     assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("periods, extra", [(1, -1), (1, 0), (1, 1), (2, -1), (3, 2)])
+def test_fold_of_a_periodic_reference(k, skip, periods, extra):
+    # the fold constant below k leaves the fold width at w = 4 (k + skip) (a
+    # reference of w - 1 rows is not folded); the reference repeats w base
+    # points on a small grid, so every copy of a base point falls in one
+    # column class, and the rest of a row's first k, ties included, in the
+    # classes of the next nearest base points
+    kk = k + skip
+    w = 4 * kk
+    n_ref = periods * w + extra
+    rng = np.random.Generator(np.random.PCG64(kk * 100 + n_ref))
+    base = rng.integers(0, 4, size=(w, 2)).astype(float)
+    ref = base[np.arange(n_ref) % w]
+    if skip:
+        query, self_ids = ref, np.arange(n_ref)
+    else:
+        query, self_ids = np.vstack([base, base + rng.normal(0.0, 0.1, size=base.shape)]), None
+    with mock.patch.object(graphs, "_FOLD", 1):
+        got = nearest(query, ref, k, self_ids)
+    assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
+
+
+def test_rerank_orders_rows_of_uneven_length():
+    # rows of 4, 2 and 3 candidates: ties at distance 1 and 0.5 keep the lower
+    # column, and row 1's two distances, whose squares overflow to inf, come
+    # before the inf pads of its table row
+    q = np.array([[0.0], [1e200], [0.5]])
+    r = np.array([[0.0], [1.0], [-1.0], [1.0], [-1e200], [1e200], [-9e199]])
+    rows = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2])
+    cols = np.array([1, 2, 3, 6, 4, 6, 0, 1, 3])
+    assert np.isinf(cross_distances(q[1:2], r[[4, 6]])).all()
+    got = graphs._rerank(q, r, rows, cols, 2)
+    assert got.tolist() == [[1, 2], [4, 6], [0, 1]]
 
 
 @pytest.mark.parametrize("kind", ["dup", "grid", "copies"])
