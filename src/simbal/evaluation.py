@@ -4,9 +4,10 @@ The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
 fold. The grid search prepares each split once, ranking the neighbours of its
 training minority once at the largest k in the grid (each smaller k reads the
-first k columns), and scores every configuration on it. Everything is
-seed-deterministic; per-cell sampler seeds derive from the master seed and
-the (dataset, method, config, fold) coordinates.
+first k columns) and building the maximal clique tables of every k its
+simplex methods use in one clique step, and scores every configuration on
+it. Everything is seed-deterministic; per-cell sampler seeds derive from the
+master seed and the (dataset, method, config, fold) coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, Synthet
 from .graphs import UNION, _integer, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
-                       SamplerParameterError, oversample)
+                       SamplerParameterError, _knn_clique_tables, oversample)
 from .variants import EmptyBorderlineError, oversample_graph
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
@@ -214,32 +215,38 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     return Dataset((train.features - mu) / sd, train.labels), (test_points - mu) / sd
 
 
-def _prepare(train: Dataset, test: Dataset, jobs):
-    """One split ready to score: standardized training fold, test points, test labels
-    and the training minority's neighbour lists at the largest k of the jobs'
-    ``_WHOLE_MINORITY`` methods, clamped to n_plus - 1; None if that is below 1."""
+def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
+    """One split ready to score: standardized training fold, test points, test
+    labels, the training minority's neighbour lists at the largest k of the
+    jobs' ``_WHOLE_MINORITY`` methods, clamped to n_plus - 1, and the maximal
+    clique tables of their simplex combos with p != 1, {clamped k: table}, from
+    one clique step; both None if that k is below 1."""
     std_train, test_points = _standardize(train, test.features)
-    k = max((k for method, combos, _ in jobs if method in _WHOLE_MINORITY
-             for k, _ in combos), default=0)
-    k = min(k, std_train.n_minority - 1)
-    neighbors = None
-    if k >= 1:
+    n_plus = std_train.n_minority
+    combos = [(method, k, p) for method, method_combos, _ in jobs if method in _WHOLE_MINORITY
+              for k, p in method_combos]
+    k_max = min(max((k for _, k, _ in combos), default=0), n_plus - 1)
+    neighbors = cliques = None
+    if k_max >= 1:
         x = std_train.minority_features()
-        neighbors = nearest(x, x, k, np.arange(len(x)))
-    return std_train, test_points, test.labels, neighbors
+        neighbors = nearest(x, x, k_max, np.arange(len(x)))
+        ks = sorted({min(k, k_max) for method, k, p in combos
+                     if not GRAPH_VARIANTS[method][1] and p != 1 and k >= 1})
+        cliques = _knn_clique_tables(neighbors, ks, symmetrize) if ks else None
+    return std_train, test_points, test.labels, neighbors, cliques
 
 
 def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
                symmetrize: str, safelevel_formula: str):
     """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
-    train, test_points, test_labels, neighbors = split
+    train, test_points, test_labels, neighbors, cliques = split
     diagnostic = None
     fit_train = train
     if method != IMBALANCED:
         cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
-            batch = (oversample_graph(train, cfg, neighbors) if method in GRAPH_VARIANTS
+            batch = (oversample_graph(train, cfg, neighbors, cliques) if method in GRAPH_VARIANTS
                      else oversample(train, cfg))
             fit_train = batch.augmented(train)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
@@ -261,14 +268,15 @@ def _select(ds, splits, jobs, tail, opts):
     """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
 
     Fold-major: each split is subset and standardized once, its minority
-    neighbour lists are ranked once at the largest k of the jobs, and every
-    combo of every job is scored on it before the next. Combo c on fold f is
-    seeded from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max()
-    keeps the first.
+    neighbour lists are ranked once at the largest k of the jobs, its clique
+    tables are built in one clique step, and every combo of every job is
+    scored on it before the next. Combo c on fold f is seeded from
+    ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps the
+    first.
     """
     tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
     for f, (train_idx, test_idx) in enumerate(splits):
-        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs)
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs, opts[0])
         for (method, combos, head), tally in zip(jobs, tallies):
             for c, ((k, p), (counts, diags)) in enumerate(zip(combos, tally)):
                 fold_counts, diag = _eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
@@ -286,7 +294,7 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
     tallies = [([], [], []) for _ in jobs]  # counts, diagnostics, chosen (k, p)
     for f, (train_idx, test_idx) in enumerate(splits):
         train = ds.subset(train_idx)
-        outer = _prepare(train, ds.subset(test_idx), jobs)
+        outer = _prepare(train, ds.subset(test_idx), jobs, opts[0])
         for (method, combos, head), (counts, diags, chosen) in zip(jobs, tallies):
             inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                                   _derived_seed(*head, f))

@@ -126,7 +126,9 @@ def cross_distances(a, b) -> np.ndarray:
     out = np.empty((pa.shape[0], n_b), dtype=float)
     block = max(1, _BLOCK_ELEMS // (n_b * d))
     for start in range(0, pa.shape[0], block):
-        diff = pa[start:start + block, None, :] - pb[None, :, :]
+        # a difference past the float range is inf: the distance is inf, as it must be
+        with np.errstate(over="ignore"):
+            diff = pa[start:start + block, None, :] - pb[None, :, :]
         out[start:start + block] = np.sqrt(_sq_norms(diff.reshape(-1, d))).reshape(-1, n_b)
     return out
 
@@ -236,7 +238,9 @@ def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
     step = max(1, _BLOCK_ELEMS // q.shape[1])
     for s in range(0, rows.size, step):
         diff = q[rows[s:s + step]]
-        diff -= r[cols[s:s + step]]
+        # an overflowed difference makes an inf distance, which ranks last
+        with np.errstate(over="ignore"):
+            diff -= r[cols[s:s + step]]
         dist[s:s + step] = np.sqrt(_sq_norms(diff))
     first = rows.searchsorted(np.arange(len(q) + 1))
     table = np.full((len(q), (first[1:] - first[:-1]).max()), np.inf)
@@ -311,10 +315,15 @@ def _neighbor_pairs(neighbors: np.ndarray, symmetrize: str) -> tuple[int, np.nda
     """(n, lo, hi) as ``_knn_pairs`` gives them, from ``neighbors``, whose row i lists
     vertex i's neighbours: (n, k) distinct ids other than i, as ``nearest`` ranks them."""
     n, k = neighbors.shape
-    src = np.repeat(np.arange(n), k)
-    dst = neighbors.ravel()
-    # each undirected pair as min * n + max; a row lists distinct ids, so a pair
-    # listed from both ends appears exactly twice
+    return _listed_pairs(n, np.repeat(np.arange(n), k), neighbors.ravel(), symmetrize)
+
+
+def _listed_pairs(n: int, src: np.ndarray, dst: np.ndarray,
+                  symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, lo, hi): the edges lo < hi, lexicographic, of the graph on 0..n-1 in which
+    vertex src[i] lists dst[i], no vertex listing itself or another twice."""
+    # each undirected pair as min * n + max; a pair listed from both ends
+    # appears exactly twice
     pairs, listed = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
                               return_counts=True)
     if symmetrize == MUTUAL:

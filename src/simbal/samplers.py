@@ -28,7 +28,7 @@ from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _table_skeleton,  # 
                         p_skeleton)
 from .datasets import Dataset, DatasetError, MINORITY
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _neighbor_pairs
+from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _listed_pairs, _neighbor_pairs
 from .graphs import knn_graph  # noqa: F401
 
 # Ridge added to the fitted covariance diagonal before factorization.
@@ -286,22 +286,56 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
 
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetrize: str,
-                  neighbors: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+                  neighbors: np.ndarray | None = None,
+                  cliques: dict | None = None) -> tuple[np.ndarray, dict]:
     """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
     rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1.
 
     ``neighbors``, when given, is ``nearest(x, x, K, arange)`` of those rows x
     for some K >= the clamped k; by the (distance, index) order its first
-    k columns are the k-neighbour lists, so no search runs.
+    k columns are the k-neighbour lists, so no search runs. ``cliques``, when
+    given, is ``_knn_clique_tables`` of those lists and ``symmetrize``; the
+    table of the clamped k, if it holds one, is the maximal cliques, so no
+    clique step runs either.
     """
     if ids.size < 2:
         raise SamplerParameterError("need at least 2 minority points to build a graph")
     k = _integer(k, "k", SamplerParameterError)
     k_used = min(k, ids.size - 1)
-    pairs = (_knn_pairs(ds.features[ids], k_used, symmetrize) if neighbors is None
-             else _neighbor_pairs(neighbors[:, :k_used], symmetrize))
-    table = _skeleton_table(*pairs, p)
+    maximal = None if cliques is None else cliques.get(k_used)
+    if maximal is not None and p != 1:
+        pairs = ids.size, None, None  # only p = 1 reads the pairs
+    elif neighbors is None:
+        pairs = _knn_pairs(ds.features[ids], k_used, symmetrize)
+    else:
+        pairs = _neighbor_pairs(neighbors[:, :k_used], symmetrize)
+    table = _skeleton_table(*pairs, p, maximal)
     return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
+
+
+def _knn_clique_tables(neighbors: np.ndarray, ks, symmetrize: str) -> dict[int, np.ndarray]:
+    """{k: maximal clique table of the k-neighbour graph} for each k in ``ks``, where
+    row i of ``neighbors`` lists point i's neighbours as ``nearest`` ranks them.
+
+    One clique step runs, on the disjoint union of the graphs, graph g's ids
+    offset by g * n. The union's rows sort by their first id, so graph g's rows
+    are the block whose first id lies in [g * n, (g + 1) * n); each block,
+    shifted back and cut to its widest row, is the table of its graph alone.
+    """
+    (n, width), ks = neighbors.shape, np.asarray(list(ks))
+    # (graph, vertex, column): graph g's vertex v lists its first ks[g] neighbours
+    offset = n * np.arange(ks.size)[:, None, None]
+    listed = np.broadcast_to(np.arange(width) < ks[:, None, None], (ks.size, n, width))
+    src = np.broadcast_to(offset + np.arange(n)[:, None], listed.shape)[listed]
+    table = _skeleton_table(*_listed_pairs(ks.size * n, src, (offset + neighbors)[listed],
+                                           symmetrize))
+    graph = table[:, 0] // n
+    filled = table >= 0
+    table = np.where(filled, table - n * graph[:, None], -1)
+    size = filled.sum(axis=1)
+    bounds = np.searchsorted(graph, np.arange(ks.size + 1))
+    return {int(k): table[bounds[g]:bounds[g + 1], :size[bounds[g]:bounds[g + 1]].max()]
+            for g, k in enumerate(ks)}
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
-from simbal import complexes
+from simbal import complexes, samplers
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
-from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, knn_graph
+from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, _neighbor_pairs, knn_graph, nearest
 
 from helpers import (
     adjacency,
@@ -135,6 +137,94 @@ def test_adversarial_cliques_match_set_based_oracle(g, closed_form):
     assert cliques == set_based_maximal_cliques(g)
     if closed_form is not None:
         assert cliques == closed_form
+
+
+def test_disjoint_union_table_is_the_offset_tables():
+    # the batching contract: graph i's ids offset by the vertices before it,
+    # the union's table is the graphs' tables, offset, padded and in order
+    graphs = [knn_graph_of_random_points(seed, sym) for seed in range(3) for sym in (UNION, MUTUAL)]
+    graphs += [complete_graph(7), NeighborhoodGraph(3, frozenset()), star_with_hub(),
+               mutual_knn_with_isolated()]
+    offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
+    pairs = [g._pairs() for g in graphs]
+    lo = np.concatenate([g_lo + off for (_, g_lo, _), off in zip(pairs, offsets)])
+    hi = np.concatenate([g_hi + off for (_, _, g_hi), off in zip(pairs, offsets)])
+    union = complexes._skeleton_table(int(offsets[-1]), lo, hi)
+    tables = [complexes._skeleton_table(*pair) for pair in pairs]
+    want = np.full((sum(len(t) for t in tables), union.shape[1]), -1)
+    at = 0
+    for table, off in zip(tables, offsets):
+        want[at:at + len(table), :table.shape[1]] = np.where(table >= 0, table + off, -1)
+        at += len(table)
+    assert union.shape[1] == max(t.shape[1] for t in tables)
+    assert np.array_equal(union, want)
+
+
+@pytest.mark.parametrize("symmetrize", [UNION, MUTUAL])
+def test_knn_clique_tables_match_one_table_per_k(symmetrize):
+    # the grid search's one clique step for all k of a split
+    for seed in range(6):
+        x = np.random.Generator(np.random.PCG64(seed)).normal(size=(37, 2 + seed % 3))
+        ks = (1, 2, 3, 5, 8)[: 2 + seed % 4]
+        neighbors = nearest(x, x, max(ks), np.arange(len(x)))
+        tables = samplers._knn_clique_tables(neighbors, ks, symmetrize)
+        assert list(tables) == list(ks)
+        for k in ks:
+            want = complexes._skeleton_table(*_neighbor_pairs(neighbors[:, :k], symmetrize))
+            assert tables[k].dtype == want.dtype and np.array_equal(tables[k], want)
+
+
+def test_tie_heavy_duplicates_match_set_based_oracle():
+    # 12 points, 20 copies each: every k-list stays within its copies, so each
+    # group holds 9-cliques sharing the copies ranked first
+    pts = np.repeat(np.random.Generator(np.random.PCG64(1)).normal(size=(12, 2)), 20, axis=0)
+    g = knn_graph(pts, 8)
+    cliques = maximal_cliques(g)
+    assert cliques == set_based_maximal_cliques(g)
+    assert len(cliques) == 12 * 12 and {len(c) for c in cliques} == {9}
+
+
+def star_plus_path(n):
+    """Hub 0 joined to every other vertex, and the path 1 - 2 - ... - (n-1)."""
+    return NeighborhoodGraph(n, frozenset({(0, v) for v in range(1, n)}
+                                          | {(v, v + 1) for v in range(1, n - 1)}))
+
+
+def circulant(n, reach):
+    """Each vertex joined to the next ``reach`` vertices around the cycle of n."""
+    return NeighborhoodGraph(n, frozenset(tuple(sorted((v, (v + s) % n)))
+                                          for v in range(n) for s in range(1, reach + 1)))
+
+
+LARGE_GRAPHS = {
+    # the hub has degree n - 1: its neighbour list spans hundreds of words
+    "star-plus-path": lambda: (star_plus_path(20_000),
+                               frozenset((0, v, v + 1) for v in range(1, 19_999))),
+    # the n cyclic windows of 6
+    "circulant-5": lambda: (circulant(20_000, 5),
+                            frozenset(tuple(sorted((v + s) % 20_000 for s in range(6)))
+                                      for v in range(20_000))),
+}
+
+
+@pytest.mark.parametrize("case", LARGE_GRAPHS.values(), ids=LARGE_GRAPHS.keys())
+def test_large_sparse_graphs_in_bounded_time_and_memory(case):
+    g, closed_form = case()
+    # best of two runs, as a loaded machine can slow one
+    elapsed = []
+    for _ in range(2):
+        start = time.perf_counter()
+        cliques = maximal_cliques(g)
+        elapsed.append(time.perf_counter() - start)
+    assert cliques == closed_form
+    assert min(elapsed) < 1.0
+    tracemalloc.start()
+    try:
+        maximal_cliques(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 class TestPSkeleton:

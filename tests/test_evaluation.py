@@ -26,7 +26,7 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
-from simbal import evaluation, graphs
+from simbal import complexes, evaluation, graphs
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
@@ -346,6 +346,7 @@ HARNESS_METHODS = [IMBALANCED, Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
 # The methods that take a split's minority neighbour lists.
 WHOLE_MINORITY = [Method.SMOTE, Method.SIMPLICIAL, Method.SAFELEVEL, Method.S_SAFELEVEL,
                   Method.ADASYN, Method.S_ADASYN]
+SIMPLEX_WHOLE_MINORITY = [Method.SIMPLICIAL, Method.S_SAFELEVEL, Method.S_ADASYN]
 
 
 def harness_datasets():
@@ -446,9 +447,9 @@ class TestFoldMajorHarness:
         splits, harness, sampler = {}, [], []
         prepare, eval_fold, search = evaluation._prepare, evaluation._eval_fold, graphs.nearest
 
-        def recorded_prepare(train, test, jobs):
+        def recorded_prepare(train, test, *args):
             before = len(harness)
-            split = prepare(train, test, jobs)
+            split = prepare(train, test, *args)
             splits[id(split)] = (split, train.n_minority, harness[before:], set())
             return split
 
@@ -475,6 +476,53 @@ class TestFoldMajorHarness:
         assert (len(harness) > 0) == any(m in WHOLE_MINORITY for m in methods)
         if all(m in WHOLE_MINORITY for m in methods):
             assert sampler == []
+
+
+    @pytest.mark.parametrize("methods", [
+        [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],
+        [Method.BORDERLINE, Method.SMOTE, Method.SAFELEVEL, Method.ADASYN],
+        WHOLE_MINORITY,
+        *([m] for m in SIMPLEX_WHOLE_MINORITY),
+    ])
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_clique_step_per_split(self, monkeypatch, methods, cv):
+        # a prepared split builds the clique tables of all its k in one clique
+        # step if it scores a simplex method spanning the whole minority, and
+        # none otherwise; the samplers then read them and build none themselves
+        # (borderline builds its own support's complex, so it is left out)
+        calls, splits, clique_table = [], {}, complexes._clique_table
+        prepare, eval_fold = evaluation._prepare, evaluation._eval_fold
+
+        def recorded_prepare(*args):
+            before = len(calls)
+            split = prepare(*args)
+            # the split itself, the clique calls made for it, the methods scored on it
+            splits[id(split)] = [split, len(calls) - before, set()]
+            return split
+
+        def recorded_eval_fold(split, method, *args):
+            before = len(calls)
+            result = eval_fold(split, method, *args)
+            splits[id(split)][1] += len(calls) - before
+            splits[id(split)][2].add(method)
+            return result
+
+        def counting(*args):
+            calls.append(args[0])
+            return clique_table(*args)
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(complexes, "_clique_table", counting)
+        grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
+        simplex = set(SIMPLEX_WHOLE_MINORITY)
+        for _, n_calls, scored in splits.values():
+            assert n_calls == (1 if scored & simplex else 0)
+        assert len(calls) == sum(n for _, n, _ in splits.values())
+        assert (len(calls) > 0) == bool(set(methods) & simplex)
 
 
 def make_report(score_grid):

@@ -121,6 +121,16 @@ class TestNearest:
         assert got.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
         assert nearest(pts[2:3], pts, 2, [2]).tolist() == [[0, 1]]
 
+    def test_overflowing_difference_ranks_last_without_a_warning(self):
+        # 1e308 - (-1e308) overflows to inf. The tier-1 settings turn a
+        # RuntimeWarning into an error, so these calls also check that none
+        # escapes. Against 0.0 the square overflows as well: two inf
+        # distances, and the tie goes to the lower id
+        assert nearest([[1e308]], [[-1e308], [1e308]], 1).tolist() == [[1]]
+        assert nearest([[1e308]], [[-1e308], [0.0]], 1).tolist() == [[0]]
+        assert cross_distances([[1e308]], [[-1e308], [1e308]]).tolist() == [[np.inf, 0.0]]
+        assert np.isinf(cross_distances([[1e308]], [[-1e308], [0.0]])).all()
+
     def test_two_points_one_dimension(self):
         assert nearest([0.0, 1.0], [0.0, 1.0], 1, [0, 1]).tolist() == [[1], [0]]
         assert nearest([0.4], [0.0, 1.0], 2).tolist() == [[0, 1]]
