@@ -12,8 +12,8 @@ its own neighbourhood, breadth-first and vectorised over all vertices, with
 bitsets as wide as a neighbourhood rather than the graph: time grows about
 linearly with the number of vertices of a sparse graph, and memory stays
 bounded. Given the disjoint union of several graphs it returns their tables
-together, offset, which is how the grid search builds all of a split's k at
-once.
+together, offset: the grid search builds the edge or clique tables of all of a
+split's k at once, and a sampler cuts its p from one with ``_subdivide``.
 """
 
 from __future__ import annotations
@@ -223,16 +223,13 @@ def _clique_table(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return table[np.lexsort(table.T[::-1])]
 
 
-def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL,
-                    cliques: np.ndarray | None = None) -> np.ndarray:
+def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL) -> np.ndarray:
     """The p-skeleton of the clique complex of the graph on 0..n-1 with edges lo < hi
     (lexicographic) as a table: one maximal simplex per row, ids ascending, padded
     with -1 (below every id, so a row sorts as its tuple), rows in lexicographic order.
 
     At p = 1 the rows are the edges and the lone vertices, with no clique step.
-    Otherwise they are the maximal cliques, ``cliques`` when given (it must be
-    ``_clique_table(n, lo, hi)``), those larger than p+1 replaced by their
-    (p+1)-subsets: only there does ``SUBDIVISION_CAP`` bind.
+    Otherwise they are the maximal cliques, subdivided by ``_subdivide``.
     """
     if p is not MAXIMAL:
         p = _integer(p, "p", SkeletonParameterError)
@@ -243,8 +240,12 @@ def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXI
         lone = np.flatnonzero(np.bincount(np.concatenate([lo, hi]), minlength=n) == 0)
         return np.insert(np.column_stack([lo, hi]), np.searchsorted(lo, lone),
                          np.column_stack([lone, np.full_like(lone, -1)]), axis=0)
-    if cliques is None:
-        cliques = _clique_table(n, lo, hi)
+    return _subdivide(_clique_table(n, lo, hi), p)
+
+
+def _subdivide(cliques: np.ndarray, p: int | None) -> np.ndarray:
+    """The ``_clique_table`` ``cliques`` at p >= 2 or MAXIMAL, those larger than p+1
+    replaced by their (p+1)-subsets: only here, per table, does ``SUBDIVISION_CAP`` bind."""
     if p is MAXIMAL:
         return cliques
     size_cap, generated = p + 1, 0

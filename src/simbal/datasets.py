@@ -6,8 +6,10 @@ throughout the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -128,8 +130,10 @@ class SyntheticSpec:
             raise DatasetError("class sizes must be positive")
         if self.seed < 0:
             raise DatasetError(f"seed must be >= 0, got {self.seed}")
-        if self.noise is not None and not (np.isfinite(self.noise) and self.noise >= 0):
-            raise DatasetError(f"noise must be finite and >= 0, got {self.noise!r}")
+        # NaN fails the comparison, and so does an int past the float range
+        if self.noise is not None and not (isinstance(self.noise, Real)
+                                           and 0 <= self.noise <= sys.float_info.max):
+            raise DatasetError(f"noise must be a finite number >= 0, got {self.noise!r}")
 
 
 def _moons(rng, n_min, n_maj):

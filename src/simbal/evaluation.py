@@ -2,12 +2,12 @@
 
 The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
-fold. The grid search prepares each split once, ranking the neighbours of its
-training minority once at the largest k in the grid (each smaller k reads the
-first k columns) and building the maximal clique tables of every k its
-simplex methods use in one clique step, and scores every configuration on
-it. Everything is seed-deterministic; per-cell sampler seeds derive from the
-master seed and the (dataset, method, config, fold) coordinates.
+fold. The grid search prepares each split once: it ranks its training
+minority once, at the largest k in the grid, builds from those lists the edge
+and clique tables of every k, one call per kind, hands the samplers the
+tables and scores every configuration. Everything is seed-deterministic;
+per-cell sampler seeds derive from the master seed and the (dataset, method,
+config, fold) coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, Synthet
 from .graphs import UNION, _integer, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
-                       SamplerParameterError, _knn_clique_tables, oversample)
+                       SamplerParameterError, _knn_tables, oversample)
 from .variants import EmptyBorderlineError, oversample_graph
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
@@ -43,7 +43,7 @@ DEFAULT_P_GRID = (MAXIMAL,)
 SAMPLER_DOMAIN_ERRORS = (EmptyBorderlineError, SamplerParameterError,
                          SubdivisionCapExceeded, DatasetError)
 # Graph methods whose complex spans every minority point: they share a split's
-# neighbour lists. Borderline's support changes with k.
+# simplex tables. Borderline's support changes with k.
 _WHOLE_MINORITY = frozenset(m for m, (variant, _) in GRAPH_VARIANTS.items()
                             if variant != BORDERLINE)
 
@@ -192,8 +192,13 @@ def method_grid(method, k_grid, p_grid) -> list[tuple[int | None, int | str | No
 
 
 def _integer_grid(grid, what: str) -> list:
-    """Grid values as ints, MAXIMAL kept; a non-integral value raises, not truncates."""
-    return [v if v is MAXIMAL else _integer(v, what, EvaluationError) for v in grid]
+    """Grid values as ints >= 1, MAXIMAL kept in the p grid; a non-integral value
+    raises, not truncates."""
+    values = [v if v is MAXIMAL and what == "p" else _integer(v, what, EvaluationError)
+              for v in grid]
+    if any(v is not MAXIMAL and v < 1 for v in values):
+        raise EvaluationError(f"{what} must be an integer >= 1, got the grid {values}")
+    return values
 
 
 def _seed(seed) -> int:
@@ -217,36 +222,37 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
 
 def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
     """One split ready to score: standardized training fold, test points, test
-    labels, the training minority's neighbour lists at the largest k of the
-    jobs' ``_WHOLE_MINORITY`` methods, clamped to n_plus - 1, and the maximal
-    clique tables of their simplex combos with p != 1, {clamped k: table}, from
-    one clique step; both None if that k is below 1."""
+    labels and the minority's {1: edge tables, MAXIMAL: clique tables}, each
+    {clamped k: table}, of the kinds and k the jobs' ``_WHOLE_MINORITY`` combos
+    use, from one self-query at their largest k clamped to n_plus - 1 (None if
+    there is no such combo or n_plus < 2)."""
     std_train, test_points = _standardize(train, test.features)
     n_plus = std_train.n_minority
-    combos = [(method, k, p) for method, method_combos, _ in jobs if method in _WHOLE_MINORITY
+    combos = [(k, p) for method, method_combos, _ in jobs if method in _WHOLE_MINORITY
               for k, p in method_combos]
-    k_max = min(max((k for _, k, _ in combos), default=0), n_plus - 1)
-    neighbors = cliques = None
+    k_max = min(max((k for k, _ in combos), default=0), n_plus - 1)
+    tables = None
     if k_max >= 1:
         x = std_train.minority_features()
         neighbors = nearest(x, x, k_max, np.arange(len(x)))
-        ks = sorted({min(k, k_max) for method, k, p in combos
-                     if not GRAPH_VARIANTS[method][1] and p != 1 and k >= 1})
-        cliques = _knn_clique_tables(neighbors, ks, symmetrize) if ks else None
-    return std_train, test_points, test.labels, neighbors, cliques
+        kinds = {}  # the edge-only methods' combos have p = 1
+        for k, p in combos:
+            kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, k_max))
+        tables = {p: _knn_tables(neighbors, sorted(ks), symmetrize, p) for p, ks in kinds.items()}
+    return std_train, test_points, test.labels, tables
 
 
 def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
                symmetrize: str, safelevel_formula: str):
     """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
-    train, test_points, test_labels, neighbors, cliques = split
+    train, test_points, test_labels, tables = split
     diagnostic = None
     fit_train = train
     if method != IMBALANCED:
         cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
-            batch = (oversample_graph(train, cfg, neighbors, cliques) if method in GRAPH_VARIANTS
+            batch = (oversample_graph(train, cfg, tables) if method in GRAPH_VARIANTS
                      else oversample(train, cfg))
             fit_train = batch.augmented(train)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
@@ -268,9 +274,9 @@ def _select(ds, splits, jobs, tail, opts):
     """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
 
     Fold-major: each split is subset and standardized once, its minority
-    neighbour lists are ranked once at the largest k of the jobs, its clique
-    tables are built in one clique step, and every combo of every job is
-    scored on it before the next. Combo c on fold f is seeded from
+    neighbours are ranked once at the largest k of the jobs, its edge and
+    clique tables are built in one call per kind, and every combo of every
+    job is scored on it before the next. Combo c on fold f is seeded from
     ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps the
     first.
     """
@@ -426,9 +432,8 @@ def synthetic_benchmark(seed: int = 0, shapes=tuple(Shape),
                         safelevel_formula: str = INVERSE_SAFETY) -> EvalReport:
     """Grid-search evaluation over seeded draws of the synthetic shape suite."""
     seed = _seed(seed)
-    datasets = {
-        shape.value: generate_synthetic(SyntheticSpec(shape, seed=_derived_seed(seed, i)))
-        for i, shape in enumerate(shapes)
-    }
+    # every shape is checked before the first one is named or drawn
+    specs = [SyntheticSpec(shape, seed=_derived_seed(seed, i)) for i, shape in enumerate(shapes)]
+    datasets = {spec.shape.value: generate_synthetic(spec) for spec in specs}
     return grid_search_eval(datasets, methods, k_grid, p_grid, cv, seed,
                             symmetrize, safelevel_formula)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import graphs
 from .complexes import MAXIMAL, _skeleton_table, _table_skeleton
-from .graphs import UNION, _knn_pairs, as_points
+from .graphs import UNION, _floats, _knn_pairs, as_points
 
 
 class GeometryParameterError(ValueError):
@@ -102,7 +102,7 @@ def distance_to_simplex(q, vertices) -> float:
     Raises ``GraphParameterError`` for an empty or non-finite q or vertex set.
     """
     verts = as_points(vertices)
-    q = as_points(np.asarray(q, dtype=float).reshape(1, -1))
+    q = as_points(_floats(q).reshape(1, -1))
     if q.shape[1] != verts.shape[1]:
         raise GeometryParameterError(
             f"point/vertex shape mismatch: q {q.shape[1:]} vs vertices {verts.shape}"

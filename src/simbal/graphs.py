@@ -72,9 +72,17 @@ def _integer(value, what: str, error: type[ValueError] = GraphParameterError) ->
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _floats(values) -> np.ndarray:
+    """``values`` as a float array; ragged or non-numeric input raises ``GraphParameterError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise GraphParameterError("points must be a numeric, non-ragged (n, d) matrix") from None
+
+
 def as_points(points) -> np.ndarray:
     """Validate and return an (n, d) float array of finite coordinates."""
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -308,13 +316,7 @@ def _knn_pairs(points, k: int, symmetrize: str) -> tuple[int, np.ndarray, np.nda
         raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if symmetrize not in (UNION, MUTUAL):
         raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
-    return _neighbor_pairs(nearest(pts, pts, k, np.arange(n)), symmetrize)
-
-
-def _neighbor_pairs(neighbors: np.ndarray, symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, lo, hi) as ``_knn_pairs`` gives them, from ``neighbors``, whose row i lists
-    vertex i's neighbours: (n, k) distinct ids other than i, as ``nearest`` ranks them."""
-    n, k = neighbors.shape
+    neighbors = nearest(pts, pts, k, np.arange(n))
     return _listed_pairs(n, np.repeat(np.arange(n), k), neighbors.ravel(), symmetrize)
 
 

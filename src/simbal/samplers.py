@@ -4,9 +4,10 @@ The simplex-based sampler turns the kNN pairs of the minority points into a
 table of the maximal simplices of the p-skeleton of their clique complex
 (``complexes._skeleton_table``) and synthesizes each new point as a
 Dirichlet-weighted combination of one simplex's vertices. The edge-based
-sampler is the same pipeline with p forced to 1. Random duplication draws the
-same way from 0-simplices, and global pair sampling from the edges of the
-complete minority graph.
+sampler is the same pipeline with p forced to 1. In the grid search, both get
+their CV split's tables (``_knn_tables``), and neither search nor clique step
+runs. Random duplication draws the same way from 0-simplices, and global pair
+sampling from the edges of the complete minority graph.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -24,11 +25,11 @@ import numpy as np
 
 # p_skeleton, knn_graph and sample_dirichlet are not called here any more, but
 # stay importable from this module: perfbench traces them at these lookup sites.
-from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _table_skeleton,  # noqa: F401
-                        p_skeleton)
+from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _subdivide,  # noqa: F401
+                        _table_skeleton, p_skeleton)
 from .datasets import Dataset, DatasetError, MINORITY
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _listed_pairs, _neighbor_pairs
+from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _listed_pairs
 from .graphs import knn_graph  # noqa: F401
 
 # Ridge added to the fitted covariance diagonal before factorization.
@@ -286,41 +287,37 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
 
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetrize: str,
-                  neighbors: np.ndarray | None = None,
-                  cliques: dict | None = None) -> tuple[np.ndarray, dict]:
+                  tables: dict | None = None) -> tuple[np.ndarray, dict]:
     """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
     rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1.
 
-    ``neighbors``, when given, is ``nearest(x, x, K, arange)`` of those rows x
-    for some K >= the clamped k; by the (distance, index) order its first
-    k columns are the k-neighbour lists, so no search runs. ``cliques``, when
-    given, is ``_knn_clique_tables`` of those lists and ``symmetrize``; the
-    table of the clamped k, if it holds one, is the maximal cliques, so no
-    clique step runs either.
+    ``tables``, when given, is {1: edge tables, MAXIMAL: clique tables}, each
+    ``_knn_tables`` of the neighbour lists of those rows with ``symmetrize``,
+    holding at least the kind that p needs at the clamped k; the table comes
+    from it, with no search and no clique step.
     """
     if ids.size < 2:
         raise SamplerParameterError("need at least 2 minority points to build a graph")
     k = _integer(k, "k", SamplerParameterError)
     k_used = min(k, ids.size - 1)
-    maximal = None if cliques is None else cliques.get(k_used)
-    if maximal is not None and p != 1:
-        pairs = ids.size, None, None  # only p = 1 reads the pairs
-    elif neighbors is None:
-        pairs = _knn_pairs(ds.features[ids], k_used, symmetrize)
+    if tables is None:
+        table = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
+    elif p == 1:
+        table = tables[1][k_used]
     else:
-        pairs = _neighbor_pairs(neighbors[:, :k_used], symmetrize)
-    table = _skeleton_table(*pairs, p, maximal)
+        table = _subdivide(tables[MAXIMAL][k_used], p)
     return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
 
 
-def _knn_clique_tables(neighbors: np.ndarray, ks, symmetrize: str) -> dict[int, np.ndarray]:
-    """{k: maximal clique table of the k-neighbour graph} for each k in ``ks``, where
-    row i of ``neighbors`` lists point i's neighbours as ``nearest`` ranks them.
+def _knn_tables(neighbors: np.ndarray, ks, symmetrize: str, p: int | None) -> dict:
+    """{k: ``_skeleton_table`` of the k-neighbour graph at p, 1 or MAXIMAL} for each k in
+    ``ks``, where row i of ``neighbors`` lists point i's neighbours as ``nearest`` ranks them.
 
-    One clique step runs, on the disjoint union of the graphs, graph g's ids
+    One call builds them all, on the disjoint union of the graphs, graph g's ids
     offset by g * n. The union's rows sort by their first id, so graph g's rows
     are the block whose first id lies in [g * n, (g + 1) * n); each block,
-    shifted back and cut to its widest row, is the table of its graph alone.
+    shifted back and cut to its widest row, is the table of its graph alone (at
+    p = 1 both columns: a kNN graph on n >= 2 points has an edge).
     """
     (n, width), ks = neighbors.shape, np.asarray(list(ks))
     # (graph, vertex, column): graph g's vertex v lists its first ks[g] neighbours
@@ -328,7 +325,7 @@ def _knn_clique_tables(neighbors: np.ndarray, ks, symmetrize: str) -> dict[int, 
     listed = np.broadcast_to(np.arange(width) < ks[:, None, None], (ks.size, n, width))
     src = np.broadcast_to(offset + np.arange(n)[:, None], listed.shape)[listed]
     table = _skeleton_table(*_listed_pairs(ks.size * n, src, (offset + neighbors)[listed],
-                                           symmetrize))
+                                           symmetrize), p)
     graph = table[:, 0] // n
     filled = table >= 0
     table = np.where(filled, table - n * graph[:, None], -1)

@@ -200,32 +200,29 @@ def _borderline_support(ds: Dataset, k: int) -> tuple[set[int], np.ndarray]:
     return border, support
 
 
-def oversample_graph(ds: Dataset, cfg: SamplerConfig, neighbors: np.ndarray | None = None,
-                     cliques: dict | None = None) -> SyntheticBatch:
+def oversample_graph(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> SyntheticBatch:
     """The simplex pipeline for every graph method, with its variant's knob applied.
 
     Borderline builds the complex over the borderline support and samples only
     simplices touching a borderline point; safe-level sets the Dirichlet
-    parameters per simplex; ADASYN weights simplex selection. ``neighbors``,
-    when given, is ``nearest(x, x, K, arange)`` of the minority rows x, with
-    K >= min(cfg.k, n_plus - 1); every method but borderline, whose support
-    is not all of the minority, reads its k-neighbour lists from it.
-    ``cliques``, when given, is ``_knn_clique_tables`` of those lists with
-    cfg.symmetrize, and those methods read their maximal cliques from it.
+    parameters per simplex; ADASYN weights simplex selection. ``tables``, when
+    given, is the minority's {1: edge tables, MAXIMAL: clique tables} as
+    ``samplers._knn_skeleton`` takes them; every method but borderline, whose
+    support is not all of the minority, reads its table from it.
     """
     variant, edge_only = GRAPH_VARIANTS[cfg.method]
     p = 1 if edge_only else cfg.p
     if variant == BORDERLINE:
         safety_k = min(int(cfg.k), ds.n_minority - 1)
         border, ids = _borderline_support(ds, safety_k)
-        neighbors = cliques = None
+        tables = None
     elif ds.n_minority == 1:
         return _duplicated_instead(ds, cfg.target_count, cfg.seed, cfg.method,
                                    "single minority point; duplicated instead of interpolating")
     else:
         ids = ds.minority_indices()
     m = _resolve_m(ds, cfg.target_count)
-    local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, neighbors, cliques)
+    local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, tables)
     # ids ascend, so mapping positions to dataset ids keeps the rows' order
     table = np.append(ids, -1)[local]
     if variant == BORDERLINE:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
 from simbal import complexes, samplers
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
-from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, _neighbor_pairs, knn_graph, nearest
+from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, _knn_pairs, knn_graph, nearest
 
 from helpers import (
     adjacency,
@@ -162,16 +162,19 @@ def test_disjoint_union_table_is_the_offset_tables():
 
 @pytest.mark.parametrize("symmetrize", [UNION, MUTUAL])
 def test_knn_clique_tables_match_one_table_per_k(symmetrize):
-    # the grid search's one clique step for all k of a split
+    # the grid search's one edge step and one clique step for all k of a split:
+    # each k's table is the one its own search and builder give
     for seed in range(6):
         x = np.random.Generator(np.random.PCG64(seed)).normal(size=(37, 2 + seed % 3))
         ks = (1, 2, 3, 5, 8)[: 2 + seed % 4]
         neighbors = nearest(x, x, max(ks), np.arange(len(x)))
-        tables = samplers._knn_clique_tables(neighbors, ks, symmetrize)
-        assert list(tables) == list(ks)
-        for k in ks:
-            want = complexes._skeleton_table(*_neighbor_pairs(neighbors[:, :k], symmetrize))
-            assert tables[k].dtype == want.dtype and np.array_equal(tables[k], want)
+        for p in (1, MAXIMAL):
+            tables = samplers._knn_tables(neighbors, ks, symmetrize, p)
+            assert list(tables) == list(ks)
+            for k in ks:
+                want = complexes._skeleton_table(*_knn_pairs(x, k, symmetrize), p)
+                assert tables[k].dtype == want.dtype, (p, k)
+                assert tables[k].shape == want.shape and np.array_equal(tables[k], want), (p, k)
 
 
 def test_tie_heavy_duplicates_match_set_based_oracle():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from simbal import Dataset, MAJORITY, MINORITY, Shape, SyntheticSpec, generate_synthetic
+from simbal import (Dataset, MAJORITY, MINORITY, Shape, SyntheticSpec, generate_synthetic,
+                    synthetic_benchmark)
 from simbal.datasets import DatasetError
 
 
@@ -103,7 +104,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(Shape.MOONS, n_minority=0)
 
     @pytest.mark.parametrize("field, value", [("seed", -1), ("noise", -0.1),
-                                              ("noise", float("nan")), ("noise", float("inf"))])
+                                              ("noise", float("nan")), ("noise", float("inf")),
+                                              ("noise", "a"), ("noise", [1.0, 2.0]),
+                                              pytest.param("noise", 10 ** 400, id="noise-1e400")])
     def test_invalid_seed_and_noise(self, field, value):
         with pytest.raises(DatasetError, match=f"{field} must be"):
             SyntheticSpec(Shape.MOONS, **{field: value})
@@ -112,3 +115,6 @@ class TestGenerateSynthetic:
         # a shape's name is not a Shape: a typed error, not a KeyError from the shape table
         with pytest.raises(DatasetError, match="shape must be a Shape, got 'moons'"):
             generate_synthetic(SyntheticSpec("moons"))
+        # the benchmark checks every shape before it names or draws the first
+        with pytest.raises(DatasetError, match="shape must be a Shape, got 'moons'"):
+            synthetic_benchmark(shapes=[Shape.CIRCLES, "moons"])

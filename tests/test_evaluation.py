@@ -26,7 +26,7 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
-from simbal import complexes, evaluation, graphs
+from simbal import complexes, evaluation, graphs, samplers
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
@@ -192,7 +192,9 @@ class TestMethodGrid:
 
     @pytest.mark.parametrize("k_grid,p_grid,what", [((2.5,), (MAXIMAL,), "k"),
                                                     ((3, 5.0), (1,), "k"),
-                                                    ((3,), (2.7,), "p")])
+                                                    ((3,), (2.7,), "p"),
+                                                    ((3,), (0, MAXIMAL), "p"),
+                                                    ((MAXIMAL, 3), (1,), "k")])
     def test_non_integral_values_raise(self, k_grid, p_grid, what):
         with pytest.raises(EvaluationError, match=f"{what} must be an integer"):
             method_grid(Method.SIMPLICIAL, k_grid, p_grid)
@@ -289,6 +291,7 @@ class TestGridSearchEval:
         (Method.RANDOM, [2.5], (MAXIMAL,), "k"),  # grid-free, but the report lists the grid
         (Method.SIMPLICIAL, [3], [2.7], "p"),
         (Method.SMOTE, [3], [2.7], "p"),          # p forced to 1, but the report lists the grid
+        (Method.SIMPLICIAL, [0, 3], (MAXIMAL,), "k"),  # below 1: raised before any split
     ])
     def test_non_integral_grid_raises(self, method, k_grid, p_grid, what):
         with pytest.raises(EvaluationError, match=f"{what} must be an integer"):
@@ -314,11 +317,11 @@ class TestGridSearchEval:
                              cv=CVConfig(folds=2, repeats=1), symmetrize="unoin")
 
     def test_non_domain_sampler_error_propagates(self, monkeypatch):
-        def broken(ds, cfg, *neighbors):
+        def broken(ds, cfg, *tables):
             raise ZeroDivisionError("sampler bug")
 
         # graph methods go straight to the graph pipeline, which takes the
-        # split's neighbour lists; the rest through oversample
+        # split's simplex tables; the rest through oversample
         for site, method in (("oversample", Method.RANDOM), ("oversample_graph", Method.SMOTE),
                              ("oversample_graph", Method.BORDERLINE)):
             monkeypatch.setattr(evaluation, site, broken)
@@ -343,7 +346,7 @@ class TestGridSearchEval:
 
 HARNESS_METHODS = [IMBALANCED, Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
                    Method.BORDERLINE]
-# The methods that take a split's minority neighbour lists.
+# The methods that take a split's minority simplex tables.
 WHOLE_MINORITY = [Method.SMOTE, Method.SIMPLICIAL, Method.SAFELEVEL, Method.S_SAFELEVEL,
                   Method.ADASYN, Method.S_ADASYN]
 SIMPLEX_WHOLE_MINORITY = [Method.SIMPLICIAL, Method.S_SAFELEVEL, Method.S_ADASYN]
@@ -523,6 +526,60 @@ class TestFoldMajorHarness:
             assert n_calls == (1 if scored & simplex else 0)
         assert len(calls) == sum(n for _, n, _ in splits.values())
         assert (len(calls) > 0) == bool(set(methods) & simplex)
+
+    @pytest.mark.parametrize("methods, p_grid", [
+        ([IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN], (1, MAXIMAL)),
+        ([Method.BORDERLINE, Method.S_BORDERLINE, Method.SMOTE], (1, MAXIMAL)),
+        (WHOLE_MINORITY, (1, MAXIMAL)),
+        (SIMPLEX_WHOLE_MINORITY, (1, 2)),
+        (SIMPLEX_WHOLE_MINORITY, (MAXIMAL,)),
+        ([Method.SMOTE], (MAXIMAL,)),
+    ])
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_edge_step_per_split(self, monkeypatch, methods, p_grid, cv):
+        # a prepared split builds the edge tables of all its k in one step if it
+        # scores a method spanning the whole minority with a p = 1 combo (every
+        # edge-only method has one), and none otherwise; the cells of those
+        # methods then build no pairs and no table themselves
+        calls, splits = [], {}
+        prepare, eval_fold = evaluation._prepare, evaluation._eval_fold
+        skeleton_table, knn_pairs = samplers._skeleton_table, samplers._knn_pairs
+
+        def recorded_prepare(*args):
+            before = len(calls)
+            split = prepare(*args)
+            # the split itself, its edge steps, the methods scored on it
+            splits[id(split)] = [split, calls[before:].count(("table", 1)), set()]
+            return split
+
+        def recorded_eval_fold(split, method, k, p, *args):
+            before = len(calls)
+            result = eval_fold(split, method, k, p, *args)
+            splits[id(split)][2].add(method)
+            if method in WHOLE_MINORITY:
+                assert calls[before:] == [], (method, k, p)
+            return result
+
+        def counted_table(n, lo, hi, p=MAXIMAL):
+            calls.append(("table", p))
+            return skeleton_table(n, lo, hi, p)
+
+        def counted_pairs(*args):
+            calls.append(("pairs",))
+            return knn_pairs(*args)
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(samplers, "_skeleton_table", counted_table)
+        monkeypatch.setattr(samplers, "_knn_pairs", counted_pairs)
+        grid_search_eval(harness_datasets(), methods, (3, 8), p_grid, cv=cv, seed=3)
+        with_edges = {m for m in WHOLE_MINORITY if GRAPH_VARIANTS[m][1] or 1 in p_grid}
+        for _, n_steps, scored in splits.values():
+            assert n_steps == (1 if scored & with_edges else 0)
+        assert any(n for _, n, _ in splits.values()) == bool(set(methods) & with_edges)
 
 
 def make_report(score_grid):

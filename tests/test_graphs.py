@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simbal import MUTUAL, UNION, graphs, knn_graph, pairwise_distances
+from simbal import MUTUAL, UNION, Dataset, distance_to_simplex, graphs, knn_graph, pairwise_distances
 from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances, nearest
 
 from helpers import adjacency, nearest_id_digests, nearest_id_sets
@@ -68,6 +68,17 @@ class TestCrossDistances:
     def test_shape_mismatch(self):
         with pytest.raises(GraphParameterError):
             cross_distances(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Dataset([[0.0], [1.0, 2.0]], [1, -1]),
+    lambda: Dataset([["a"], ["b"]], [1, -1]),
+    lambda: distance_to_simplex("ab", [[0, 0]]),
+], ids=["ragged-dataset", "string-dataset", "string-point"])
+def test_ragged_or_non_numeric_points_are_typed_errors(call):
+    # every entry that takes points converts them inside the typed check
+    with pytest.raises(GraphParameterError, match="numeric"):
+        call()
 
 
 def brute_nearest(query, ref, k, self_ids=None):

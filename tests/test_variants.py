@@ -1,11 +1,13 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from simbal import (
+    MAXIMAL,
     Dataset,
     EmptyBorderlineError,
     Method,
@@ -19,7 +21,7 @@ from simbal import (
     safelevel_alphas,
 )
 from simbal.graphs import nearest
-from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError, minority_skeleton
+from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError, _knn_tables, minority_skeleton
 from simbal.variants import NeighborhoodSafety, oversample_graph
 
 from helpers import (in_convex_hull, nearest_id_sets, random_imbalanced_dataset,
@@ -418,17 +420,21 @@ WHOLE_MINORITY = [m for m, (variant, _) in GRAPH_VARIANTS.items() if variant != 
 @pytest.mark.parametrize("symmetrize", ["union", "mutual"])
 @pytest.mark.parametrize("name", list(neighbor_list_datasets()))
 def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
-    # the grid search ranks a split's minority once at its largest k, K, and
-    # hands the lists over; every k <= K must sample exactly as oversample does
+    # the grid search ranks a split's minority once at its largest k, K, builds
+    # the edge and clique tables of every k <= K from those lists and hands
+    # them over; every k and p must sample exactly as oversample does
     ds = neighbor_list_datasets()[name]
     x = ds.minority_features()
-    big_k = 5
-    lists = nearest(x, x, min(big_k, len(x) - 1), np.arange(len(x)))
+    big_k = min(5, len(x) - 1)
+    lists = nearest(x, x, big_k, np.arange(len(x)))
+    tables = {p: _knn_tables(lists, range(1, big_k + 1), symmetrize, p) for p in (1, MAXIMAL)}
     for method in WHOLE_MINORITY:
-        for k in range(1, big_k + 1):
-            cfg = SamplerConfig(method, k, seed=k, target_count=40, symmetrize=symmetrize)
-            want, got = oversample(ds, cfg), oversample_graph(ds, cfg, lists)
-            assert np.array_equal(got.points, want.points), (method, k)
-            assert np.array_equal(got.simplices, want.simplices), (method, k)
-            assert np.array_equal(got.lam, want.lam), (method, k)
-            assert got.meta == want.meta, (method, k)
+        for k, p in product(range(1, 6), (1,) if GRAPH_VARIANTS[method][1] else (1, 2, MAXIMAL)):
+            if p is not MAXIMAL and p > k:
+                continue
+            cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
+            want, got = oversample(ds, cfg), oversample_graph(ds, cfg, tables)
+            assert np.array_equal(got.points, want.points), (method, k, p)
+            assert np.array_equal(got.simplices, want.simplices), (method, k, p)
+            assert np.array_equal(got.lam, want.lam), (method, k, p)
+            assert got.meta == want.meta, (method, k, p)
