@@ -4,8 +4,11 @@ The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
 fold. The grid search prepares each split once: it ranks its training
 minority once, at the largest k in the grid, builds from those lists the edge
-and clique tables of every k, one call per kind, hands the samplers the
-tables and scores every configuration. Everything is seed-deterministic;
+and clique tables of every k, one call per kind, and hands the samplers the
+tables. Each method draws all its configurations on the split first; one
+grouped neighbour pass over the training fold and every draw's rows then
+classifies the test fold for all of them, with ``knn_classify``'s vote rule.
+Everything is seed-deterministic;
 per-cell sampler seeds derive from the master seed and the (dataset, method,
 config, fold) coordinates.
 """
@@ -23,7 +26,7 @@ from .complexes import MAXIMAL, SubdivisionCapExceeded
 from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, SyntheticSpec,
                        generate_synthetic)
 # cross_distances is unused here; the benchmark's span tracer wraps it at this site
-from .graphs import UNION, _integer, cross_distances, nearest  # noqa: F401
+from .graphs import UNION, _grouped_nearest, _integer, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _knn_tables, oversample)
@@ -64,9 +67,23 @@ def knn_classify(train: Dataset, test_points, k_clf: int = DEFAULT_K_CLF) -> np.
     k_clf = _integer(k_clf, "k_clf", EvaluationError)
     if k_clf < 1:
         raise EvaluationError(f"k_clf must be >= 1, got {k_clf}")
-    k_eff = min(k_clf, train.n)
-    votes = np.sum(train.labels[nearest(test_points, train.features, k_eff)] == MINORITY, axis=1)
-    return np.where(2 * votes >= k_eff, MINORITY, MAJORITY)
+    return _vote(train.labels[nearest(test_points, train.features, min(k_clf, train.n))])
+
+
+def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
+    """Majority vote over each row of k_eff = min(k_clf, training rows) neighbour
+    labels; a tie goes to the minority."""
+    votes = np.sum(neighbor_labels == MINORITY, axis=1)
+    return np.where(2 * votes >= neighbor_labels.shape[1], MINORITY, MAJORITY)
+
+
+def _classify_each(train: Dataset, test_points: np.ndarray, synthetic) -> list[np.ndarray]:
+    """``knn_classify(train + S, test_points)`` for each S of ``synthetic``, a list of
+    minority row sets, from one grouped neighbour pass over [train; S_1; ...; S_C]."""
+    ref = np.vstack([train.features, *synthetic])
+    labels = np.concatenate([train.labels, np.full(len(ref) - train.n, MINORITY)])
+    return [_vote(labels[ids]) for ids in _grouped_nearest(
+        test_points, ref, train.n, [len(rows) for rows in synthetic], DEFAULT_K_CLF)]
 
 
 @dataclass(frozen=True)
@@ -244,21 +261,27 @@ def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
 
 def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
                symmetrize: str, safelevel_formula: str):
-    """One pipeline run on a prepared split; returns (ConfusionCounts, diagnostic or None)."""
-    train, test_points, test_labels, tables = split
-    diagnostic = None
-    fit_train = train
-    if method != IMBALANCED:
-        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
-                            symmetrize=symmetrize, safelevel_formula=safelevel_formula)
-        try:
-            batch = (oversample_graph(train, cfg, tables) if method in GRAPH_VARIANTS
-                     else oversample(train, cfg))
-            fit_train = batch.augmented(train)
-        except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
-            diagnostic = f"{method_name(method)}(k={k}, p={p}): {exc}"
-    preds = knn_classify(fit_train, test_points)
-    return confusion_counts(test_labels, preds), diagnostic
+    """One configuration's draw on a prepared split: (synthetic minority rows,
+    diagnostic or None). ``IMBALANCED`` and a sampler failure draw no rows, so
+    the fold is scored unsampled."""
+    train, tables = split[0], split[3]
+    if method == IMBALANCED:
+        return np.empty((0, train.d)), None
+    cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
+                        symmetrize=symmetrize, safelevel_formula=safelevel_formula)
+    try:
+        batch = (oversample_graph(train, cfg, tables) if method in GRAPH_VARIANTS
+                 else oversample(train, cfg))
+    except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
+        return np.empty((0, train.d)), f"{method_name(method)}(k={k}, p={p}): {exc}"
+    return batch.points, None
+
+
+def _score(split, synthetic) -> list:
+    """ConfusionCounts of the classifier fit on the split's training fold plus
+    each of ``synthetic``'s row sets, all classified in one neighbour pass."""
+    return [confusion_counts(split[2], preds)
+            for preds in _classify_each(split[0], split[1], synthetic)]
 
 
 def _summarize(counts) -> tuple[float, float, float, float]:
@@ -276,16 +299,19 @@ def _select(ds, splits, jobs, tail, opts):
     Fold-major: each split is subset and standardized once, its minority
     neighbours are ranked once at the largest k of the jobs, its edge and
     clique tables are built in one call per kind, and every combo of every
-    job is scored on it before the next. Combo c on fold f is seeded from
-    ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps the
-    first.
+    job is scored on it before the next. A job draws all its combos first,
+    then classifies them in one neighbour pass. Combo c on fold f is seeded
+    from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps
+    the first.
     """
     tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
     for f, (train_idx, test_idx) in enumerate(splits):
         split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs, opts[0])
         for (method, combos, head), tally in zip(jobs, tallies):
-            for c, ((k, p), (counts, diags)) in enumerate(zip(combos, tally)):
-                fold_counts, diag = _eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
+            draws = [_eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
+                     for c, (k, p) in enumerate(combos)]
+            scored = _score(split, [rows for rows, _ in draws])
+            for (counts, diags), fold_counts, (_, diag) in zip(tally, scored, draws):
                 counts.append(fold_counts)
                 if diag is not None:
                     diags.append(f"fold {f}: {diag}")
@@ -310,8 +336,8 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
                     _select(train, inner, [(method, combos, head)], (f,), opts)[0][-2:])
             chosen.append((k, p))
             # arity-5 coordinates cannot collide with the arity-6 inner seeds
-            fold_counts, diag = _eval_fold(outer, method, k, p, (*head, f, 0), *opts)
-            counts.append(fold_counts)
+            rows, diag = _eval_fold(outer, method, k, p, (*head, f, 0), *opts)
+            counts.extend(_score(outer, [rows]))
             if diag is not None:
                 diags.append(f"outer fold {f}: {diag}")
         del outer  # freed before the next split is prepared
@@ -327,10 +353,15 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     In ``outer`` mode the configuration with the best mean F1 across the
     outer folds is reported. In ``nested`` mode each outer fold picks its own
     configuration on an inner CV of its training part and the reported best
-    (k, p) is the modal choice.
+    (k, p) is the modal choice. A method listed twice raises
+    ``EvaluationError`` before any split.
     """
     seed = _seed(seed)
     methods = list(methods)
+    names = [method_name(m) for m in methods]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:  # a second cell of a (dataset, method) that the reports never read
+        raise EvaluationError(f"methods listed more than once: {', '.join(repeated)}")
     opts = (symmetrize, safelevel_formula)
     k_grid, p_grid = _integer_grid(k_grid, "k"), _integer_grid(p_grid, "p")
     cells = []

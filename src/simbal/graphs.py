@@ -1,7 +1,11 @@
 """Exact (distance, index)-ordered nearest neighbours, kNN graphs.
 
 ``nearest`` is the one neighbour query: the kNN graph, the safety counts and
-the kNN classifier all go through it. It runs over row blocks of the query.
+the kNN classifier all go through it. The grid search's classifier uses its
+grouped form, ``_grouped_nearest``: several references that share their
+leading rows (a training fold plus each configuration's synthetic rows) are
+ranked in one pass, with the same filter and re-rank. Both run over row
+blocks of the query.
 GEMMs give every squared distance of a block by the Gram identity
 ||q||^2 + ||r||^2 - 2 q.r, but those values only filter. The filter has its
 own, smaller working set: it takes a block in sub-blocks of at most
@@ -162,11 +166,17 @@ def _filter_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bufs
 
 
-def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
-    """Flat row-major ids of the (row, col) pairs that can rank in the first kk of their row.
+def _candidates(q, r, qn, rn, kk: int, n_thr: int) -> np.ndarray:
+    """Flat row-major ids of the (row, col) pairs that can rank in the first kk of their row,
+    among any columns that hold the first ``n_thr``.
 
     ``q`` and ``r`` are the query and reference points q*, r* shifted by one
-    centre, ``qn`` and ``rn`` their squared norms. Rounding bound, with
+    centre, ``qn`` and ``rn`` their squared norms. The threshold comes from the
+    first ``n_thr`` columns (the threshold columns) alone, and every column is
+    compared with it: the kk-th nearest threshold column ranks no earlier than
+    the kk-th of any column set that holds all of them. With fewer than kk
+    threshold columns there is no such bound, and every pair is kept. Rounding
+    bound, with
     u = 2**-53 and D = ||q* - r*||^2 (Higham, "Accuracy and Stability of
     Numerical Algorithms", ch. 3; each bound holds for any summation order,
     so for any BLAS and thread count):
@@ -186,10 +196,11 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
       x < (1 + 5u) y: another 11u (qn + rn).
     So if column j ranks no later than column l in row i, ties included,
     g_ij <= g_il + e_ij + e_il with e = (4 gamma_{d+2} + 16u) (qn + rn).
-    Row i folds its columns into the w = min(n_ref, max(_FOLD, 4 kk)) >= kk
-    classes j mod w and takes each class's smallest g. Their kk-th smallest,
-    M_i, is reached by kk distinct columns l (g_il <= M_i), and one of them
-    ranks no earlier than the row's kk-th: every column j of the exact first
+    Row i folds its threshold columns into the w = min(n_thr, max(_FOLD, 4 kk))
+    >= kk classes j mod w and takes each class's smallest g. Their kk-th
+    smallest, M_i, is reached by kk distinct threshold columns l
+    (g_il <= M_i), and one of them ranks no earlier than the row's kk-th in
+    any column set that holds them: every column j of that set's exact first
     kk, and every tie with it, has g_ij <= M_i + e_ij + e_il for that l.
     Row i keeps column j when g_ij <= t_i = fl(fl(M_i + 2C) + fl(2c qn_i)),
     with c = 32 (d + 2) u and C = fl(fl(c max_j rn_j) + a). Both sums and
@@ -199,21 +210,21 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
     c >= 4 gamma_{d+2} + 18.1u, under 10.1 (d + 2) u since d + 2 >= 3, and
     c is more than twice it. In exact arithmetic the kept set also holds the
     unfolded one, {j : g_ij <= T_i + 2c qn_i + E_j} with E_j = c rn_j + a
-    and T_i the row's kk-th smallest g_ij + E_j: T_i + E_j <= M_i + 2C,
-    because M_i is at least the row's kk-th smallest g.
+    and T_i the row's kk-th smallest g_il + E_l over threshold columns l:
+    T_i + E_j <= M_i + 2C, because M_i is at least the kk-th smallest g_il.
     Underflow (IEEE gradual underflow) adds an absolute error of at most
     2**-1075 per operation, under 4 (d + 2) 2**-1074 in all:
     a = (d + 2) 2**-1060 covers it with room and lies far below any normal
     squared distance. ||q||^2 is the same along a row, so g leaves it out.
     """
     rn_max = rn.max()
-    if not max(qn.max(), rn_max) < _NORM_LIMIT:  # also false on inf
+    if kk > n_thr or not max(qn.max(), rn_max) < _NORM_LIMIT:  # also false on inf
         return _every_pair(len(q), len(r))
     n_ref, d = r.shape
     c, a = (d + 2) * 2.0 ** -48, (d + 2) * 2.0 ** -1060
     slack, row_slack = 2.0 * (c * rn_max + a), 2.0 * c * qn
-    w = min(n_ref, max(_FOLD, 4 * kk))
-    whole = n_ref - n_ref % w
+    w = min(n_thr, max(_FOLD, 4 * kk))
+    whole = n_thr - n_thr % w
     # one GEMM gives g = ||r||^2 - 2 q.r: (-2q, 1) times (r, ||r||^2)
     q2 = np.concatenate((-2.0 * q, np.ones((len(q), 1))), axis=1)
     r2 = np.concatenate((r, rn[:, None]), axis=1)
@@ -225,8 +236,8 @@ def _candidates(q, r, qn, rn, kk: int) -> np.ndarray:
         g, mins = g_buf[:rows * n_ref].reshape(rows, n_ref), min_buf[:rows * w].reshape(rows, w)
         np.matmul(q2[s:s + step], r2.T, out=g)
         g[:, :whole].reshape(rows, -1, w).min(axis=1, out=mins)
-        rest = mins[:, :n_ref - whole]
-        np.minimum(rest, g[:, whole:], out=rest)
+        rest = mins[:, :n_thr - whole]
+        np.minimum(rest, g[:, whole:n_thr], out=rest)
         mins.partition(kk - 1, axis=1)
         t = mins[:, kk - 1] + slack + row_slack[s:s + step]
         keep = np.less_equal(g, t[:, None], out=keep_buf[:rows * n_ref].reshape(rows, n_ref))
@@ -288,23 +299,85 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
         if self_ids.dtype.kind not in "iu" or not 0 <= self_ids.min() <= self_ids.max() < len(r):
             raise GraphParameterError(f"self ids must be integers in [0, {len(r)})")
     _check_dims(q, r)
-    # the filter works on both sets shifted by the reference mean: distances
-    # stay, and the norms its bound scales with shrink (see ``_candidates``)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centre = r.mean(axis=0)
-        centre[~np.isfinite(centre)] = 0.0  # an overflowed mean: shift nothing
-        qc, rc = q - centre, r - centre
-    qn, rn = _sq_norms(qc), _sq_norms(rc)
+    qc, rc, qn, rn = _centred(q, r)
     out = np.empty((q.shape[0], k), dtype=int)
     block = max(1, _BLOCK_ELEMS // r.shape[0])
     for start in range(0, q.shape[0], block):
         stop = min(start + block, q.shape[0])
-        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip), len(r))
+        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip,
+                                           len(r)), len(r))
         if skip:
             # drop self by id: an inf sentinel would tie with overflowed distances
             keep = cols != self_ids[start + rows]
             rows, cols = rows[keep], cols[keep]
         out[start:stop] = _rerank(q[start:stop], r, rows, cols, k)
+    return out
+
+
+def _centred(q: np.ndarray, r: np.ndarray):
+    """(qc, rc, qn, rn): both sets shifted by the reference mean, and their squared norms.
+
+    The filter works on the shifted sets: distances stay, and the norms its
+    bound scales with shrink (see ``_candidates``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = r.mean(axis=0)
+        centre[~np.isfinite(centre)] = 0.0  # an overflowed mean: shift nothing
+        qc, rc = q - centre, r - centre
+    return qc, rc, _sq_norms(qc), _sq_norms(rc)
+
+
+def _grouped_nearest(query, ref, n_shared: int, sizes, k: int) -> list[np.ndarray]:
+    """``nearest`` of ``query`` in several references at once, one filter pass over ``ref``.
+
+    ``ref`` is [shared rows; group 0; group 1; ...], group c holding
+    ``sizes[c]`` rows, and reference c is the shared rows followed by group c.
+    Returns, per group c, the (n_query, k_c) ids into ``ref`` of
+    ``nearest(query, reference c, k_c)``, k_c = min(k, n_shared + sizes[c]).
+    Shared rows come before group rows in both numberings, so the
+    (distance, index) order is the same. The filter takes each row's
+    threshold from the shared columns alone (``_candidates``), a bound for
+    every reference; with fewer than k shared rows every pair is kept. The
+    survivors are re-ranked on virtual rows (group c, query row i), c-major:
+    row i's shared candidates go to every group, its group candidates to
+    their own. A lone group is one reference: ``nearest`` ranks it, with the
+    threshold from all its columns.
+    """
+    if len(sizes) == 1:  # one reference, whose own rows give the tighter threshold
+        return [nearest(query, ref, min(k, len(ref)))]
+    q, r = as_points(query), as_points(ref)
+    _check_dims(q, r)
+    n_ref, n_groups = len(r), len(sizes)
+    bounds = np.cumsum([n_shared, *sizes])
+    kks = [min(k, n_shared + size) for size in sizes]
+    qc, rc, qn, rn = _centred(q, r)
+    out = [np.empty((len(q), kk), dtype=int) for kk in kks]
+    # a query row has at most this many virtual pairs: every shared column once
+    # per group, every group column once
+    block = max(1, _BLOCK_ELEMS // (n_ref + (n_groups - 1) * n_shared))
+    for start in range(0, len(q), block):
+        stop = min(start + block, len(q))
+        n_rows = stop - start
+        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k, n_shared),
+                               n_ref)
+        group = bounds.searchsorted(cols, side="right") - 1  # -1 on a shared column
+        shared = group < 0
+        # (virtual row, col) keys, sorted: cols ascend within each virtual row
+        keys = np.concatenate((
+            (np.arange(n_groups)[:, None] * n_rows + rows[shared]).ravel() * n_ref
+            + np.tile(cols[shared], n_groups),
+            (group[~shared] * n_rows + rows[~shared]) * n_ref + cols[~shared]))
+        keys.sort()
+        rows, cols = np.divmod(keys, n_ref)
+        if len(set(kks)) == 1:
+            ids = _rerank(np.tile(q[start:stop], (n_groups, 1)), r, rows, cols, kks[0])
+            for c in range(n_groups):
+                out[c][start:stop] = ids[c * n_rows:(c + 1) * n_rows]
+        else:  # fewer than k shared rows: every pair is a candidate, and k_c varies
+            for c in range(n_groups):
+                lo, hi = rows.searchsorted([c * n_rows, (c + 1) * n_rows])
+                out[c][start:stop] = _rerank(q[start:stop], r, rows[lo:hi] - c * n_rows,
+                                             cols[lo:hi], kks[c])
     return out
 
 

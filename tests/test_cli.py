@@ -303,6 +303,13 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--methods", "magic", "--seed", "0"]) == 1
         assert "choose from" in capsys.readouterr().err
 
+    def test_method_listed_twice(self, capsys):
+        assert main(["benchmark", "--methods", "smote,random,smote", "--datasets", "moons",
+                     "--folds", "2", "--repeats", "1", "--seed", "0", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: methods listed more than once: smote\n"
+
     def test_imbalanced_allowed_here(self, capsys):
         assert main(["benchmark", "--methods", "imbalanced", "--datasets",
                      "moons", "--folds", "2", "--repeats", "1", "--seed", "0",

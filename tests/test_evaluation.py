@@ -1,6 +1,8 @@
 import csv
 import io
 import weakref
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from simbal import (
     grid_search_eval,
     knn_classify,
     method_grid,
+    oversample,
     parse_method,
     rank_methods,
     report_to_csv,
@@ -30,7 +33,7 @@ from simbal import complexes, evaluation, graphs, samplers
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
-from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError
+from simbal.samplers import GRAPH_VARIANTS, SamplerConfig, SamplerParameterError, SyntheticBatch
 
 from helpers import per_config_grid_search
 
@@ -95,6 +98,79 @@ class TestKnnClassify:
         ds = cluster_dataset()
         with pytest.raises(EvaluationError):
             knn_classify(ds, ds.features, 0)
+
+
+def augmented(train, rows):
+    """``train`` plus ``rows`` as minority rows, the way a sampler batch adds them."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, train.d)
+    batch = SyntheticBatch(rows, np.empty((len(rows), 0), dtype=int), np.empty((len(rows), 0)))
+    return batch.augmented(train)
+
+
+def assert_classifies_each(train, test_points, synthetic, got=None):
+    """The grid search's grouped classifier gives ``knn_classify`` on each augmented fold."""
+    test_points = np.asarray(test_points, dtype=float)
+    if got is None:
+        got = evaluation._classify_each(train, test_points, synthetic)
+    want = [knn_classify(augmented(train, rows), test_points) for rows in synthetic]
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+    return got
+
+
+class TestGroupedClassifier:
+    def test_random_copies_tie_with_their_rows(self):
+        # the queries are the training rows, so a minority row and each of its
+        # copies tie at distance 0; one draw adds nothing
+        moons = harness_datasets()["moons"]
+        train, test_points = _standardize(moons, moons.features)
+        batches = [oversample(train, SamplerConfig(Method.RANDOM, seed=s)) for s in range(4)]
+        synthetic = [b.points for b in batches] + [np.empty((0, train.d))]
+        assert any((train.features == row).all(axis=1).any() for row in batches[0].points)
+        got = assert_classifies_each(train, test_points, synthetic)
+        for batch, preds in zip(batches, got):
+            assert np.array_equal(preds, knn_classify(batch.augmented(train), test_points))
+
+    def test_training_row_wins_a_tie_at_the_kth_distance(self):
+        # the query's first four are two minority and two majority training
+        # rows; the fifth, at distance 5, is a majority training row, which a
+        # synthetic row at distance 5 ties and one at 4.5 displaces
+        train = Dataset([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 4.0], [5.0, 0.0], [9.0, 9.0]],
+                        [1, 1, -1, -1, -1, -1])
+        synthetic = [[[0.0, 5.0]], [[0.0, 4.5]], [[0.0, -5.0], [-5.0, 0.0]], np.empty((0, 2))]
+        got = assert_classifies_each(train, [[0.0, 0.0]], synthetic)
+        assert [p.tolist() for p in got] == [[MAJORITY], [MINORITY], [MAJORITY], [MAJORITY]]
+
+    def test_training_fold_smaller_than_k_clf(self):
+        # three training rows hold no 5th nearest, so every pair stays a
+        # candidate, and k_eff = min(5, 3 + m) is 3, 4 or 5 by draw
+        rng = np.random.Generator(np.random.PCG64(6))
+        train = Dataset([[0.0], [1.0], [2.0]], [1, -1, -1])
+        synthetic = [np.empty((0, 1)), [[0.4]], rng.normal(size=(4, 1)), [[3.0], [3.0], [-1.0]]]
+        test_points = rng.normal(0.0, 2.0, size=(30, 1))
+        with mock.patch.object(graphs, "_every_pair", wraps=graphs._every_pair) as every:
+            got = evaluation._classify_each(train, test_points, synthetic)
+        assert every.call_count == 1
+        assert_classifies_each(train, test_points, synthetic, got)
+
+    def test_far_offset(self):
+        # unit noise on a 1e8 offset; the draws copy some training rows
+        rng = np.random.Generator(np.random.PCG64(7))
+        train = Dataset(1e8 + rng.normal(size=(40, 3)), [1] * 10 + [-1] * 30)
+        synthetic = [np.vstack([1e8 + rng.normal(size=(m, 3)), train.features[:m // 3]])
+                     for m in (30, 0, 12)]
+        assert_classifies_each(train, 1e8 + rng.normal(size=(25, 3)), synthetic)
+
+    def test_norms_past_the_overflow_limit(self):
+        # squared norms overflow past 1e154, so every block ranks every pair;
+        # distances overflow too and tie at inf, ranked by index
+        rng = np.random.Generator(np.random.PCG64(8))
+        train = Dataset(rng.normal(size=(12, 2)) * 1e155, [1] * 4 + [-1] * 8)
+        synthetic = [rng.normal(size=(8, 2)) * 1e155, np.empty((0, 2)), train.features[:4]]
+        test_points = rng.normal(size=(10, 2)) * 1e155
+        with mock.patch.object(graphs, "_every_pair", wraps=graphs._every_pair) as every:
+            got = evaluation._classify_each(train, test_points, synthetic)
+        assert every.call_count == 1
+        assert_classifies_each(train, test_points, synthetic, got)
 
 
 class TestStratifiedCV:
@@ -309,6 +385,17 @@ class TestGridSearchEval:
         with pytest.raises(EvaluationError, match="seed must be >= 0, got -1"):
             run()
 
+    @pytest.mark.parametrize("methods", [[Method.SMOTE, Method.SMOTE],
+                                         [IMBALANCED, Method.RANDOM, "imbalanced"]])
+    def test_method_listed_twice_raises_before_any_split(self, monkeypatch, methods):
+        # a second cell of one (dataset, method) is drawn with other seeds, and
+        # the rank table and text report read only the first
+        calls = count_standardize(monkeypatch)
+        with pytest.raises(EvaluationError, match="listed more than once"):
+            grid_search_eval(self._datasets(), methods, k_grid=(3,),
+                             cv=CVConfig(folds=2, repeats=1))
+        assert calls == []
+
     def test_config_typo_raises(self):
         # a misspelled option is a caller error, not a sampler failure to
         # score as the unsampled classifier
@@ -430,6 +517,41 @@ class TestFoldMajorHarness:
             assert got.meta == want.meta
             # the borderline cell fell back on every fold, so the oracle saw diagnostics
             assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
+
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_classifier_pass_per_split_and_job(self, monkeypatch, cv):
+        # a job classifies all its combos on a split in one neighbour pass: a
+        # call of the grouped search, or of nearest with no self ids, whose
+        # query is the split's test points
+        prepared, passes = [], Counter()
+        prepare, search = evaluation._prepare, evaluation.nearest
+        grouped = getattr(evaluation, "_grouped_nearest", None)
+
+        def recorded_prepare(train, test, jobs, *args):
+            split = prepare(train, test, jobs, *args)
+            prepared.append((split[1], len(jobs)))
+            return split
+
+        def counted_search(query, ref, k, self_ids=None):
+            if self_ids is None:
+                passes[id(query)] += 1
+            return search(query, ref, k, self_ids)
+
+        def counted_grouped(query, *args):
+            passes[id(query)] += 1
+            return grouped(query, *args)
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "nearest", counted_search)
+        monkeypatch.setattr(evaluation, "_grouped_nearest", counted_grouped, raising=False)
+        grid_search_eval(harness_datasets(), HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv,
+                         seed=4)
+        assert [passes[id(test_points)] for test_points, _ in prepared] == \
+            [n_jobs for _, n_jobs in prepared]
+        assert sum(passes.values()) == sum(n_jobs for _, n_jobs in prepared)
 
     @pytest.mark.parametrize("methods", [
         [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],

@@ -232,6 +232,46 @@ def test_fold_of_a_periodic_reference(k, skip, periods, extra):
     assert np.array_equal(got, brute_nearest(query, ref, k, self_ids))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "grid", "dup", "offset", "shells", "mixed"]),
+       n_shared=st.integers(1, 30) | st.just(120),
+       sizes=st.lists(st.integers(0, 25), min_size=1, max_size=5),
+       d=st.integers(1, 4) | st.just(16),
+       scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155, 1e-160]),
+       k=st.integers(1, 8),
+       block_elems=st.sampled_from([1, 64, graphs._BLOCK_ELEMS]),
+       filter_elems=st.sampled_from([1, 64, graphs._FILTER_ELEMS]),
+       fold=st.sampled_from([1, graphs._FOLD]))
+def test_grouped_nearest_matches_each_reference(seed, kind, n_shared, sizes, d, scale, k,
+                                                block_elems, filter_elems, fold):
+    # reference c is the shared rows plus group c; a group row is a fresh
+    # point or an exact copy of a shared row (random oversampling's rows).
+    # With fewer than k shared rows the filter must keep every pair, and k_c
+    # differs between groups
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shared = tie_heavy_points(rng, kind, n_shared, d) * scale
+    groups = []
+    for size in sizes:
+        copies = int(rng.integers(0, size + 1))
+        rows = [shared[rng.integers(0, n_shared, size=copies)]]
+        if size > copies:
+            rows.append(tie_heavy_points(rng, kind, size - copies, d) * scale)
+        groups.append(np.vstack(rows)[rng.permutation(size)])
+    query = np.vstack([tie_heavy_points(rng, kind, int(rng.integers(1, 10)), d) * scale,
+                       shared[:1], *(g[:1] for g in groups)])
+    with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems), \
+            mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems), \
+            mock.patch.object(graphs, "_FOLD", fold):
+        got = graphs._grouped_nearest(query, np.vstack([shared, *groups]), n_shared, sizes, k)
+    assert len(got) == len(sizes)
+    offset = n_shared
+    for group, ids in zip(groups, got):
+        want = brute_nearest(query, np.vstack([shared, group]), min(k, n_shared + len(group)))
+        assert np.array_equal(ids, np.where(want < n_shared, want, want + offset - n_shared))
+        offset += len(group)
+
+
 def test_rerank_orders_rows_of_uneven_length():
     # rows of 4, 2 and 3 candidates: ties at distance 1 and 0.5 keep the lower
     # column, and row 1's two distances, whose squares overflow to inf, come
