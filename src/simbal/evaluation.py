@@ -5,9 +5,10 @@ oversample the standardized training fold, classify the standardized test
 fold. The grid search prepares each split once: it ranks its training
 minority once, at the largest k in the grid, builds from those lists the edge
 and clique tables of every k, one call per kind, and hands the samplers the
-tables. Each method draws all its configurations on the split first; one
-grouped neighbour pass over the training fold and every draw's rows then
-classifies the test fold for all of them, with ``knn_classify``'s vote rule.
+tables. Each method draws all its configurations on the split first; one call
+of the neighbour search (``graphs._search``), in its grouped case, over the
+training fold and every draw's rows then classifies the test fold for all of
+them, with ``knn_classify``'s vote rule.
 Everything is seed-deterministic;
 per-cell sampler seeds derive from the master seed and the (dataset, method,
 config, fold) coordinates.
@@ -26,7 +27,7 @@ from .complexes import MAXIMAL, SubdivisionCapExceeded
 from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, SyntheticSpec,
                        generate_synthetic)
 # cross_distances is unused here; the benchmark's span tracer wraps it at this site
-from .graphs import UNION, _grouped_nearest, _integer, cross_distances, nearest  # noqa: F401
+from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _knn_tables, oversample)
@@ -79,11 +80,14 @@ def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
 
 def _classify_each(train: Dataset, test_points: np.ndarray, synthetic) -> list[np.ndarray]:
     """``knn_classify(train + S, test_points)`` for each S of ``synthetic``, a list of
-    minority row sets, from one grouped neighbour pass over [train; S_1; ...; S_C]."""
+    minority row sets, from one neighbour search over [train; S_1; ...; S_C]: the
+    training rows are shared, and each S is a group. ``test_points`` are finite
+    (``_standardize`` checks them); a lone S is one reference, with the filter's
+    threshold from all its rows."""
     ref = np.vstack([train.features, *synthetic])
     labels = np.concatenate([train.labels, np.full(len(ref) - train.n, MINORITY)])
-    return [_vote(labels[ids]) for ids in _grouped_nearest(
-        test_points, ref, train.n, [len(rows) for rows in synthetic], DEFAULT_K_CLF)]
+    return [_vote(labels[ids]) for ids in _search(
+        test_points, ref, DEFAULT_K_CLF, train.n, [len(rows) for rows in synthetic])]
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,17 @@ def _derived_seed(*coords: int) -> int:
 
 
 def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.ndarray]:
-    mu = train.features.mean(axis=0)
-    sd = train.features.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return Dataset((train.features - mu) / sd, train.labels), (test_points - mu) / sd
+    """The training fold and test points scaled by the training mean and spread;
+    ``EvaluationError`` if any of them overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = train.features.mean(axis=0)
+        sd = train.features.std(axis=0)
+        sd = np.where(sd == 0.0, 1.0, sd)
+        features, test_points = (train.features - mu) / sd, (test_points - mu) / sd
+    if not all(np.isfinite(x).all() for x in (mu, sd, features, test_points)):
+        raise EvaluationError("the training fold's standardization overflows; "
+                              "rescale the features")
+    return Dataset(features, train.labels), test_points
 
 
 def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):

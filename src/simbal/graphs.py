@@ -1,11 +1,12 @@
 """Exact (distance, index)-ordered nearest neighbours, kNN graphs.
 
-``nearest`` is the one neighbour query: the kNN graph, the safety counts and
-the kNN classifier all go through it. The grid search's classifier uses its
-grouped form, ``_grouped_nearest``: several references that share their
+One search, ``_search``, ranks every neighbour. ``nearest``, the public
+query, checks its arguments and searches one reference: the kNN graph, the
+safety counts and the kNN classifier go through it. The search's grouped case
+serves the grid search's classifier: several references that share their
 leading rows (a training fold plus each configuration's synthetic rows) are
-ranked in one pass, with the same filter and re-rank. Both run over row
-blocks of the query.
+ranked in one pass, with the same block loop over the query's rows, the same
+filter and the same re-rank.
 GEMMs give every squared distance of a block by the Gram identity
 ||q||^2 + ||r||^2 - 2 q.r, but those values only filter. The filter has its
 own, smaller working set: it takes a block in sub-blocks of at most
@@ -34,7 +35,7 @@ import numpy as np
 UNION = "union"
 MUTUAL = "mutual"
 
-# Elements of one temporary: the (block, n_ref) row block that ``nearest``
+# Elements of one temporary: the (block, n_ref) row block that ``_search``
 # re-ranks (its Gram filter works on smaller sub-blocks, ``_FILTER_ELEMS``, and
 # its re-rank table, one row of candidates per query row, is no wider),
 # the (pairs, d) coordinate differences of that exact re-rank, gathered in
@@ -248,10 +249,12 @@ def _candidates(q, r, qn, rn, kk: int, n_thr: int) -> np.ndarray:
 def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
     """(len(q), kk) first cols per row in exact (distance, index) order.
 
-    ``rows`` ascend, each row holds at least kk pairs, and ``cols`` ascend
-    within a row. Each row's distances go into one row of a table padded with
-    inf; a stable sort of each table row keeps the lower column first on a
-    tie, and every real distance, inf included, before the pads.
+    ``rows`` ascend, each row holds at least kk pairs or every column of its
+    reference, and ``cols`` ascend within a row. Each row's distances go into
+    one row of a table padded with inf; a stable sort of each table row keeps
+    the lower column first on a tie, and every real distance, inf included,
+    before the pads. A row of fewer than kk pairs ends in ids that mean
+    nothing, which the grouped search drops.
     """
     dist = np.empty(rows.size)
     step = max(1, _BLOCK_ELEMS // q.shape[1])
@@ -265,7 +268,7 @@ def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
     table = np.full((len(q), (first[1:] - first[:-1]).max()), np.inf)
     table[rows, np.arange(rows.size) - first[rows]] = dist
     order = table.argsort(axis=1, kind="stable")[:, :kk]
-    return cols[first[:-1, None] + order]
+    return cols.take(first[:-1, None] + order, mode="clip")
 
 
 def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
@@ -299,19 +302,7 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
         if self_ids.dtype.kind not in "iu" or not 0 <= self_ids.min() <= self_ids.max() < len(r):
             raise GraphParameterError(f"self ids must be integers in [0, {len(r)})")
     _check_dims(q, r)
-    qc, rc, qn, rn = _centred(q, r)
-    out = np.empty((q.shape[0], k), dtype=int)
-    block = max(1, _BLOCK_ELEMS // r.shape[0])
-    for start in range(0, q.shape[0], block):
-        stop = min(start + block, q.shape[0])
-        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip,
-                                           len(r)), len(r))
-        if skip:
-            # drop self by id: an inf sentinel would tie with overflowed distances
-            keep = cols != self_ids[start + rows]
-            rows, cols = rows[keep], cols[keep]
-        out[start:stop] = _rerank(q[start:stop], r, rows, cols, k)
-    return out
+    return _search(q, r, k, len(r), [0], self_ids)[0]
 
 
 def _centred(q: np.ndarray, r: np.ndarray):
@@ -327,28 +318,25 @@ def _centred(q: np.ndarray, r: np.ndarray):
     return qc, rc, _sq_norms(qc), _sq_norms(rc)
 
 
-def _grouped_nearest(query, ref, n_shared: int, sizes, k: int) -> list[np.ndarray]:
-    """``nearest`` of ``query`` in several references at once, one filter pass over ``ref``.
+def _search(q, r, k: int, n_shared: int, sizes, self_ids=None) -> list[np.ndarray]:
+    """Per group c, the (len(q), k_c) ids into ``r`` nearest each query row in
+    reference c, in (distance, index) order, k_c = min(k, n_shared + sizes[c]).
 
-    ``ref`` is [shared rows; group 0; group 1; ...], group c holding
-    ``sizes[c]`` rows, and reference c is the shared rows followed by group c.
-    Returns, per group c, the (n_query, k_c) ids into ``ref`` of
-    ``nearest(query, reference c, k_c)``, k_c = min(k, n_shared + sizes[c]).
-    Shared rows come before group rows in both numberings, so the
-    (distance, index) order is the same. The filter takes each row's
-    threshold from the shared columns alone (``_candidates``), a bound for
-    every reference; with fewer than k shared rows every pair is kept. The
-    survivors are re-ranked on virtual rows (group c, query row i), c-major:
-    row i's shared candidates go to every group, its group candidates to
-    their own. A lone group is one reference: ``nearest`` ranks it, with the
-    threshold from all its columns.
+    ``q`` and ``r`` are (n, d) float arrays of finite coordinates with the same
+    d, and ``self_ids``, when given, the checked ``r`` row each query row
+    skips: the caller validates them. ``r`` is [shared rows; group 0; group 1;
+    ...], group c holding ``sizes[c]`` rows, and reference c is the shared rows
+    followed by group c; ``nearest`` passes all of ``r`` as shared rows and
+    one empty group. Shared rows come before group rows in both numberings, so
+    the (distance, index) order is the same. The filter (``_candidates``)
+    takes each row's threshold from the columns every reference holds: all of
+    a lone reference's, the shared rows when there are several; with fewer
+    than k of them (k + 1 with self skipped) every pair is kept. With several
+    groups the survivors are re-ranked on virtual rows (group c, query row i),
+    c-major: row i's shared candidates go to every group, its group candidates
+    to their own.
     """
-    if len(sizes) == 1:  # one reference, whose own rows give the tighter threshold
-        return [nearest(query, ref, min(k, len(ref)))]
-    q, r = as_points(query), as_points(ref)
-    _check_dims(q, r)
-    n_ref, n_groups = len(r), len(sizes)
-    bounds = np.cumsum([n_shared, *sizes])
+    n_ref, n_groups, skip = len(r), len(sizes), self_ids is not None
     kks = [min(k, n_shared + size) for size in sizes]
     qc, rc, qn, rn = _centred(q, r)
     out = [np.empty((len(q), kk), dtype=int) for kk in kks]
@@ -357,40 +345,41 @@ def _grouped_nearest(query, ref, n_shared: int, sizes, k: int) -> list[np.ndarra
     block = max(1, _BLOCK_ELEMS // (n_ref + (n_groups - 1) * n_shared))
     for start in range(0, len(q), block):
         stop = min(start + block, len(q))
-        n_rows = stop - start
-        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k, n_shared),
-                               n_ref)
-        group = bounds.searchsorted(cols, side="right") - 1  # -1 on a shared column
-        shared = group < 0
-        # (virtual row, col) keys, sorted: cols ascend within each virtual row
-        keys = np.concatenate((
-            (np.arange(n_groups)[:, None] * n_rows + rows[shared]).ravel() * n_ref
-            + np.tile(cols[shared], n_groups),
-            (group[~shared] * n_rows + rows[~shared]) * n_ref + cols[~shared]))
-        keys.sort()
-        rows, cols = np.divmod(keys, n_ref)
-        if len(set(kks)) == 1:
-            ids = _rerank(np.tile(q[start:stop], (n_groups, 1)), r, rows, cols, kks[0])
-            for c in range(n_groups):
-                out[c][start:stop] = ids[c * n_rows:(c + 1) * n_rows]
-        else:  # fewer than k shared rows: every pair is a candidate, and k_c varies
-            for c in range(n_groups):
-                lo, hi = rows.searchsorted([c * n_rows, (c + 1) * n_rows])
-                out[c][start:stop] = _rerank(q[start:stop], r, rows[lo:hi] - c * n_rows,
-                                             cols[lo:hi], kks[c])
+        n_rows, block_q = stop - start, q[start:stop]
+        rows, cols = np.divmod(_candidates(qc[start:stop], rc, qn[start:stop], rn, k + skip,
+                                           n_ref if n_groups == 1 else n_shared), n_ref)
+        if skip:
+            # drop self by id: an inf sentinel would tie with overflowed distances
+            keep = cols != self_ids[start + rows]
+            rows, cols = rows[keep], cols[keep]
+        if n_groups > 1:
+            # each column's group, -1 on a shared column
+            group = np.cumsum([n_shared, *sizes]).searchsorted(cols, side="right") - 1
+            shared = group < 0
+            # (virtual row, col) keys, sorted: cols ascend within each virtual row
+            keys = np.concatenate((
+                (np.arange(n_groups)[:, None] * n_rows + rows[shared]).ravel() * n_ref
+                + np.tile(cols[shared], n_groups),
+                (group[~shared] * n_rows + rows[~shared]) * n_ref + cols[~shared]))
+            keys.sort()
+            rows, cols = np.divmod(keys, n_ref)
+            block_q = np.tile(block_q, (n_groups, 1))
+        # with fewer than k shared rows k_c varies; each group keeps its first k_c
+        ids = _rerank(block_q, r, rows, cols, max(kks)).reshape(n_groups, n_rows, -1)
+        for c, kk in enumerate(kks):
+            out[c][start:stop] = ids[c, :, :kk]
     return out
 
 
 def _knn_pairs(points, k: int, symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, lo, hi): the edges lo < hi of ``knn_graph(points, k, symmetrize)``, lexicographic."""
-    pts, k = as_points(points), _integer(k, "k")
+    pts = as_points(points)
     n = pts.shape[0]
-    if not 1 <= k <= n - 1:
-        raise GraphParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if symmetrize not in (UNION, MUTUAL):
         raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
-    neighbors = nearest(pts, pts, k, np.arange(n))
-    return _listed_pairs(n, np.repeat(np.arange(n), k), neighbors.ravel(), symmetrize)
+    neighbors = nearest(pts, pts, k, np.arange(n))  # which checks k
+    return _listed_pairs(n, np.repeat(np.arange(n), neighbors.shape[1]), neighbors.ravel(),
+                         symmetrize)
 
 
 def _listed_pairs(n: int, src: np.ndarray, dst: np.ndarray,

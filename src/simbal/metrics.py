@@ -39,14 +39,9 @@ def confusion_counts(y_true, y_pred) -> ConfusionCounts:
         raise MetricError(f"label vectors must be equal-length 1-d, got {yt.shape} vs {yp.shape}")
     if not (_binary_labels(yt) and _binary_labels(yp)):
         raise MetricError("labels must contain only +1 (minority) and -1 (majority)")
-    pos_t = yt == MINORITY
-    pos_p = yp == MINORITY
-    return ConfusionCounts(
-        tp=int(np.sum(pos_t & pos_p)),
-        fp=int(np.sum(~pos_t & pos_p)),
-        tn=int(np.sum(~pos_t & ~pos_p)),
-        fn=int(np.sum(pos_t & ~pos_p)),
-    )
+    # one pass over the cells 2 * (truly minority) + (predicted minority)
+    tn, fp, fn, tp = np.bincount(2 * (yt == MINORITY) + (yp == MINORITY), minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def f1_score(c: ConfusionCounts) -> float:

@@ -362,6 +362,24 @@ class TestGridSearchEval:
         with pytest.raises(EvaluationError, match="no valid"):
             grid_search_eval(self._datasets(), [method], [], cv=CVConfig(folds=2, repeats=1))
 
+    def test_overflowing_standardization_raises_typed(self):
+        # finite coordinates near the float limit: the training mean overflows,
+        # and no RuntimeWarning escapes
+        rng = np.random.Generator(np.random.PCG64(0))
+        features = rng.normal(size=(40, 2)) * 1e307 + 1.5e308
+        assert np.isfinite(features).all()
+        big = Dataset(features, [1] * 10 + [-1] * 30)
+        with pytest.raises(EvaluationError, match="overflows; rescale the features"):
+            grid_search_eval({"big": big}, [Method.SMOTE], (3,), cv=CVConfig(folds=2, repeats=1))
+
+    @pytest.mark.parametrize("train, test_points", [
+        ([[-1e308], [1e308]], [[0.0]]),  # the spread overflows; the scaled rows would be 0
+        ([[0.0], [1e-150]], [[1e160]]),  # a test point overflows
+    ])
+    def test_standardize_checks_every_output(self, train, test_points):
+        with pytest.raises(EvaluationError, match="overflows; rescale the features"):
+            _standardize(Dataset(train, [1, -1]), np.array(test_points))
+
     @pytest.mark.parametrize("method,k_grid,p_grid,what", [
         (Method.SMOTE, [2.5], (MAXIMAL,), "k"),
         (Method.RANDOM, [2.5], (MAXIMAL,), "k"),  # grid-free, but the report lists the grid
@@ -524,29 +542,29 @@ class TestFoldMajorHarness:
     ], ids=["outer", "nested"])
     def test_one_classifier_pass_per_split_and_job(self, monkeypatch, cv):
         # a job classifies all its combos on a split in one neighbour pass: a
-        # call of the grouped search, or of nearest with no self ids, whose
-        # query is the split's test points
+        # call of the one search whose query is the split's test points; the
+        # minority self-query goes through nearest, which the grid search
+        # never calls without self ids
         prepared, passes = [], Counter()
-        prepare, search = evaluation._prepare, evaluation.nearest
-        grouped = getattr(evaluation, "_grouped_nearest", None)
+        prepare, search = evaluation._prepare, evaluation._search
+        query_nearest = evaluation.nearest
 
         def recorded_prepare(train, test, jobs, *args):
             split = prepare(train, test, jobs, *args)
             prepared.append((split[1], len(jobs)))
             return split
 
-        def counted_search(query, ref, k, self_ids=None):
-            if self_ids is None:
-                passes[id(query)] += 1
-            return search(query, ref, k, self_ids)
-
-        def counted_grouped(query, *args):
+        def counted_search(query, *args):
             passes[id(query)] += 1
-            return grouped(query, *args)
+            return search(query, *args)
+
+        def checked_nearest(query, ref, k, self_ids=None):
+            assert self_ids is not None
+            return query_nearest(query, ref, k, self_ids)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "nearest", counted_search)
-        monkeypatch.setattr(evaluation, "_grouped_nearest", counted_grouped, raising=False)
+        monkeypatch.setattr(evaluation, "_search", counted_search)
+        monkeypatch.setattr(evaluation, "nearest", checked_nearest)
         grid_search_eval(harness_datasets(), HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv,
                          seed=4)
         assert [passes[id(test_points)] for test_points, _ in prepared] == \

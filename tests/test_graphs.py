@@ -263,13 +263,33 @@ def test_grouped_nearest_matches_each_reference(seed, kind, n_shared, sizes, d, 
     with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems), \
             mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems), \
             mock.patch.object(graphs, "_FOLD", fold):
-        got = graphs._grouped_nearest(query, np.vstack([shared, *groups]), n_shared, sizes, k)
+        got = graphs._search(query, np.vstack([shared, *groups]), k, n_shared, sizes)
     assert len(got) == len(sizes)
     offset = n_shared
     for group, ids in zip(groups, got):
         want = brute_nearest(query, np.vstack([shared, group]), min(k, n_shared + len(group)))
         assert np.array_equal(ids, np.where(want < n_shared, want, want + offset - n_shared))
         offset += len(group)
+
+
+def test_filter_thresholds_on_the_columns_every_reference_holds():
+    # nearest and a lone group take the threshold from all their columns, as
+    # tight as one reference allows; several groups from the shared rows alone
+    rng = np.random.Generator(np.random.PCG64(14))
+    shared, groups = rng.normal(size=(40, 3)), [rng.normal(size=(m, 3)) for m in (7, 0, 12)]
+    query = rng.normal(size=(9, 3))
+    n_thr, candidates = [], graphs._candidates
+
+    def recorded(q, r, qn, rn, kk, thr):
+        n_thr.append(thr)
+        return candidates(q, r, qn, rn, kk, thr)
+
+    with mock.patch.object(graphs, "_candidates", recorded):
+        nearest(query, shared, 5)
+        nearest(shared, shared, 5, np.arange(40))
+        graphs._search(query, np.vstack([shared, groups[0]]), 5, 40, [7])
+        graphs._search(query, np.vstack([shared, *groups]), 5, 40, [7, 0, 12])
+    assert n_thr == [40, 40, 47, 40]
 
 
 def test_rerank_orders_rows_of_uneven_length():

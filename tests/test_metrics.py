@@ -29,6 +29,16 @@ class TestConfusionCounts:
         c = confusion_counts(y_true, y_pred)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 3, 1)
         assert c.total == 7
+        # a seeded fold of float labels, the size of a CV test fold: the four
+        # sums, as Python ints
+        rng = np.random.Generator(np.random.PCG64(88))
+        yt, yp = rng.choice([-1.0, 1.0], size=(2, 88))
+        c = confusion_counts(yt, yp)
+        assert (c.tp, c.fp, c.tn, c.fn) == (np.sum((yt == 1) & (yp == 1)),
+                                             np.sum((yt == -1) & (yp == 1)),
+                                             np.sum((yt == -1) & (yp == -1)),
+                                             np.sum((yt == 1) & (yp == -1)))
+        assert all(type(v) is int for v in (c.tp, c.fp, c.tn, c.fn))
 
     def test_rejects_negative(self):
         with pytest.raises(MetricError):
