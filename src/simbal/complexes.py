@@ -164,11 +164,17 @@ def _clique_table(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     h_ab = np.repeat(up, later)
     h_ac = _ranges(up + 1, later)
     del up, later
+    # the wedge keys in order, so the lookups walk ``keys`` once; the triangles
+    # come out in another order, which the bit sums below do not see
     bc = dst[h_ab] * n + dst[h_ac]
+    order = bc.argsort()
+    bc = bc.take(order)
     h_bc = np.searchsorted(keys, bc).clip(max=max(2 * m - 1, 0))
     closed = np.flatnonzero(keys[h_bc] == bc)
     del keys, bc
-    h_ab, h_ac, h_bc = h_ab[closed], h_ac[closed], h_bc[closed]
+    h_bc, order = h_bc.take(closed), order.take(closed)
+    h_ab, h_ac = h_ab.take(order), h_ac.take(order)
+    del order
     # adjacency row h holds the positions in src[h]'s list of the common
     # neighbours of src[h] and dst[h]: here the pairs (row, position). c roots
     # nothing in the triangle, so its rows are left out
@@ -220,7 +226,19 @@ def _clique_table(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         at += f.shape[0]
     table = np.sort(np.append(vertex, n)[table], axis=1)
     table[table == n] = -1
-    return table[np.lexsort(table.T[::-1])]
+    return table[np.lexsort(_row_keys(table, n)[::-1])]
+
+
+def _row_keys(table: np.ndarray, n: int) -> list[np.ndarray]:
+    """int64 keys of the rows of a table of ids in -1..n-1 whose lexicographic order is
+    the rows': each packs as many columns, id + 1 in base n + 1, as stay below 2**62."""
+    base, per = int(n) + 1, 1
+    while per < table.shape[1] and base ** (per + 1) < 2 ** 62:
+        per += 1
+    powers = base ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    digits = table + 1
+    return [digits[:, s:s + per] @ powers[max(0, s + per - table.shape[1]):]
+            for s in range(0, table.shape[1], per)]
 
 
 def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXIMAL) -> np.ndarray:

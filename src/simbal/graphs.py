@@ -7,19 +7,21 @@ serves the grid search's classifier: several references that share their
 leading rows (a training fold plus each configuration's synthetic rows) are
 ranked in one pass, with the same block loop over the query's rows, the same
 filter and the same re-rank.
-GEMMs give every squared distance of a block by the Gram identity
-||q||^2 + ||r||^2 - 2 q.r, but those values only filter. The filter has its
-own, smaller working set: it takes a block in sub-blocks of at most
-``_FILTER_ELEMS`` Gram entries, written into scratch arrays that each thread
-reuses, so no Gram-sized temporary is allocated. Each Gram row is folded
-into column classes, and the threshold comes from the classes' minima plus a
-rounding bound, built from Higham's gamma_{d+2} ("Accuracy and Stability of
-Numerical Algorithms", ch. 3) and derived at ``_candidates``: each row keeps
-every column that can rank among its first k, ties included. Only these
-candidates get their distances recomputed from coordinate differences, the
-formula ``cross_distances`` uses, and are sorted exactly, row by row. So the
-ids do not depend on the BLAS, its summation order or its thread count. When
-two candidate neighbors are at the same distance, the one with the lower vertex
+Single-precision GEMMs give every squared distance of a block by the Gram
+identity ||q||^2 + ||r||^2 - 2 q.r, on both sets scaled by one power of two,
+but those values only filter. The filter has its own, smaller working set:
+it takes a block in sub-blocks of at most ``_FILTER_ELEMS`` Gram entries,
+written into float32 scratch arrays that each thread reuses, so no
+Gram-sized temporary is allocated. Each Gram row is folded into column
+classes, and the threshold comes from the classes' minima plus a rounding
+bound that reads only the row, built from Higham's gamma_{d+1} at
+u = 2**-24 ("Accuracy and Stability of Numerical Algorithms", ch. 3) and
+derived at ``_candidates``: each row keeps every column that can rank among
+its first k, ties included. Only these candidates get their distances
+recomputed in float64 from coordinate differences, the formula
+``cross_distances`` uses, and are sorted exactly, row by row. So the ids do
+not depend on the BLAS, its summation order or its thread count. When two
+candidate neighbors are at the same distance, the one with the lower vertex
 index wins. Distances are Euclidean throughout.
 """
 
@@ -46,14 +48,14 @@ MUTUAL = "mutual"
 _BLOCK_ELEMS = 1_000_000
 
 # Elements of each of the three scratch arrays that ``_candidates`` filters a
-# block through, ``_FILTER_ELEMS // n_ref`` rows at a time: the float64 Gram
-# sub-block, the float64 one that holds its folded row minima, and the bool
+# block through, ``_FILTER_ELEMS // n_ref`` rows at a time: the float32 Gram
+# sub-block, the float32 one that holds its folded row minima, and the bool
 # mask of kept pairs; about 1.1 MB, so the filter's working set stays in cache.
 # Each thread keeps its own set for the life of the thread, so a query
 # allocates and frees no Gram-sized array (fresh ones cost a page fault per
 # 4 KB page on every call); a row longer than this gets arrays of its own, for
 # that call only.
-_FILTER_ELEMS = 2 ** 16
+_FILTER_ELEMS = 2 ** 17
 # Column classes j mod w that ``_candidates`` folds each Gram row into, taking
 # its filter threshold from their minima: w = min(n_ref, max(_FOLD, 4 kk)) for
 # the first kk of a row.
@@ -61,7 +63,8 @@ _FOLD = 128
 _scratch = threading.local()
 
 # A block whose squared norms reach this (or are inf) is re-ranked on every
-# pair: below it no term of the Gram block or of its bound can overflow.
+# pair: below it no squared distance of the re-rank overflows, so the filter's
+# bound (``_candidates``) holds for every pair.
 _NORM_LIMIT = 2.0 ** 1000
 
 
@@ -157,11 +160,11 @@ def _every_pair(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def _filter_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's (float64, float64, bool) scratch arrays with at least ``size`` elements."""
+    """This thread's (float32, float32, bool) scratch arrays with at least ``size`` elements."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or bufs[0].size < size:
         n = max(size, _FILTER_ELEMS)
-        bufs = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        bufs = np.empty(n, np.float32), np.empty(n, np.float32), np.empty(n, dtype=bool)
         if size <= _FILTER_ELEMS:
             _scratch.bufs = bufs
     return bufs
@@ -176,71 +179,95 @@ def _candidates(q, r, qn, rn, kk: int, n_thr: int) -> np.ndarray:
     first ``n_thr`` columns (the threshold columns) alone, and every column is
     compared with it: the kk-th nearest threshold column ranks no earlier than
     the kk-th of any column set that holds all of them. With fewer than kk
-    threshold columns there is no such bound, and every pair is kept. Rounding
-    bound, with
-    u = 2**-53 and D = ||q* - r*||^2 (Higham, "Accuracy and Stability of
-    Numerical Algorithms", ch. 3; each bound holds for any summation order,
-    so for any BLAS and thread count):
+    threshold columns there is no such bound, and every pair is kept.
+    The filter runs in float32. Both sets are first scaled by 2**-e, e taken
+    from ``np.frexp`` of the largest squared norm, so every squared norm is
+    below 1 (where that norm is subnormal, up to the digits it has lost; the
+    bound does not rest on it). The scaling is exact, but for a coordinate it
+    makes subnormal, which is off by at most 2**-1075, and the squared norms
+    are computed again from the scaled points, since at scale 1e-160 ``qn``
+    and ``rn`` are subnormal and have lost their digits. Below, Q and R are the scaled points, qn_i and
+    rn_j their float64 squared norms, D = ||q* - r*||^2 2**-2e, and every
+    quantity is in scaled units. Rounding bound, with u = 2**-24 and
+    v = 2**-53 (Higham, "Accuracy and Stability of Numerical Algorithms",
+    ch. 3; each bound holds for any summation order, so for any IEEE float32
+    sgemm and thread count):
     - the shift rounds each coordinate once (a subnormal difference is exact),
-      so q - r is off from q* - r* by e, ||e|| <= u (||q|| + ||r||) / (1 - u);
-      then S = ||q - r||^2 has |S - D| <= 2 ||q* - r*|| ||e|| + ||e||^2,
-      at most 4.01 u (||q||^2 + ||r||^2) as ||q* - r*|| <= (||q|| + ||r||) / (1 - u);
-    - the re-rank computes D' = fl(sum fl(fl(q*_k - r*_k)^2)): nonnegative
-      terms through at most d + 2 roundings, so |D' - D| <= gamma_{d+2} D;
-    - here g = ||r||^2 - 2q.r with the same norms, one dot product of d + 1
-      terms (the -2 is exact), so |g + ||q||^2 - S| <= gamma_{d+1}
-      (2 sum_k |q_k r_k| + ||r||^2) <= gamma_{d+1} (||q|| + ||r||)^2, and
-      |g| < 2.01 (qn + rn);
-    - together |g + ||q||^2 - D'| <= (4 gamma_{d+2} + 5u) (||q||^2 + ||r||^2),
-      with gamma_m = m u / (1 - m u);
-    - the order is by fl(sqrt(D')), and fl(sqrt(x)) <= fl(sqrt(y)) only if
-      x < (1 + 5u) y: another 11u (qn + rn).
+      so S = ||Q - R||^2 has |S - D| <= 4.01 v (||Q||^2 + ||R||^2);
+    - the re-rank computes D' = fl(sum fl(fl(q*_k - r*_k)^2)) in float64:
+      |D' - D| <= (d + 2) v D / (1 - (d + 2) v), and it orders by
+      fl(sqrt(D')), where fl(sqrt(x)) <= fl(sqrt(y)) only if x < (1 + 5v) y;
+    - the GEMM multiplies (fl32(-2Q), 1) by (fl32(R), fl32(rn)). Each
+      conversion rounds by at most u relative, so the exact product of the
+      converted rows is off from g = ||R||^2 - 2Q.R = S - ||Q||^2 by at most
+      3.02u (||Q||^2 + ||R||^2); the (d + 1)-term sgemm adds at most
+      gamma_{d+1} times the sum of its terms' magnitudes, which is under
+      2.02 (||Q||^2 + ||R||^2);
+    - together the float32 g has |g + qn - D'| <= eps (qn + rn) + a0, with
+      gamma_m = m u / (1 - m u), eps = 3.1u + 2.02 gamma_{d+1} <= 2.44 (d + 2) u
+      (float64 terms included) and a0 the underflow below.
     So if column j ranks no later than column l in row i, ties included,
-    g_ij <= g_il + e_ij + e_il with e = (4 gamma_{d+2} + 16u) (qn + rn).
+    g_ij <= g_il + e_ij + e_il with e_ij = eps (qn_i + rn_j) + a0.
     Row i folds its threshold columns into the w = min(n_thr, max(_FOLD, 4 kk))
     >= kk classes j mod w and takes each class's smallest g. Their kk-th
     smallest, M_i, is reached by kk distinct threshold columns l
     (g_il <= M_i), and one of them ranks no earlier than the row's kk-th in
     any column set that holds them: every column j of that set's exact first
-    kk, and every tie with it, has g_ij <= M_i + e_ij + e_il for that l.
-    Row i keeps column j when g_ij <= t_i = fl(fl(M_i + 2C) + fl(2c qn_i)),
-    with c = 32 (d + 2) u and C = fl(fl(c max_j rn_j) + a). Both sums and
-    the product round by at most 2.01u (|M_i| + 2C + 2c qn_i), which is under
-    4.1u (qn_i + max rn), so t_i >= M_i + 2c (1 - 2u) (qn_i + max rn) + a
-    - 4.1u (qn_i + max rn). That is at least M_i + e_ij + e_il when
-    c >= 4 gamma_{d+2} + 18.1u, under 10.1 (d + 2) u since d + 2 >= 3, and
-    c is more than twice it. In exact arithmetic the kept set also holds the
-    unfolded one, {j : g_ij <= T_i + 2c qn_i + E_j} with E_j = c rn_j + a
-    and T_i the row's kk-th smallest g_il + E_l over threshold columns l:
-    T_i + E_j <= M_i + 2C, because M_i is at least the kk-th smallest g_il.
+    kk, and every tie with it, has g_ij <= M_i + e_ij + e_il for that l. The
+    slack needs only the row: ||R_j||^2 <= 2 ||Q_i||^2 + 2 S_ij, S_il <= M_i +
+    qn_i + e_il and S_ij <= S_il up to float64 rounding, so with
+    X_i = max(M_i + qn_i, 0) both rn_j and rn_l are at most
+    1.01 (2 qn_i + 2 X_i) + 2.01 a0, and e_ij + e_il <= 1.03 eps (6 qn_i +
+    4 X_i) + 2.1 a0. A far reference row widens no other row's slack.
+    Row i keeps column j when g_ij <= t_i = fl(y_i - P_i), with
+    y_i = max(x_i, fl(x_i (1 + 4c))), x_i = fl(M_i + fl(qn_i)),
+    P_i = fl((1 - 6c) qn_i - 2a) and c = 8 (d + 2) u. Unrounded,
+    t_i = M_i + 4c X_i + 6c qn_i + 2a; its roundings, float32 except in
+    P_i, lose at most 3.1u X_i + 4.1u qn_i + 4.1u a. So t_i covers
+    e_ij + e_il when c >= 1.03 eps + 0.8u, under 2.8 (d + 2) u since d + 2 >= 3,
+    and c is more than twice it. That needs (d + 2) u <= 2**-10 (gamma_{d+1}
+    and the 1.01 above rest on it), so wider points keep every pair.
     Underflow (IEEE gradual underflow) adds an absolute error of at most
-    2**-1075 per operation, under 4 (d + 2) 2**-1074 in all:
-    a = (d + 2) 2**-1060 covers it with room and lies far below any normal
-    squared distance. ||q||^2 is the same along a row, so g leaves it out.
+    2**-150 to each float32 conversion, product and threshold operation,
+    under (d + 2) 2**-147 in all, and at most 2**-1075 to each float64 one:
+    the re-rank's, under 4 (d + 2) 2**-1074 in original units, is 2**-2e times
+    that in scaled units. a = (d + 2) (2**-120 + 2**(-1060 - 2e)) covers both
+    with room, and lies far below any squared distance that float32 and the
+    re-rank resolve. ||Q_i||^2 is the same along a row, so g leaves it out.
     """
-    rn_max = rn.max()
-    if kk > n_thr or not max(qn.max(), rn_max) < _NORM_LIMIT:  # also false on inf
-        return _every_pair(len(q), len(r))
+    norm = max(qn.max(), rn.max())
     n_ref, d = r.shape
-    c, a = (d + 2) * 2.0 ** -48, (d + 2) * 2.0 ** -1060
-    slack, row_slack = 2.0 * (c * rn_max + a), 2.0 * c * qn
+    if kk > n_thr or d + 2 > 2 ** 14 or not norm < _NORM_LIMIT:  # also false on inf
+        return _every_pair(len(q), len(r))
+    e = int(np.frexp(norm)[1]) // 2 + 1
+    scale = np.ldexp(1.0, -e)
+    q, r = q * scale, r * scale
+    qn = _sq_norms(q)
+    c, a = (d + 2) * 2.0 ** -21, (d + 2) * (2.0 ** -120 + 2.0 ** (-1060 - 2 * e))
+    # the row terms of the threshold, once per call
+    row_qn, grow = qn.astype(np.float32), np.float32(1 + 4 * c)
+    row_base = ((1 - 6 * c) * qn - 2 * a).astype(np.float32)
     w = min(n_thr, max(_FOLD, 4 * kk))
     whole = n_thr - n_thr % w
-    # one GEMM gives g = ||r||^2 - 2 q.r: (-2q, 1) times (r, ||r||^2)
-    q2 = np.concatenate((-2.0 * q, np.ones((len(q), 1))), axis=1)
-    r2 = np.concatenate((r, rn[:, None]), axis=1)
+    # one GEMM gives g = ||r||^2 - 2 q.r: the rows (-2q, 1) times the columns (r, ||r||^2)
+    q2 = np.empty((len(q), d + 1), np.float32)
+    q2[:, :d], q2[:, d] = -2.0 * q, 1.0
+    r2 = np.empty((d + 1, n_ref), np.float32)
+    r2[:d], r2[d] = r.T, _sq_norms(r)
     step = max(1, _FILTER_ELEMS // n_ref)
     g_buf, min_buf, keep_buf = _filter_buffers(step * n_ref)
     found = []
     for s in range(0, len(q), step):
         rows = min(step, len(q) - s)
         g, mins = g_buf[:rows * n_ref].reshape(rows, n_ref), min_buf[:rows * w].reshape(rows, w)
-        np.matmul(q2[s:s + step], r2.T, out=g)
+        np.matmul(q2[s:s + step], r2, out=g)
         g[:, :whole].reshape(rows, -1, w).min(axis=1, out=mins)
         rest = mins[:, :n_thr - whole]
         np.minimum(rest, g[:, whole:n_thr], out=rest)
         mins.partition(kk - 1, axis=1)
-        t = mins[:, kk - 1] + slack + row_slack[s:s + step]
+        x = mins[:, kk - 1] + row_qn[s:s + step]
+        t = np.maximum(x, x * grow)
+        t -= row_base[s:s + step]
         keep = np.less_equal(g, t[:, None], out=keep_buf[:rows * n_ref].reshape(rows, n_ref))
         found.append(np.flatnonzero(keep) + s * n_ref)
     return np.concatenate(found)
@@ -278,11 +305,12 @@ def nearest(query, ref, k: int, self_ids=None) -> np.ndarray:
     Query rows go in blocks of ``_BLOCK_ELEMS // n_ref``, never as a full
     (n_query, n_ref) matrix. Per block, GEMMs over sub-blocks of
     ``_FILTER_ELEMS // n_ref`` rows filter the candidates of each row:
-    Gram-identity squared distances of both sets shifted by the mean of
-    ``ref`` (so data far from the origin still filter), kept within a rounding
-    bound from Higham's gamma_{d+2} (``_candidates``) of an upper bound on the
-    k-th smallest, the k-th smallest of the row's folded column minima, so
-    every tie survives; with self skipped, of the (k+1)-th. The candidates'
+    float32 Gram-identity squared distances of both sets shifted by the mean
+    of ``ref`` (so data far from the origin still filter) and scaled by a
+    power of two, kept within a rounding bound from Higham's gamma_{d+1}
+    (``_candidates``) of an upper bound on the k-th smallest, the k-th
+    smallest of the row's folded column minima, so every tie survives; with
+    self skipped, of the (k+1)-th. The candidates'
     distances are then recomputed from the original coordinates' differences,
     as in ``cross_distances``, and each row's are sorted by (distance, index). A block
     with squared norms past an overflow-safe limit re-ranks every pair. The ids

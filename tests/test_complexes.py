@@ -187,6 +187,29 @@ def test_tie_heavy_duplicates_match_set_based_oracle():
     assert len(cliques) == 12 * 12 and {len(c) for c in cliques} == {9}
 
 
+def test_table_order_spans_two_packed_keys():
+    # 41**12 >= 2**62, so a 13-wide row of ids below 40 takes two int64 keys;
+    # the four maximal cliques core + {edge of the 4-cycle 11-12-14-13} share
+    # their first 11 ids and order on the second key alone
+    core = range(11)
+    edges = {(u, v) for u in core for v in range(u + 1, 15)}
+    edges |= {(11, 12), (11, 13), (12, 14), (13, 14)}
+    edges |= {(u + 15, v + 15) for u, v in random_graph(3, max_n=25, edge_prob=0.3).edges}
+    g = NeighborhoodGraph(40, frozenset(edges))
+    table = complexes._skeleton_table(*g._pairs())
+    assert (g.n_vertices + 1) ** table.shape[1] >= 2 ** 62
+    assert np.array_equal(table, table[np.lexsort(table.T[::-1])])
+    assert {tuple(v for v in row if v >= 0) for row in table.tolist()} == \
+        set_based_maximal_cliques(g)
+    # and on rows of any ids in -1..n-1, with long shared prefixes and repeats
+    rng = np.random.Generator(np.random.PCG64(5))
+    rows = np.column_stack([rng.integers(-1, 2, size=(400, 11)), rng.integers(-1, 40, (400, 2))])
+    rows = np.vstack([rows, rows[:50]])
+    keys = complexes._row_keys(rows, 40)
+    assert len(keys) == 2
+    assert np.array_equal(np.lexsort(keys[::-1]), np.lexsort(rows.T[::-1]))
+
+
 def star_plus_path(n):
     """Hub 0 joined to every other vertex, and the path 1 - 2 - ... - (n-1)."""
     return NeighborhoodGraph(n, frozenset({(0, v) for v in range(1, n)}

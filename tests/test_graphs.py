@@ -436,6 +436,71 @@ def test_far_offset_filters_on_centred_points():
     assert np.array_equal(got, brute_nearest(ref, ref, 5, np.arange(n)))
 
 
+def test_far_row_leaves_the_other_rows_tight():
+    # one reference row 1e4 away sets the filter's scale; a slack that read the
+    # largest reference norm would keep nearly every column of every row
+    n, k = 500, 5
+    ref = np.random.Generator(np.random.PCG64(15)).normal(size=(n, 8))
+    ref[123] += 1e4
+    kept, candidates = [], graphs._candidates
+
+    def counted(*args):
+        pairs = candidates(*args)
+        kept.append(pairs.size)
+        return pairs
+
+    with mock.patch.object(graphs, "_candidates", counted):
+        got = nearest(ref, ref, k, np.arange(n))
+    assert sum(kept) < 2 * (k + 1) * n
+    assert np.array_equal(got, brute_nearest(ref, ref, k, np.arange(n)))
+
+
+def assert_filter_keeps_first(query, ref, kk, n_thr):
+    """``_candidates`` keeps every column of each row's first kk, ties included."""
+    pairs = graphs._candidates(*graphs._centred(query, ref), kk, n_thr)
+    kept = np.zeros((len(query), len(ref)), dtype=bool)
+    kept.flat[pairs] = True
+    dist = cross_distances(query, ref)
+    kth = np.sort(dist, axis=1)[:, kk - 1:kk]
+    missed = np.argwhere((dist <= kth) & ~kept)
+    assert missed.size == 0, missed[:5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "grid", "dup", "offset", "shells", "mixed"]),
+       n=st.integers(2, 30) | st.sampled_from([60, 120]),
+       d=st.integers(1, 4) | st.sampled_from([16, 32]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150, 1e155, 1e-160]),
+       filter_elems=st.sampled_from([1, 7, 64, graphs._FILTER_ELEMS]),
+       fold=st.sampled_from([1, 7, graphs._FOLD]), data=st.data())
+def test_filter_keeps_a_superset_of_each_first_kk(seed, kind, n, d, scale, filter_elems,
+                                                  fold, data):
+    # checked on the filter itself, not through the re-rank: the first kk of a
+    # row over all columns, which hold any n_thr threshold columns
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref = tie_heavy_points(rng, kind, n, d) * scale
+    query = np.vstack([tie_heavy_points(rng, kind, int(rng.integers(1, 10)), d) * scale, ref])
+    kk = data.draw(st.integers(1, n))
+    n_thr = data.draw(st.integers(kk, n))
+    with mock.patch.object(graphs, "_FILTER_ELEMS", filter_elems), \
+            mock.patch.object(graphs, "_FOLD", fold):
+        assert_filter_keeps_first(query, ref, kk, n_thr)
+
+
+def test_subnormal_distances_keep_their_ties():
+    # at scale 1e-160 every squared distance is subnormal, so the re-rank's
+    # underflow, carried into the filter's scaled units, must widen the slack
+    rng = np.random.Generator(np.random.PCG64(0))
+    ref = tie_heavy_points(rng, "gaussian", 60, 1) * 1e-160
+    with mock.patch.object(graphs, "_BLOCK_ELEMS", 1), \
+            mock.patch.object(graphs, "_FILTER_ELEMS", 1), \
+            mock.patch.object(graphs, "_FOLD", 1):
+        got = nearest(ref, ref, 1, np.arange(60))
+        assert_filter_keeps_first(ref, ref, 2, 60)
+    assert np.array_equal(got, brute_nearest(ref, ref, 1, np.arange(60)))
+
+
 # ``nearest_id_digests()``, pinned: the ids are exact, so they hold for any
 # BLAS, thread count and filter layout
 NEAREST_ID_DIGESTS = ["a1b76d2888ebbf499c19ffba48976342f402be617fa23977288eaa08b6ea6118",
