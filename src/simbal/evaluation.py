@@ -5,11 +5,11 @@ oversample the standardized training fold, classify the standardized test
 fold. The grid search prepares each split once: it ranks its training
 minority once, at the largest k in the grid, builds from those lists the edge
 and clique tables of every k, one call per kind, and hands the samplers the
-tables. Each method draws all its configurations on the split first; one call
-of the neighbour search (``graphs._search``), in its grouped case, over the
+tables. Each method draws all its configurations on the split first, a graph
+method in one combine (``samplers._combine``) of their variates; one call of
+the neighbour search (``graphs._search``), in its grouped case, over the
 training fold and every draw's rows then classifies the test fold for all of
-them, with ``knn_classify``'s vote rule.
-Everything is seed-deterministic;
+them, with ``knn_classify``'s vote rule. Everything is seed-deterministic;
 per-cell sampler seeds derive from the master seed and the (dataset, method,
 config, fold) coordinates.
 """
@@ -30,8 +30,8 @@ from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, Synthet
 from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: F401
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
-                       SamplerParameterError, _knn_tables, oversample)
-from .variants import EmptyBorderlineError, oversample_graph
+                       SamplerParameterError, _combine, _knn_tables, oversample)
+from .variants import EmptyBorderlineError, _graph_variates
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -239,9 +239,10 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     ``EvaluationError`` if any of them overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = train.features.mean(axis=0)
-        sd = train.features.std(axis=0)
-        sd = np.where(sd == 0.0, 1.0, sd)
-        features, test_points = (train.features - mu) / sd, (test_points - mu) / sd
+        centred = train.features - mu  # np.std's steps, on rows centred once
+        sd = np.sqrt(np.add.reduce(centred * centred, axis=0) / train.n)
+        sd[sd == 0.0] = 1.0
+        features, test_points = centred / sd, (test_points - mu) / sd
     if not all(np.isfinite(x).all() for x in (mu, sd, features, test_points)):
         raise EvaluationError("the training fold's standardization overflows; "
                               "rescale the features")
@@ -270,22 +271,35 @@ def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
     return std_train, test_points, test.labels, tables
 
 
-def _eval_fold(split, method, k, p, seed_coords: tuple[int, ...],
-               symmetrize: str, safelevel_formula: str):
-    """One configuration's draw on a prepared split: (synthetic minority rows,
-    diagnostic or None). ``IMBALANCED`` and a sampler failure draw no rows, so
-    the fold is scored unsampled."""
-    train, tables = split[0], split[3]
+def _draw_job(split, method, combos, coords, symmetrize: str, safelevel_formula: str):
+    """Per combo of a job on a prepared split, seeded from ``coords[c]``: its synthetic
+    rows and a diagnostic or None. Graph combos draw their variates, then combine
+    in one call, padded to one width; ``IMBALANCED`` and a sampler failure draw no
+    rows, so the fold is scored unsampled."""
+    train, tables, graph = split[0], split[3], method in GRAPH_VARIANTS
     if method == IMBALANCED:
-        return np.empty((0, train.d)), None
-    cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
-                        symmetrize=symmetrize, safelevel_formula=safelevel_formula)
-    try:
-        batch = (oversample_graph(train, cfg, tables) if method in GRAPH_VARIANTS
-                 else oversample(train, cfg))
-    except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
-        return np.empty((0, train.d)), f"{method_name(method)}(k={k}, p={p}): {exc}"
-    return batch.points, None
+        return [np.empty((0, train.d))] * len(combos), [None] * len(combos)
+    drafts, diags = [], []
+    for (k, p), seed_coords in zip(combos, coords):
+        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
+                            symmetrize=symmetrize, safelevel_formula=safelevel_formula)
+        try:
+            drafts.append(_graph_variates(train, cfg, tables)[:2] if graph
+                          else oversample(train, cfg).points)
+            diags.append(None)
+        except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
+            drafts.append((np.empty((0, 0), np.intp), np.empty((0, 0))) if graph
+                          else np.empty((0, train.d)))
+            diags.append(f"{method_name(method)}(k={k}, p={p}): {exc}")
+    if not graph:
+        return drafts, diags
+    bounds = np.cumsum([0, *(len(verts) for verts, _ in drafts)]).tolist()
+    verts = np.full((bounds[-1], max(v.shape[1] for v, _ in drafts)), -1, np.intp)
+    gammas = np.zeros(verts.shape)
+    for (v, g), lo, hi in zip(drafts, bounds, bounds[1:]):
+        verts[lo:hi, :v.shape[1]], gammas[lo:hi, :v.shape[1]] = v, g
+    points = _combine(train.features, verts, gammas)[0]
+    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])], diags
 
 
 def _score(split, synthetic) -> list:
@@ -310,19 +324,18 @@ def _select(ds, splits, jobs, tail, opts):
     Fold-major: each split is subset and standardized once, its minority
     neighbours are ranked once at the largest k of the jobs, its edge and
     clique tables are built in one call per kind, and every combo of every
-    job is scored on it before the next. A job draws all its combos first,
-    then classifies them in one neighbour pass. Combo c on fold f is seeded
-    from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps
+    job is scored on it before the next. A job draws all its combos in one
+    combine, then classifies them in one neighbour pass. Combo c on fold f is
+    seeded from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps
     the first.
     """
     tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
     for f, (train_idx, test_idx) in enumerate(splits):
         split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs, opts[0])
         for (method, combos, head), tally in zip(jobs, tallies):
-            draws = [_eval_fold(split, method, k, p, (*head, c, *tail, f), *opts)
-                     for c, (k, p) in enumerate(combos)]
-            scored = _score(split, [rows for rows, _ in draws])
-            for (counts, diags), fold_counts, (_, diag) in zip(tally, scored, draws):
+            rows, job_diags = _draw_job(split, method, combos,
+                                        [(*head, c, *tail, f) for c in range(len(combos))], *opts)
+            for (counts, diags), fold_counts, diag in zip(tally, _score(split, rows), job_diags):
                 counts.append(fold_counts)
                 if diag is not None:
                     diags.append(f"fold {f}: {diag}")
@@ -347,8 +360,8 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
                     _select(train, inner, [(method, combos, head)], (f,), opts)[0][-2:])
             chosen.append((k, p))
             # arity-5 coordinates cannot collide with the arity-6 inner seeds
-            rows, diag = _eval_fold(outer, method, k, p, (*head, f, 0), *opts)
-            counts.extend(_score(outer, [rows]))
+            rows, (diag,) = _draw_job(outer, method, [(k, p)], [(*head, f, 0)], *opts)
+            counts.extend(_score(outer, rows))
             if diag is not None:
                 diags.append(f"outer fold {f}: {diag}")
         del outer  # freed before the next split is prepared

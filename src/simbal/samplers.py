@@ -9,6 +9,11 @@ their CV split's tables (``_knn_tables``), and neither search nor clique step
 runs. Random duplication draws the same way from 0-simplices, and global pair
 sampling from the edges of the complete minority graph.
 
+A barycentric draw has two halves: ``_variates`` draws a sampler's raw
+Dirichlet variates on its own streams, and ``_combine`` turns any stack of
+rows into points. The grid search combines all of a method's configurations
+on a CV split in one call.
+
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
 and the barycentric weight vector, so each output row can be reconstructed
@@ -17,7 +22,7 @@ and audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -157,7 +162,7 @@ class SyntheticBatch:
         """One record per point, built on first access; a row with no ids is Gaussian."""
         records, shared = [_GAUSSIAN_PROVENANCE] * self.m, {}  # one tuple per distinct simplex
         width = np.count_nonzero(self.simplices >= 0, axis=1)
-        for w in np.unique(width[width > 0]).tolist():
+        for w in (np.flatnonzero(np.bincount(width)[1:]) + 1).tolist():
             rows = np.flatnonzero(width == w)
             simplices, lams = (map(tuple, a[rows, :w].tolist()) for a in (self.simplices, self.lam))
             for i, simplex, lam in zip(rows.tolist(), simplices, lams):
@@ -230,25 +235,25 @@ def _resolve_m(ds: Dataset, target_count: int | None) -> int:
 
 def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Duplicate minority rows uniformly with replacement: simplices of one vertex."""
-    if ds.n_minority < 1:
-        raise SamplerParameterError("need at least one minority point")
-    meta = {"method": Method.RANDOM.value, "seed": int(seed)}
-    return _sample_from_simplices(ds.features, ds.minority_indices()[:, None],
-                                  _resolve_m(ds, m), SampleStreams(seed), meta)
+    return _batch(ds.features, *_duplicated_instead(ds, m, seed, Method.RANDOM))
 
 
 def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
-                       warning: str) -> SyntheticBatch:
-    """Random duplication standing in for a sampler short of minority points."""
-    batch = oversample_random(ds, m, seed)
-    return replace(batch, meta=dict(batch.meta, method=method.value, warnings=(warning,)))
+                        *warnings: str) -> tuple:
+    """(verts, gammas, meta) of random duplication under ``method``'s name; ``warnings`` say why."""
+    if ds.n_minority < 1:
+        raise SamplerParameterError("need at least one minority point")
+    meta = {"method": method.value, "seed": int(seed)} | ({"warnings": warnings} if warnings else {})
+    return (*_sample_from_simplices(ds.minority_indices()[:, None], _resolve_m(ds, m),
+                                    SampleStreams(seed)), meta)
 
 
 def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Convex combinations of uniformly chosen distinct minority pairs."""
     if ds.n_minority < 2:
-        return _duplicated_instead(ds, m, seed, Method.GLOBAL,
-                                   "fewer than 2 minority points; duplicated instead of combining")
+        return _batch(ds.features, *_duplicated_instead(
+            ds, m, seed, Method.GLOBAL,
+            "fewer than 2 minority points; duplicated instead of combining"))
     m = _resolve_m(ds, m)
     meta = {"method": Method.GLOBAL.value, "seed": int(seed)}
     streams = SampleStreams(seed)
@@ -258,14 +263,15 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    return _draw_simplices(ds.features, idx_min[pairs], streams, meta)
+    return _batch(ds.features, *_variates(idx_min[pairs], streams), meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Draw from a Gaussian fitted to the minority class (mean + full covariance)."""
     if ds.n_minority < 2:
-        return _duplicated_instead(ds, m, seed, Method.GAUSSIAN,
-                                   "fewer than 2 minority points; duplicated instead of fitting")
+        return _batch(ds.features, *_duplicated_instead(
+            ds, m, seed, Method.GAUSSIAN,
+            "fewer than 2 minority points; duplicated instead of fitting"))
     m = _resolve_m(ds, m)
     meta = {"method": Method.GAUSSIAN.value, "seed": int(seed)}
     minority = ds.minority_features()
@@ -347,52 +353,41 @@ def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,
     return _table_skeleton(table), idx_min, info
 
 
-def _sample_from_simplices(features: np.ndarray, table: np.ndarray, m: int,
-                           streams: SampleStreams, meta: dict,
-                           weights: np.ndarray | None = None,
-                           alpha_fn=None) -> SyntheticBatch:
-    """Pick one row of the simplex ``table`` per point on the selection stream, then draw them.
-
-    ``table`` holds one simplex per row, dataset-level ids ascending and padded
-    with -1, rows in lexicographic order (``_knn_skeleton``'s, mapped to
-    dataset ids); ``weights`` switches selection from uniform to the given
-    distribution; ``alpha_fn`` maps an array of vertex ids to their Dirichlet
-    parameters (default all-ones). The m picks are one call, so a larger m
-    extends a batch.
-    """
+def _sample_from_simplices(table: np.ndarray, m: int, streams: SampleStreams,
+                           weights: np.ndarray | None = None, alpha_fn=None) -> tuple:
+    """``_variates`` of m rows of the simplex ``table`` (one simplex per row, ascending
+    dataset-level ids padded with -1, rows in lexicographic order), picked on the
+    selection stream, uniformly or by ``weights``, in one call: a larger m extends a batch."""
     if weights is None:
         sel = streams.selection.integers(0, table.shape[0], size=m)
     else:
         sel = streams.selection.choice(table.shape[0], size=m, p=weights)
-    return _draw_simplices(features, table[sel], streams, meta, alpha_fn)
+    return _variates(table[sel], streams, alpha_fn)
 
 
-def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStreams,
-                    meta: dict, alpha_fn=None) -> SyntheticBatch:
-    """Shared back half of every barycentric sampler: each point from its chosen simplex.
-
-    Row i of ``verts`` is point i's simplex: ascending dataset-level ids, padded
-    with -1. Point i is ``lam @ features[simplex]`` with ``lam`` ~
-    Dirichlet(``alpha_fn`` of its ids, or all-ones); the batch keeps ``verts``
-    and ``lam``, padded alike. The raw variates of all points come from one
-    call on the weights stream, in the layout ``SampleStreams`` describes:
-    each is ``standard_gamma`` of its alpha, with no small-shape boost (only
-    ``sample_dirichlet`` boosts alpha < 1), and all-ones draws are standard
-    exponentials, which is what ``standard_gamma(1.0)`` draws. A lone vertex
-    takes its share of draws but has the constant weight 1 and is copied.
-    Widths are normalized and combined one at a time: padding rows to a
-    common width would change how numpy's pairwise sum rounds the
-    normalizing totals.
-    """
+def _variates(verts: np.ndarray, streams: SampleStreams, alpha_fn=None) -> tuple:
+    """(``verts``, gammas): one call on the weights stream draws the raw Dirichlet variates
+    of each row's simplex, lone vertices included, 0 in the -1 pads, in the layout
+    ``SampleStreams`` describes: ``standard_gamma`` of ``alpha_fn`` of the ids, with no
+    small-shape boost, or standard exponentials, which ``standard_gamma(1.0)`` draws."""
     filled = verts >= 0
-    width = np.count_nonzero(filled, axis=1)
     gammas = np.zeros(verts.shape)
     if alpha_fn is None:
-        gammas[filled] = streams.weights.standard_exponential(int(width.sum()))
+        gammas[filled] = streams.weights.standard_exponential(int(np.count_nonzero(filled)))
     else:
         gammas[filled] = streams.weights.standard_gamma(alpha_fn(verts[filled]))
+    return verts, gammas
+
+
+def _combine(features: np.ndarray, verts: np.ndarray, gammas: np.ndarray) -> tuple:
+    """(points, lam) of any stack of ``_variates`` rows: row i is ``lam_i @ features[simplex_i]``,
+    ``lam_i`` its variates normalized, padded like ``verts``; a lone vertex is copied.
+    Widths combine one at a time, as padding would change how numpy's pairwise sum
+    rounds; a row's sum and ``matmul`` read that row alone, so a stack of several
+    samplers' rows combines as each would alone."""
+    width = np.count_nonzero(verts >= 0, axis=1)
     points, lam = np.empty((verts.shape[0], features.shape[1])), np.zeros(verts.shape)
-    for w in np.unique(width).tolist():
+    for w in np.flatnonzero(np.bincount(width)).tolist():
         rows = np.flatnonzero(width == w)
         simplices = verts[rows, :w]
         if w == 1:
@@ -403,6 +398,12 @@ def _draw_simplices(features: np.ndarray, verts: np.ndarray, streams: SampleStre
             lam[rows, :w] = weights
             # one vector-matrix product per row: weights[i] @ features[simplices[i]]
             points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]
+    return points, lam
+
+
+def _batch(features: np.ndarray, verts, gammas, meta: dict) -> SyntheticBatch:
+    """The batch of one sampler's variates, combined."""
+    points, lam = _combine(features, verts, gammas)
     return SyntheticBatch(points, verts, lam, meta)
 
 

@@ -38,6 +38,7 @@ from .samplers import (
     SamplerConfig,
     SamplerParameterError,
     SyntheticBatch,
+    _batch,
     _duplicated_instead,
     _knn_skeleton,
     _resolve_m,
@@ -200,16 +201,21 @@ def _borderline_support(ds: Dataset, k: int) -> tuple[set[int], np.ndarray]:
     return border, support
 
 
-def oversample_graph(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> SyntheticBatch:
+def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
     """The simplex pipeline for every graph method, with its variant's knob applied.
 
     Borderline builds the complex over the borderline support and samples only
     simplices touching a borderline point; safe-level sets the Dirichlet
-    parameters per simplex; ADASYN weights simplex selection. ``tables``, when
-    given, is the minority's {1: edge tables, MAXIMAL: clique tables} as
-    ``samplers._knn_skeleton`` takes them; every method but borderline, whose
-    support is not all of the minority, reads its table from it.
+    parameters per simplex; ADASYN weights simplex selection.
     """
+    return _batch(ds.features, *_graph_variates(ds, cfg))
+
+
+def _graph_variates(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> tuple:
+    """``oversample_graph``'s variates half: (verts, gammas, meta). ``tables``, when given,
+    is the minority's {1: edge tables, MAXIMAL: clique tables} as ``samplers._knn_skeleton``
+    takes them; every method but borderline, whose support is not all of the minority,
+    reads its table from it."""
     variant, edge_only = GRAPH_VARIANTS[cfg.method]
     p = 1 if edge_only else cfg.p
     if variant == BORDERLINE:
@@ -240,5 +246,4 @@ def oversample_graph(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None
         else:
             weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
     meta.update(info, n_candidate_simplices=table.shape[0])
-    return _sample_from_simplices(ds.features, table, m, SampleStreams(cfg.seed), meta,
-                                  weights=weights, alpha_fn=alpha_fn)
+    return (*_sample_from_simplices(table, m, SampleStreams(cfg.seed), weights, alpha_fn), meta)

@@ -168,29 +168,38 @@ def per_point_draw(streams: SampleStreams, alpha) -> np.ndarray:
     return dirichlet_weights(streams.weights.standard_gamma(np.asarray(alpha, dtype=float)))
 
 
-def per_point_simplices(features, simplices, m, streams, meta, weights=None,
-                        alpha_fn=None) -> SyntheticBatch:
-    """The simplex sampler's back half, one Dirichlet draw per point, in point order.
+def per_point_simplices(simplices, m, streams, weights=None, alpha_fn=None):
+    """The simplex sampler's variates half, one Dirichlet draw per point, in point order.
 
     This is the definition the batched sampler must match bit for bit: point i
     takes its simplex's size of draws from the weights stream after points
-    0..i-1 took theirs, lone vertices included, and is ``lam @ X[simplex]``.
-    ``simplices`` is the sampler's table, one simplex per row padded with -1;
-    the pads are stripped from the row a point picks, and the point's weights
-    fill the unpadded slots of its row of ``lam``.
+    0..i-1 took theirs, lone vertices included. ``simplices`` is the sampler's
+    table, one simplex per row padded with -1; the pads are stripped from the
+    row a point picks, and the point's variates fill the unpadded slots of its
+    row of the returned (chosen rows, variates).
     """
     if weights is None:
         sel = streams.selection.integers(0, len(simplices), size=m)
     else:
         sel = streams.selection.choice(len(simplices), size=m, p=weights)
     chosen = np.asarray(simplices)[sel]
-    points, lam = np.empty((m, features.shape[1])), np.zeros(chosen.shape)
+    gammas = np.zeros(chosen.shape)
     for i, row in enumerate(chosen.tolist()):
         simplex = tuple(v for v in row if v >= 0)
         alpha = np.ones(len(simplex)) if alpha_fn is None else alpha_fn(simplex)
-        lam[i, :len(simplex)] = per_point_draw(streams, alpha)
-        points[i] = lam[i, :len(simplex)] @ features[list(simplex)]
-    return SyntheticBatch(points, chosen, lam, meta)
+        gammas[i, :len(simplex)] = streams.weights.standard_gamma(np.asarray(alpha, dtype=float))
+    return chosen, gammas
+
+
+def per_row_combine(features, verts, gammas):
+    """The combine half, one row at a time: row i is ``lam @ X[simplex]`` with
+    ``lam`` its unpadded variates normalized; (points, lam padded like verts)."""
+    points, lam = np.empty((len(verts), features.shape[1])), np.zeros(verts.shape)
+    for i, row in enumerate(verts.tolist()):
+        simplex = [v for v in row if v >= 0]
+        lam[i, :len(simplex)] = dirichlet_weights(gammas[i, :len(simplex)])
+        points[i] = lam[i, :len(simplex)] @ features[simplex]
+    return points, lam
 
 
 def per_point_global(ds: Dataset, m: int, seed: int) -> SyntheticBatch:
@@ -238,7 +247,8 @@ def per_point_oversample(ds: Dataset, cfg) -> SyntheticBatch:
         return per_point_global(ds, m, cfg.seed)
     if cfg.method is Method.GAUSSIAN:
         return per_point_gaussian(ds, m, cfg.seed)
-    with mock.patch.object(variants, "_sample_from_simplices", per_point_simplices):
+    with mock.patch.object(variants, "_sample_from_simplices", per_point_simplices), \
+            mock.patch.object(samplers, "_combine", per_row_combine):
         return oversample(ds, cfg)
 
 

@@ -425,10 +425,10 @@ class TestGridSearchEval:
         def broken(ds, cfg, *tables):
             raise ZeroDivisionError("sampler bug")
 
-        # graph methods go straight to the graph pipeline, which takes the
-        # split's simplex tables; the rest through oversample
-        for site, method in (("oversample", Method.RANDOM), ("oversample_graph", Method.SMOTE),
-                             ("oversample_graph", Method.BORDERLINE)):
+        # graph methods go straight to the graph pipeline's variates half, which
+        # takes the split's simplex tables; the rest through oversample
+        for site, method in (("oversample", Method.RANDOM), ("_graph_variates", Method.SMOTE),
+                             ("_graph_variates", Method.BORDERLINE)):
             monkeypatch.setattr(evaluation, site, broken)
             with pytest.raises(ZeroDivisionError, match="sampler bug"):
                 grid_search_eval(self._datasets(), [method], k_grid=(3,),
@@ -522,7 +522,7 @@ class TestFoldMajorHarness:
         CVConfig(folds=3, repeats=2),
         CVConfig(folds=2, repeats=2, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
-    def test_matches_per_config_oracle(self, cv):
+    def test_matches_per_config_oracle(self, monkeypatch, cv):
         # the oracle calls oversample, which ranks every neighbourhood itself.
         # k = 8 exceeds n_plus - 1 of the 10-minority clusters' training parts,
         # so the split's lists are clamped there
@@ -535,6 +535,23 @@ class TestFoldMajorHarness:
             assert got.meta == want.meta
             # the borderline cell fell back on every fold, so the oracle saw diagnostics
             assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
+        # no point is borderline at k = 2 (2 * k_plus < 2 leaves k_plus = 0), so
+        # on the moons a borderline job has combos that raise next to k = 8
+        # combos that draw, all in one combine
+        mixed, draw_job = [], evaluation._draw_job
+
+        def recorded_draw_job(*args):
+            rows, diags = draw_job(*args)
+            mixed.append(None in diags and any(diags))
+            return rows, diags
+
+        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
+        for symmetrize in ("union", "mutual"):
+            args = ({"moons": harness_datasets()["moons"]}, [Method.BORDERLINE,
+                    Method.S_BORDERLINE], (2, 8), (1, MAXIMAL), cv, 7, symmetrize)
+            assert repr(grid_search_eval(*args).cells) == \
+                repr(per_config_grid_search(*args).cells)
+        assert any(mixed)
 
     @pytest.mark.parametrize("cv", [
         CVConfig(folds=3, repeats=2),
@@ -571,6 +588,35 @@ class TestFoldMajorHarness:
             [n_jobs for _, n_jobs in prepared]
         assert sum(passes.values()) == sum(n_jobs for _, n_jobs in prepared)
 
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_combine_per_split_and_job(self, monkeypatch, cv):
+        # a graph job draws the variates of all its combos on a split, then
+        # turns them into points in one combine over the split's training
+        # rows; the other jobs combine nothing there (random duplication
+        # combines inside oversample, through the samplers' own lookup)
+        prepared, combines = [], Counter()
+        prepare, combine = evaluation._prepare, evaluation._combine
+
+        def recorded_prepare(train, test, jobs, *args):
+            split = prepare(train, test, jobs, *args)
+            prepared.append((split[0].features, sum(m in GRAPH_VARIANTS for m, _, _ in jobs)))
+            return split
+
+        def counted_combine(features, *args):
+            combines[id(features)] += 1
+            return combine(features, *args)
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_combine", counted_combine)
+        grid_search_eval(harness_datasets(), HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv,
+                         seed=4)
+        assert [combines[id(features)] for features, _ in prepared] == \
+            [n_graph for _, n_graph in prepared]
+        assert sum(combines.values()) == sum(n_graph for _, n_graph in prepared) > 0
+
     @pytest.mark.parametrize("methods", [
         [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],
         [Method.BORDERLINE],
@@ -588,7 +634,7 @@ class TestFoldMajorHarness:
         # minority, and not at all otherwise; those methods then search nothing
         # themselves (graphs.nearest is the samplers' search, via _knn_pairs)
         splits, harness, sampler = {}, [], []
-        prepare, eval_fold, search = evaluation._prepare, evaluation._eval_fold, graphs.nearest
+        prepare, draw_job, search = evaluation._prepare, evaluation._draw_job, graphs.nearest
 
         def recorded_prepare(train, test, *args):
             before = len(harness)
@@ -596,9 +642,9 @@ class TestFoldMajorHarness:
             splits[id(split)] = (split, train.n_minority, harness[before:], set())
             return split
 
-        def recorded_eval_fold(split, method, *args):
+        def recorded_draw_job(split, method, *args):
             splits[id(split)][3].add(method)
-            return eval_fold(split, method, *args)
+            return draw_job(split, method, *args)
 
         def counting(calls):
             def counted(query, ref, k, self_ids=None):
@@ -608,7 +654,7 @@ class TestFoldMajorHarness:
             return counted
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
         monkeypatch.setattr(evaluation, "nearest", counting(harness))
         monkeypatch.setattr(graphs, "nearest", counting(sampler))
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
@@ -637,7 +683,7 @@ class TestFoldMajorHarness:
         # none otherwise; the samplers then read them and build none themselves
         # (borderline builds its own support's complex, so it is left out)
         calls, splits, clique_table = [], {}, complexes._clique_table
-        prepare, eval_fold = evaluation._prepare, evaluation._eval_fold
+        prepare, draw_job = evaluation._prepare, evaluation._draw_job
 
         def recorded_prepare(*args):
             before = len(calls)
@@ -646,9 +692,9 @@ class TestFoldMajorHarness:
             splits[id(split)] = [split, len(calls) - before, set()]
             return split
 
-        def recorded_eval_fold(split, method, *args):
+        def recorded_draw_job(split, method, *args):
             before = len(calls)
-            result = eval_fold(split, method, *args)
+            result = draw_job(split, method, *args)
             splits[id(split)][1] += len(calls) - before
             splits[id(split)][2].add(method)
             return result
@@ -658,7 +704,7 @@ class TestFoldMajorHarness:
             return clique_table(*args)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
         monkeypatch.setattr(complexes, "_clique_table", counting)
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
         simplex = set(SIMPLEX_WHOLE_MINORITY)
@@ -685,7 +731,7 @@ class TestFoldMajorHarness:
         # edge-only method has one), and none otherwise; the cells of those
         # methods then build no pairs and no table themselves
         calls, splits = [], {}
-        prepare, eval_fold = evaluation._prepare, evaluation._eval_fold
+        prepare, draw_job = evaluation._prepare, evaluation._draw_job
         skeleton_table, knn_pairs = samplers._skeleton_table, samplers._knn_pairs
 
         def recorded_prepare(*args):
@@ -695,12 +741,12 @@ class TestFoldMajorHarness:
             splits[id(split)] = [split, calls[before:].count(("table", 1)), set()]
             return split
 
-        def recorded_eval_fold(split, method, k, p, *args):
+        def recorded_draw_job(split, method, combos, *args):
             before = len(calls)
-            result = eval_fold(split, method, k, p, *args)
+            result = draw_job(split, method, combos, *args)
             splits[id(split)][2].add(method)
             if method in WHOLE_MINORITY:
-                assert calls[before:] == [], (method, k, p)
+                assert calls[before:] == [], (method, combos)
             return result
 
         def counted_table(n, lo, hi, p=MAXIMAL):
@@ -712,7 +758,7 @@ class TestFoldMajorHarness:
             return knn_pairs(*args)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_eval_fold", recorded_eval_fold)
+        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
         monkeypatch.setattr(samplers, "_skeleton_table", counted_table)
         monkeypatch.setattr(samplers, "_knn_pairs", counted_pairs)
         grid_search_eval(harness_datasets(), methods, (3, 8), p_grid, cv=cv, seed=3)

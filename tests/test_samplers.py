@@ -706,6 +706,37 @@ def test_larger_target_count_extends_the_batch(method):
         assert small[1] == large[1][:37]
 
 
+def test_combining_a_stack_equals_combining_each_part():
+    # the grid search combines the variates of several samplers' rows in one
+    # call, padded to the stack's widest; each part must come out as it would
+    # alone, lone vertices included, even though one part's all-underflowed
+    # width-3 row sends that width group of the whole stack through the
+    # centre fallback of dirichlet_weights
+    rng = np.random.Generator(np.random.PCG64(8))
+    features = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-3, 4, size=(30, 1))
+    parts = []
+    for width, m in ((1, 7), (3, 40), (9, 25), (5, 1), (4, 0)):
+        verts, gammas = np.full((m, width), -1), np.zeros((m, width))
+        for i, w in enumerate(rng.integers(1, width + 1, size=m).tolist()):
+            verts[i, :w] = np.sort(rng.choice(30, w, replace=False))
+            gammas[i, :w] = rng.standard_exponential(w) * 10.0 ** rng.integers(-300, 300)
+        parts.append((verts, gammas))
+    verts, gammas = parts[1]
+    verts[0], gammas[0] = [3, 8, 21], 0.0
+    bounds = np.cumsum([0, *(len(v) for v, _ in parts)]).tolist()
+    stack = np.full((bounds[-1], 9), -1), np.zeros((bounds[-1], 9))
+    for (v, g), lo, hi in zip(parts, bounds, bounds[1:]):
+        stack[0][lo:hi, :v.shape[1]], stack[1][lo:hi, :v.shape[1]] = v, g
+    points, lam = samplers._combine(features, *stack)
+    assert (np.count_nonzero(stack[0] >= 0, axis=1) == 3).sum() > 1
+    assert lam[bounds[1]].tolist() == [1 / 3] * 3 + [0.0] * 6
+    for (v, g), lo, hi in zip(parts, bounds, bounds[1:]):
+        part_points, part_lam = samplers._combine(features, v, g)
+        assert points[lo:hi].tobytes() == part_points.tobytes()
+        assert lam[lo:hi, :v.shape[1]].tobytes() == part_lam.tobytes()
+        assert not lam[lo:hi, v.shape[1]:].any()
+
+
 @pytest.mark.parametrize("method", [Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
                                     Method.SAFELEVEL, Method.S_SAFELEVEL,
                                     Method.ADASYN, Method.S_ADASYN])

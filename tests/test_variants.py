@@ -22,7 +22,8 @@ from simbal import (
 )
 from simbal.graphs import nearest
 from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError, _knn_tables, minority_skeleton
-from simbal.variants import NeighborhoodSafety, oversample_graph
+from simbal import samplers, variants
+from simbal.variants import NeighborhoodSafety
 
 from helpers import (in_convex_hull, nearest_id_sets, random_imbalanced_dataset,
                      reconstruction_error)
@@ -433,7 +434,8 @@ def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
             if p is not MAXIMAL and p > k:
                 continue
             cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
-            want, got = oversample(ds, cfg), oversample_graph(ds, cfg, tables)
+            want = oversample(ds, cfg)
+            got = samplers._batch(ds.features, *variants._graph_variates(ds, cfg, tables))
             assert np.array_equal(got.points, want.points), (method, k, p)
             assert np.array_equal(got.simplices, want.simplices), (method, k, p)
             assert np.array_equal(got.lam, want.lam), (method, k, p)
