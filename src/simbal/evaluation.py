@@ -86,7 +86,7 @@ def _classify_each(train: Dataset, test_points: np.ndarray, synthetic) -> list[n
     threshold from all its rows."""
     ref = np.vstack([train.features, *synthetic])
     labels = np.concatenate([train.labels, np.full(len(ref) - train.n, MINORITY)])
-    return [_vote(labels[ids]) for ids in _search(
+    return [_vote(labels.take(ids)) for ids in _search(
         test_points, ref, DEFAULT_K_CLF, train.n, [len(rows) for rows in synthetic])]
 
 

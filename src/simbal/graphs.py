@@ -286,14 +286,16 @@ def _rerank(q, r, rows, cols, kk: int) -> np.ndarray:
     dist = np.empty(rows.size)
     step = max(1, _BLOCK_ELEMS // q.shape[1])
     for s in range(0, rows.size, step):
-        diff = q[rows[s:s + step]]
+        diff = q.take(rows[s:s + step], axis=0)
         # an overflowed difference makes an inf distance, which ranks last
         with np.errstate(over="ignore"):
-            diff -= r[cols[s:s + step]]
+            diff -= r.take(cols[s:s + step], axis=0)
         dist[s:s + step] = np.sqrt(_sq_norms(diff))
     first = rows.searchsorted(np.arange(len(q) + 1))
-    table = np.full((len(q), (first[1:] - first[:-1]).max()), np.inf)
-    table[rows, np.arange(rows.size) - first[rows]] = dist
+    width = (first[1:] - first[:-1]).max()
+    table = np.full((len(q), width), np.inf)
+    # pair j of row i goes to flat slot i * width + j - first[i]
+    table.put(rows * width - first.take(rows) + np.arange(rows.size), dist)
     order = table.argsort(axis=1, kind="stable")[:, :kk]
     return cols.take(first[:-1, None] + order, mode="clip")
 

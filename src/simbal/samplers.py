@@ -206,9 +206,10 @@ class SampleStreams:
         self.seed = _integer(seed, "seed", SamplerParameterError)
         if not 0 <= self.seed < 2 ** 64:
             raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
-        self.selection = np.random.Generator(np.random.PCG64(self.seed))
+        seeds = np.random.SeedSequence(self.seed)  # the seed hashed once for both streams
+        self.selection = np.random.Generator(np.random.PCG64(seeds))
         # PCG64(seed).jumped(1), without the entropy-seeded PCG64 that jumped builds first
-        self.weights = np.random.Generator(np.random.PCG64(self.seed).advance(_PCG64_JUMP))
+        self.weights = np.random.Generator(np.random.PCG64(seeds).advance(_PCG64_JUMP))
 
     def point_stream(self, i: int) -> np.random.Generator:
         """The generator of ``PCG64(seed).jumped(i + 1)``.
@@ -307,7 +308,7 @@ def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetriz
     k = _integer(k, "k", SamplerParameterError)
     k_used = min(k, ids.size - 1)
     if tables is None:
-        table = _skeleton_table(*_knn_pairs(ds.features[ids], k_used, symmetrize), p)
+        table = _skeleton_table(*_knn_pairs(ds.features.take(ids, axis=0), k_used, symmetrize), p)
     elif p == 1:
         table = tables[1][k_used]
     else:
@@ -362,7 +363,7 @@ def _sample_from_simplices(table: np.ndarray, m: int, streams: SampleStreams,
         sel = streams.selection.integers(0, table.shape[0], size=m)
     else:
         sel = streams.selection.choice(table.shape[0], size=m, p=weights)
-    return _variates(table[sel], streams, alpha_fn)
+    return _variates(table.take(sel, axis=0), streams, alpha_fn)
 
 
 def _variates(verts: np.ndarray, streams: SampleStreams, alpha_fn=None) -> tuple:
@@ -370,35 +371,47 @@ def _variates(verts: np.ndarray, streams: SampleStreams, alpha_fn=None) -> tuple
     of each row's simplex, lone vertices included, 0 in the -1 pads, in the layout
     ``SampleStreams`` describes: ``standard_gamma`` of ``alpha_fn`` of the ids, with no
     small-shape boost, or standard exponentials, which ``standard_gamma(1.0)`` draws."""
-    filled = verts >= 0
+    slots = np.flatnonzero(verts >= 0)  # the row-major order of a boolean-mask fill
     gammas = np.zeros(verts.shape)
     if alpha_fn is None:
-        gammas[filled] = streams.weights.standard_exponential(int(np.count_nonzero(filled)))
+        gammas.put(slots, streams.weights.standard_exponential(slots.size))
     else:
-        gammas[filled] = streams.weights.standard_gamma(alpha_fn(verts[filled]))
+        gammas.put(slots, streams.weights.standard_gamma(alpha_fn(verts.take(slots))))
     return verts, gammas
 
 
 def _combine(features: np.ndarray, verts: np.ndarray, gammas: np.ndarray) -> tuple:
-    """(points, lam) of any stack of ``_variates`` rows: row i is ``lam_i @ features[simplex_i]``,
-    ``lam_i`` its variates normalized, padded like ``verts``; a lone vertex is copied.
-    Widths combine one at a time, as padding would change how numpy's pairwise sum
-    rounds; a row's sum and ``matmul`` read that row alone, so a stack of several
-    samplers' rows combines as each would alone."""
-    width = np.count_nonzero(verts >= 0, axis=1)
-    points, lam = np.empty((verts.shape[0], features.shape[1])), np.zeros(verts.shape)
-    for w in np.flatnonzero(np.bincount(width)).tolist():
-        rows = np.flatnonzero(width == w)
-        simplices = verts[rows, :w]
+    """(points, lam) of any stack of ``_variates`` rows (ids padded with -1, variates with 0):
+    row i is ``lam_i @ features[simplex_i]``, ``lam_i`` its variates normalized, padded like
+    ``verts``; a lone vertex is copied. Widths combine one at a time, as padding would
+    change how numpy's pairwise sum rounds; a row's sum and ``matmul`` read that row
+    alone, so a stack of several samplers' rows combines as each would alone, and so do
+    rows sorted by width: each width combines on a slice of them, gathered with ``take``
+    (numpy's fancy indexing costs several times as much), and the sort is undone."""
+    m, n_cols = verts.shape
+    width = np.zeros(m, np.min_scalar_type(n_cols))
+    for column in verts.T:  # the pads trail
+        width += column >= 0
+    order = width.argsort(kind="stable")  # a radix sort on narrow widths
+    # the variates in sorted order; each row's weights overwrite its own
+    lam, points = gammas.take(order, axis=0), np.empty((m, features.shape[1]))
+    ends = np.cumsum(np.bincount(width)).tolist()
+    for w, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        if lo == hi:
+            continue
+        simplices = verts.take(order[lo:hi], axis=0)[:, :w]
         if w == 1:
-            lam[rows, 0] = 1.0
-            points[rows] = features[simplices[:, 0]]
+            lam[lo:hi, 0] = 1.0
+            features.take(simplices[:, 0], axis=0, out=points[lo:hi])
         else:
-            weights = dirichlet_weights(gammas[rows, :w])
-            lam[rows, :w] = weights
+            weights = dirichlet_weights(lam[lo:hi, :w])
+            lam[lo:hi, :w] = weights
             # one vector-matrix product per row: weights[i] @ features[simplices[i]]
-            points[rows] = np.matmul(weights[:, None, :], features[simplices])[:, 0, :]
-    return points, lam
+            np.matmul(weights[:, None, :], features.take(simplices, axis=0),
+                      out=points[lo:hi, None, :])
+    inverse = np.empty_like(order)
+    inverse.put(order, np.arange(m))
+    return points.take(inverse, axis=0), lam.take(inverse, axis=0)
 
 
 def _batch(features: np.ndarray, verts, gammas, meta: dict) -> SyntheticBatch:

@@ -92,9 +92,9 @@ def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.
             f"safety neighborhood k={k} needs at least k+1={k + 1} points, dataset has {ds.n}"
         )
     idx_min = ds.minority_indices()
-    neighbors = (nearest(ds.features[idx_min], ds.features, k, idx_min) if idx_min.size
-                 else np.empty((0, k), dtype=int))
-    k_plus = np.sum(ds.labels[neighbors] == MINORITY, axis=1)
+    neighbors = (nearest(ds.features.take(idx_min, axis=0), ds.features, k, idx_min)
+                 if idx_min.size else np.empty((0, k), dtype=int))
+    k_plus = np.sum(ds.labels.take(neighbors) == MINORITY, axis=1)
     return NeighborhoodSafety(idx_min, k, k_plus, k - k_plus), neighbors
 
 
@@ -230,7 +230,7 @@ def _graph_variates(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None)
     m = _resolve_m(ds, cfg.target_count)
     local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, tables)
     # ids ascend, so mapping positions to dataset ids keeps the rows' order
-    table = np.append(ids, -1)[local]
+    table = np.append(ids, -1).take(local)
     if variant == BORDERLINE:
         # the support has at most n_plus points, so clamping k to it clamps safety_k too
         table = table[np.isin(table, list(border)).any(axis=1)]

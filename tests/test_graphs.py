@@ -305,6 +305,37 @@ def test_rerank_orders_rows_of_uneven_length():
     assert got.tolist() == [[1, 2], [4, 6], [0, 1]]
 
 
+@pytest.mark.parametrize("block_elems", [None, 90], ids=["one-chunk", "chunked"])
+def test_rerank_matches_a_sorted_oracle_on_ragged_rows(block_elems):
+    # 1-80 candidates per row (the grid classifier's widest virtual rows hold
+    # 77): each row's distances are put into its own table row, so its first
+    # ids must be the per-row sorted((distance, column)) ones. The reference
+    # repeats its points, so distances tie exactly; the far rows' squared
+    # differences overflow, and their inf distances rank by column, before
+    # the inf pads of a row shorter than kk
+    rng = np.random.Generator(np.random.PCG64(29))
+    r = np.repeat(rng.normal(size=(30, 3)), 3, axis=0)
+    r[::11] *= 1e200
+    q = rng.normal(size=(40, 3))
+    q[::7] *= 1e200
+    sizes = np.concatenate([[1, 80, 77, 2], rng.integers(1, 81, size=36)])
+    cols = [np.sort(rng.choice(len(r), n, replace=False)) for n in sizes]
+    rows = np.repeat(np.arange(len(q)), sizes)
+    kk = 20
+    with mock.patch.object(graphs, "_BLOCK_ELEMS", block_elems or graphs._BLOCK_ELEMS):
+        got = graphs._rerank(q, r, rows, np.concatenate(cols), kk)
+    n_inf = n_tied = 0
+    for i, row_cols in enumerate(cols):
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(graphs._sq_norms(q[i] - r[row_cols]))
+        finite = dist[np.isfinite(dist)]
+        n_inf += dist.size - finite.size
+        n_tied += finite.size - np.unique(finite).size
+        want = [c for _, c in sorted(zip(dist.tolist(), row_cols.tolist()))][:kk]
+        assert got[i, :len(want)].tolist() == want, i
+    assert n_inf > kk and n_tied > kk and min(sizes) < kk
+
+
 @pytest.mark.parametrize("kind", ["dup", "grid", "copies"])
 def test_first_k_ids_do_not_depend_on_k(kind):
     # the prefix rule: with self skipped, the first k ids at any K >= k are

@@ -46,6 +46,7 @@ from simbal.variants import EmptyBorderlineError
 from helpers import (
     in_convex_hull,
     per_point_oversample,
+    per_row_combine,
     random_imbalanced_dataset,
     reconstruction_error,
     skeleton_table,
@@ -453,10 +454,15 @@ STREAM_ORDERS = {
 
 
 class TestStreams:
-    @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
+    @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5])
     def test_streams_are_the_seed_and_its_first_jump(self, seed):
+        # both bit generators come from one SeedSequence(seed), which splits
+        # the seed into 32-bit words; each holds a state of its own, so a draw
+        # on one leaves the other where it was
         streams = SampleStreams(seed)
         assert streams.selection.bit_generator.state == np.random.PCG64(seed).state
+        assert streams.weights.bit_generator.state == np.random.PCG64(seed).jumped(1).state
+        streams.selection.integers(0, 10, size=3)
         assert streams.weights.bit_generator.state == np.random.PCG64(seed).jumped(1).state
 
     @pytest.mark.parametrize("seed", [0, 22, 2 ** 64 - 1])
@@ -735,6 +741,58 @@ def test_combining_a_stack_equals_combining_each_part():
         assert points[lo:hi].tobytes() == part_points.tobytes()
         assert lam[lo:hi, :v.shape[1]].tobytes() == part_lam.tobytes()
         assert not lam[lo:hi, v.shape[1]:].any()
+
+
+def _interleaved_stack(rng, widths, n_ids=40):
+    """(features, verts, gammas): one row per width, ascending distinct ids padded with -1
+    to the widest, exponential variates scaled by 10**-300..10**299 per row, 0 in the pads."""
+    features = rng.normal(size=(n_ids, 3)) * 10.0 ** rng.integers(-3, 4, size=(n_ids, 1))
+    verts = np.full((len(widths), max(widths)), -1)
+    gammas = np.zeros(verts.shape)
+    for i, w in enumerate(widths):
+        verts[i, :w] = np.sort(rng.choice(n_ids, w, replace=False))
+        gammas[i, :w] = rng.standard_exponential(w) * 10.0 ** rng.integers(-300, 300)
+    return features, verts, gammas
+
+
+@pytest.mark.parametrize("widths", [
+    # every width 1-12, equal widths never adjacent, so the combine's width
+    # sort moves nearly every row
+    [(5 * i) % 12 + 1 for i in range(150)],
+    [12, 1] * 20 + [7, 3, 7, 3, 11, 2, 11],
+    [4] * 30,
+    [1] * 9,
+], ids=["cycle", "alternating", "one-width", "lone-vertices"])
+def test_combine_equals_per_row_combine(widths):
+    # the combine sorts its rows by width, works on slices and undoes the
+    # sort: each row must come back in its own place, bit for bit, whatever
+    # the order of the widths; one all-underflowed row takes the centre
+    rng = np.random.Generator(np.random.PCG64(len(widths)))
+    features, verts, gammas = _interleaved_stack(rng, widths)
+    gammas[len(widths) // 2] = 0.0
+    points, lam = samplers._combine(features, verts, gammas)
+    want_points, want_lam = per_row_combine(features, verts, gammas)
+    assert points.tobytes() == want_points.tobytes()
+    assert lam.tobytes() == want_lam.tobytes()
+    w = widths[len(widths) // 2]
+    assert lam[len(widths) // 2, :w].tolist() == [1 / w] * w
+
+
+@pytest.mark.parametrize("alpha_fn", [None, lambda ids: 0.5 + ids % 4],
+                         ids=["exponential", "gamma"])
+def test_variates_fill_the_slots_of_a_boolean_mask(alpha_fn):
+    # the draws go to flatnonzero(verts >= 0), the row-major order in which
+    # a boolean-mask assignment fills the unpadded slots
+    rng = np.random.Generator(np.random.PCG64(4))
+    verts = _interleaved_stack(rng, [(5 * i) % 12 + 1 for i in range(60)])[1]
+    filled = verts >= 0
+    want = np.zeros(verts.shape)
+    weights = SampleStreams(9).weights
+    want[filled] = (weights.standard_exponential(int(filled.sum())) if alpha_fn is None
+                    else weights.standard_gamma(alpha_fn(verts[filled])))
+    got_verts, gammas = samplers._variates(verts, SampleStreams(9), alpha_fn)
+    assert got_verts is verts
+    assert gammas.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("method", [Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
