@@ -5,8 +5,8 @@ oversample the standardized training fold, classify the standardized test
 fold. The grid search prepares each split once: it ranks its training
 minority once, at the largest k in the grid, builds from those lists the edge
 and clique tables of every k, one call per kind, and hands the samplers the
-tables. Each method draws all its configurations on the split first, a graph
-method in one combine (``samplers._combine``) of their variates; one call of
+tables. Each method draws all its configurations on the split first, every
+method but Gaussian in one combine (``samplers._combine``) of their variates; one call of
 the neighbour search (``graphs._search``), in its grouped case, over the
 training fold and every draw's rows then classifies the test fold for all of
 them, with ``knn_classify``'s vote rule. Everything is seed-deterministic;
@@ -31,7 +31,7 @@ from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: 
 from .metrics import confusion_counts, f1_score, mcc_score
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _combine, _knn_tables, oversample)
-from .variants import EmptyBorderlineError, _graph_variates
+from .variants import EmptyBorderlineError, _draw
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -273,10 +273,10 @@ def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
 
 def _draw_job(split, method, combos, coords, symmetrize: str, safelevel_formula: str):
     """Per combo of a job on a prepared split, seeded from ``coords[c]``: its synthetic
-    rows and a diagnostic or None. Graph combos draw their variates, then combine
-    in one call, padded to one width; ``IMBALANCED`` and a sampler failure draw no
-    rows, so the fold is scored unsampled."""
-    train, tables, graph = split[0], split[3], method in GRAPH_VARIANTS
+    rows and a diagnostic or None. Gaussian combos draw their points; the others draw
+    their variates, then combine in one call, padded to one width; ``IMBALANCED`` and a
+    sampler failure draw no rows, so the fold is scored unsampled."""
+    train, tables, gaussian = split[0], split[3], method is Method.GAUSSIAN
     if method == IMBALANCED:
         return [np.empty((0, train.d))] * len(combos), [None] * len(combos)
     drafts, diags = [], []
@@ -284,14 +284,14 @@ def _draw_job(split, method, combos, coords, symmetrize: str, safelevel_formula:
         cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
                             symmetrize=symmetrize, safelevel_formula=safelevel_formula)
         try:
-            drafts.append(_graph_variates(train, cfg, tables)[:2] if graph
-                          else oversample(train, cfg).points)
+            drafts.append(oversample(train, cfg).points if gaussian
+                          else _draw(train, cfg, tables)[:2])
             diags.append(None)
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
-            drafts.append((np.empty((0, 0), np.intp), np.empty((0, 0))) if graph
-                          else np.empty((0, train.d)))
+            drafts.append(np.empty((0, train.d)) if gaussian
+                          else (np.empty((0, 0), np.intp), np.empty((0, 0))))
             diags.append(f"{method_name(method)}(k={k}, p={p}): {exc}")
-    if not graph:
+    if gaussian:
         return drafts, diags
     bounds = np.cumsum([0, *(len(verts) for verts, _ in drafts)]).tolist()
     verts = np.full((bounds[-1], max(v.shape[1] for v, _ in drafts)), -1, np.intp)
@@ -369,6 +369,13 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
             for counts, diags, chosen in tallies]
 
 
+def _listed_once(what: str, names: list[str]) -> None:
+    """``EvaluationError`` if a name repeats: the reports would read one of its cells only."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise EvaluationError(f"{what} listed more than once: {', '.join(repeated)}")
+
+
 def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAULT_P_GRID,
                      cv: CVConfig = CVConfig(), seed: int = 0, symmetrize: str = UNION,
                      safelevel_formula: str = INVERSE_SAFETY) -> EvalReport:
@@ -382,10 +389,7 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     """
     seed = _seed(seed)
     methods = list(methods)
-    names = [method_name(m) for m in methods]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:  # a second cell of a (dataset, method) that the reports never read
-        raise EvaluationError(f"methods listed more than once: {', '.join(repeated)}")
+    _listed_once("methods", [method_name(m) for m in methods])
     opts = (symmetrize, safelevel_formula)
     k_grid, p_grid = _integer_grid(k_grid, "k"), _integer_grid(p_grid, "p")
     cells = []
@@ -489,6 +493,7 @@ def synthetic_benchmark(seed: int = 0, shapes=tuple(Shape),
     seed = _seed(seed)
     # every shape is checked before the first one is named or drawn
     specs = [SyntheticSpec(shape, seed=_derived_seed(seed, i)) for i, shape in enumerate(shapes)]
+    _listed_once("shapes", [spec.shape.value for spec in specs])
     datasets = {spec.shape.value: generate_synthetic(spec) for spec in specs}
     return grid_search_eval(datasets, methods, k_grid, p_grid, cv, seed,
                             symmetrize, safelevel_formula)

@@ -11,8 +11,8 @@ sampling from the edges of the complete minority graph.
 
 A barycentric draw has two halves: ``_variates`` draws a sampler's raw
 Dirichlet variates on its own streams, and ``_combine`` turns any stack of
-rows into points. The grid search combines all of a method's configurations
-on a CV split in one call.
+rows into points. The sampling driver ``variants._draw`` draws the variates of every
+method but Gaussian; the grid search combines a method's configurations in one call.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -203,9 +203,7 @@ class SampleStreams:
     """
 
     def __init__(self, seed: int):
-        self.seed = _integer(seed, "seed", SamplerParameterError)
-        if not 0 <= self.seed < 2 ** 64:
-            raise SamplerParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
+        self.seed = _integer(seed, "seed", SamplerParameterError)  # SamplerConfig checks its range
         seeds = np.random.SeedSequence(self.seed)  # the seed hashed once for both streams
         self.selection = np.random.Generator(np.random.PCG64(seeds))
         # PCG64(seed).jumped(1), without the entropy-seeded PCG64 that jumped builds first
@@ -222,9 +220,7 @@ class SampleStreams:
 
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
     if target_count is not None:
-        if _integer(target_count, "target_count", SamplerParameterError) < 0:
-            raise SamplerParameterError(f"target_count must be >= 0, got {target_count}")
-        return int(target_count)
+        return int(target_count)  # SamplerConfig checks it
     gap = ds.n_majority - ds.n_minority
     if gap < 0:
         raise DatasetError(
@@ -236,45 +232,54 @@ def _resolve_m(ds: Dataset, target_count: int | None) -> int:
 
 def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Duplicate minority rows uniformly with replacement: simplices of one vertex."""
-    return _batch(ds.features, *_duplicated_instead(ds, m, seed, Method.RANDOM))
+    return oversample(ds, SamplerConfig(Method.RANDOM, seed=seed, target_count=m))
 
 
-def _duplicated_instead(ds: Dataset, m: int | None, seed: int, method: Method,
-                        *warnings: str) -> tuple:
-    """(verts, gammas, meta) of random duplication under ``method``'s name; ``warnings`` say why."""
+def _duplicated_instead(ds: Dataset, cfg: SamplerConfig, *warnings: str) -> tuple:
+    """(verts, gammas, meta) of random duplication under ``cfg``'s method; ``warnings`` say why."""
     if ds.n_minority < 1:
         raise SamplerParameterError("need at least one minority point")
-    meta = {"method": method.value, "seed": int(seed)} | ({"warnings": warnings} if warnings else {})
-    return (*_sample_from_simplices(ds.minority_indices()[:, None], _resolve_m(ds, m),
-                                    SampleStreams(seed)), meta)
+    meta = {"method": cfg.method.value, "seed": int(cfg.seed)} | (
+        {"warnings": warnings} if warnings else {})
+    m = _resolve_m(ds, cfg.target_count)
+    return (*_sample_from_simplices(ds.minority_indices()[:, None], m, SampleStreams(cfg.seed)),
+            meta)
 
 
 def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Convex combinations of uniformly chosen distinct minority pairs."""
+    return oversample(ds, SamplerConfig(Method.GLOBAL, seed=seed, target_count=m))
+
+
+def _global_variates(ds: Dataset, cfg: SamplerConfig) -> tuple:
+    """(verts, gammas, meta) of global pair sampling: the edges of the complete minority graph."""
     if ds.n_minority < 2:
-        return _batch(ds.features, *_duplicated_instead(
-            ds, m, seed, Method.GLOBAL,
-            "fewer than 2 minority points; duplicated instead of combining"))
-    m = _resolve_m(ds, m)
-    meta = {"method": Method.GLOBAL.value, "seed": int(seed)}
-    streams = SampleStreams(seed)
+        return _duplicated_instead(
+            ds, cfg, "fewer than 2 minority points; duplicated instead of combining")
+    m = _resolve_m(ds, cfg.target_count)
+    meta = {"method": Method.GLOBAL.value, "seed": int(cfg.seed)}
+    streams = SampleStreams(cfg.seed)
     idx_min = ds.minority_indices()
     # row i is point i's (first, partner) draw; the partner skips the first, so
     # the pair is uniform over distinct pairs, then listed ascending
     pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    return _batch(ds.features, *_variates(idx_min[pairs], streams), meta)
+    return (*_variates(idx_min[pairs], streams), meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
     """Draw from a Gaussian fitted to the minority class (mean + full covariance)."""
+    return oversample(ds, SamplerConfig(Method.GAUSSIAN, seed=seed, target_count=m))
+
+
+def _gaussian_batch(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
+    """``oversample_gaussian``'s draw: the one sampler whose points are not barycentric."""
     if ds.n_minority < 2:
         return _batch(ds.features, *_duplicated_instead(
-            ds, m, seed, Method.GAUSSIAN,
-            "fewer than 2 minority points; duplicated instead of fitting"))
-    m = _resolve_m(ds, m)
-    meta = {"method": Method.GAUSSIAN.value, "seed": int(seed)}
+            ds, cfg, "fewer than 2 minority points; duplicated instead of fitting"))
+    m = _resolve_m(ds, cfg.target_count)
+    meta = {"method": Method.GAUSSIAN.value, "seed": int(cfg.seed)}
     minority = ds.minority_features()
     with np.errstate(over="ignore", invalid="ignore"):
         mu = minority.mean(axis=0)
@@ -284,7 +289,7 @@ def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> Syn
     if not np.isfinite(cov).all():
         raise SamplerParameterError("the minority covariance overflows; rescale the features")
     chol = np.linalg.cholesky(cov)
-    z = SampleStreams(seed).weights.standard_normal((m, ds.d))
+    z = SampleStreams(cfg.seed).weights.standard_normal((m, ds.d))
     with np.errstate(over="ignore", invalid="ignore"):
         # one matrix-vector product per point, as chol @ z_i rounds
         points = mu + np.matmul(chol, z[:, :, None])[:, :, 0]
@@ -433,16 +438,9 @@ def oversample_smote(ds: Dataset, k: int, m: int | None = None, seed: int = 0,
     return oversample(ds, SamplerConfig(Method.SMOTE, k, 1, seed, m, symmetrize))
 
 
-POINT_SAMPLERS = {
-    Method.RANDOM: oversample_random,
-    Method.GLOBAL: oversample_global,
-    Method.GAUSSIAN: oversample_gaussian,
-}
-
-
 def oversample(ds: Dataset, config: SamplerConfig) -> SyntheticBatch:
-    """Dispatch a configured oversampling run."""
-    if config.method in GRAPH_VARIANTS:
-        from .variants import oversample_graph  # the graph pipeline layers on this module
-        return oversample_graph(ds, config)
-    return POINT_SAMPLERS[config.method](ds, config.target_count, config.seed)
+    """Dispatch a configured run: Gaussian fits its points, the rest combine ``_draw``'s."""
+    if config.method is Method.GAUSSIAN:
+        return _gaussian_batch(ds, config)
+    from .variants import _draw  # the sampling driver layers on this module
+    return _batch(ds.features, *_draw(ds, config))

@@ -1,7 +1,9 @@
-"""The shared graph-sampler pipeline and its safety-aware variants.
+"""The sampling driver, the shared graph-sampler pipeline and its safety-aware variants.
 
-Every graph method runs one pipeline, ``oversample_graph``: minority kNN
-graph, clique complex p-skeleton, simplex selection, Dirichlet weights.
+Every method but Gaussian draws through one driver, ``_draw``: random and global
+from 0-simplices and from the complete minority graph's edges, every graph method
+through one pipeline: minority kNN graph, clique complex p-skeleton, simplex
+selection, Dirichlet weights.
 ``samplers.GRAPH_VARIANTS`` maps each method to its safety variant and to
 whether p is forced to 1 (SMOTE and the graph forms of the variants). Each
 variant changes exactly one knob:
@@ -38,8 +40,8 @@ from .samplers import (
     SamplerConfig,
     SamplerParameterError,
     SyntheticBatch,
-    _batch,
     _duplicated_instead,
+    _global_variates,
     _knn_skeleton,
     _resolve_m,
     _sample_from_simplices,
@@ -201,21 +203,16 @@ def _borderline_support(ds: Dataset, k: int) -> tuple[set[int], np.ndarray]:
     return border, support
 
 
-def oversample_graph(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
-    """The simplex pipeline for every graph method, with its variant's knob applied.
-
-    Borderline builds the complex over the borderline support and samples only
-    simplices touching a borderline point; safe-level sets the Dirichlet
-    parameters per simplex; ADASYN weights simplex selection.
-    """
-    return _batch(ds.features, *_graph_variates(ds, cfg))
-
-
-def _graph_variates(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> tuple:
-    """``oversample_graph``'s variates half: (verts, gammas, meta). ``tables``, when given,
-    is the minority's {1: edge tables, MAXIMAL: clique tables} as ``samplers._knn_skeleton``
-    takes them; every method but borderline, whose support is not all of the minority,
-    reads its table from it."""
+def _draw(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> tuple:
+    """The sampling driver: (verts, gammas, meta) of every method but Gaussian. A graph
+    method runs the simplex pipeline with its variant's knob; borderline builds its complex
+    over the borderline support. ``tables``, when given, is the minority's {1: edge tables,
+    MAXIMAL: clique tables} as ``samplers._knn_skeleton`` takes them; every graph method
+    but borderline, whose support is not all of the minority, reads its table from it."""
+    if cfg.method is Method.RANDOM:
+        return _duplicated_instead(ds, cfg)
+    if cfg.method is Method.GLOBAL:
+        return _global_variates(ds, cfg)
     variant, edge_only = GRAPH_VARIANTS[cfg.method]
     p = 1 if edge_only else cfg.p
     if variant == BORDERLINE:
@@ -223,7 +220,7 @@ def _graph_variates(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None)
         border, ids = _borderline_support(ds, safety_k)
         tables = None
     elif ds.n_minority == 1:
-        return _duplicated_instead(ds, cfg.target_count, cfg.seed, cfg.method,
+        return _duplicated_instead(ds, cfg,
                                    "single minority point; duplicated instead of interpolating")
     else:
         ids = ds.minority_indices()

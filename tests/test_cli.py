@@ -310,6 +310,13 @@ class TestBenchmarkCommand:
         assert captured.out == ""
         assert captured.err == "error: methods listed more than once: smote\n"
 
+    def test_dataset_listed_twice(self, capsys):
+        assert main(["benchmark", "--datasets", "moons,moons", "--methods", "random",
+                     "--folds", "2", "--repeats", "1", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: shapes listed more than once: moons\n"
+
     def test_imbalanced_allowed_here(self, capsys):
         assert main(["benchmark", "--methods", "imbalanced", "--datasets",
                      "moons", "--folds", "2", "--repeats", "1", "--seed", "0",

@@ -425,10 +425,10 @@ class TestGridSearchEval:
         def broken(ds, cfg, *tables):
             raise ZeroDivisionError("sampler bug")
 
-        # graph methods go straight to the graph pipeline's variates half, which
-        # takes the split's simplex tables; the rest through oversample
-        for site, method in (("oversample", Method.RANDOM), ("_graph_variates", Method.SMOTE),
-                             ("_graph_variates", Method.BORDERLINE)):
+        # every method but Gaussian goes straight to the sampling driver, which
+        # takes the split's simplex tables; Gaussian through oversample
+        for site, method in (("_draw", Method.RANDOM), ("_draw", Method.SMOTE),
+                             ("_draw", Method.BORDERLINE), ("oversample", Method.GAUSSIAN)):
             monkeypatch.setattr(evaluation, site, broken)
             with pytest.raises(ZeroDivisionError, match="sampler bug"):
                 grid_search_eval(self._datasets(), [method], k_grid=(3,),
@@ -526,7 +526,7 @@ class TestFoldMajorHarness:
         # the oracle calls oversample, which ranks every neighbourhood itself.
         # k = 8 exceeds n_plus - 1 of the 10-minority clusters' training parts,
         # so the split's lists are clamped there
-        methods = [IMBALANCED, Method.RANDOM, *GRAPH_VARIANTS]
+        methods = [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN, *GRAPH_VARIANTS]
         for symmetrize in ("union", "mutual"):
             args = (harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv, 7, symmetrize)
             got = grid_search_eval(*args)
@@ -593,16 +593,17 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_combine_per_split_and_job(self, monkeypatch, cv):
-        # a graph job draws the variates of all its combos on a split, then
-        # turns them into points in one combine over the split's training
-        # rows; the other jobs combine nothing there (random duplication
-        # combines inside oversample, through the samplers' own lookup)
+        # a job of random, global or a graph method draws the variates of all
+        # its combos on a split, then turns them into points in one combine
+        # over the split's training rows; IMBALANCED and Gaussian jobs combine
+        # nothing there (Gaussian points are not barycentric)
         prepared, combines = [], Counter()
         prepare, combine = evaluation._prepare, evaluation._combine
 
         def recorded_prepare(train, test, jobs, *args):
             split = prepare(train, test, jobs, *args)
-            prepared.append((split[0].features, sum(m in GRAPH_VARIANTS for m, _, _ in jobs)))
+            prepared.append((split[0].features,
+                             sum(m not in (IMBALANCED, Method.GAUSSIAN) for m, _, _ in jobs)))
             return split
 
         def counted_combine(features, *args):
@@ -611,11 +612,11 @@ class TestFoldMajorHarness:
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
         monkeypatch.setattr(evaluation, "_combine", counted_combine)
-        grid_search_eval(harness_datasets(), HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv,
-                         seed=4)
+        grid_search_eval(harness_datasets(), [*HARNESS_METHODS, Method.GLOBAL, Method.GAUSSIAN],
+                         (3, 8), (1, MAXIMAL), cv=cv, seed=4)
         assert [combines[id(features)] for features, _ in prepared] == \
-            [n_graph for _, n_graph in prepared]
-        assert sum(combines.values()) == sum(n_graph for _, n_graph in prepared) > 0
+            [n_barycentric for _, n_barycentric in prepared]
+        assert sum(combines.values()) == sum(n for _, n in prepared) > 0
 
     @pytest.mark.parametrize("methods", [
         [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],
@@ -939,3 +940,17 @@ class TestSyntheticBenchmark:
         assert report.methods() == ["random"]
         cell = report.cell("moons", "random")
         assert 0.0 <= cell.mean_f1 <= 1.0
+
+    @pytest.mark.parametrize("shapes, repeated", [
+        ([Shape.MOONS, Shape.MOONS], "moons"),
+        ([Shape.CIRCLES, Shape.MOONS, Shape.CIRCLES, Shape.MOONS], "circles, moons"),
+    ])
+    def test_shape_listed_twice_raises_before_any_draw(self, monkeypatch, shapes, repeated):
+        # the datasets are keyed by shape name, so a second draw of a shape
+        # would replace the first, drawn with another seed
+        drawn = []
+        monkeypatch.setattr(evaluation, "generate_synthetic", drawn.append)
+        with pytest.raises(EvaluationError, match=f"shapes listed more than once: {repeated}$"):
+            synthetic_benchmark(seed=0, shapes=shapes, methods=(Method.RANDOM,),
+                                cv=CVConfig(folds=2, repeats=1))
+        assert drawn == []

@@ -34,7 +34,6 @@ from simbal.samplers import (
     GRAPH_VARIANTS,
     INVERSE_SAFETY,
     PLUS_ONE_SAFETY,
-    POINT_SAMPLERS,
     Provenance,
     SampleStreams,
     SamplerParameterError,
@@ -171,10 +170,9 @@ def test_non_integral_counts_are_typed_errors(case):
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_method_table_drives_dispatch_and_grid(method):
     # GRAPH_VARIANTS is the one place method families live: it decides the
-    # dispatch, whether p is forced to 1, and the (k, p) grid
+    # graph pipeline's knobs, whether p is forced to 1, and the (k, p) grid
     assert GRAPH_METHODS == set(GRAPH_VARIANTS)
     graph = method in GRAPH_VARIANTS
-    assert graph != (method in POINT_SAMPLERS)
     ds = random_imbalanced_dataset(60)
     batch = oversample(ds, SamplerConfig(method, k=4 if graph else None, p=2,
                                          seed=0, target_count=12))

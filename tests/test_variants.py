@@ -435,7 +435,7 @@ def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
                 continue
             cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
             want = oversample(ds, cfg)
-            got = samplers._batch(ds.features, *variants._graph_variates(ds, cfg, tables))
+            got = samplers._batch(ds.features, *variants._draw(ds, cfg, tables))
             assert np.array_equal(got.points, want.points), (method, k, p)
             assert np.array_equal(got.simplices, want.simplices), (method, k, p)
             assert np.array_equal(got.lam, want.lam), (method, k, p)
