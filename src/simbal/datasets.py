@@ -1,7 +1,9 @@
 """Binary imbalanced datasets and seeded synthetic shape generators.
 
 Labels are +1 for the minority class and -1 for the majority class
-throughout the package.
+throughout the package. A ``Dataset`` checks the data it is built from;
+``_checked`` builds one from a checked one's rows (``subset``, the grid
+search's standardized folds) without checking them again.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .graphs import _integer, as_points
+from .graphs import GraphParameterError, _integer, as_points
 
 MINORITY = 1
 MAJORITY = -1
@@ -36,7 +38,10 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = as_points(self.features)
+        try:
+            feats = as_points(self.features)
+        except GraphParameterError as exc:
+            raise DatasetError(str(exc)) from None
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise DatasetError(
@@ -57,11 +62,11 @@ class Dataset:
 
     @property
     def n_minority(self) -> int:
-        return int(np.sum(self.labels == MINORITY))
+        return int(np.count_nonzero(self.labels == MINORITY))
 
     @property
     def n_majority(self) -> int:
-        return int(np.sum(self.labels == MAJORITY))
+        return int(np.count_nonzero(self.labels == MAJORITY))
 
     def minority_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == MINORITY)
@@ -73,7 +78,8 @@ class Dataset:
         return self.features[self.labels == MAJORITY]
 
     def subset(self, idx) -> "Dataset":
-        """Rows picked by integer ids in [0, n) or by a length-n boolean mask."""
+        """Rows picked by integer ids in [0, n) or by a length-n boolean mask; only
+        the selector is checked, the rows are already."""
         idx = np.asarray(idx)
         is_mask = idx.dtype == bool and idx.shape == (self.n,)
         is_ids = idx.ndim == 1 and (idx.size == 0 or np.issubdtype(idx.dtype, np.integer)
@@ -81,8 +87,22 @@ class Dataset:
         if not (is_mask or is_ids):
             raise DatasetError(f"subset takes integer row ids in [0, {self.n}) or a "
                                f"length-{self.n} boolean mask, got {idx.dtype} {idx.shape}")
-        idx = idx if is_mask else idx.astype(int)
-        return Dataset(self.features[idx], self.labels[idx])
+        # take gathers rows several times faster than fancy indexing
+        idx = np.flatnonzero(idx) if is_mask else idx.astype(np.intp, copy=False)
+        return _checked(self.features.take(idx, axis=0), self.labels.take(idx))
+
+
+def _checked(features: np.ndarray, labels: np.ndarray) -> Dataset:
+    """A ``Dataset`` of rows taken from, or computed from, a checked one's, built
+    without its checks: ``features`` a finite float (n, d) array and ``labels`` its
+    n int labels of +1 and -1. Only an empty set raises, as ``Dataset`` does."""
+    if features.shape[0] < 1:
+        raise DatasetError(f"expected an (n, d) matrix with n >= 1, d >= 1, "
+                           f"got shape {features.shape}")
+    ds = object.__new__(Dataset)
+    object.__setattr__(ds, "features", features)
+    object.__setattr__(ds, "labels", labels)
+    return ds
 
 
 class Shape(Enum):

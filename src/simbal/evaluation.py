@@ -2,16 +2,18 @@
 
 The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
-fold. The grid search prepares each split once: it ranks its training
-minority once, at the largest k in the grid, builds from those lists the edge
-and clique tables of every k, one call per kind, and hands the samplers the
-tables. Each method draws all its configurations on the split first, every
-method but Gaussian in one combine (``samplers._combine``) of their variates; one call of
-the neighbour search (``graphs._search``), in its grouped case, over the
-training fold and every draw's rows then classifies the test fold for all of
-them, with ``knn_classify``'s vote rule. Everything is seed-deterministic;
-per-cell sampler seeds derive from the master seed and the (dataset, method,
-config, fold) coordinates.
+fold. The grid search prepares each split once: its folds are the checked
+dataset's rows, gathered and standardized without a second check of them; it
+ranks the training minority once, at the largest k in the grid, builds from
+those lists the edge and clique tables of every k, one call per kind, and
+hands the samplers the tables. Each method draws all its configurations on
+the split first, every method but Gaussian in one combine
+(``samplers._combine``) of their variates; one call of the neighbour search
+(``graphs._search``), in its grouped case, over the training fold and every
+draw's rows then classifies the test fold for all of them, with
+``knn_classify``'s vote rule, and one ``bincount`` tallies their confusion
+cells. Everything is seed-deterministic; per-cell sampler seeds derive from
+the master seed and the (dataset, method, config, fold) coordinates.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 
 from .complexes import MAXIMAL, SubdivisionCapExceeded
 from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, SyntheticSpec,
-                       generate_synthetic)
-# cross_distances is unused here; the benchmark's span tracer wraps it at this site
+                       _checked, generate_synthetic)
+# cross_distances and confusion_counts are unused here; the benchmark's span
+# tracer wraps them at these sites
 from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: F401
-from .metrics import confusion_counts, f1_score, mcc_score
+from .metrics import ConfusionCounts, confusion_counts, f1_score, mcc_score  # noqa: F401
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _combine, _knn_tables, oversample)
 from .variants import EmptyBorderlineError, _draw
@@ -43,7 +46,8 @@ BENCHMARK_METHODS = (Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN,
 # Simplex dimension grid: the full clique complex by default.
 DEFAULT_P_GRID = (MAXIMAL,)
 # Sampler failures a fold survives by scoring the unsampled training fold;
-# anything else is a bug and propagates.
+# anything else is a bug and propagates. The DatasetError is the sampler's
+# "minority is larger" error: no guarded draw builds a Dataset.
 SAMPLER_DOMAIN_ERRORS = (EmptyBorderlineError, SamplerParameterError,
                          SubdivisionCapExceeded, DatasetError)
 # Graph methods whose complex spans every minority point: they share a split's
@@ -236,7 +240,8 @@ def _derived_seed(*coords: int) -> int:
 
 def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.ndarray]:
     """The training fold and test points scaled by the training mean and spread;
-    ``EvaluationError`` if any of them overflows."""
+    ``EvaluationError`` if any of them overflows. The scaled rows pass that check,
+    so the fold is built without ``Dataset``'s."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = train.features.mean(axis=0)
         centred = train.features - mu  # np.std's steps, on rows centred once
@@ -246,7 +251,7 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     if not all(np.isfinite(x).all() for x in (mu, sd, features, test_points)):
         raise EvaluationError("the training fold's standardization overflows; "
                               "rescale the features")
-    return Dataset(features, train.labels), test_points
+    return _checked(features, train.labels), test_points
 
 
 def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
@@ -304,9 +309,14 @@ def _draw_job(split, method, combos, coords, symmetrize: str, safelevel_formula:
 
 def _score(split, synthetic) -> list:
     """ConfusionCounts of the classifier fit on the split's training fold plus
-    each of ``synthetic``'s row sets, all classified in one neighbour pass."""
-    return [confusion_counts(split[2], preds)
-            for preds in _classify_each(split[0], split[1], synthetic)]
+    each of ``synthetic``'s row sets, all classified in one neighbour pass and
+    tallied in one ``bincount`` over the cells 2 * (truly minority) + (predicted
+    minority) + 4 * (row set). Unlike ``confusion_counts`` it checks no labels:
+    the votes are +1 or -1, and so are the labels of a checked ``Dataset``."""
+    preds = np.array(_classify_each(split[0], split[1], synthetic)) == MINORITY
+    cells = 2 * (split[2] == MINORITY) + preds + 4 * np.arange(len(synthetic))[:, None]
+    tallies = np.bincount(cells.ravel(), minlength=4 * len(synthetic)).reshape(-1, 4)
+    return [ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn) for tn, fp, fn, tp in tallies.tolist()]
 
 
 def _summarize(counts) -> tuple[float, float, float, float]:

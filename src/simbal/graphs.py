@@ -342,7 +342,7 @@ def _centred(q: np.ndarray, r: np.ndarray):
     bound scales with shrink (see ``_candidates``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = r.mean(axis=0)
+        centre = np.ones(len(r)) @ r / len(r)  # one gemv, a few times faster than mean(axis=0)
         centre[~np.isfinite(centre)] = 0.0  # an overflowed mean: shift nothing
         qc, rc = q - centre, r - centre
     return qc, rc, _sq_norms(qc), _sq_norms(rc)

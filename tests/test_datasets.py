@@ -52,8 +52,41 @@ class TestDatasetType:
             Dataset([[0.0], [1.0]], [1])
 
     def test_rejects_nonfinite_features(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DatasetError, match="finite"):
             Dataset([[np.inf], [0.0]], [1, -1])
+        with pytest.raises(DatasetError, match="finite"):
+            Dataset([[np.nan, 1.0]], [1])
+
+    @pytest.mark.parametrize("select", [
+        lambda ds: Dataset(np.empty((0, 2)), []),
+        lambda ds: ds.subset([]),
+        lambda ds: ds.subset(np.array([], dtype=np.int32)),
+        lambda ds: ds.subset(np.zeros(ds.n, dtype=bool)),
+    ], ids=["constructed", "no-ids", "no-int32-ids", "empty-mask"])
+    def test_rejects_no_rows(self, select):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), [1, -1, -1])
+        with pytest.raises(DatasetError, match="n >= 1"):
+            select(ds)
+
+    @pytest.mark.parametrize("select", [
+        lambda ds: [4, 0, 4, 7],
+        lambda ds: np.array([2, 5], dtype=np.uint8),
+        lambda ds: ds.labels == MINORITY,
+        lambda ds: np.arange(ds.n) % 3 == 1,
+    ], ids=["ids", "uint8-ids", "minority-mask", "mask"])
+    def test_subset_equals_a_checked_construction(self, select):
+        # subset builds its Dataset without re-checking the rows; it must hold
+        # what the checked constructor would make of the same rows
+        rng = np.random.Generator(np.random.PCG64(4))
+        ds = Dataset(rng.normal(size=(8, 3)), [1, -1, 1, -1, -1, 1, -1, -1])
+        idx = np.asarray(select(ds))
+        rows = idx if idx.dtype == bool else idx.astype(int)
+        got, want = ds.subset(idx), Dataset(ds.features[rows].tolist(), ds.labels[rows].tolist())
+        assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.features.shape == want.features.shape
+        assert got.labels.dtype == int and got.labels.tolist() == want.labels.tolist()
+        assert (got.n_minority, got.n_majority) == (want.n_minority, want.n_majority)
 
 
 class TestGenerateSynthetic:

@@ -29,7 +29,7 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
-from simbal import complexes, evaluation, graphs, samplers
+from simbal import complexes, evaluation, graphs, metrics, samplers
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
@@ -617,6 +617,57 @@ class TestFoldMajorHarness:
         assert [combines[id(features)] for features, _ in prepared] == \
             [n_barycentric for _, n_barycentric in prepared]
         assert sum(combines.values()) == sum(n for _, n in prepared) > 0
+
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_tally_matches_confusion_counts_per_config(self, monkeypatch, cv):
+        # a job's counts come from one bincount over all its combos; on every
+        # split and job each must equal the checked per-combo tally
+        scored, score = [], evaluation._score
+
+        def checked_score(split, synthetic):
+            got = score(split, synthetic)
+            want = [metrics.confusion_counts(split[2], preds)
+                    for preds in evaluation._classify_each(split[0], split[1], synthetic)]
+            assert repr(got) == repr(want)
+            scored.append(len(synthetic))
+            return got
+
+        monkeypatch.setattr(evaluation, "_score", checked_score)
+        grid_search_eval(harness_datasets(), [*HARNESS_METHODS, Method.GLOBAL, Method.GAUSSIAN],
+                         (3, 8), (1, MAXIMAL), cv=cv, seed=4)
+        assert scored and max(scored) > 1
+
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_folds_reuse_checked_rows_and_tally_without_confusion_counts(self, monkeypatch, cv):
+        # the fold datasets (subsets and standardized training folds) are built
+        # from checked rows without Dataset's checks, and the scores are tallied
+        # without the checked confusion_counts
+        datasets, checks, subsets = harness_datasets(), [], []
+        post_init, subset = Dataset.__post_init__, Dataset.subset
+
+        def counted_post_init(self):
+            checks.append(self.features.shape)
+            post_init(self)
+
+        def counted_subset(self, idx):
+            subsets.append(len(idx))
+            return subset(self, idx)
+
+        def refused(*args):
+            raise AssertionError("the grid search called confusion_counts")
+
+        monkeypatch.setattr(Dataset, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Dataset, "subset", counted_subset)
+        monkeypatch.setattr(evaluation, "confusion_counts", refused)
+        report = grid_search_eval(datasets, HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv, seed=4)
+        assert checks == [] and len(subsets) >= 2 * cv.folds * cv.repeats
+        assert all(c.mean_f1 > 0 for c in report.cells if c.method != "borderline")
 
     @pytest.mark.parametrize("methods", [
         [IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN],

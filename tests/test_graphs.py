@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simbal import MUTUAL, UNION, Dataset, distance_to_simplex, graphs, knn_graph, pairwise_distances
+from simbal.datasets import DatasetError
 from simbal.graphs import GraphParameterError, NeighborhoodGraph, cross_distances, nearest
 
 from helpers import adjacency, nearest_id_digests, nearest_id_sets
@@ -70,14 +71,15 @@ class TestCrossDistances:
             cross_distances(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: Dataset([[0.0], [1.0, 2.0]], [1, -1]),
-    lambda: Dataset([["a"], ["b"]], [1, -1]),
-    lambda: distance_to_simplex("ab", [[0, 0]]),
+@pytest.mark.parametrize("call, error", [
+    (lambda: Dataset([[0.0], [1.0, 2.0]], [1, -1]), DatasetError),
+    (lambda: Dataset([["a"], ["b"]], [1, -1]), DatasetError),
+    (lambda: distance_to_simplex("ab", [[0, 0]]), GraphParameterError),
 ], ids=["ragged-dataset", "string-dataset", "string-point"])
-def test_ragged_or_non_numeric_points_are_typed_errors(call):
-    # every entry that takes points converts them inside the typed check
-    with pytest.raises(GraphParameterError, match="numeric"):
+def test_ragged_or_non_numeric_points_are_typed_errors(call, error):
+    # every entry that takes points converts them inside the typed check; a
+    # Dataset raises its own error type with the check's message
+    with pytest.raises(error, match="numeric"):
         call()
 
 
