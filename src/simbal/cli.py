@@ -155,8 +155,11 @@ def cmd_oversample(args) -> int:
     if batch.meta.get("k_clamped"):
         print(f"warning: k clamped from {batch.meta['k_requested']} to "
               f"{batch.meta['k_used']} (minority size limit)", file=sys.stderr)
-    write_augmented_csv(args.output, header, args.label_column, ds,
-                        label_strings, minority_label, batch.points)
+    try:
+        write_augmented_csv(args.output, header, args.label_column, ds,
+                            label_strings, minority_label, batch.points)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc}") from None
     print(f"wrote {args.output}: {ds.n} original + {batch.m} synthetic rows",
           file=sys.stderr)
     return 0
@@ -178,12 +181,13 @@ def cmd_benchmark(args) -> int:
     csv_text = report_to_csv(report)
     table_text = report_to_text(report)
     if args.output is not None:
-        out_dir = os.path.dirname(args.output)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        for suffix, content in ((".csv", csv_text), (".txt", table_text)):
-            with open(args.output + suffix, "w", encoding="utf-8") as fh:
-                fh.write(content)
+        try:
+            os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
+            for suffix, content in ((".csv", csv_text), (".txt", table_text)):
+                with open(args.output + suffix, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}") from None
         print(f"wrote {args.output}.csv and {args.output}.txt", file=sys.stderr)
     else:
         sys.stdout.write(csv_text if args.format == "csv" else table_text)

@@ -2,18 +2,16 @@
 
 The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
-fold. The grid search prepares each split once: its folds are the checked
-dataset's rows, gathered and standardized without a second check of them; it
-ranks the training minority once, at the largest k in the grid, builds from
-those lists the edge and clique tables of every k, one call per kind, and
-hands the samplers the tables. Each method draws all its configurations on
-the split first, every method but Gaussian in one combine
-(``samplers._combine``) of their variates; one call of the neighbour search
-(``graphs._search``), in its grouped case, over the training fold and every
-draw's rows then classifies the test fold for all of them, with
-``knn_classify``'s vote rule, and one ``bincount`` tallies their confusion
-cells. Everything is seed-deterministic; per-cell sampler seeds derive from
-the master seed and the (dataset, method, config, fold) coordinates.
+fold. The grid search scores a split in one pass over its draws: every
+(method, k, p) of the grid in outer mode, each method's chosen one in nested
+mode. It standardizes the fold's checked rows without a second check, ranks
+the training minority once, at the largest k drawn, and builds the samplers'
+edge and clique tables of every k drawn, one call per kind. The variates of
+the draws but Gaussian's go into one combine (``samplers._combine``); one
+grouped call of the neighbour search (``graphs._search``) classifies the test
+fold for every draw, with ``knn_classify``'s vote rule, and one ``bincount``
+tallies them. Sampler seeds derive from the master seed and the (dataset,
+method, config, fold) coordinates.
 """
 
 from __future__ import annotations
@@ -173,12 +171,10 @@ class EvalReport:
         raise EvaluationError(f"no cell for ({dataset!r}, {method!r})")
 
     def datasets(self) -> list[str]:
-        seen = dict.fromkeys(c.dataset for c in self.cells)
-        return list(seen)
+        return list(dict.fromkeys(c.dataset for c in self.cells))
 
     def methods(self) -> list[str]:
-        seen = dict.fromkeys(c.method for c in self.cells)
-        return list(seen)
+        return list(dict.fromkeys(c.method for c in self.cells))
 
 
 def method_name(method) -> str:
@@ -254,16 +250,15 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
     return _checked(features, train.labels), test_points
 
 
-def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
+def _prepare(train: Dataset, test: Dataset, draws, symmetrize: str):
     """One split ready to score: standardized training fold, test points, test
     labels and the minority's {1: edge tables, MAXIMAL: clique tables}, each
-    {clamped k: table}, of the kinds and k the jobs' ``_WHOLE_MINORITY`` combos
-    use, from one self-query at their largest k clamped to n_plus - 1 (None if
-    there is no such combo or n_plus < 2)."""
+    {clamped k: table}, of the kinds and k the ``_WHOLE_MINORITY`` draws use,
+    from one self-query at their largest k clamped to n_plus - 1 (None if there
+    is no such draw or n_plus < 2)."""
     std_train, test_points = _standardize(train, test.features)
     n_plus = std_train.n_minority
-    combos = [(k, p) for method, method_combos, _ in jobs if method in _WHOLE_MINORITY
-              for k, p in method_combos]
+    combos = [(k, p) for method, k, p, _ in draws if method in _WHOLE_MINORITY]
     k_max = min(max((k for k, _ in combos), default=0), n_plus - 1)
     tables = None
     if k_max >= 1:
@@ -276,43 +271,45 @@ def _prepare(train: Dataset, test: Dataset, jobs, symmetrize: str):
     return std_train, test_points, test.labels, tables
 
 
-def _draw_job(split, method, combos, coords, symmetrize: str, safelevel_formula: str):
-    """Per combo of a job on a prepared split, seeded from ``coords[c]``: its synthetic
-    rows and a diagnostic or None. Gaussian combos draw their points; the others draw
-    their variates, then combine in one call, padded to one width; ``IMBALANCED`` and a
-    sampler failure draw no rows, so the fold is scored unsampled."""
-    train, tables, gaussian = split[0], split[3], method is Method.GAUSSIAN
-    if method == IMBALANCED:
-        return [np.empty((0, train.d))] * len(combos), [None] * len(combos)
-    drafts, diags = [], []
-    for (k, p), seed_coords in zip(combos, coords):
-        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*seed_coords),
-                            symmetrize=symmetrize, safelevel_formula=safelevel_formula)
+def _draw_split(split, draws, opts):
+    """Per draw (method, k, p, seed coords) on a prepared split: its synthetic rows and a
+    diagnostic or None. ``IMBALANCED`` and a sampler failure draw no rows, so the fold is
+    scored unsampled; Gaussian draws its points; the rest draw their variates, which all
+    combine in one call, padded to one width."""
+    train, tables = split[0], split[3]
+    rows, diags, drafts = [np.empty((0, train.d))] * len(draws), [None] * len(draws), []
+    for i, (method, k, p, coords) in enumerate(draws):
+        if method == IMBALANCED:
+            continue
+        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*coords),
+                            symmetrize=opts[0], safelevel_formula=opts[1])
         try:
-            drafts.append(oversample(train, cfg).points if gaussian
-                          else _draw(train, cfg, tables)[:2])
-            diags.append(None)
+            if method is Method.GAUSSIAN:
+                rows[i] = oversample(train, cfg).points
+            else:
+                drafts.append((i, *_draw(train, cfg, tables)[:2]))
         except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
-            drafts.append(np.empty((0, train.d)) if gaussian
-                          else (np.empty((0, 0), np.intp), np.empty((0, 0))))
-            diags.append(f"{method_name(method)}(k={k}, p={p}): {exc}")
-    if gaussian:
-        return drafts, diags
-    bounds = np.cumsum([0, *(len(verts) for verts, _ in drafts)]).tolist()
-    verts = np.full((bounds[-1], max(v.shape[1] for v, _ in drafts)), -1, np.intp)
-    gammas = np.zeros(verts.shape)
-    for (v, g), lo, hi in zip(drafts, bounds, bounds[1:]):
-        verts[lo:hi, :v.shape[1]], gammas[lo:hi, :v.shape[1]] = v, g
-    points = _combine(train.features, verts, gammas)[0]
-    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])], diags
+            diags[i] = f"{method_name(method)}(k={k}, p={p}): {exc}"
+    if drafts:
+        bounds = np.cumsum([0, *(len(v) for _, v, _ in drafts)]).tolist()
+        verts = np.full((bounds[-1], max(v.shape[1] for _, v, _ in drafts)), -1, np.intp)
+        gammas = np.zeros(verts.shape)
+        for (_, v, g), lo, hi in zip(drafts, bounds, bounds[1:]):
+            verts[lo:hi, :v.shape[1]], gammas[lo:hi, :v.shape[1]] = v, g
+        points = _combine(train.features, verts, gammas)[0]
+        for (i, _, _), lo, hi in zip(drafts, bounds, bounds[1:]):
+            rows[i] = points[lo:hi]
+    return rows, diags
 
 
 def _score(split, synthetic) -> list:
     """ConfusionCounts of the classifier fit on the split's training fold plus
     each of ``synthetic``'s row sets, all classified in one neighbour pass and
     tallied in one ``bincount`` over the cells 2 * (truly minority) + (predicted
-    minority) + 4 * (row set). Unlike ``confusion_counts`` it checks no labels:
-    the votes are +1 or -1, and so are the labels of a checked ``Dataset``."""
+    minority) + 4 * (row set); no row sets, no search. Unlike ``confusion_counts``
+    it checks no labels: the votes and a checked ``Dataset``'s labels are +1 or -1."""
+    if not synthetic:
+        return []
     preds = np.array(_classify_each(split[0], split[1], synthetic)) == MINORITY
     cells = 2 * (split[2] == MINORITY) + preds + 4 * np.arange(len(synthetic))[:, None]
     tallies = np.bincount(cells.ravel(), minlength=4 * len(synthetic)).reshape(-1, 4)
@@ -331,37 +328,36 @@ def _summarize(counts) -> tuple[float, float, float, float]:
 def _select(ds, splits, jobs, tail, opts):
     """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
 
-    Fold-major: each split is subset and standardized once, its minority
-    neighbours are ranked once at the largest k of the jobs, its edge and
-    clique tables are built in one call per kind, and every combo of every
-    job is scored on it before the next. A job draws all its combos in one
-    combine, then classifies them in one neighbour pass. Combo c on fold f is
-    seeded from ``head + (c,) + tail + (f,)``. The highest mean F1 wins; max() keeps
-    the first.
+    Fold-major: each split is prepared once, and every combo of every job is drawn
+    on it, in one combine, and scored in one neighbour pass before the next split.
+    Combo c on fold f is seeded from ``head + (c,) + tail + (f,)``. The highest mean
+    F1 wins; max() keeps the first.
     """
-    tallies = [[([], []) for _ in combos] for _, combos, _ in jobs]
+    plan = [(method, k, p, (*head, c, *tail)) for method, combos, head in jobs
+            for c, (k, p) in enumerate(combos)]
+    tallies = [([], []) for _ in plan]  # per draw: counts, diagnostics
     for f, (train_idx, test_idx) in enumerate(splits):
-        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), jobs, opts[0])
-        for (method, combos, head), tally in zip(jobs, tallies):
-            rows, job_diags = _draw_job(split, method, combos,
-                                        [(*head, c, *tail, f) for c in range(len(combos))], *opts)
-            for (counts, diags), fold_counts, diag in zip(tally, _score(split, rows), job_diags):
-                counts.append(fold_counts)
-                if diag is not None:
-                    diags.append(f"fold {f}: {diag}")
+        draws = [(method, k, p, (*coords, f)) for method, k, p, coords in plan]
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), draws, opts[0])
+        rows, diags = _draw_split(split, draws, opts)
+        for (counts, notes), fold_counts, diag in zip(tallies, _score(split, rows), diags):
+            counts.append(fold_counts)
+            if diag is not None:
+                notes.append(f"fold {f}: {diag}")
         del split  # freed before the next split is prepared
-    return [max(((*_summarize(counts), diags, k, p)
-                 for (k, p), (counts, diags) in zip(combos, tally)), key=lambda r: r[0])
-            for (_, combos, _), tally in zip(jobs, tallies)]
+    scores = iter([(*_summarize(counts), notes, k, p)
+                   for (counts, notes), (_, k, p, _) in zip(tallies, plan)])
+    return [max((next(scores) for _ in combos), key=lambda r: r[0]) for _, combos, _ in jobs]
 
 
 def _nested(ds, splits, jobs, cv: CVConfig, opts):
-    """``_select`` with (k, p) chosen per outer split on an inner CV; reports the mode."""
+    """``_select`` with (k, p) chosen per outer split on an inner CV; reports the mode.
+    Outer split f is prepared after the selection, for the chosen combos only, and
+    draws and scores them together, each seeded from ``(*head, f, 0)``."""
     tallies = [([], [], []) for _ in jobs]  # counts, diagnostics, chosen (k, p)
     for f, (train_idx, test_idx) in enumerate(splits):
-        train = ds.subset(train_idx)
-        outer = _prepare(train, ds.subset(test_idx), jobs, opts[0])
-        for (method, combos, head), (counts, diags, chosen) in zip(jobs, tallies):
+        train, draws = ds.subset(train_idx), []
+        for (method, combos, head), (_, _, chosen) in zip(jobs, tallies):
             inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                                   _derived_seed(*head, f))
             # a lone combo is chosen without its inner CV; the split above
@@ -370,13 +366,16 @@ def _nested(ds, splits, jobs, cv: CVConfig, opts):
                     _select(train, inner, [(method, combos, head)], (f,), opts)[0][-2:])
             chosen.append((k, p))
             # arity-5 coordinates cannot collide with the arity-6 inner seeds
-            rows, (diag,) = _draw_job(outer, method, [(k, p)], [(*head, f, 0)], *opts)
-            counts.extend(_score(outer, rows))
+            draws.append((method, k, p, (*head, f, 0)))
+        outer = _prepare(train, ds.subset(test_idx), draws, opts[0])
+        rows, diags = _draw_split(outer, draws, opts)
+        for (counts, notes, _), fold_counts, diag in zip(tallies, _score(outer, rows), diags):
+            counts.append(fold_counts)
             if diag is not None:
-                diags.append(f"outer fold {f}: {diag}")
+                notes.append(f"outer fold {f}: {diag}")
         del outer  # freed before the next split is prepared
-    return [(*_summarize(counts), diags, *Counter(chosen).most_common(1)[0][0])
-            for counts, diags, chosen in tallies]
+    return [(*_summarize(counts), notes, *Counter(chosen).most_common(1)[0][0])
+            for counts, notes, chosen in tallies]
 
 
 def _listed_once(what: str, names: list[str]) -> None:
@@ -477,16 +476,10 @@ def report_to_text(report: EvalReport) -> str:
     header = "dataset".ljust(first) + "".join(m.rjust(width + 2) for m in methods)
     lines = [header, "-" * len(header)]
     for d in ds_names:
-        row = d.ljust(first)
-        for m in methods:
-            c = report.cell(d, m)
-            row += f"{c.mean_f1:.4f}".rjust(width + 2)
-        lines.append(row)
+        lines.append(d.ljust(first) + "".join(f"{report.cell(d, m).mean_f1:.4f}".rjust(width + 2)
+                                              for m in methods))
     ranks = rank_methods(report)
-    row = "rank".ljust(first)
-    for m in methods:
-        row += f"{ranks[m]:.4f}".rjust(width + 2)
-    lines.append(row)
+    lines.append("rank".ljust(first) + "".join(f"{ranks[m]:.4f}".rjust(width + 2) for m in methods))
     diag_lines = [f"  [{c.dataset}/{c.method}] {d}" for c in report.cells for d in c.diagnostics]
     if diag_lines:
         lines.append("diagnostics:")

@@ -162,6 +162,13 @@ class TestOversampleErrors:
             ["oversample", str(tmp_path / "nope.csv"), str(tmp_path / "o.csv"),
              "--seed", "0"], capsys, "cannot read")
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        src = write_input(tmp_path / "in.csv")
+        out = str(tmp_path / "missing_dir" / "o.csv")
+        assert main(["oversample", src, out, "--seed", "0", "-k", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_missing_label_column(self, tmp_path, capsys):
         src = write_input(tmp_path / "in.csv", header=("x", "y", "target"))
         self.run_expect_error(
@@ -288,6 +295,15 @@ class TestBenchmarkCommand:
         assert main(self.BASE + ["--output", str(prefix)]) == 0
         assert (tmp_path / "results" / "main.csv").is_file()
         assert (tmp_path / "results" / "main.txt").is_file()
+
+    def test_output_prefix_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "some_file").write_text("")
+        prefix = str(tmp_path / "some_file" / "x")
+        assert main(self.BASE + ["--output", prefix]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {prefix}: ")
+        assert captured.err.count("\n") == 1
 
     def test_nested_matches_library(self, capsys):
         assert main(self.BASE + ["--format", "csv", "--nested"]) == 0

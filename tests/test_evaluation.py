@@ -1,7 +1,6 @@
 import csv
 import io
 import weakref
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -536,16 +535,16 @@ class TestFoldMajorHarness:
             # the borderline cell fell back on every fold, so the oracle saw diagnostics
             assert len(got.cell("clusters", "borderline").diagnostics) == cv.folds * cv.repeats
         # no point is borderline at k = 2 (2 * k_plus < 2 leaves k_plus = 0), so
-        # on the moons a borderline job has combos that raise next to k = 8
-        # combos that draw, all in one combine
-        mixed, draw_job = [], evaluation._draw_job
+        # on the moons a split has borderline draws that raise next to k = 8
+        # draws that draw, all in one combine
+        mixed, draw_split = [], evaluation._draw_split
 
-        def recorded_draw_job(*args):
-            rows, diags = draw_job(*args)
+        def recorded_draw_split(*args):
+            rows, diags = draw_split(*args)
             mixed.append(None in diags and any(diags))
             return rows, diags
 
-        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         for symmetrize in ("union", "mutual"):
             args = ({"moons": harness_datasets()["moons"]}, [Method.BORDERLINE,
                     Method.S_BORDERLINE], (2, 8), (1, MAXIMAL), cv, 7, symmetrize)
@@ -558,22 +557,22 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_classifier_pass_per_split_and_job(self, monkeypatch, cv):
-        # a job classifies all its combos on a split in one neighbour pass: a
-        # call of the one search whose query is the split's test points; the
-        # minority self-query goes through nearest, which the grid search
-        # never calls without self ids
-        prepared, passes = [], Counter()
+        # a split classifies every draw of every job in one neighbour pass: one
+        # call of the one search whose query is the split's test points, with a
+        # group per draw; the minority self-query goes through nearest, which
+        # the grid search never calls without self ids
+        prepared, passes = [], {}
         prepare, search = evaluation._prepare, evaluation._search
         query_nearest = evaluation.nearest
 
-        def recorded_prepare(train, test, jobs, *args):
-            split = prepare(train, test, jobs, *args)
-            prepared.append((split[1], len(jobs)))
+        def recorded_prepare(train, test, draws, *args):
+            split = prepare(train, test, draws, *args)
+            prepared.append((split[1], len(draws)))
             return split
 
-        def counted_search(query, *args):
-            passes[id(query)] += 1
-            return search(query, *args)
+        def counted_search(query, ref, k, n_shared, sizes, *args):
+            passes.setdefault(id(query), []).append(len(sizes))
+            return search(query, ref, k, n_shared, sizes, *args)
 
         def checked_nearest(query, ref, k, self_ids=None):
             assert self_ids is not None
@@ -585,38 +584,44 @@ class TestFoldMajorHarness:
         grid_search_eval(harness_datasets(), HARNESS_METHODS, (3, 8), (1, MAXIMAL), cv=cv,
                          seed=4)
         assert [passes[id(test_points)] for test_points, _ in prepared] == \
-            [n_jobs for _, n_jobs in prepared]
-        assert sum(passes.values()) == sum(n_jobs for _, n_jobs in prepared)
+            [[n_draws] for _, n_draws in prepared]
+        assert len(passes) == len(prepared) and max(n for _, n in prepared) > 1
 
     @pytest.mark.parametrize("cv", [
         CVConfig(folds=3, repeats=2),
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_combine_per_split_and_job(self, monkeypatch, cv):
-        # a job of random, global or a graph method draws the variates of all
-        # its combos on a split, then turns them into points in one combine
-        # over the split's training rows; IMBALANCED and Gaussian jobs combine
-        # nothing there (Gaussian points are not barycentric)
-        prepared, combines = [], Counter()
-        prepare, combine = evaluation._prepare, evaluation._combine
+        # a split draws the variates of every draw of random, global or a graph
+        # method, then turns them all into points in one combine over its
+        # training rows; IMBALANCED, Gaussian (its points are not barycentric)
+        # and a failed draw add no rows to it, and a split without such rows
+        # combines nothing
+        drawn, combines = [], {}
+        draw_split, combine = evaluation._draw_split, evaluation._combine
 
-        def recorded_prepare(train, test, jobs, *args):
-            split = prepare(train, test, jobs, *args)
-            prepared.append((split[0].features,
-                             sum(m not in (IMBALANCED, Method.GAUSSIAN) for m, _, _ in jobs)))
-            return split
+        def recorded_draw_split(split, draws, opts):
+            rows, diags = draw_split(split, draws, opts)
+            drawn.append((split[0].features, sum(
+                len(r) for (m, *_), r in zip(draws, rows)
+                if m not in (IMBALANCED, Method.GAUSSIAN))))
+            return rows, diags
 
-        def counted_combine(features, *args):
-            combines[id(features)] += 1
-            return combine(features, *args)
+        def counted_combine(features, verts, gammas):
+            combines.setdefault(id(features), []).append(len(verts))
+            return combine(features, verts, gammas)
 
-        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         monkeypatch.setattr(evaluation, "_combine", counted_combine)
         grid_search_eval(harness_datasets(), [*HARNESS_METHODS, Method.GLOBAL, Method.GAUSSIAN],
                          (3, 8), (1, MAXIMAL), cv=cv, seed=4)
-        assert [combines[id(features)] for features, _ in prepared] == \
-            [n_barycentric for _, n_barycentric in prepared]
-        assert sum(combines.values()) == sum(n for _, n in prepared) > 0
+        assert [combines.get(id(features), []) for features, _ in drawn] == \
+            [[n_rows] if n_rows else [] for _, n_rows in drawn]
+        assert len(combines) == sum(n > 0 for _, n in drawn) > 0
+        drawn.clear()
+        combines.clear()
+        grid_search_eval(harness_datasets(), [IMBALANCED, Method.GAUSSIAN], (3,), cv=cv, seed=4)
+        assert drawn and combines == {}
 
     @pytest.mark.parametrize("cv", [
         CVConfig(folds=3, repeats=2),
@@ -639,6 +644,16 @@ class TestFoldMajorHarness:
         grid_search_eval(harness_datasets(), [*HARNESS_METHODS, Method.GLOBAL, Method.GAUSSIAN],
                          (3, 8), (1, MAXIMAL), cv=cv, seed=4)
         assert scored and max(scored) > 1
+
+    def test_score_of_no_row_sets(self):
+        # a split with no draws scores nothing, and searches nothing: the
+        # grouped search has no reference to search without a group
+        moons = harness_datasets()["moons"]
+        train_idx, test_idx = stratified_cv(moons, 2, 1, 0)[0]
+        split = evaluation._prepare(moons.subset(train_idx), moons.subset(test_idx), [], "union")
+        with mock.patch.object(evaluation, "_search") as search:
+            assert evaluation._score(split, []) == []
+        assert search.call_count == 0
 
     @pytest.mark.parametrize("cv", [
         CVConfig(folds=3, repeats=2),
@@ -682,21 +697,22 @@ class TestFoldMajorHarness:
     ], ids=["outer", "nested"])
     def test_one_minority_self_query_per_split(self, monkeypatch, methods, cv):
         # a prepared split ranks its training minority once, at the largest k
-        # clamped to n_plus - 1, if a method scored on it spans the whole
-        # minority, and not at all otherwise; those methods then search nothing
-        # themselves (graphs.nearest is the samplers' search, via _knn_pairs)
+        # drawn on it by a method spanning the whole minority, clamped to
+        # n_plus - 1, and not at all if there is no such draw; in nested mode the
+        # outer split's draws are the chosen combos. Those methods then search
+        # nothing themselves (graphs.nearest is the samplers' search, via _knn_pairs)
         splits, harness, sampler = {}, [], []
-        prepare, draw_job, search = evaluation._prepare, evaluation._draw_job, graphs.nearest
+        prepare, draw_split, search = evaluation._prepare, evaluation._draw_split, graphs.nearest
 
         def recorded_prepare(train, test, *args):
             before = len(harness)
             split = prepare(train, test, *args)
-            splits[id(split)] = (split, train.n_minority, harness[before:], set())
+            splits[id(split)] = (split, train.n_minority, harness[before:], [])
             return split
 
-        def recorded_draw_job(split, method, *args):
-            splits[id(split)][3].add(method)
-            return draw_job(split, method, *args)
+        def recorded_draw_split(split, draws, opts):
+            splits[id(split)][3].extend(draws)
+            return draw_split(split, draws, opts)
 
         def counting(calls):
             def counted(query, ref, k, self_ids=None):
@@ -706,13 +722,13 @@ class TestFoldMajorHarness:
             return counted
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         monkeypatch.setattr(evaluation, "nearest", counting(harness))
         monkeypatch.setattr(graphs, "nearest", counting(sampler))
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
-        for _, n_plus, queries, scored in splits.values():
-            memo = any(m in WHOLE_MINORITY for m in scored)
-            assert queries == ([(n_plus, min(8, n_plus - 1))] if memo else [])
+        for _, n_plus, queries, draws in splits.values():
+            ks = [k for m, k, _, _ in draws if m in WHOLE_MINORITY]
+            assert queries == ([(n_plus, min(max(ks), n_plus - 1))] if ks else [])
         assert len(harness) == sum(len(q) for _, _, q, _ in splits.values())
         assert (len(harness) > 0) == any(m in WHOLE_MINORITY for m in methods)
         if all(m in WHOLE_MINORITY for m in methods):
@@ -731,24 +747,25 @@ class TestFoldMajorHarness:
     ], ids=["outer", "nested"])
     def test_one_clique_step_per_split(self, monkeypatch, methods, cv):
         # a prepared split builds the clique tables of all its k in one clique
-        # step if it scores a simplex method spanning the whole minority, and
-        # none otherwise; the samplers then read them and build none themselves
+        # step if it draws a simplex method spanning the whole minority at p > 1
+        # (in nested mode the outer split draws the chosen combos), and none
+        # otherwise; the samplers then read them and build none themselves
         # (borderline builds its own support's complex, so it is left out)
         calls, splits, clique_table = [], {}, complexes._clique_table
-        prepare, draw_job = evaluation._prepare, evaluation._draw_job
+        prepare, draw_split = evaluation._prepare, evaluation._draw_split
 
         def recorded_prepare(*args):
             before = len(calls)
             split = prepare(*args)
-            # the split itself, the clique calls made for it, the methods scored on it
-            splits[id(split)] = [split, len(calls) - before, set()]
+            # the split itself, the clique calls made for it, the draws on it
+            splits[id(split)] = [split, len(calls) - before, []]
             return split
 
-        def recorded_draw_job(split, method, *args):
+        def recorded_draw_split(split, draws, opts):
             before = len(calls)
-            result = draw_job(split, method, *args)
+            result = draw_split(split, draws, opts)
             splits[id(split)][1] += len(calls) - before
-            splits[id(split)][2].add(method)
+            splits[id(split)][2].extend(draws)
             return result
 
         def counting(*args):
@@ -756,14 +773,13 @@ class TestFoldMajorHarness:
             return clique_table(*args)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         monkeypatch.setattr(complexes, "_clique_table", counting)
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
-        simplex = set(SIMPLEX_WHOLE_MINORITY)
-        for _, n_calls, scored in splits.values():
-            assert n_calls == (1 if scored & simplex else 0)
+        for _, n_calls, draws in splits.values():
+            assert n_calls == any(m in SIMPLEX_WHOLE_MINORITY and p != 1 for m, _, p, _ in draws)
         assert len(calls) == sum(n for _, n, _ in splits.values())
-        assert (len(calls) > 0) == bool(set(methods) & simplex)
+        assert (len(calls) > 0) == bool(set(methods) & set(SIMPLEX_WHOLE_MINORITY))
 
     @pytest.mark.parametrize("methods, p_grid", [
         ([IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN], (1, MAXIMAL)),
@@ -779,26 +795,30 @@ class TestFoldMajorHarness:
     ], ids=["outer", "nested"])
     def test_one_edge_step_per_split(self, monkeypatch, methods, p_grid, cv):
         # a prepared split builds the edge tables of all its k in one step if it
-        # scores a method spanning the whole minority with a p = 1 combo (every
-        # edge-only method has one), and none otherwise; the cells of those
-        # methods then build no pairs and no table themselves
+        # draws a method spanning the whole minority at p = 1 (every edge-only
+        # method does; in nested mode the outer split draws the chosen combos),
+        # and none otherwise; the draws of those methods then build no pairs and
+        # no table themselves
         calls, splits = [], {}
-        prepare, draw_job = evaluation._prepare, evaluation._draw_job
+        prepare, draw_split, draw = evaluation._prepare, evaluation._draw_split, evaluation._draw
         skeleton_table, knn_pairs = samplers._skeleton_table, samplers._knn_pairs
 
         def recorded_prepare(*args):
             before = len(calls)
             split = prepare(*args)
-            # the split itself, its edge steps, the methods scored on it
-            splits[id(split)] = [split, calls[before:].count(("table", 1)), set()]
+            # the split itself, its edge steps, the draws on it
+            splits[id(split)] = [split, calls[before:].count(("table", 1)), []]
             return split
 
-        def recorded_draw_job(split, method, combos, *args):
+        def recorded_draw_split(split, draws, opts):
+            splits[id(split)][2].extend(draws)
+            return draw_split(split, draws, opts)
+
+        def checked_draw(ds, cfg, tables=None):
             before = len(calls)
-            result = draw_job(split, method, combos, *args)
-            splits[id(split)][2].add(method)
-            if method in WHOLE_MINORITY:
-                assert calls[before:] == [], (method, combos)
+            result = draw(ds, cfg, tables)
+            if cfg.method in WHOLE_MINORITY:
+                assert calls[before:] == [], cfg
             return result
 
         def counted_table(n, lo, hi, p=MAXIMAL):
@@ -810,13 +830,14 @@ class TestFoldMajorHarness:
             return knn_pairs(*args)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_draw_job", recorded_draw_job)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
+        monkeypatch.setattr(evaluation, "_draw", checked_draw)
         monkeypatch.setattr(samplers, "_skeleton_table", counted_table)
         monkeypatch.setattr(samplers, "_knn_pairs", counted_pairs)
         grid_search_eval(harness_datasets(), methods, (3, 8), p_grid, cv=cv, seed=3)
         with_edges = {m for m in WHOLE_MINORITY if GRAPH_VARIANTS[m][1] or 1 in p_grid}
-        for _, n_steps, scored in splits.values():
-            assert n_steps == (1 if scored & with_edges else 0)
+        for _, n_steps, draws in splits.values():
+            assert n_steps == any(m in WHOLE_MINORITY and p == 1 for m, _, p, _ in draws)
         assert any(n for _, n, _ in splits.values()) == bool(set(methods) & with_edges)
 
 

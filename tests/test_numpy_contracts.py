@@ -225,3 +225,78 @@ def test_bincount_of_offset_cells_with_minlength(n_sets, n_test):
     for c, row in enumerate(got.reshape(-1, 4).tolist()):
         tally = Counter((int(t == 1), int(p == 1)) for t, p in zip(truth, preds[c]))
         assert row == [tally[0, 0], tally[0, 1], tally[1, 0], tally[1, 1]], c
+
+
+@pytest.mark.parametrize("n_shared, sizes", [(0, [3, 4]), (262, [188] * 15), (5, [0, 2, 0, 0, 3]),
+                                             (3, [0, 0]), (40, [1, 17, 0])])
+def test_group_of_each_column_by_searchsorted_right(n_shared, sizes):
+    # graphs._search finds each candidate column's group as
+    # cumsum([n_shared, *sizes]).searchsorted(cols, side="right") - 1, -1 on a
+    # shared column; an empty group (an unsampled draw) repeats a bound and
+    # must own no column
+    rng = _rng(n_shared + len(sizes))
+    bounds = np.cumsum([n_shared, *sizes])
+    n_ref = int(bounds[-1])
+    cols = np.divmod(rng.integers(0, 50 * n_ref, size=n_ref + 500), n_ref)[1]
+    cols[:n_ref] = np.arange(n_ref)  # every column, every bound included
+    got = bounds.searchsorted(cols, side="right") - 1
+    owner = [-1] * n_shared + [c for c, size in enumerate(sizes) for _ in range(size)]
+    assert bounds.dtype == np.int64 and got.dtype == np.intp
+    assert got.tolist() == [owner[col] for col in cols.tolist()]
+
+
+@pytest.mark.parametrize("n_groups", [1, 2, 3, 15])
+def test_tile_repeats_the_whole_block(n_groups):
+    # graphs._search copies row i's shared candidate columns to every group with
+    # np.tile(cols, n_groups), c-major, and the query block with
+    # np.tile(block_q, (n_groups, 1)); copy c of the block is rows c * n .. c * n + n - 1
+    rng = _rng(n_groups)
+    for n in (0, 1, 5, 88):
+        cols = rng.integers(0, 1000, size=3 * n)
+        block = rng.normal(size=(n, 2))
+        tiled_cols, tiled_block = np.tile(cols, n_groups), np.tile(block, (n_groups, 1))
+        assert tiled_cols.tolist() == [int(col) for _ in range(n_groups) for col in cols]
+        assert tiled_block.shape == (n_groups * n, 2)
+        assert tiled_block.tolist() == [row.tolist() for _ in range(n_groups) for row in block]
+
+
+@pytest.mark.parametrize("n_groups, n_rows, n_ref", [(1, 7, 30), (6, 88, 450), (15, 88, 3082),
+                                                     (4, 3, 2)])
+def test_in_place_sort_and_divmod_of_packed_keys(n_groups, n_rows, n_ref):
+    # graphs._search packs each (virtual row, column) pair into the int64 key
+    # row * n_ref + col, sorts the keys in place and unpacks them with
+    # np.divmod(keys, n_ref): rows ascend, and columns ascend within a row
+    rng = _rng(n_groups * n_rows)
+    rows = rng.integers(0, n_groups * n_rows, size=4 * n_rows)
+    cols = rng.integers(0, n_ref, size=rows.size)
+    keys = rows * n_ref + cols
+    want = sorted(int(key) for key in keys)
+    keys.sort()
+    assert keys.dtype == np.int64 and keys.tolist() == want
+    got_rows, got_cols = np.divmod(keys, n_ref)
+    assert got_rows.dtype == got_cols.dtype == np.int64
+    assert list(zip(got_rows.tolist(), got_cols.tolist())) == [divmod(key, n_ref) for key in want]
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 16, 17, 40, 300])
+def test_stable_row_argsort_of_an_inf_padded_table_and_clipped_take(width):
+    # graphs._rerank writes each row's candidate distances into a float64 table
+    # padded with inf, orders every row with argsort(axis=1, kind="stable") (a
+    # tie, an overflowed inf included, keeps the lower column; the pads come
+    # last) and gathers the ids with cols.take(first[:-1, None] + order,
+    # mode="clip"): a pad of the last row points past cols and reads its last id
+    rng = _rng(width)
+    counts = rng.integers(1, width + 1, size=30)
+    counts[-1] = max(1, width // 2)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    cols = rng.integers(0, 10_000, size=int(first[-1]))
+    table = np.full((counts.size, width), np.inf)
+    for i, n in enumerate(counts.tolist()):
+        # few distinct values, so most rows hold ties; some distances overflow to inf
+        table[i, :n] = rng.choice([0.5, 1.0, 2.0, np.inf], size=n)
+    order = table.argsort(axis=1, kind="stable")
+    got = cols.take(first[:-1, None] + order, mode="clip")
+    for i in range(counts.size):
+        want = sorted(range(width), key=lambda j: (table[i, j], j))
+        assert order[i].tolist() == want, i
+        assert got[i].tolist() == [int(cols[min(first[i] + j, cols.size - 1)]) for j in want], i
