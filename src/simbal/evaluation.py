@@ -6,7 +6,9 @@ fold. The grid search scores a split in one pass over its draws: every
 (method, k, p) of the grid in outer mode, each method's chosen one in nested
 mode. It standardizes the fold's checked rows without a second check, ranks
 the training minority once, at the largest k drawn, and builds the samplers'
-edge and clique tables of every k drawn, one call per kind. The variates of
+edge and clique tables of every k drawn, one call per kind; for the
+safety-aware draws it ranks that minority against the whole fold once, at
+their largest k, and each counts over its first k neighbours. The variates of
 the draws but Gaussian's go into one combine (``samplers._combine``); one
 grouped call of the neighbour search (``graphs._search``) classifies the test
 fold for every draw, with ``knn_classify``'s vote rule, and one ``bincount``
@@ -32,7 +34,7 @@ from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: 
 from .metrics import ConfusionCounts, confusion_counts, f1_score, mcc_score  # noqa: F401
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _combine, _knn_tables, oversample)
-from .variants import EmptyBorderlineError, _draw
+from .variants import _RANKED, EmptyBorderlineError, _draw, compute_safety
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -52,6 +54,8 @@ SAMPLER_DOMAIN_ERRORS = (EmptyBorderlineError, SamplerParameterError,
 # simplex tables. Borderline's support changes with k.
 _WHOLE_MINORITY = frozenset(m for m, (variant, _) in GRAPH_VARIANTS.items()
                             if variant != BORDERLINE)
+# Graph methods that read the class mix of the minority's neighbourhoods
+_SAFETY_AWARE = frozenset(m for m, (variant, _) in GRAPH_VARIANTS.items() if variant)
 
 
 class EvaluationError(ValueError):
@@ -252,23 +256,27 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
 
 def _prepare(train: Dataset, test: Dataset, draws, symmetrize: str):
     """One split ready to score: standardized training fold, test points, test
-    labels and the minority's {1: edge tables, MAXIMAL: clique tables}, each
-    {clamped k: table}, of the kinds and k the ``_WHOLE_MINORITY`` draws use,
-    from one self-query at their largest k clamped to n_plus - 1 (None if there
-    is no such draw or n_plus < 2)."""
+    labels and ``_draw``'s tables, None if empty. They hold the minority's {1:
+    edge tables, MAXIMAL: clique tables}, each {clamped k: table}, of the kinds
+    and k the ``_WHOLE_MINORITY`` draws use, from one self-query at their largest
+    k, and at ``_RANKED`` the minority's neighbour ids in the fold, from one
+    ``compute_safety`` call at the ``_SAFETY_AWARE`` draws' largest k. Each k is
+    clamped to n_plus - 1; a part whose k falls below 1 is left out."""
     std_train, test_points = _standardize(train, test.features)
-    n_plus = std_train.n_minority
-    combos = [(k, p) for method, k, p, _ in draws if method in _WHOLE_MINORITY]
-    k_max = min(max((k for k, _ in combos), default=0), n_plus - 1)
-    tables = None
+    k_max, k_safe = (min(max((k for method, k, _, _ in draws if method in kind), default=0),
+                         std_train.n_minority - 1) for kind in (_WHOLE_MINORITY, _SAFETY_AWARE))
+    tables = {}
     if k_max >= 1:
         x = std_train.minority_features()
         neighbors = nearest(x, x, k_max, np.arange(len(x)))
         kinds = {}  # the edge-only methods' combos have p = 1
-        for k, p in combos:
-            kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, k_max))
+        for method, k, p, _ in draws:
+            if method in _WHOLE_MINORITY:
+                kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, k_max))
         tables = {p: _knn_tables(neighbors, sorted(ks), symmetrize, p) for p, ks in kinds.items()}
-    return std_train, test_points, test.labels, tables
+    if k_safe >= 1:
+        tables[_RANKED] = compute_safety(std_train, k_safe).neighbors
+    return std_train, test_points, test.labels, tables or None
 
 
 def _draw_split(split, draws, opts):
@@ -393,11 +401,15 @@ def grid_search_eval(datasets: dict[str, Dataset], methods, k_grid, p_grid=DEFAU
     In ``outer`` mode the configuration with the best mean F1 across the
     outer folds is reported. In ``nested`` mode each outer fold picks its own
     configuration on an inner CV of its training part and the reported best
-    (k, p) is the modal choice. A method listed twice raises
-    ``EvaluationError`` before any split.
+    (k, p) is the modal choice. An entry that is neither a ``Method`` nor
+    ``IMBALANCED``, or a method listed twice, raises ``EvaluationError`` before
+    any split.
     """
     seed = _seed(seed)
     methods = list(methods)
+    for method in methods:
+        if not (isinstance(method, Method) or isinstance(method, str) and method == IMBALANCED):
+            raise EvaluationError(f"method must be a Method or {IMBALANCED!r}, got {method!r}")
     _listed_once("methods", [method_name(m) for m in methods])
     opts = (symmetrize, safelevel_formula)
     k_grid, p_grid = _integer_grid(k_grid, "k"), _integer_grid(p_grid, "p")

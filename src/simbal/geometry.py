@@ -34,7 +34,7 @@ def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
     Takes len(alpha) Gamma then len(alpha) uniform draws from ``rng``. A
     component with alpha < 1 is drawn as Gamma(alpha+1) * U**(1/alpha), which
     has the Gamma(alpha) law but does not underflow to zero as direct
-    small-shape Gamma sampling does; with none, the uniforms go unused.
+    small-shape Gamma sampling does; the uniforms are drawn even with none.
     """
     try:
         a = np.asarray(alpha, dtype=float)
@@ -42,18 +42,13 @@ def sample_dirichlet(alpha, rng: np.random.Generator) -> np.ndarray:
         raise GeometryParameterError(f"alpha must be numeric, got {alpha!r}") from None
     if a.ndim != 1 or a.size < 1:
         raise GeometryParameterError(f"alpha must be a 1-d vector, got shape {a.shape}")
-    lo = a.min()
     # a NaN fails the first comparison
-    if not 0.0 < lo <= a.max() < np.inf:
+    if not 0.0 < a.min() <= a.max() < np.inf:
         raise GeometryParameterError("all Dirichlet parameters must be positive and finite")
-    if lo >= 1.0:
-        g = rng.standard_gamma(a)
-        rng.random(a.size)  # the uniforms below, unused: the stream stays in step
-        return dirichlet_weights(g)
     small = a < 1.0
-    g = rng.standard_gamma(np.where(small, a + 1.0, a))
-    u = rng.random(a.size)
-    return dirichlet_weights(np.where(small, g * u ** (1.0 / a), g))
+    g = rng.standard_gamma(a + small)
+    # the exponent is 1/alpha where alpha < 1 and 0 elsewhere: U**0 is 1.0, so g stays exact
+    return dirichlet_weights(g * rng.random(a.size) ** (small / a))
 
 
 def _hull_distances(queries: np.ndarray, points: np.ndarray, simplices) -> np.ndarray:

@@ -13,7 +13,11 @@ variant changes exactly one knob:
 * the density-adaptive variant (ADASYN) reweights simplex selection.
 
 Safety is measured on the full dataset: for each minority point, the class
-mix of its k nearest neighbors (self excluded).
+mix of its k nearest neighbors (self excluded). A safety-aware draw takes it
+from one ``compute_safety`` call at k clamped to n_plus - 1, before its simplex
+table; borderline's support reads the neighbor ids that call keeps. A CV split
+ranks its training minority once, at its largest such k, and hands the lists to
+``_draw`` in ``tables``; each draw counts over their first k columns.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from .samplers import (
     oversample,
 )
 
+# The key of ``_draw``'s ``tables`` that holds the minority's ranked neighbor ids
+_RANKED = "ranked"
+
 
 class EmptyBorderlineError(ValueError):
     """No minority point is majority-dominated; borderline sampling is undefined."""
@@ -58,13 +65,17 @@ class NeighborhoodSafety:
     """Per-minority-point neighbor class counts on the full-dataset kNN relation.
 
     Counts are exact integers with k_plus + k_minus = k; the ratio properties
-    derive from them.
+    derive from them. ``neighbors``, which ``compute_safety`` fills and a
+    hand-built instance may leave None, holds the (n_plus, k) dataset ids they
+    were counted over: row r lists the k nearest neighbors of the r-th minority
+    point in (distance, index) order, self excluded.
     """
 
     minority_indices: np.ndarray  # dataset-level ids, ascending
     k: int
     k_plus: np.ndarray
     k_minus: np.ndarray
+    neighbors: np.ndarray | None = None
 
     def __post_init__(self):
         kp = np.asarray(self.k_plus, dtype=int)
@@ -80,29 +91,24 @@ class NeighborhoodSafety:
         object.__setattr__(self, "k_minus", km)
 
 
-def _safety_with_neighbors(ds: Dataset, k: int) -> tuple[NeighborhoodSafety, np.ndarray]:
-    """Safety counts plus the (n_plus, k) dataset ids they were counted over.
-
-    Row r lists the k nearest neighbors of the r-th minority point in
-    (distance, index) order, self excluded.
-    """
+def compute_safety(ds: Dataset, k: int) -> NeighborhoodSafety:
+    """Class mix of each minority point's k nearest neighbors in the whole dataset,
+    with the neighbor ids it was counted over."""
     k = _integer(k, "safety neighborhood size", SamplerParameterError)
     if k < 1:
         raise SamplerParameterError(f"safety neighborhood size must be >= 1, got {k}")
     if k >= ds.n:
         raise SamplerParameterError(
-            f"safety neighborhood k={k} needs at least k+1={k + 1} points, dataset has {ds.n}"
-        )
+            f"safety neighborhood k={k} needs at least k+1={k + 1} points, dataset has {ds.n}")
     idx_min = ds.minority_indices()
-    neighbors = (nearest(ds.features.take(idx_min, axis=0), ds.features, k, idx_min)
-                 if idx_min.size else np.empty((0, k), dtype=int))
-    k_plus = np.sum(ds.labels.take(neighbors) == MINORITY, axis=1)
-    return NeighborhoodSafety(idx_min, k, k_plus, k - k_plus), neighbors
+    return _counted(ds, nearest(ds.features.take(idx_min, axis=0), ds.features, k, idx_min)
+                    if idx_min.size else np.empty((0, k), dtype=int))
 
 
-def compute_safety(ds: Dataset, k: int) -> NeighborhoodSafety:
-    """Class mix of each minority point's k nearest neighbors in the whole dataset."""
-    return _safety_with_neighbors(ds, k)[0]
+def _counted(ds: Dataset, neighbors: np.ndarray) -> NeighborhoodSafety:
+    """The safety counts of ``neighbors``, the minority's (n_plus, k) neighbor ids."""
+    k, k_plus = neighbors.shape[1], np.sum(ds.labels.take(neighbors) == MINORITY, axis=1)
+    return NeighborhoodSafety(ds.minority_indices(), k, k_plus, k - k_plus, neighbors)
 
 
 def borderline_subset(ds: Dataset, k: int,
@@ -113,8 +119,7 @@ def borderline_subset(ds: Dataset, k: int,
     least one is. Returned as dataset-level indices. Integer comparisons keep
     the half-threshold exact.
     """
-    if safety is None:
-        safety = compute_safety(ds, k)
+    safety = compute_safety(ds, k) if safety is None else safety
     border = (2 * safety.k_plus < safety.k) & (safety.k_plus > 0)
     return {int(v) for v in safety.minority_indices[border]}
 
@@ -180,67 +185,53 @@ def oversample_safelevel(ds: Dataset, k: int, p: int | None = MAXIMAL,
     return oversample(ds, SamplerConfig(Method.S_SAFELEVEL, k, p, seed, m, symmetrize, formula))
 
 
-def _borderline_support(ds: Dataset, k: int) -> tuple[set[int], np.ndarray]:
-    """Borderline points at safety size k and the support their complex is built over.
-
-    The support is the borderline points together with the minority members
-    of their safety neighborhoods, as ascending dataset-level ids.
-    """
-    if ds.n_minority < 2:
-        raise EmptyBorderlineError(
-            "no borderline minority points exist; use the plain edge or simplex sampler"
-        )
-    safety, neighbors = _safety_with_neighbors(ds, k)
-    border = borderline_subset(ds, k, safety)
-    if not border:
-        raise EmptyBorderlineError(
-            "every minority point is either safe or pure noise at this k; "
-            "borderline oversampling has nothing to target, use the plain "
-            "edge or simplex sampler instead"
-        )
-    reached = neighbors[np.isin(safety.minority_indices, list(border))]
-    support = np.union1d(list(border), reached[ds.labels[reached] == MINORITY])
-    return border, support
-
-
 def _draw(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> tuple:
     """The sampling driver: (verts, gammas, meta) of every method but Gaussian. A graph
     method runs the simplex pipeline with its variant's knob; borderline builds its complex
-    over the borderline support. ``tables``, when given, is the minority's {1: edge tables,
-    MAXIMAL: clique tables} as ``samplers._knn_skeleton`` takes them; every graph method
-    but borderline, whose support is not all of the minority, reads its table from it."""
+    over the borderline points and the minority members of their safety neighborhoods.
+    ``tables``, when given, holds the minority's {1: edge tables, MAXIMAL: clique tables}
+    as ``samplers._knn_skeleton`` takes them, read by all but borderline, and may hold at
+    ``_RANKED`` the ``compute_safety`` neighbor ids, read up to each draw's k."""
     if cfg.method is Method.RANDOM:
         return _duplicated_instead(ds, cfg)
     if cfg.method is Method.GLOBAL:
         return _global_variates(ds, cfg)
     variant, edge_only = GRAPH_VARIANTS[cfg.method]
     p = 1 if edge_only else cfg.p
-    if variant == BORDERLINE:
-        safety_k = min(int(cfg.k), ds.n_minority - 1)
-        border, ids = _borderline_support(ds, safety_k)
-        tables = None
-    elif ds.n_minority == 1:
+    if variant == BORDERLINE and ds.n_minority < 2:
+        raise EmptyBorderlineError(
+            "no borderline minority points exist; use the plain edge or simplex sampler")
+    if ds.n_minority == 1:
         return _duplicated_instead(ds, cfg,
                                    "single minority point; duplicated instead of interpolating")
-    else:
-        ids = ds.minority_indices()
+    ids = ds.minority_indices()
+    if variant is not None and ids.size > 1:  # with none, the table step raises
+        k = min(int(cfg.k), ids.size - 1)
+        ranked = (tables or {}).get(_RANKED)
+        safety = compute_safety(ds, k) if ranked is None else _counted(ds, ranked[:, :k])
+    if variant == BORDERLINE:
+        border = borderline_subset(ds, k, safety)
+        if not border:
+            raise EmptyBorderlineError(
+                "every minority point is either safe or pure noise at this k; borderline "
+                "oversampling has nothing to target, use the plain edge or simplex sampler instead")
+        reached = safety.neighbors[np.isin(ids, list(border))]
+        ids, tables = np.union1d(list(border), reached[ds.labels[reached] == MINORITY]), None
     m = _resolve_m(ds, cfg.target_count)
     local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, tables)
     # ids ascend, so mapping positions to dataset ids keeps the rows' order
     table = np.append(ids, -1).take(local)
     if variant == BORDERLINE:
-        # the support has at most n_plus points, so clamping k to it clamps safety_k too
+        # the support has at most n_plus points, so clamping k to it clamps the safety k too
         table = table[np.isin(table, list(border)).any(axis=1)]
-        info.update(safety_k=safety_k, borderline=tuple(sorted(border)))
+        info.update(safety_k=k, borderline=tuple(sorted(border)))
     meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
             "p": "max" if p is MAXIMAL else int(p)}
     weights = alpha_fn = None
-    if variant in (SAFELEVEL, ADASYN):
-        safety = compute_safety(ds, info["k_used"])
-        if variant == SAFELEVEL:
-            meta["formula"] = cfg.safelevel_formula
-            alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
-        else:
-            weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
+    if variant == SAFELEVEL:
+        meta["formula"] = cfg.safelevel_formula
+        alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
+    elif variant == ADASYN:
+        weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
     meta.update(info, n_candidate_simplices=table.shape[0])
     return (*_sample_from_simplices(table, m, SampleStreams(cfg.seed), weights, alpha_fn), meta)

@@ -28,7 +28,7 @@ from simbal import (
     stratified_cv,
     synthetic_benchmark,
 )
-from simbal import complexes, evaluation, graphs, metrics, samplers
+from simbal import complexes, evaluation, graphs, metrics, samplers, variants
 from simbal.complexes import MAXIMAL
 from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
@@ -413,6 +413,17 @@ class TestGridSearchEval:
                              cv=CVConfig(folds=2, repeats=1))
         assert calls == []
 
+    @pytest.mark.parametrize("methods", [[5], [Method.SMOTE, None], ["random"],
+                                         [IMBALANCED, Method.SMOTE.value]])
+    def test_entry_that_is_not_a_method_raises_before_any_split(self, monkeypatch, methods):
+        # a name is the CLI's to parse: the grid takes Method members and IMBALANCED only
+        calls = []
+        monkeypatch.setattr(evaluation, "stratified_cv", lambda *args: calls.append(args))
+        with pytest.raises(EvaluationError, match=f"got {methods[-1]!r}$"):
+            grid_search_eval(self._datasets(), methods, k_grid=(3,),
+                             cv=CVConfig(folds=2, repeats=1))
+        assert calls == []
+
     def test_config_typo_raises(self):
         # a misspelled option is a caller error, not a sampler failure to
         # score as the unsampled classifier
@@ -454,6 +465,8 @@ HARNESS_METHODS = [IMBALANCED, Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL,
 WHOLE_MINORITY = [Method.SMOTE, Method.SIMPLICIAL, Method.SAFELEVEL, Method.S_SAFELEVEL,
                   Method.ADASYN, Method.S_ADASYN]
 SIMPLEX_WHOLE_MINORITY = [Method.SIMPLICIAL, Method.S_SAFELEVEL, Method.S_ADASYN]
+SAFETY_AWARE = [Method.BORDERLINE, Method.S_BORDERLINE, Method.SAFELEVEL, Method.S_SAFELEVEL,
+                Method.ADASYN, Method.S_ADASYN]
 
 
 def harness_datasets():
@@ -733,6 +746,53 @@ class TestFoldMajorHarness:
         assert (len(harness) > 0) == any(m in WHOLE_MINORITY for m in methods)
         if all(m in WHOLE_MINORITY for m in methods):
             assert sampler == []
+
+    @pytest.mark.parametrize("methods", [
+        [IMBALANCED, Method.RANDOM, Method.GAUSSIAN, Method.SMOTE, Method.SIMPLICIAL],
+        [Method.BORDERLINE],
+        [Method.S_BORDERLINE, Method.SMOTE, Method.RANDOM],
+        SAFETY_AWARE,
+        *([m] for m in SAFETY_AWARE),
+    ])
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_one_safety_ranking_per_split(self, monkeypatch, methods, cv):
+        # a prepared split ranks its training minority against its training
+        # fold once, at the largest k of its safety-aware draws clamped to
+        # n_plus - 1, and not at all without such a draw; the draws then make
+        # no safety search of their own (variants.nearest is that search)
+        splits = {}
+        prepare, draw_split, search = evaluation._prepare, evaluation._draw_split, variants.nearest
+        searches = []
+
+        def recorded_prepare(train, test, *args):
+            before = len(searches)
+            split = prepare(train, test, *args)
+            splits[id(split)] = (split, train.n_minority, train.n, searches[before:], [])
+            return split
+
+        def recorded_draw_split(split, draws, opts):
+            splits[id(split)][4].extend(draws)
+            before = len(searches)
+            drawn = draw_split(split, draws, opts)
+            assert searches[before:] == []
+            return drawn
+
+        def counted(query, ref, k, self_ids=None):
+            searches.append((len(query), len(ref), k))
+            return search(query, ref, k, self_ids)
+
+        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
+        monkeypatch.setattr(variants, "nearest", counted)
+        grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
+        for _, n_plus, n, ranked, draws in splits.values():
+            ks = [k for m, k, _, _ in draws if m in SAFETY_AWARE]
+            assert ranked == ([(n_plus, n, min(max(ks), n_plus - 1))] if ks else [])
+        assert len(searches) == sum(len(r) for _, _, _, r, _ in splits.values())
+        assert (len(searches) > 0) == any(m in SAFETY_AWARE for m in methods)
 
 
     @pytest.mark.parametrize("methods", [

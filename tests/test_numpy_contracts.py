@@ -1,5 +1,5 @@
 """The numpy behaviour the samplers' streams, the batched combine, the neighbour
-re-rank and the grid search's tally rely on.
+filter and re-rank, the clique step's bitsets and the grid search's tally rely on.
 
 Each test makes the call with the dtype, shape and keywords the code makes it
 with, and checks the result against an oracle that handles one row or one
@@ -7,11 +7,14 @@ element at a time. A numpy release that broke one of them would change the
 samplers' points without failing on any sampler test's small inputs first.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from simbal.complexes import _LOWEST, _row_keys
 from simbal.samplers import _PCG64_JUMP
 
 # Stack heights around numpy's and the BLAS's inner block and unroll sizes.
@@ -300,3 +303,210 @@ def test_stable_row_argsort_of_an_inf_padded_table_and_clipped_take(width):
         want = sorted(range(width), key=lambda j: (table[i, j], j))
         assert order[i].tolist() == want, i
         assert got[i].tolist() == [int(cols[min(first[i] + j, cols.size - 1)]) for j in want], i
+
+
+# Squared norms from subnormal to near the float range, as the filter meets them.
+NORMS = (5e-324, 2.0 ** -1030, 1e-300, 2.0 ** -60, 0.75, 1.0, 3.0, 2.0 ** 60, 1e300, 1.7e308)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_frexp_and_ldexp_scale_by_an_exact_power_of_two(norm):
+    # graphs._candidates takes e = frexp(norm)[1] // 2 + 1 and scales both point
+    # sets by ldexp(1.0, -e): the exponent is frexp's, the scale is 2**-e exactly,
+    # and the product rounds each coordinate as a scaling by 2**-e does alone
+    mantissa, exp = np.frexp(norm)
+    assert (float(mantissa), int(exp)) == math.frexp(norm)
+    e = int(exp) // 2 + 1
+    scale = np.ldexp(1.0, -e)
+    assert Fraction(float(scale)) == Fraction(2) ** -e
+    rng = _rng(int(exp) % 997)
+    points = rng.normal(size=(40, 3)) * math.sqrt(norm) / 4
+    scaled = points * scale
+    assert scaled.tolist() == [[math.ldexp(v, -e) for v in row] for row in points.tolist()]
+    # geometry._hull_distances scales with an array ldexp the same way
+    assert np.ldexp(points, -e).tolist() == scaled.tolist()
+
+
+def _flat_views(size: int, rows: int, cols: int, dtype):
+    """A sentinel-filled flat buffer of ``size`` elements and its first rows * cols as a
+    (rows, cols) view, as graphs._filter_buffers hands the filter its scratch arrays."""
+    buf = np.full(size, np.nan if dtype != bool else True, dtype)
+    return buf, buf[:rows * cols].reshape(rows, cols)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+@pytest.mark.parametrize("n_ref", [1, 7, 65, 1750])
+def test_float32_matmul_into_a_view_of_a_reused_buffer(d, n_ref):
+    # graphs._candidates: np.matmul(q2[s:s + step], r2, out=g), q2 (rows, d + 1) and
+    # r2 (d + 1, n_ref) float32, g the first rows * n_ref entries of a flat
+    # float32 buffer reshaped; g must hold the product and nothing past it change
+    rng = _rng(d * 10_000 + n_ref)
+    q2 = rng.normal(size=(300, d + 1)).astype(np.float32)
+    r2 = rng.normal(size=(d + 1, n_ref)).astype(np.float32)
+    step = max(1, 2 ** 17 // n_ref)
+    for s in range(0, len(q2), step):
+        rows = min(step, len(q2) - s)
+        buf, g = _flat_views(step * n_ref + 13, rows, n_ref, np.float32)
+        assert np.matmul(q2[s:s + step], r2, out=g) is g
+        assert g.tobytes() == np.matmul(q2[s:s + step], r2).tobytes()
+        assert np.isnan(buf[rows * n_ref:]).all()
+        # float32 rounding of a (d + 1)-term product: well inside gamma_{d+1}
+        exact = q2[s:s + step].astype(np.float64) @ r2.astype(np.float64)
+        bound = (d + 2) * 2.0 ** -23 * (np.abs(q2[s:s + step]) @ np.abs(r2))
+        assert (np.abs(g - exact) <= bound).all()
+
+
+@pytest.mark.parametrize("w, m", [(1, 5), (3, 1), (5, 40), (128, 3)])
+def test_min_over_axis_1_of_a_reshape_into_a_view(w, m):
+    # graphs._candidates folds row i's threshold columns into w classes with
+    # g[:, :whole].reshape(rows, -1, w).min(axis=1, out=mins), g a float32 view
+    # wider than whole = m * w and mins a (rows, w) view of a flat buffer
+    rng = _rng(w * 100 + m)
+    for rows in (1, 3, 9):
+        g = rng.choice(np.float32([-2.0, -0.5, 0.25, 1.0, 3.0]), size=(rows, m * w + 4))
+        g += rng.normal(size=g.shape).astype(np.float32) * np.float32(rng.integers(0, 2))
+        buf, mins = _flat_views(rows * w + 5, rows, w, np.float32)
+        assert g[:, :m * w].reshape(rows, -1, w).min(axis=1, out=mins) is mins
+        for i in range(rows):
+            assert mins[i].tolist() == [min(g[i, c:m * w:w].tolist()) for c in range(w)], i
+        assert np.isnan(buf[rows * w:]).all()
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 20, 128, 513])
+def test_float32_partition_places_the_kth_smallest(w):
+    # graphs._candidates calls mins.partition(kk - 1, axis=1) in place on a (rows, w)
+    # float32 view and reads column kk - 1: it must be each row's kk-th smallest
+    rng = _rng(w)
+    for kk in sorted({1, min(2, w), (w + 1) // 2, w}):
+        buf, mins = _flat_views(9 * w + 3, 9, w, np.float32)
+        mins[:] = rng.choice(np.float32([-1.0, 0.0, 0.5, 2.0, np.inf]), size=(9, w))
+        mins[::2] += rng.normal(size=(5, w)).astype(np.float32)
+        before = mins.tolist()
+        mins.partition(kk - 1, axis=1)
+        for i, row in enumerate(before):
+            kth = sorted(row)[kk - 1]
+            assert mins[i, kk - 1] == kth, (kk, i)
+            assert sorted(mins[i].tolist()) == sorted(row), (kk, i)
+            assert all(v <= kth for v in mins[i, :kk - 1].tolist()), (kk, i)
+            assert all(v >= kth for v in mins[i, kk:].tolist()), (kk, i)
+        assert np.isnan(buf[9 * w:]).all()
+
+
+@pytest.mark.parametrize("n_ref", [1, 4, 300])
+def test_less_equal_into_a_view_of_a_bool_buffer(n_ref):
+    # graphs._candidates: np.less_equal(g, t[:, None], out=keep), g a (rows, n_ref)
+    # float32 view, t the float32 row thresholds and keep the first rows * n_ref
+    # entries of a flat bool buffer reshaped; flatnonzero(keep) lists the kept pairs
+    rng = _rng(n_ref)
+    values = np.float32([-np.inf, -1.0, -0.0, 0.0, 1e-45, 0.5, 1.0, np.inf])
+    for rows in (1, 2, 17):
+        g = rng.choice(values, size=(rows, n_ref))
+        t = rng.choice(values[1:-1], size=rows)
+        buf, keep = _flat_views(rows * n_ref + 7, rows, n_ref, bool)
+        keep[:] = False
+        assert np.less_equal(g, t[:, None], out=keep) is keep
+        want = [i * n_ref + j for i in range(rows) for j in range(n_ref)
+                if float(g[i, j]) <= float(t[i])]
+        assert np.flatnonzero(keep).tolist() == want
+        assert buf[rows * n_ref:].all()
+
+
+def _words(rng, rows: int, width: int) -> np.ndarray:
+    """(rows, width) uint64 bitsets, sparse and dense, with an empty row and a full word."""
+    bits = rng.random((rows, width, 64)) < rng.choice([0.02, 0.3, 0.9], size=(rows, 1, 1))
+    words = (bits * (np.uint64(1) << np.arange(64, dtype=np.uint64))).sum(axis=-1, dtype=np.uint64)
+    words[0] = 0
+    words[-1, -1] = np.uint64(2 ** 64 - 1)
+    return words
+
+
+def _as_int(row) -> int:
+    """A row of uint64 words as one Python int, word j holding bits 64j..64j+63."""
+    return sum(int(word) << (64 * j) for j, word in enumerate(row))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_unpackbits_little_on_the_byte_view_lists_set_bits_ascending(width):
+    # complexes._set_bits: the bytes of a "<u8" view, the nonzero ones unpacked
+    # with bitorder="little", give the flat indices of the set bits in order
+    rng = _rng(width)
+    words = _words(rng, 12, width)
+    byte = words.astype("<u8", copy=False).view(np.uint8).ravel()
+    full = byte.nonzero()[0]
+    bits = np.unpackbits(byte.take(full), bitorder="little").nonzero()[0]
+    got = 8 * full.take(bits >> 3) + (bits & 7)
+    whole = _as_int(words.ravel())
+    assert got.tolist() == [b for b in range(64 * words.size) if whole >> b & 1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_lowest_set_bit_from_the_byte_view_and_table(width):
+    # complexes._expand takes the pivot as 8 * first + _LOWEST[byte], first the
+    # first nonzero byte of the row's "<u8" view; _LOWEST[b] is b's lowest set bit
+    assert _LOWEST.tolist()[1:] == [min(i for i in range(8) if b >> i & 1) for b in range(1, 256)]
+    rng = _rng(width)
+    either = _words(rng, 30, width)
+    either = either[either.any(axis=1)]  # rows with a set bit
+    byte = either.astype("<u8", copy=False).view(np.uint8)
+    first = (byte != 0).argmax(axis=1)
+    low = _LOWEST.take(byte[np.arange(first.size), first])
+    for i, row in enumerate(either):
+        whole = _as_int(row)
+        assert 8 * first[i] + low[i] == (whole & -whole).bit_length() - 1, i
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_bincount_of_distinct_powers_of_two_is_the_or(width):
+    # complexes._clique_table sums float64 2**(col & 31) per 32-bit half word with
+    # np.bincount, block by block into one array, and casts the sums to uint64:
+    # distinct bits below 2**32 add up exactly to their OR
+    rng = _rng(width)
+    n_rows = 20
+    cells = 2 * width * n_rows
+    # distinct (row, col) pairs; row 0 is full, so every half word holds 2**32 - 1
+    pairs = {(0, col) for col in range(64 * width)}
+    pairs |= {(int(r), int(c)) for r, c in zip(rng.integers(1, n_rows, 400),
+                                                rng.integers(0, 64 * width, 400))}
+    row, col = np.array(sorted(pairs)).T
+    order = rng.permutation(row.size)
+    row, col = row[order], col[order]
+    halves = np.zeros(cells)
+    for s in range(0, row.size, 97):
+        r, c = row[s:s + 97], col[s:s + 97]
+        halves += np.bincount(r * 2 * width + (c >> 5), 2.0 ** np.arange(32).take(c & 31), cells)
+    got = halves.astype(np.uint64)
+    want = [0] * cells
+    for r, c in zip(row.tolist(), col.tolist()):
+        want[r * 2 * width + (c >> 5)] |= 1 << (c & 31)
+    assert got.tolist() == want
+
+
+def test_uint64_shift_and_bitwise_ops():
+    # complexes joins the half words as lo | hi << np.uint64(32) and combines the
+    # bitsets with &, | and ~; each must act on all 64 bits and stay uint64
+    rng = _rng(64)
+    mask = 2 ** 64 - 1
+    lo, hi = (rng.integers(0, 2 ** 32, size=200, dtype=np.uint64) for _ in range(2))
+    lo[:2], hi[:2] = 2 ** 32 - 1, [0, 2 ** 32 - 1]
+    a, b = _words(rng, 3, 200)[1:]  # a random row, and one ending in a full word
+    joined = lo | hi << np.uint64(32)
+    for got, want in ((joined, [x | (y << 32) for x, y in zip(lo.tolist(), hi.tolist())]),
+                      (a & ~b, [x & (mask ^ y) for x, y in zip(a.tolist(), b.tolist())]),
+                      ((a | b) & ~a, [(x | y) & (mask ^ x) for x, y in zip(a.tolist(), b.tolist())]),
+                      (~a, [mask ^ x for x in a.tolist()])):
+        assert got.dtype == np.uint64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("n, width", [(2, 3), (9, 4), (1000, 7), (2 ** 31, 3), (5, 40)])
+def test_lexsort_of_packed_row_keys_orders_rows_as_tuples(n, width):
+    # complexes._clique_table orders its table with
+    # np.lexsort(_row_keys(table, n)[::-1]): each int64 key packs several
+    # columns, id + 1 in base n + 1, and the rows come out in tuple order
+    rng = _rng(width)
+    table = rng.integers(-1, n, size=(300, width))
+    table[::3, width // 2:] = -1  # padded rows
+    table[1::7] = table[2::7]  # repeated rows
+    keys = _row_keys(table, n)
+    assert all(key.dtype == np.int64 for key in keys)
+    got = table[np.lexsort(keys[::-1])]
+    assert list(map(tuple, got.tolist())) == sorted(map(tuple, table.tolist()))

@@ -440,3 +440,59 @@ def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
             assert np.array_equal(got.simplices, want.simplices), (method, k, p)
             assert np.array_equal(got.lam, want.lam), (method, k, p)
             assert got.meta == want.meta, (method, k, p)
+
+
+SAFETY_AWARE = [m for m, (variant, _) in GRAPH_VARIANTS.items() if variant is not None]
+
+
+@pytest.mark.parametrize("name", list(neighbor_list_datasets()))
+def test_safety_at_k_is_the_prefix_of_safety_at_a_larger_k(name):
+    # (distance, index) order makes the k-search the first k columns of any
+    # larger one, ties included, so a CV split can rank its minority once
+    ds = neighbor_list_datasets()[name]
+    big_k = min(8, ds.n - 1)
+    full = compute_safety(ds, big_k)
+    assert full.neighbors.shape == (ds.n_minority, big_k)
+    for k in range(1, big_k + 1):
+        safety, prefix = compute_safety(ds, k), full.neighbors[:, :k]
+        assert np.array_equal(safety.neighbors, prefix), k
+        assert np.array_equal(safety.minority_indices, full.minority_indices), k
+        assert np.array_equal(safety.k_plus, (ds.labels[prefix] == 1).sum(axis=1)), k
+        assert np.array_equal(safety.k_minus, k - safety.k_plus), k
+
+
+def _outcome(run):
+    """A draw's points, simplices, weights and meta, or the borderline error it raised."""
+    try:
+        batch = run()
+    except EmptyBorderlineError as exc:
+        return repr(exc)
+    return (batch.points.tobytes(), np.asarray(batch.simplices).tobytes(), batch.lam.tobytes(),
+            repr(batch.meta))
+
+
+@pytest.mark.parametrize("symmetrize", ["union", "mutual"])
+@pytest.mark.parametrize("name", list(neighbor_list_datasets()))
+def test_ranked_lists_stand_in_for_the_safety_search(monkeypatch, name, symmetrize):
+    # the grid search also hands over one safety ranking at its largest k; each
+    # safety-aware draw counts over its first k columns, searches nothing, and
+    # samples, or raises, exactly as oversample does
+    ds = neighbor_list_datasets()[name]
+    x = ds.minority_features()
+    big_k = min(5, len(x) - 1)
+    lists = nearest(x, x, big_k, np.arange(len(x)))
+    tables = {p: _knn_tables(lists, range(1, big_k + 1), symmetrize, p) for p in (1, MAXIMAL)}
+    tables[variants._RANKED] = compute_safety(ds, big_k).neighbors
+    searches, search = [], variants.nearest
+    monkeypatch.setattr(variants, "nearest", lambda *args: searches.append(args) or search(*args))
+    for method in SAFETY_AWARE:
+        for k, p in product(range(1, 6), (1,) if GRAPH_VARIANTS[method][1] else (1, 2, MAXIMAL)):
+            if p is not MAXIMAL and p > k:
+                continue
+            cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
+            want = _outcome(lambda: oversample(ds, cfg))
+            before = len(searches)
+            got = _outcome(lambda: samplers._batch(ds.features, *variants._draw(ds, cfg, tables)))
+            assert len(searches) == before, (method, k, p)
+            assert got == want, (method, k, p)
+    assert searches  # oversample itself searched
