@@ -4,11 +4,14 @@ The pipeline for one fold is fixed: standardize on the training fold,
 oversample the standardized training fold, classify the standardized test
 fold. The grid search scores a split in one pass over its draws: every
 (method, k, p) of the grid in outer mode, each method's chosen one in nested
-mode. It standardizes the fold's checked rows without a second check, ranks
-the training minority once, at the largest k drawn, and builds the samplers'
-edge and clique tables of every k drawn, one call per kind; for the
-safety-aware draws it ranks that minority against the whole fold once, at
-their largest k, and each counts over its first k neighbours. The variates of
+mode. Before a pass scores its splits, it ranks each split's training
+minority once, at the largest k drawn there, and builds the samplers' edge
+and clique tables of every split and k drawn together, one call per kind;
+consecutive splits share that call while their neighbour lists stay within
+``graphs._BLOCK_ELEMS`` entries. Each split then standardizes the fold's
+checked rows without a second check; for the safety-aware draws it ranks the
+minority against the whole fold once, at their largest k, and each counts
+over its first k neighbours. The variates of
 the draws but Gaussian's go into one combine (``samplers._combine``); one
 grouped call of the neighbour search (``graphs._search``) classifies the test
 fold for every draw, with ``knn_classify``'s vote rule, and one ``bincount``
@@ -30,7 +33,8 @@ from .datasets import (Dataset, DatasetError, MAJORITY, MINORITY, Shape, Synthet
                        _checked, generate_synthetic)
 # cross_distances and confusion_counts are unused here; the benchmark's span
 # tracer wraps them at these sites
-from .graphs import UNION, _integer, _search, cross_distances, nearest  # noqa: F401
+from .graphs import (UNION, _BLOCK_ELEMS, _integer, _search, cross_distances,  # noqa: F401
+                     nearest)
 from .metrics import ConfusionCounts, confusion_counts, f1_score, mcc_score  # noqa: F401
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _combine, _knn_tables, oversample)
@@ -238,42 +242,95 @@ def _derived_seed(*coords: int) -> int:
     return int(np.random.SeedSequence(coords).generate_state(1, np.uint64)[0])
 
 
+def _scaled(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, spread, scaled rows) of a training fold: np.std's steps on rows centred
+    once, a zero spread read as 1. Nothing is checked: an overflow leaves non-finite
+    values for the caller to find."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = features.mean(axis=0)
+        centred = features - mu
+        sd = np.sqrt(np.add.reduce(centred * centred, axis=0) / len(features))
+        sd[sd == 0.0] = 1.0
+        return mu, sd, centred / sd
+
+
 def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.ndarray]:
     """The training fold and test points scaled by the training mean and spread;
     ``EvaluationError`` if any of them overflows. The scaled rows pass that check,
     so the fold is built without ``Dataset``'s."""
+    mu, sd, features = _scaled(train.features)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = train.features.mean(axis=0)
-        centred = train.features - mu  # np.std's steps, on rows centred once
-        sd = np.sqrt(np.add.reduce(centred * centred, axis=0) / train.n)
-        sd[sd == 0.0] = 1.0
-        features, test_points = centred / sd, (test_points - mu) / sd
+        test_points = (test_points - mu) / sd
     if not all(np.isfinite(x).all() for x in (mu, sd, features, test_points)):
         raise EvaluationError("the training fold's standardization overflows; "
                               "rescale the features")
     return _checked(features, train.labels), test_points
 
 
-def _prepare(train: Dataset, test: Dataset, draws, symmetrize: str):
-    """One split ready to score: standardized training fold, test points, test
-    labels and ``_draw``'s tables, None if empty. They hold the minority's {1:
-    edge tables, MAXIMAL: clique tables}, each {clamped k: table}, of the kinds
-    and k the ``_WHOLE_MINORITY`` draws use, from one self-query at their largest
-    k, and at ``_RANKED`` the minority's neighbour ids in the fold, from one
-    ``compute_safety`` call at the ``_SAFETY_AWARE`` draws' largest k. Each k is
-    clamped to n_plus - 1; a part whose k falls below 1 is left out."""
+def _ranked(ds: Dataset, train_idx: np.ndarray, draws):
+    """(neighbour lists, {1 or MAXIMAL: sorted ks}) of the training fold ``train_idx``:
+    the edge and clique tables its ``_WHOLE_MINORITY`` draws read, each k clamped to
+    n_plus - 1 (none below 1), and its minority, scaled as ``_standardize`` scales it
+    but without building the fold, ranked once at the largest of those k. (None, {})
+    if there is no such table, or if the scaled minority overflows: ``_standardize``
+    then raises for the split."""
+    wanted = [(k, p) for method, k, p, _ in draws if method in _WHOLE_MINORITY]
+    train = ds.subset(train_idx) if wanted else None
+    if not wanted or train.n_minority < 2:
+        return None, {}
+    kinds = {}  # the edge-only methods' combos have p = 1
+    for k, p in wanted:
+        kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, train.n_minority - 1))
+    x = _scaled(train.features)[2][train.labels == MINORITY]
+    if not np.isfinite(x).all():
+        return None, {}
+    neighbors = nearest(x, x, max(map(max, kinds.values())), np.arange(len(x)))
+    return neighbors, {kind: sorted(ks) for kind, ks in kinds.items()}
+
+
+def _built(group, symmetrize: str) -> list[dict]:
+    """The tables of a group of ``_ranked`` splits: one ``_knn_tables`` call per kind,
+    over every split of the group that reads that kind."""
+    tables = [{} for _ in group]
+    for kind in (1, MAXIMAL):
+        readers = [i for i, (_, kinds) in enumerate(group) if kind in kinds]
+        if readers:
+            built = _knn_tables([group[i][0] for i in readers],
+                                [group[i][1][kind] for i in readers], symmetrize, kind)
+            for i, by_k in zip(readers, built):
+                tables[i][kind] = by_k
+    return tables
+
+
+def _tables(ds: Dataset, work, symmetrize: str):
+    """Per split (train ids, test ids, draws) of ``work``, in order, the {1: edge tables,
+    MAXIMAL: clique tables}, each {clamped k: table}, that its whole-minority draws
+    read. Consecutive splits go in groups whose neighbour entries, n_plus times each
+    k listed for the tables, stay within ``_BLOCK_ELEMS``; a group holds at least one
+    split. Each group ranks its splits (``_ranked``) and builds their tables in one
+    call per kind (``_built``) before its first split is yielded, so it holds only
+    their neighbour lists and tables, never a standardized fold."""
+    group, listed = [], 0
+    for train_idx, _, draws in work:
+        neighbors, kinds = _ranked(ds, train_idx, draws)
+        entries = 0 if neighbors is None else len(neighbors) * sum(map(sum, kinds.values()))
+        if group and listed + entries > _BLOCK_ELEMS:
+            yield from _built(group, symmetrize)
+            group, listed = [], 0
+        group.append((neighbors, kinds))
+        listed += entries
+    yield from _built(group, symmetrize)
+
+
+def _prepare(train: Dataset, test: Dataset, draws, tables: dict):
+    """One split ready to score: standardized training fold, test points, test labels
+    and ``_draw``'s tables, None if empty. ``tables`` is the split's {1: edge tables,
+    MAXIMAL: clique tables} from ``_tables``; to it goes, at ``_RANKED``, the
+    minority's neighbour ids in the fold, from one ``compute_safety`` call at the
+    ``_SAFETY_AWARE`` draws' largest k, clamped to n_plus - 1 (none below 1)."""
     std_train, test_points = _standardize(train, test.features)
-    k_max, k_safe = (min(max((k for method, k, _, _ in draws if method in kind), default=0),
-                         std_train.n_minority - 1) for kind in (_WHOLE_MINORITY, _SAFETY_AWARE))
-    tables = {}
-    if k_max >= 1:
-        x = std_train.minority_features()
-        neighbors = nearest(x, x, k_max, np.arange(len(x)))
-        kinds = {}  # the edge-only methods' combos have p = 1
-        for method, k, p, _ in draws:
-            if method in _WHOLE_MINORITY:
-                kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, k_max))
-        tables = {p: _knn_tables(neighbors, sorted(ks), symmetrize, p) for p, ks in kinds.items()}
+    k_safe = min(max((k for method, k, _, _ in draws if method in _SAFETY_AWARE), default=0),
+                 std_train.n_minority - 1)
     if k_safe >= 1:
         tables[_RANKED] = compute_safety(std_train, k_safe).neighbors
     return std_train, test_points, test.labels, tables or None
@@ -333,57 +390,61 @@ def _summarize(counts) -> tuple[float, float, float, float]:
             float(mccs.mean()), float(mccs.std(ddof=ddof)))
 
 
-def _select(ds, splits, jobs, tail, opts):
-    """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
-
-    Fold-major: each split is prepared once, and every combo of every job is drawn
-    on it, in one combine, and scored in one neighbour pass before the next split.
-    Combo c on fold f is seeded from ``head + (c,) + tail + (f,)``. The highest mean
-    F1 wins; max() keeps the first.
-    """
-    plan = [(method, k, p, (*head, c, *tail)) for method, combos, head in jobs
-            for c, (k, p) in enumerate(combos)]
-    tallies = [([], []) for _ in plan]  # per draw: counts, diagnostics
-    for f, (train_idx, test_idx) in enumerate(splits):
-        draws = [(method, k, p, (*coords, f)) for method, k, p, coords in plan]
-        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), draws, opts[0])
+def _tally(ds: Dataset, work, label: str, opts) -> list:
+    """Per draw slot of ``work``'s splits (train ids, test ids, draws; slot j holds the
+    same job on every split), its ConfusionCounts over the splits and its diagnostics,
+    each labelled ``label`` and the split's index. A split is prepared with its tables
+    from ``_tables``, has all its draws drawn, in one combine, and scored in one
+    neighbour pass, and is freed before the next split is prepared."""
+    tallies = [([], []) for _ in work[0][2]]
+    for f, ((train_idx, test_idx, draws), tables) in enumerate(
+            zip(work, _tables(ds, work, opts[0]))):
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), draws, tables)
         rows, diags = _draw_split(split, draws, opts)
         for (counts, notes), fold_counts, diag in zip(tallies, _score(split, rows), diags):
             counts.append(fold_counts)
             if diag is not None:
-                notes.append(f"fold {f}: {diag}")
+                notes.append(f"{label} {f}: {diag}")
         del split  # freed before the next split is prepared
-    scores = iter([(*_summarize(counts), notes, k, p)
-                   for (counts, notes), (_, k, p, _) in zip(tallies, plan)])
+    return tallies
+
+
+def _select(ds, splits, jobs, tail, opts):
+    """Per job (method, combos, head), the scores, diagnostics, k and p of its best combo.
+
+    Every combo of every job is drawn and scored on each split (``_tally``). Combo c
+    on fold f is seeded from ``head + (c,) + tail + (f,)``. The highest mean F1 wins;
+    max() keeps the first.
+    """
+    plan = [(method, k, p, (*head, c, *tail)) for method, combos, head in jobs
+            for c, (k, p) in enumerate(combos)]
+    work = [(train_idx, test_idx, [(method, k, p, (*coords, f)) for method, k, p, coords in plan])
+            for f, (train_idx, test_idx) in enumerate(splits)]
+    scores = iter([(*_summarize(counts), notes, k, p) for (counts, notes), (_, k, p, _)
+                   in zip(_tally(ds, work, "fold", opts), plan)])
     return [max((next(scores) for _ in combos), key=lambda r: r[0]) for _, combos, _ in jobs]
 
 
 def _nested(ds, splits, jobs, cv: CVConfig, opts):
     """``_select`` with (k, p) chosen per outer split on an inner CV; reports the mode.
-    Outer split f is prepared after the selection, for the chosen combos only, and
-    draws and scores them together, each seeded from ``(*head, f, 0)``."""
-    tallies = [([], [], []) for _ in jobs]  # counts, diagnostics, chosen (k, p)
+    The outer splits are scored after every selection (``_tally``), each job's chosen
+    combo on split f seeded from ``(*head, f, 0)``."""
+    work = []
     for f, (train_idx, test_idx) in enumerate(splits):
         train, draws = ds.subset(train_idx), []
-        for (method, combos, head), (_, _, chosen) in zip(jobs, tallies):
+        for method, combos, head in jobs:
             inner = stratified_cv(train, cv.inner_folds, cv.inner_repeats,
                                   _derived_seed(*head, f))
             # a lone combo is chosen without its inner CV; the split above
             # still rejects a training part too small for it
             k, p = (combos[0] if len(combos) == 1 else
                     _select(train, inner, [(method, combos, head)], (f,), opts)[0][-2:])
-            chosen.append((k, p))
             # arity-5 coordinates cannot collide with the arity-6 inner seeds
             draws.append((method, k, p, (*head, f, 0)))
-        outer = _prepare(train, ds.subset(test_idx), draws, opts[0])
-        rows, diags = _draw_split(outer, draws, opts)
-        for (counts, notes, _), fold_counts, diag in zip(tallies, _score(outer, rows), diags):
-            counts.append(fold_counts)
-            if diag is not None:
-                notes.append(f"outer fold {f}: {diag}")
-        del outer  # freed before the next split is prepared
-    return [(*_summarize(counts), notes, *Counter(chosen).most_common(1)[0][0])
-            for counts, notes, chosen in tallies]
+        work.append((train_idx, test_idx, draws))
+    return [(*_summarize(counts), notes,
+             *Counter(draws[j][1:3] for _, _, draws in work).most_common(1)[0][0])
+            for j, (counts, notes) in enumerate(_tally(ds, work, "outer fold", opts))]
 
 
 def _listed_once(what: str, names: list[str]) -> None:

@@ -5,8 +5,9 @@ table of the maximal simplices of the p-skeleton of their clique complex
 (``complexes._skeleton_table``) and synthesizes each new point as a
 Dirichlet-weighted combination of one simplex's vertices. The edge-based
 sampler is the same pipeline with p forced to 1. In the grid search, both get
-their CV split's tables (``_knn_tables``), and neither search nor clique step
-runs. Random duplication draws the same way from 0-simplices, and global pair
+their CV split's tables, built for a group of splits in one ``_knn_tables``
+call per kind, and neither search nor clique step runs in the draw. Random
+duplication draws the same way from 0-simplices, and global pair
 sampling from the edges of the complete minority graph.
 
 A barycentric draw has two halves: ``_variates`` draws a sampler's raw
@@ -321,30 +322,36 @@ def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetriz
     return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
 
 
-def _knn_tables(neighbors: np.ndarray, ks, symmetrize: str, p: int | None) -> dict:
-    """{k: ``_skeleton_table`` of the k-neighbour graph at p, 1 or MAXIMAL} for each k in
-    ``ks``, where row i of ``neighbors`` lists point i's neighbours as ``nearest`` ranks them.
+def _knn_tables(neighbors: list, ks: list, symmetrize: str, p: int | None) -> list[dict]:
+    """Per (n, w) array of ``neighbors`` and its k set in ``ks``, {k: ``_skeleton_table``
+    of the k-neighbour graph at p, 1 or MAXIMAL}, where row i of the array lists point
+    i's neighbours as ``nearest`` ranks them; each array has its own n and each k <= w.
 
-    One call builds them all, on the disjoint union of the graphs, graph g's ids
-    offset by g * n. The union's rows sort by their first id, so graph g's rows
-    are the block whose first id lies in [g * n, (g + 1) * n); each block,
-    shifted back and cut to its widest row, is the table of its graph alone (at
-    p = 1 both columns: a kNN graph on n >= 2 points has an edge).
+    One call builds them all, on the disjoint union of the (array, k) graphs, each
+    graph's ids offset by the vertices of the graphs before it. The union's rows sort
+    by their first id, so a graph's rows are the block whose first id lies in its own
+    range; each block, shifted back and cut to its widest row, is the table of its
+    graph alone (at p = 1 both columns: a kNN graph on n >= 2 points has an edge).
     """
-    (n, width), ks = neighbors.shape, np.asarray(list(ks))
-    # (graph, vertex, column): graph g's vertex v lists its first ks[g] neighbours
-    offset = n * np.arange(ks.size)[:, None, None]
-    listed = np.broadcast_to(np.arange(width) < ks[:, None, None], (ks.size, n, width))
-    src = np.broadcast_to(offset + np.arange(n)[:, None], listed.shape)[listed]
-    table = _skeleton_table(*_listed_pairs(ks.size * n, src, (offset + neighbors)[listed],
+    src, dst, firsts = [], [], [0]
+    for ids, k_set in zip(neighbors, ks):
+        (n, width), k_set = ids.shape, np.asarray(list(k_set))
+        # (graph, vertex, column): the g-th graph's vertex v lists its first k_set[g] neighbours
+        offset = firsts[-1] + n * np.arange(k_set.size)[:, None, None]
+        listed = np.broadcast_to(np.arange(width) < k_set[:, None, None], (k_set.size, n, width))
+        src.append(np.broadcast_to(offset + np.arange(n)[:, None], listed.shape)[listed])
+        dst.append((offset + ids)[listed])
+        firsts.extend(range(firsts[-1] + n, firsts[-1] + n * k_set.size + 1, n))
+    table = _skeleton_table(*_listed_pairs(firsts[-1], np.concatenate(src), np.concatenate(dst),
                                            symmetrize), p)
-    graph = table[:, 0] // n
+    firsts = np.array(firsts)
+    graph = np.searchsorted(firsts, table[:, 0], "right") - 1
     filled = table >= 0
-    table = np.where(filled, table - n * graph[:, None], -1)
-    size = filled.sum(axis=1)
-    bounds = np.searchsorted(graph, np.arange(ks.size + 1))
-    return {int(k): table[bounds[g]:bounds[g + 1], :size[bounds[g]:bounds[g + 1]].max()]
-            for g, k in enumerate(ks)}
+    table = np.where(filled, table - firsts.take(graph)[:, None], -1)
+    bounds = np.searchsorted(graph, np.arange(firsts.size))
+    widths = np.maximum.reduceat(filled.sum(axis=1), bounds[:-1]).tolist()
+    blocks = iter(zip(bounds.tolist(), bounds[1:].tolist(), widths))
+    return [{int(k): table[lo:hi, :w] for k, (lo, hi, w) in zip(k_set, blocks)} for k_set in ks]
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,

@@ -169,7 +169,7 @@ def test_knn_clique_tables_match_one_table_per_k(symmetrize):
         ks = (1, 2, 3, 5, 8)[: 2 + seed % 4]
         neighbors = nearest(x, x, max(ks), np.arange(len(x)))
         for p in (1, MAXIMAL):
-            tables = samplers._knn_tables(neighbors, ks, symmetrize, p)
+            tables, = samplers._knn_tables([neighbors], [ks], symmetrize, p)
             assert list(tables) == list(ks)
             for k in ks:
                 want = complexes._skeleton_table(*_knn_pairs(x, k, symmetrize), p)

@@ -493,6 +493,52 @@ def count_standardize(monkeypatch):
     return calls
 
 
+def record_groups(monkeypatch, calls):
+    """Record each group of splits whose tables are built together, as [the entries
+    of ``calls`` added in its table step, the draws of each of its splits, its size,
+    the entries added while its splits were prepared and drawn]. A group's splits are
+    the next ones drawn after its table step, so each goes to the first group not full."""
+    groups, built = [], evaluation._built
+    prepare, draw_split = evaluation._prepare, evaluation._draw_split
+
+    def recorded_built(group, symmetrize):
+        before = len(calls)
+        tables = built(group, symmetrize)
+        groups.append([calls[before:], [], len(group), []])
+        return tables
+
+    def recorded_prepare(*args):
+        before = len(calls)
+        split = prepare(*args)
+        next(g for g in groups if len(g[1]) < g[2])[3].extend(calls[before:])
+        return split
+
+    def recorded_draw_split(split, draws, opts):
+        group = next(g for g in groups if len(g[1]) < g[2])
+        before = len(calls)
+        drawn = draw_split(split, draws, opts)
+        group[1].append(draws)
+        group[3].extend(calls[before:])
+        return drawn
+
+    monkeypatch.setattr(evaluation, "_built", recorded_built)
+    monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
+    monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
+    return groups
+
+
+def count_tallies(monkeypatch):
+    """Count the passes over a list of splits: each ``_select`` or nested outer pass."""
+    calls, tally = [], evaluation._tally
+
+    def counted(*args):
+        calls.append(None)
+        return tally(*args)
+
+    monkeypatch.setattr(evaluation, "_tally", counted)
+    return calls
+
+
 class TestFoldMajorHarness:
     @pytest.mark.parametrize("methods,k_grid", [
         ([IMBALANCED], (3,)),
@@ -663,7 +709,7 @@ class TestFoldMajorHarness:
         # grouped search has no reference to search without a group
         moons = harness_datasets()["moons"]
         train_idx, test_idx = stratified_cv(moons, 2, 1, 0)[0]
-        split = evaluation._prepare(moons.subset(train_idx), moons.subset(test_idx), [], "union")
+        split = evaluation._prepare(moons.subset(train_idx), moons.subset(test_idx), [], {})
         with mock.patch.object(evaluation, "_search") as search:
             assert evaluation._score(split, []) == []
         assert search.call_count == 0
@@ -709,23 +755,29 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_minority_self_query_per_split(self, monkeypatch, methods, cv):
-        # a prepared split ranks its training minority once, at the largest k
-        # drawn on it by a method spanning the whole minority, clamped to
-        # n_plus - 1, and not at all if there is no such draw; in nested mode the
-        # outer split's draws are the chosen combos. Those methods then search
+        # each split's training minority is ranked once, at the largest k drawn
+        # on it by a method spanning the whole minority, clamped to n_plus - 1,
+        # and not at all if there is no such draw; in nested mode the outer
+        # split's draws are the chosen combos. The rankings come in the order
+        # the splits are prepared, a group's before its tables are built, so
+        # never while a split is prepared or drawn. Those methods then search
         # nothing themselves (graphs.nearest is the samplers' search, via _knn_pairs)
-        splits, harness, sampler = {}, [], []
+        prepared, harness, sampler = [], [], []
         prepare, draw_split, search = evaluation._prepare, evaluation._draw_split, graphs.nearest
 
         def recorded_prepare(train, test, *args):
             before = len(harness)
             split = prepare(train, test, *args)
-            splits[id(split)] = (split, train.n_minority, harness[before:], [])
+            assert harness[before:] == []
+            prepared.append([train.n_minority, []])
             return split
 
         def recorded_draw_split(split, draws, opts):
-            splits[id(split)][3].extend(draws)
-            return draw_split(split, draws, opts)
+            prepared[-1][1].extend(draws)
+            before = len(harness)
+            drawn = draw_split(split, draws, opts)
+            assert harness[before:] == []
+            return drawn
 
         def counting(calls):
             def counted(query, ref, k, self_ids=None):
@@ -739,10 +791,11 @@ class TestFoldMajorHarness:
         monkeypatch.setattr(evaluation, "nearest", counting(harness))
         monkeypatch.setattr(graphs, "nearest", counting(sampler))
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
-        for _, n_plus, queries, draws in splits.values():
+        want = []
+        for n_plus, draws in prepared:
             ks = [k for m, k, _, _ in draws if m in WHOLE_MINORITY]
-            assert queries == ([(n_plus, min(max(ks), n_plus - 1))] if ks else [])
-        assert len(harness) == sum(len(q) for _, _, q, _ in splits.values())
+            want += [(n_plus, min(max(ks), n_plus - 1))] if ks else []
+        assert harness == want
         assert (len(harness) > 0) == any(m in WHOLE_MINORITY for m in methods)
         if all(m in WHOLE_MINORITY for m in methods):
             assert sampler == []
@@ -806,40 +859,28 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_clique_step_per_split(self, monkeypatch, methods, cv):
-        # a prepared split builds the clique tables of all its k in one clique
-        # step if it draws a simplex method spanning the whole minority at p > 1
-        # (in nested mode the outer split draws the chosen combos), and none
-        # otherwise; the samplers then read them and build none themselves
-        # (borderline builds its own support's complex, so it is left out)
-        calls, splits, clique_table = [], {}, complexes._clique_table
-        prepare, draw_split = evaluation._prepare, evaluation._draw_split
-
-        def recorded_prepare(*args):
-            before = len(calls)
-            split = prepare(*args)
-            # the split itself, the clique calls made for it, the draws on it
-            splits[id(split)] = [split, len(calls) - before, []]
-            return split
-
-        def recorded_draw_split(split, draws, opts):
-            before = len(calls)
-            result = draw_split(split, draws, opts)
-            splits[id(split)][1] += len(calls) - before
-            splits[id(split)][2].extend(draws)
-            return result
+        # a group of splits builds the clique tables of all its splits and k in
+        # one clique step if one of its splits draws a simplex method spanning
+        # the whole minority at p > 1 (in nested mode the outer split draws the
+        # chosen combos), and none otherwise; the samplers then read them and
+        # build none themselves (borderline builds its own support's complex, so
+        # it is left out). At this size every pass over splits is one group
+        calls, clique_table = [], complexes._clique_table
+        groups, passes = record_groups(monkeypatch, calls), count_tallies(monkeypatch)
 
         def counting(*args):
             calls.append(args[0])
             return clique_table(*args)
 
-        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         monkeypatch.setattr(complexes, "_clique_table", counting)
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
-        for _, n_calls, draws in splits.values():
-            assert n_calls == any(m in SIMPLEX_WHOLE_MINORITY and p != 1 for m, _, p, _ in draws)
-        assert len(calls) == sum(n for _, n, _ in splits.values())
+        for steps, splits, size, in_splits in groups:
+            assert len(splits) == size and in_splits == []
+            assert len(steps) == any(m in SIMPLEX_WHOLE_MINORITY and p != 1
+                                     for draws in splits for m, _, p, _ in draws)
+        assert len(calls) == sum(len(steps) for steps, *_ in groups)
         assert (len(calls) > 0) == bool(set(methods) & set(SIMPLEX_WHOLE_MINORITY))
+        assert len(groups) == len(passes) and max(g[2] for g in groups) > 1
 
     @pytest.mark.parametrize("methods, p_grid", [
         ([IMBALANCED, Method.RANDOM, Method.GLOBAL, Method.GAUSSIAN], (1, MAXIMAL)),
@@ -854,25 +895,14 @@ class TestFoldMajorHarness:
         CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
     ], ids=["outer", "nested"])
     def test_one_edge_step_per_split(self, monkeypatch, methods, p_grid, cv):
-        # a prepared split builds the edge tables of all its k in one step if it
-        # draws a method spanning the whole minority at p = 1 (every edge-only
-        # method does; in nested mode the outer split draws the chosen combos),
-        # and none otherwise; the draws of those methods then build no pairs and
-        # no table themselves
-        calls, splits = [], {}
-        prepare, draw_split, draw = evaluation._prepare, evaluation._draw_split, evaluation._draw
+        # a group of splits builds the edge tables of all its splits and k in one
+        # step if one of its splits draws a method spanning the whole minority at
+        # p = 1 (every edge-only method does; in nested mode the outer split draws
+        # the chosen combos), and none otherwise; the draws of those methods then
+        # build no pairs and no table themselves
+        calls, draw = [], evaluation._draw
         skeleton_table, knn_pairs = samplers._skeleton_table, samplers._knn_pairs
-
-        def recorded_prepare(*args):
-            before = len(calls)
-            split = prepare(*args)
-            # the split itself, its edge steps, the draws on it
-            splits[id(split)] = [split, calls[before:].count(("table", 1)), []]
-            return split
-
-        def recorded_draw_split(split, draws, opts):
-            splits[id(split)][2].extend(draws)
-            return draw_split(split, draws, opts)
+        groups = record_groups(monkeypatch, calls)
 
         def checked_draw(ds, cfg, tables=None):
             before = len(calls)
@@ -889,16 +919,70 @@ class TestFoldMajorHarness:
             calls.append(("pairs",))
             return knn_pairs(*args)
 
-        monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
-        monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
         monkeypatch.setattr(evaluation, "_draw", checked_draw)
         monkeypatch.setattr(samplers, "_skeleton_table", counted_table)
         monkeypatch.setattr(samplers, "_knn_pairs", counted_pairs)
         grid_search_eval(harness_datasets(), methods, (3, 8), p_grid, cv=cv, seed=3)
         with_edges = {m for m in WHOLE_MINORITY if GRAPH_VARIANTS[m][1] or 1 in p_grid}
-        for _, n_steps, draws in splits.values():
-            assert n_steps == any(m in WHOLE_MINORITY and p == 1 for m, _, p, _ in draws)
-        assert any(n for _, n, _ in splits.values()) == bool(set(methods) & with_edges)
+        for steps, splits, size, _ in groups:
+            assert len(splits) == size
+            assert steps.count(("table", 1)) == any(m in WHOLE_MINORITY and p == 1
+                                                    for draws in splits for m, _, p, _ in draws)
+        assert any(steps.count(("table", 1)) for steps, *_ in groups) == \
+            bool(set(methods) & with_edges)
+
+    @pytest.mark.parametrize("cv", [
+        CVConfig(folds=3, repeats=2),
+        CVConfig(folds=2, repeats=1, mode="nested", inner_folds=2, inner_repeats=2),
+    ], ids=["outer", "nested"])
+    def test_group_budget_below_one_split(self, monkeypatch, cv):
+        # a budget below one split's neighbour entries puts every split in a
+        # group of its own, and changes no score; no standardized fold is held
+        # in either run
+        args = (harness_datasets(), [Method.RANDOM, Method.SMOTE, Method.SIMPLICIAL], (3, 8),
+                (1, MAXIMAL), cv, 6)
+        count_standardize(monkeypatch)
+        groups = record_groups(monkeypatch, [])
+        whole = grid_search_eval(*args)
+        assert max(g[2] for g in groups) > 1
+        groups.clear()
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMS", 1)
+        alone = grid_search_eval(*args)
+        assert len(groups) > 1 and all(g[2] == 1 for g in groups)
+        assert repr(alone.cells) == repr(whole.cells)
+
+    @pytest.mark.parametrize("symmetrize", ["union", "mutual"])
+    def test_group_tables_equal_each_split_alone(self, symmetrize):
+        # a group's one call per kind gives each split the tables that its own
+        # ranking and one _knn_tables call of its own give; the splits differ in
+        # n_plus (37 and 38), one clamps k = 8 to n_plus - 1 = 3 and one, with a
+        # lone minority point, has no graph between two that have
+        rng = np.random.Generator(np.random.PCG64(8))
+        sizes = [(37, 60), (1, 30), (38, 50), (4, 40)]
+        features = rng.normal(size=(sum(a + b for a, b in sizes), 3))
+        labels = np.concatenate([[MINORITY] * a + [MAJORITY] * b for a, b in sizes])
+        bounds = np.cumsum([0] + [a + b for a, b in sizes])
+        ds = Dataset(features, labels)
+        draws = [(method, k, p, ()) for k in (2, 5, 8) for method, p in
+                 ((Method.SMOTE, 1), (Method.SIMPLICIAL, MAXIMAL), (Method.SIMPLICIAL, 2))]
+        work = [(np.arange(lo, hi), None, draws) for lo, hi in zip(bounds, bounds[1:])]
+        got = list(evaluation._tables(ds, work, symmetrize))
+        assert len(got) == len(work) and got[1] == {}
+        for tables, (train_idx, _, _) in zip(got, work):
+            train = ds.subset(train_idx)
+            if train.n_minority < 2:
+                continue
+            x = _standardize(train, train.features)[0].minority_features()
+            ks = sorted({min(k, len(x) - 1) for k in (2, 5, 8)})
+            neighbors = graphs.nearest(x, x, ks[-1], np.arange(len(x)))
+            assert list(tables) == [1, MAXIMAL]
+            for p in (1, MAXIMAL):
+                alone, = samplers._knn_tables([neighbors], [ks], symmetrize, p)
+                assert list(tables[p]) == ks
+                for k in ks:
+                    assert tables[p][k].dtype == alone[k].dtype
+                    assert np.array_equal(tables[p][k], alone[k]), (len(x), p, k)
+        assert list(got[3][MAXIMAL]) == [2, 3]
 
 
 def make_report(score_grid):
