@@ -4,16 +4,15 @@ A simplex is represented as a strictly ascending tuple of vertex ids; a
 (p+1)-clique of the graph is a p-simplex of the clique complex. ``MAXIMAL``
 (``None``) requests the full clique complex, i.e. no dimension cap.
 
-``_skeleton_table`` is the one builder: sorted edge arrays in, a -1-padded
-simplex table out. The samplers and ``geometry.mean_model_distance`` call it on
-the kNN pairs; ``p_skeleton`` on a graph's edges, returning the rows as tuples.
-Its clique step, ``_clique_table``, runs Bron-Kerbosch from every vertex on
-its own neighbourhood, breadth-first and vectorised over all vertices, with
-bitsets as wide as a neighbourhood rather than the graph: time grows about
-linearly with the number of vertices of a sparse graph, and memory stays
-bounded. Given the disjoint union of several graphs it returns their tables
-together, offset: the grid search builds the edge or clique tables of all of a
-split's k at once, and a sampler cuts its p from one with ``_subdivide``.
+``_skeleton_table`` turns sorted edge arrays into a -1-padded simplex table:
+``samplers._knn_tables``, the samplers' one builder, calls it on kNN pairs, and
+``p_skeleton`` on a graph's edges, returning the rows as tuples. Its clique
+step, ``_clique_table``, runs Bron-Kerbosch from every vertex on its own
+neighbourhood, breadth-first and vectorised over all vertices, with bitsets
+as wide as a neighbourhood rather than the graph: time grows about linearly
+with the number of vertices of a sparse graph, and memory stays bounded. Given
+the disjoint union of several graphs it returns their tables together, offset,
+so one call serves many (graph, k); a sampler cuts its p with ``_subdivide``.
 """
 
 from __future__ import annotations
@@ -249,16 +248,23 @@ def _skeleton_table(n: int, lo: np.ndarray, hi: np.ndarray, p: int | None = MAXI
     At p = 1 the rows are the edges and the lone vertices, with no clique step.
     Otherwise they are the maximal cliques, subdivided by ``_subdivide``.
     """
-    if p is not MAXIMAL:
-        p = _integer(p, "p", SkeletonParameterError)
-        if p < 1:
-            raise SkeletonParameterError(f"p must be >= 1 or MAXIMAL, got {p} "
-                                         "(p=0 would reduce to point duplication)")
+    p = _dimension(p)
     if p == 1:
         lone = np.flatnonzero(np.bincount(np.concatenate([lo, hi]), minlength=n) == 0)
         return np.insert(np.column_stack([lo, hi]), np.searchsorted(lo, lone),
                          np.column_stack([lone, np.full_like(lone, -1)]), axis=0)
     return _subdivide(_clique_table(n, lo, hi), p)
+
+
+def _dimension(p) -> int | None:
+    """p as an int >= 1, or MAXIMAL; ``SkeletonParameterError`` otherwise."""
+    if p is MAXIMAL:
+        return p
+    p = _integer(p, "p", SkeletonParameterError)
+    if p < 1:
+        raise SkeletonParameterError(f"p must be >= 1 or MAXIMAL, got {p} "
+                                     "(p=0 would reduce to point duplication)")
+    return p
 
 
 def _subdivide(cliques: np.ndarray, p: int | None) -> np.ndarray:

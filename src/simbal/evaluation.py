@@ -242,23 +242,25 @@ def _derived_seed(*coords: int) -> int:
     return int(np.random.SeedSequence(coords).generate_state(1, np.uint64)[0])
 
 
-def _scaled(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scaled(features: np.ndarray, moments=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, spread, scaled rows) of a training fold: np.std's steps on rows centred
-    once, a zero spread read as 1. Nothing is checked: an overflow leaves non-finite
-    values for the caller to find."""
+    once, a zero spread read as 1; ``moments``, an earlier call's (mean, spread) for the
+    same rows, skip both. Nothing is checked: an overflow leaves non-finite values."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = features.mean(axis=0)
+        mu, sd = (features.mean(axis=0), None) if moments is None else moments
         centred = features - mu
-        sd = np.sqrt(np.add.reduce(centred * centred, axis=0) / len(features))
-        sd[sd == 0.0] = 1.0
+        if sd is None:
+            sd = np.sqrt(np.add.reduce(centred * centred, axis=0) / len(features))
+            sd[sd == 0.0] = 1.0
         return mu, sd, centred / sd
 
 
-def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.ndarray]:
-    """The training fold and test points scaled by the training mean and spread;
-    ``EvaluationError`` if any of them overflows. The scaled rows pass that check,
-    so the fold is built without ``Dataset``'s."""
-    mu, sd, features = _scaled(train.features)
+def _standardize(train: Dataset, test_points: np.ndarray,
+                 moments=None) -> tuple[Dataset, np.ndarray]:
+    """The training fold and test points scaled by the training mean and spread, or
+    ``_ranked``'s ``moments``; ``EvaluationError`` if any of them overflows. The scaled
+    rows pass that check, so the fold is built without ``Dataset``'s."""
+    mu, sd, features = _scaled(train.features, moments)
     with np.errstate(over="ignore", invalid="ignore"):
         test_points = (test_points - mu) / sd
     if not all(np.isfinite(x).all() for x in (mu, sd, features, test_points)):
@@ -268,67 +270,56 @@ def _standardize(train: Dataset, test_points: np.ndarray) -> tuple[Dataset, np.n
 
 
 def _ranked(ds: Dataset, train_idx: np.ndarray, draws):
-    """(neighbour lists, {1 or MAXIMAL: sorted ks}) of the training fold ``train_idx``:
-    the edge and clique tables its ``_WHOLE_MINORITY`` draws read, each k clamped to
-    n_plus - 1 (none below 1), and its minority, scaled as ``_standardize`` scales it
-    but without building the fold, ranked once at the largest of those k. (None, {})
-    if there is no such table, or if the scaled minority overflows: ``_standardize``
-    then raises for the split."""
+    """(neighbour lists, {1 or MAXIMAL: sorted ks}, moments) of the training fold
+    ``train_idx``: the edge and clique tables its ``_WHOLE_MINORITY`` draws read, each
+    k clamped to n_plus - 1 (none below 1), and its minority, scaled by ``_scaled``'s
+    moments (mean, spread) without building the fold, ranked once at the largest of
+    those k. (None, {}, None) with no such table; no lists if the scaled minority
+    overflows, for which ``_standardize`` raises."""
     wanted = [(k, p) for method, k, p, _ in draws if method in _WHOLE_MINORITY]
     train = ds.subset(train_idx) if wanted else None
     if not wanted or train.n_minority < 2:
-        return None, {}
+        return None, {}, None
     kinds = {}  # the edge-only methods' combos have p = 1
     for k, p in wanted:
         kinds.setdefault(1 if p == 1 else MAXIMAL, set()).add(min(k, train.n_minority - 1))
-    x = _scaled(train.features)[2][train.labels == MINORITY]
+    mu, sd, scaled = _scaled(train.features)
+    x = scaled[train.labels == MINORITY]
     if not np.isfinite(x).all():
-        return None, {}
+        return None, {}, (mu, sd)
     neighbors = nearest(x, x, max(map(max, kinds.values())), np.arange(len(x)))
-    return neighbors, {kind: sorted(ks) for kind, ks in kinds.items()}
-
-
-def _built(group, symmetrize: str) -> list[dict]:
-    """The tables of a group of ``_ranked`` splits: one ``_knn_tables`` call per kind,
-    over every split of the group that reads that kind."""
-    tables = [{} for _ in group]
-    for kind in (1, MAXIMAL):
-        readers = [i for i, (_, kinds) in enumerate(group) if kind in kinds]
-        if readers:
-            built = _knn_tables([group[i][0] for i in readers],
-                                [group[i][1][kind] for i in readers], symmetrize, kind)
-            for i, by_k in zip(readers, built):
-                tables[i][kind] = by_k
-    return tables
+    return neighbors, {kind: sorted(ks) for kind, ks in kinds.items()}, (mu, sd)
 
 
 def _tables(ds: Dataset, work, symmetrize: str):
     """Per split (train ids, test ids, draws) of ``work``, in order, the {1: edge tables,
-    MAXIMAL: clique tables}, each {clamped k: table}, that its whole-minority draws
-    read. Consecutive splits go in groups whose neighbour entries, n_plus times each
-    k listed for the tables, stay within ``_BLOCK_ELEMS``; a group holds at least one
-    split. Each group ranks its splits (``_ranked``) and builds their tables in one
-    call per kind (``_built``) before its first split is yielded, so it holds only
-    their neighbour lists and tables, never a standardized fold."""
+    MAXIMAL: clique tables}, each {clamped k: table}, that its whole-minority draws read,
+    and ``_ranked``'s moments. Consecutive splits go in groups whose neighbour entries,
+    n_plus times each k listed for the tables, stay within ``_BLOCK_ELEMS``; a group
+    holds at least one split. Each group ranks its splits (``_ranked``) and builds their
+    tables in one ``_knn_tables`` call before its first split is yielded, so it holds
+    no standardized fold."""
     group, listed = [], 0
     for train_idx, _, draws in work:
-        neighbors, kinds = _ranked(ds, train_idx, draws)
-        entries = 0 if neighbors is None else len(neighbors) * sum(map(sum, kinds.values()))
+        ranked = _ranked(ds, train_idx, draws)
+        entries = 0 if ranked[0] is None else len(ranked[0]) * sum(map(sum, ranked[1].values()))
         if group and listed + entries > _BLOCK_ELEMS:
-            yield from _built(group, symmetrize)
+            neighbors, kinds, moments = zip(*group)
+            yield from zip(_knn_tables(neighbors, kinds, symmetrize), moments)
             group, listed = [], 0
-        group.append((neighbors, kinds))
+        group.append(ranked)
         listed += entries
-    yield from _built(group, symmetrize)
+    neighbors, kinds, moments = zip(*group)
+    yield from zip(_knn_tables(neighbors, kinds, symmetrize), moments)
 
 
-def _prepare(train: Dataset, test: Dataset, draws, tables: dict):
+def _prepare(train: Dataset, test: Dataset, draws, tables: dict, moments):
     """One split ready to score: standardized training fold, test points, test labels
-    and ``_draw``'s tables, None if empty. ``tables`` is the split's {1: edge tables,
-    MAXIMAL: clique tables} from ``_tables``; to it goes, at ``_RANKED``, the
-    minority's neighbour ids in the fold, from one ``compute_safety`` call at the
-    ``_SAFETY_AWARE`` draws' largest k, clamped to n_plus - 1 (none below 1)."""
-    std_train, test_points = _standardize(train, test.features)
+    and ``_draw``'s tables, None if empty. ``tables`` and ``moments`` are the split's
+    from ``_tables``; to the tables goes, at ``_RANKED``, the minority's neighbour ids
+    in the fold, from one ``compute_safety`` call at the ``_SAFETY_AWARE`` draws'
+    largest k, clamped to n_plus - 1 (none below 1)."""
+    std_train, test_points = _standardize(train, test.features, moments)
     k_safe = min(max((k for method, k, _, _ in draws if method in _SAFETY_AWARE), default=0),
                  std_train.n_minority - 1)
     if k_safe >= 1:
@@ -397,9 +388,9 @@ def _tally(ds: Dataset, work, label: str, opts) -> list:
     from ``_tables``, has all its draws drawn, in one combine, and scored in one
     neighbour pass, and is freed before the next split is prepared."""
     tallies = [([], []) for _ in work[0][2]]
-    for f, ((train_idx, test_idx, draws), tables) in enumerate(
+    for f, ((train_idx, test_idx, draws), (tables, moments)) in enumerate(
             zip(work, _tables(ds, work, opts[0]))):
-        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), draws, tables)
+        split = _prepare(ds.subset(train_idx), ds.subset(test_idx), draws, tables, moments)
         rows, diags = _draw_split(split, draws, opts)
         for (counts, notes), fold_counts, diag in zip(tallies, _score(split, rows), diags):
             counts.append(fold_counts)

@@ -7,8 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from . import graphs
-from .complexes import MAXIMAL, _skeleton_table, _table_skeleton
-from .graphs import UNION, _floats, _knn_pairs, as_points
+from .complexes import MAXIMAL, p_skeleton
+from .graphs import UNION, _floats, as_points, knn_graph
 
 
 class GeometryParameterError(ValueError):
@@ -119,9 +119,6 @@ def mean_model_distance(majority_pts, minority_pts, k: int, p: int | None = MAXI
         raise GeometryParameterError(
             f"dimension mismatch: majority d={maj.shape[1]}, minority d={mino.shape[1]}"
         )
-    if mino.shape[0] == 1:
-        simplices = [(0,)]
-    else:
-        table = _skeleton_table(*_knn_pairs(mino, k, UNION), p)
-        simplices = _table_skeleton(table).maximal_simplices
+    simplices = ([(0,)] if mino.shape[0] == 1 else
+                 p_skeleton(knn_graph(mino, k, UNION), p).maximal_simplices)
     return float(np.mean(_hull_distances(maj, mino, simplices)))

@@ -80,6 +80,12 @@ def _integer(value, what: str, error: type[ValueError] = GraphParameterError) ->
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_symmetrize(symmetrize, error: type[ValueError] = GraphParameterError) -> None:
+    """``error`` unless ``symmetrize`` names a symmetrization mode."""
+    if symmetrize not in (UNION, MUTUAL):
+        raise error(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
+
+
 def _floats(values) -> np.ndarray:
     """``values`` as a float array; ragged or non-numeric input raises ``GraphParameterError``."""
     try:
@@ -117,7 +123,8 @@ class NeighborhoodGraph:
                 raise GraphParameterError(f"invalid edge ({u}, {v}) for n={self.n_vertices}")
 
     def _pairs(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(n, lo, hi): the edges lo < hi in lexicographic order, as ``_knn_pairs`` gives them."""
+        """(n, lo, hi): the edges lo < hi, lexicographic, the ``_skeleton_table`` input
+        that ``_listed_pairs`` gives the samplers' builder (``samplers._knn_tables``)."""
         return self.n_vertices, *np.array(sorted(self.edges), np.intp).reshape(-1, 2).T
 
     def degrees(self) -> np.ndarray:
@@ -401,21 +408,11 @@ def _search(q, r, k: int, n_shared: int, sizes, self_ids=None) -> list[np.ndarra
     return out
 
 
-def _knn_pairs(points, k: int, symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, lo, hi): the edges lo < hi of ``knn_graph(points, k, symmetrize)``, lexicographic."""
-    pts = as_points(points)
-    n = pts.shape[0]
-    if symmetrize not in (UNION, MUTUAL):
-        raise GraphParameterError(f"symmetrize must be '{UNION}' or '{MUTUAL}', got {symmetrize!r}")
-    neighbors = nearest(pts, pts, k, np.arange(n))  # which checks k
-    return _listed_pairs(n, np.repeat(np.arange(n), neighbors.shape[1]), neighbors.ravel(),
-                         symmetrize)
-
-
 def _listed_pairs(n: int, src: np.ndarray, dst: np.ndarray,
                   symmetrize: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, lo, hi): the edges lo < hi, lexicographic, of the graph on 0..n-1 in which
-    vertex src[i] lists dst[i], no vertex listing itself or another twice."""
+    vertex src[i] lists dst[i], no vertex listing itself or another twice: a pair
+    either end lists, or with ``MUTUAL`` only a pair both ends list."""
     # each undirected pair as min * n + max; a pair listed from both ends
     # appears exactly twice
     pairs, listed = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
@@ -432,5 +429,9 @@ def knn_graph(points, k: int, symmetrize: str = UNION) -> NeighborhoodGraph:
     lower index); the directed lists are then merged. With ``union`` an edge
     exists if either endpoint lists the other, with ``mutual`` only if both do.
     """
-    n, lo, hi = _knn_pairs(points, k, symmetrize)
+    pts = as_points(points)
+    _check_symmetrize(symmetrize)
+    neighbors = nearest(pts, pts, k, np.arange(len(pts)))  # which checks k
+    n, lo, hi = _listed_pairs(len(pts), np.repeat(np.arange(len(pts)), neighbors.shape[1]),
+                              neighbors.ravel(), symmetrize)
     return NeighborhoodGraph(n, frozenset(zip(lo.tolist(), hi.tolist())))

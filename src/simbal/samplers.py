@@ -1,14 +1,13 @@
 """Minority oversamplers: random, global, Gaussian, edge-based and simplex-based.
 
-The simplex-based sampler turns the kNN pairs of the minority points into a
-table of the maximal simplices of the p-skeleton of their clique complex
-(``complexes._skeleton_table``) and synthesizes each new point as a
-Dirichlet-weighted combination of one simplex's vertices. The edge-based
-sampler is the same pipeline with p forced to 1. In the grid search, both get
-their CV split's tables, built for a group of splits in one ``_knn_tables``
-call per kind, and neither search nor clique step runs in the draw. Random
-duplication draws the same way from 0-simplices, and global pair
-sampling from the edges of the complete minority graph.
+The simplex-based sampler turns the minority's neighbour lists into a table of
+the maximal simplices of the p-skeleton of their kNN graph's clique complex and
+synthesizes each new point as a Dirichlet-weighted combination of one simplex's
+vertices. The edge-based sampler is the same pipeline with p forced to 1. One
+builder, ``_knn_tables``, makes every table, from a list of neighbour arrays: a
+lone draw's, ranked once, or a group of CV splits', whose draws then run neither
+search nor clique step. Random duplication draws the same way from 0-simplices,
+and global pair sampling from the edges of the complete minority graph.
 
 A barycentric draw has two halves: ``_variates`` draws a sampler's raw
 Dirichlet variates on its own streams, and ``_combine`` turns any stack of
@@ -31,11 +30,12 @@ import numpy as np
 
 # p_skeleton, knn_graph and sample_dirichlet are not called here any more, but
 # stay importable from this module: perfbench traces them at these lookup sites.
-from .complexes import (MAXIMAL, Skeleton, _skeleton_table, _subdivide,  # noqa: F401
-                        _table_skeleton, p_skeleton)
+from .complexes import (MAXIMAL, Skeleton, _dimension, _skeleton_table,  # noqa: F401
+                        _subdivide, _table_skeleton, p_skeleton)
 from .datasets import Dataset, DatasetError, MINORITY
 from .geometry import dirichlet_weights, sample_dirichlet  # noqa: F401
-from .graphs import MUTUAL, UNION, _integer, _knn_pairs, _listed_pairs
+from .graphs import (UNION, GraphParameterError, _check_symmetrize, _integer, _listed_pairs,
+                     _search)
 from .graphs import knn_graph  # noqa: F401
 
 # Ridge added to the fitted covariance diagonal before factorization.
@@ -120,10 +120,7 @@ class SamplerConfig:
             raise SamplerParameterError(
                 f"safelevel_formula must be '{INVERSE_SAFETY}' or '{PLUS_ONE_SAFETY}'"
             )
-        if self.symmetrize not in (UNION, MUTUAL):
-            raise SamplerParameterError(
-                f"symmetrize must be '{UNION}' or '{MUTUAL}', got {self.symmetrize!r}"
-            )
+        _check_symmetrize(self.symmetrize, SamplerParameterError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,57 +298,63 @@ def _gaussian_batch(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
 
 def _knn_skeleton(ds: Dataset, ids: np.ndarray, k: int, p: int | None, symmetrize: str,
                   tables: dict | None = None) -> tuple[np.ndarray, dict]:
-    """(table, clamp info): ``complexes._skeleton_table`` of the kNN pairs of the dataset
-    rows ``ids``, over positions in ``ids``, with k clamped to ids.size - 1.
-
-    ``tables``, when given, is {1: edge tables, MAXIMAL: clique tables}, each
-    ``_knn_tables`` of the neighbour lists of those rows with ``symmetrize``,
-    holding at least the kind that p needs at the clamped k; the table comes
-    from it, with no search and no clique step.
-    """
+    """(table, clamp info): the p-skeleton table of the kNN graph of the dataset rows
+    ``ids``, over positions in ``ids``, with k clamped to ids.size - 1. ``tables`` holds
+    the {1: edge tables, MAXIMAL: clique tables} that ``_knn_tables`` builds from those
+    rows' neighbour lists, at least p's kind at the clamped k: a CV split's or, when
+    None, this draw's own, its rows searched once and built as a group of one."""
     if ids.size < 2:
         raise SamplerParameterError("need at least 2 minority points to build a graph")
     k = _integer(k, "k", SamplerParameterError)
     k_used = min(k, ids.size - 1)
     if tables is None:
-        table = _skeleton_table(*_knn_pairs(ds.features.take(ids, axis=0), k_used, symmetrize), p)
-    elif p == 1:
-        table = tables[1][k_used]
-    else:
-        table = _subdivide(tables[MAXIMAL][k_used], p)
+        _check_symmetrize(symmetrize)
+        if k_used < 1:
+            raise GraphParameterError(f"k must satisfy 1 <= k <= {ids.size - 1}, got {k_used}")
+        p = _dimension(p)
+        x = ds.features.take(ids, axis=0)  # a Dataset's rows: finite, searched unchecked
+        tables, = _knn_tables(_search(x, x, k_used, len(x), [0], np.arange(len(x))),
+                              [{1 if p == 1 else MAXIMAL: [k_used]}], symmetrize)
+    table = tables[1][k_used] if p == 1 else _subdivide(tables[MAXIMAL][k_used], p)
     return table, {"k_requested": k, "k_used": k_used, "k_clamped": k_used != k}
 
 
-def _knn_tables(neighbors: list, ks: list, symmetrize: str, p: int | None) -> list[dict]:
-    """Per (n, w) array of ``neighbors`` and its k set in ``ks``, {k: ``_skeleton_table``
-    of the k-neighbour graph at p, 1 or MAXIMAL}, where row i of the array lists point
-    i's neighbours as ``nearest`` ranks them; each array has its own n and each k <= w.
+def _knn_tables(neighbors: list, kinds: list, symmetrize: str) -> list[dict]:
+    """Per (n, w) array of ``neighbors`` (row i lists point i's neighbours as ``nearest``
+    ranks them) and its {kind: k set} in ``kinds``, kind 1 or MAXIMAL, each k <= w: {kind:
+    {k: ``_skeleton_table`` of its k-neighbour graph at p = kind}}; no kinds, no tables.
 
-    One call builds them all, on the disjoint union of the (array, k) graphs, each
-    graph's ids offset by the vertices of the graphs before it. The union's rows sort
-    by their first id, so a graph's rows are the block whose first id lies in its own
-    range; each block, shifted back and cut to its widest row, is the table of its
-    graph alone (at p = 1 both columns: a kNN graph on n >= 2 points has an edge).
+    One ``_skeleton_table`` call per kind builds the tables of every (array, k) graph
+    that reads it, on their disjoint union, each graph's ids offset by the vertices of
+    the graphs before it. The union's rows sort by their first id, so a graph's rows
+    are the block whose first ids lie in its own range; each block, shifted back and
+    cut to its widest row, is the table of its graph alone (at p = 1 both columns: a
+    kNN graph on n >= 2 points has an edge). A union of one graph is its table.
     """
-    src, dst, firsts = [], [], [0]
-    for ids, k_set in zip(neighbors, ks):
-        (n, width), k_set = ids.shape, np.asarray(list(k_set))
-        # (graph, vertex, column): the g-th graph's vertex v lists its first k_set[g] neighbours
-        offset = firsts[-1] + n * np.arange(k_set.size)[:, None, None]
-        listed = np.broadcast_to(np.arange(width) < k_set[:, None, None], (k_set.size, n, width))
-        src.append(np.broadcast_to(offset + np.arange(n)[:, None], listed.shape)[listed])
-        dst.append((offset + ids)[listed])
-        firsts.extend(range(firsts[-1] + n, firsts[-1] + n * k_set.size + 1, n))
-    table = _skeleton_table(*_listed_pairs(firsts[-1], np.concatenate(src), np.concatenate(dst),
-                                           symmetrize), p)
-    firsts = np.array(firsts)
-    graph = np.searchsorted(firsts, table[:, 0], "right") - 1
-    filled = table >= 0
-    table = np.where(filled, table - firsts.take(graph)[:, None], -1)
-    bounds = np.searchsorted(graph, np.arange(firsts.size))
-    widths = np.maximum.reduceat(filled.sum(axis=1), bounds[:-1]).tolist()
-    blocks = iter(zip(bounds.tolist(), bounds[1:].tolist(), widths))
-    return [{int(k): table[lo:hi, :w] for k, (lo, hi, w) in zip(k_set, blocks)} for k_set in ks]
+    tables = [{} for _ in neighbors]
+    for kind in (1, MAXIMAL):
+        readers = [(by_kind, ids, ks[kind])
+                   for by_kind, ids, ks in zip(tables, neighbors, kinds) if kind in ks]
+        if not readers:
+            continue
+        src, dst, firsts = [], [], [0]
+        for _, ids, k_set in readers:
+            for k in k_set:  # vertex v of this graph lists its first k neighbours
+                src.append(np.repeat(np.arange(firsts[-1], firsts[-1] + len(ids)), k))
+                dst.append(ids[:, :k].ravel() + firsts[-1])
+                firsts.append(firsts[-1] + len(ids))
+        table = _skeleton_table(*_listed_pairs(firsts[-1], np.concatenate(src),
+                                               np.concatenate(dst), symmetrize), kind)
+        bounds, widths = table[:, 0].searchsorted(firsts), [None]
+        if len(firsts) > 2:
+            # each block's widest row: its columns that hold an id in any row
+            widths = (np.maximum.reduceat(table, bounds[:-1]) >= 0).sum(axis=1).tolist()
+            table -= np.repeat(firsts[:-1], np.diff(bounds))[:, None]
+            np.maximum(table, -1, out=table)  # the pads, shifted below -1, back to -1
+        blocks = iter(zip(bounds.tolist(), bounds[1:].tolist(), widths))
+        for by_kind, _, k_set in readers:
+            by_kind[kind] = {k: table[lo:hi, :w] for k, (lo, hi, w) in zip(k_set, blocks)}
+    return tables
 
 
 def minority_skeleton(ds: Dataset, k: int, p: int | None = MAXIMAL,

@@ -38,6 +38,34 @@ def random_imbalanced_dataset(seed: int) -> Dataset:
     return Dataset(feats[perm], labels[perm])
 
 
+GEOMETRIES = ("generic", "duplicate", "collinear", "coplanar", "borderline-pair")
+
+
+def adversarial_dataset(geometry, d, n_plus, n_minus, scale, seed) -> Dataset:
+    """Minority sets built to break the geometry, on a majority cloud around them.
+
+    ``duplicate`` repeats a few base points, ``collinear`` and ``coplanar`` lay
+    the minority on a random line or plane, and ``borderline-pair`` puts two
+    close minority points inside the majority cloud and the rest in a far
+    cluster, so the borderline support is often just that pair.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if geometry == "duplicate":
+        base = rng.normal(size=(int(rng.integers(1, 4)), d))
+        mino = base[rng.integers(0, base.shape[0], size=n_plus)]
+    elif geometry in ("collinear", "coplanar"):
+        span = rng.normal(size=(1 if geometry == "collinear" else 2, d))
+        mino = rng.normal(size=d) + rng.normal(size=(n_plus, span.shape[0])) @ span
+    elif geometry == "borderline-pair":
+        mino = np.vstack([rng.normal(0.0, 0.05, size=(2, d)),
+                          rng.normal(50.0, 1.0, size=(n_plus - 2, d))])
+    else:
+        mino = rng.normal(size=(n_plus, d))
+    maj = rng.normal(0.0, 1.5, size=(n_minus, d))
+    return Dataset(np.vstack([mino, maj]) * scale,
+                   [1] * n_plus + [-1] * n_minus)
+
+
 def random_graph(seed: int, max_n: int = 12, edge_prob: float = 0.5) -> NeighborhoodGraph:
     """Erdos-Renyi graph with 1..max_n vertices."""
     rng = np.random.Generator(np.random.PCG64(seed))

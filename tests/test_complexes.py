@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from simbal import MAXIMAL, maximal_cliques, p_skeleton
 from simbal import complexes, samplers
 from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded
-from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, _knn_pairs, knn_graph, nearest
+from simbal.graphs import MUTUAL, UNION, NeighborhoodGraph, knn_graph, nearest
 
 from helpers import (
     adjacency,
@@ -163,16 +163,18 @@ def test_disjoint_union_table_is_the_offset_tables():
 @pytest.mark.parametrize("symmetrize", [UNION, MUTUAL])
 def test_knn_clique_tables_match_one_table_per_k(symmetrize):
     # the grid search's one edge step and one clique step for all k of a split:
-    # each k's table is the one its own search and builder give
+    # each k's table is the one the public graph's own edges and builder give
     for seed in range(6):
         x = np.random.Generator(np.random.PCG64(seed)).normal(size=(37, 2 + seed % 3))
         ks = (1, 2, 3, 5, 8)[: 2 + seed % 4]
         neighbors = nearest(x, x, max(ks), np.arange(len(x)))
-        for p in (1, MAXIMAL):
-            tables, = samplers._knn_tables([neighbors], [ks], symmetrize, p)
+        by_kind, = samplers._knn_tables([neighbors], [dict.fromkeys((1, MAXIMAL), ks)],
+                                        symmetrize)
+        assert list(by_kind) == [1, MAXIMAL]
+        for p, tables in by_kind.items():
             assert list(tables) == list(ks)
             for k in ks:
-                want = complexes._skeleton_table(*_knn_pairs(x, k, symmetrize), p)
+                want = complexes._skeleton_table(*knn_graph(x, k, symmetrize)._pairs(), p)
                 assert tables[k].dtype == want.dtype, (p, k)
                 assert tables[k].shape == want.shape and np.array_equal(tables[k], want), (p, k)
 

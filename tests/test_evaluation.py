@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simbal import (
     CVConfig,
@@ -34,7 +35,7 @@ from simbal.datasets import MAJORITY, MINORITY
 from simbal.evaluation import _standardize
 from simbal.samplers import GRAPH_VARIANTS, SamplerConfig, SamplerParameterError, SyntheticBatch
 
-from helpers import per_config_grid_search
+from helpers import GEOMETRIES, adversarial_dataset, per_config_grid_search
 
 
 def brute_knn_predict(train, test_points, k_clf):
@@ -481,10 +482,10 @@ def count_standardize(monkeypatch):
     prepared training fold is still alive."""
     calls, live = [], []
 
-    def counted(train, test_points):
+    def counted(train, test_points, moments=None):
         live[:] = [r for r in live if r() is not None]
         assert len(live) <= 1, "prepared splits are being held"
-        std_train, std_test = _standardize(train, test_points)
+        std_train, std_test = _standardize(train, test_points, moments)
         calls.append(train.n)
         live.append(weakref.ref(std_train))
         return std_train, std_test
@@ -498,13 +499,13 @@ def record_groups(monkeypatch, calls):
     of ``calls`` added in its table step, the draws of each of its splits, its size,
     the entries added while its splits were prepared and drawn]. A group's splits are
     the next ones drawn after its table step, so each goes to the first group not full."""
-    groups, built = [], evaluation._built
+    groups, knn_tables = [], evaluation._knn_tables
     prepare, draw_split = evaluation._prepare, evaluation._draw_split
 
-    def recorded_built(group, symmetrize):
+    def recorded_tables(neighbors, kinds, symmetrize):
         before = len(calls)
-        tables = built(group, symmetrize)
-        groups.append([calls[before:], [], len(group), []])
+        tables = knn_tables(neighbors, kinds, symmetrize)
+        groups.append([calls[before:], [], len(neighbors), []])
         return tables
 
     def recorded_prepare(*args):
@@ -521,7 +522,7 @@ def record_groups(monkeypatch, calls):
         group[3].extend(calls[before:])
         return drawn
 
-    monkeypatch.setattr(evaluation, "_built", recorded_built)
+    monkeypatch.setattr(evaluation, "_knn_tables", recorded_tables)
     monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
     monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
     return groups
@@ -546,10 +547,20 @@ class TestFoldMajorHarness:
         (HARNESS_METHODS, (3, 4, 5)),
     ])
     def test_outer_standardizes_each_split_once(self, monkeypatch, methods, k_grid):
-        calls = count_standardize(monkeypatch)
+        # and takes each split's mean and spread once: a split ranked for its
+        # tables is standardized with the ranking's
+        calls, fresh, scaled = count_standardize(monkeypatch), [], evaluation._scaled
+
+        def counted_scaled(features, moments=None):
+            fresh.append(moments is None)
+            return scaled(features, moments)
+
+        monkeypatch.setattr(evaluation, "_scaled", counted_scaled)
         grid_search_eval(harness_datasets(), methods, k_grid, p_grid=(1, MAXIMAL),
                          cv=CVConfig(folds=3, repeats=2), seed=1)
         assert len(calls) == 2 * 3 * 2
+        ranked = methods != [IMBALANCED]
+        assert sum(fresh) == len(calls) and len(fresh) == len(calls) * (1 + ranked)
 
     @pytest.mark.parametrize("methods", [[Method.SMOTE], HARNESS_METHODS,
                                          [IMBALANCED, Method.RANDOM]])
@@ -709,7 +720,8 @@ class TestFoldMajorHarness:
         # grouped search has no reference to search without a group
         moons = harness_datasets()["moons"]
         train_idx, test_idx = stratified_cv(moons, 2, 1, 0)[0]
-        split = evaluation._prepare(moons.subset(train_idx), moons.subset(test_idx), [], {})
+        split = evaluation._prepare(moons.subset(train_idx), moons.subset(test_idx), [], {},
+                                   None)
         with mock.patch.object(evaluation, "_search") as search:
             assert evaluation._score(split, []) == []
         assert search.call_count == 0
@@ -761,9 +773,10 @@ class TestFoldMajorHarness:
         # split's draws are the chosen combos. The rankings come in the order
         # the splits are prepared, a group's before its tables are built, so
         # never while a split is prepared or drawn. Those methods then search
-        # nothing themselves (graphs.nearest is the samplers' search, via _knn_pairs)
+        # nothing themselves (a lone draw searches through samplers._search)
         prepared, harness, sampler = [], [], []
-        prepare, draw_split, search = evaluation._prepare, evaluation._draw_split, graphs.nearest
+        prepare, draw_split = evaluation._prepare, evaluation._draw_split
+        search, sampler_search = evaluation.nearest, samplers._search
 
         def recorded_prepare(train, test, *args):
             before = len(harness)
@@ -779,17 +792,19 @@ class TestFoldMajorHarness:
             assert harness[before:] == []
             return drawn
 
-        def counting(calls):
-            def counted(query, ref, k, self_ids=None):
-                if self_ids is not None:
-                    calls.append((len(query), k))
-                return search(query, ref, k, self_ids)
-            return counted
+        def counted(query, ref, k, self_ids=None):
+            if self_ids is not None:
+                harness.append((len(query), k))
+            return search(query, ref, k, self_ids)
+
+        def counted_sampler_search(*args):
+            sampler.append(args[2])
+            return sampler_search(*args)
 
         monkeypatch.setattr(evaluation, "_prepare", recorded_prepare)
         monkeypatch.setattr(evaluation, "_draw_split", recorded_draw_split)
-        monkeypatch.setattr(evaluation, "nearest", counting(harness))
-        monkeypatch.setattr(graphs, "nearest", counting(sampler))
+        monkeypatch.setattr(evaluation, "nearest", counted)
+        monkeypatch.setattr(samplers, "_search", counted_sampler_search)
         grid_search_eval(harness_datasets(), methods, (3, 8), (1, MAXIMAL), cv=cv, seed=3)
         want = []
         for n_plus, draws in prepared:
@@ -863,8 +878,8 @@ class TestFoldMajorHarness:
         # one clique step if one of its splits draws a simplex method spanning
         # the whole minority at p > 1 (in nested mode the outer split draws the
         # chosen combos), and none otherwise; the samplers then read them and
-        # build none themselves (borderline builds its own support's complex, so
-        # it is left out). At this size every pass over splits is one group
+        # build none themselves (borderline's support, built alone, is left
+        # out). At this size every pass over splits is one group
         calls, clique_table = [], complexes._clique_table
         groups, passes = record_groups(monkeypatch, calls), count_tallies(monkeypatch)
 
@@ -899,9 +914,9 @@ class TestFoldMajorHarness:
         # step if one of its splits draws a method spanning the whole minority at
         # p = 1 (every edge-only method does; in nested mode the outer split draws
         # the chosen combos), and none otherwise; the draws of those methods then
-        # build no pairs and no table themselves
+        # call no builder and build no table themselves
         calls, draw = [], evaluation._draw
-        skeleton_table, knn_pairs = samplers._skeleton_table, samplers._knn_pairs
+        skeleton_table, knn_tables = samplers._skeleton_table, samplers._knn_tables
         groups = record_groups(monkeypatch, calls)
 
         def checked_draw(ds, cfg, tables=None):
@@ -915,13 +930,13 @@ class TestFoldMajorHarness:
             calls.append(("table", p))
             return skeleton_table(n, lo, hi, p)
 
-        def counted_pairs(*args):
-            calls.append(("pairs",))
-            return knn_pairs(*args)
+        def counted_lone_tables(*args):
+            calls.append(("builder",))
+            return knn_tables(*args)
 
         monkeypatch.setattr(evaluation, "_draw", checked_draw)
         monkeypatch.setattr(samplers, "_skeleton_table", counted_table)
-        monkeypatch.setattr(samplers, "_knn_pairs", counted_pairs)
+        monkeypatch.setattr(samplers, "_knn_tables", counted_lone_tables)
         grid_search_eval(harness_datasets(), methods, (3, 8), p_grid, cv=cv, seed=3)
         with_edges = {m for m in WHOLE_MINORITY if GRAPH_VARIANTS[m][1] or 1 in p_grid}
         for steps, splits, size, _ in groups:
@@ -953,36 +968,82 @@ class TestFoldMajorHarness:
 
     @pytest.mark.parametrize("symmetrize", ["union", "mutual"])
     def test_group_tables_equal_each_split_alone(self, symmetrize):
-        # a group's one call per kind gives each split the tables that its own
-        # ranking and one _knn_tables call of its own give; the splits differ in
-        # n_plus (37 and 38), one clamps k = 8 to n_plus - 1 = 3 and one, with a
-        # lone minority point, has no graph between two that have
+        # a group's one call per kind gives each split the kinds and tables that
+        # its own ranking and one _knn_tables call of its own give, and the
+        # moments that scaled it; the splits differ in n_plus (37 and 38), one
+        # clamps k = 8 to n_plus - 1 = 3 and one, with a lone minority point, has
+        # no graph between two that have. In the first group every split reads
+        # both kinds, in the second one reads edges only and one cliques only
         rng = np.random.Generator(np.random.PCG64(8))
         sizes = [(37, 60), (1, 30), (38, 50), (4, 40)]
         features = rng.normal(size=(sum(a + b for a, b in sizes), 3))
         labels = np.concatenate([[MINORITY] * a + [MAJORITY] * b for a, b in sizes])
         bounds = np.cumsum([0] + [a + b for a, b in sizes])
         ds = Dataset(features, labels)
-        draws = [(method, k, p, ()) for k in (2, 5, 8) for method, p in
-                 ((Method.SMOTE, 1), (Method.SIMPLICIAL, MAXIMAL), (Method.SIMPLICIAL, 2))]
-        work = [(np.arange(lo, hi), None, draws) for lo, hi in zip(bounds, bounds[1:])]
-        got = list(evaluation._tables(ds, work, symmetrize))
-        assert len(got) == len(work) and got[1] == {}
-        for tables, (train_idx, _, _) in zip(got, work):
-            train = ds.subset(train_idx)
-            if train.n_minority < 2:
-                continue
-            x = _standardize(train, train.features)[0].minority_features()
-            ks = sorted({min(k, len(x) - 1) for k in (2, 5, 8)})
-            neighbors = graphs.nearest(x, x, ks[-1], np.arange(len(x)))
-            assert list(tables) == [1, MAXIMAL]
-            for p in (1, MAXIMAL):
-                alone, = samplers._knn_tables([neighbors], [ks], symmetrize, p)
-                assert list(tables[p]) == ks
-                for k in ks:
-                    assert tables[p][k].dtype == alone[k].dtype
-                    assert np.array_equal(tables[p][k], alone[k]), (len(x), p, k)
-        assert list(got[3][MAXIMAL]) == [2, 3]
+        edges = [(Method.SMOTE, k, 1, ()) for k in (2, 5, 8)]
+        cliques = [(Method.SIMPLICIAL, k, p, ()) for k in (2, 5, 8) for p in (MAXIMAL, 2)]
+        both = (edges + cliques, (1, MAXIMAL))
+        for mix in ([both] * 4, [(edges, (1,)), both, (cliques, (MAXIMAL,)), both]):
+            work = [(np.arange(lo, hi), None, draws)
+                    for lo, hi, (draws, _) in zip(bounds, bounds[1:], mix)]
+            got = list(evaluation._tables(ds, work, symmetrize))
+            assert len(got) == len(work) and got[1] == ({}, None)
+            for (tables, moments), (train_idx, _, _), (_, kinds) in zip(got, work, mix):
+                train = ds.subset(train_idx)
+                if train.n_minority < 2:
+                    continue
+                mu, sd, scaled = evaluation._scaled(train.features)
+                assert np.array_equal(moments[0], mu) and np.array_equal(moments[1], sd)
+                x = _standardize(train, train.features)[0].minority_features()
+                assert np.array_equal(x, scaled[train.labels == MINORITY])
+                ks = sorted({min(k, len(x) - 1) for k in (2, 5, 8)})
+                neighbors = graphs.nearest(x, x, ks[-1], np.arange(len(x)))
+                alone, = samplers._knn_tables([neighbors], [dict.fromkeys(kinds, ks)],
+                                              symmetrize)
+                assert list(tables) == list(alone) == list(kinds)
+                for p in kinds:
+                    assert list(tables[p]) == ks
+                    for k in ks:
+                        assert tables[p][k].dtype == alone[p][k].dtype
+                        assert np.array_equal(tables[p][k], alone[p][k]), (len(x), p, k)
+            assert list(got[3][0][MAXIMAL]) == [2, 3]
+
+
+def _grid_cells(*args):
+    """``grid_search_eval(*args)``'s cells, or the ``EvaluationError`` it raised: the one
+    error a grid search may raise on valid input."""
+    try:
+        return grid_search_eval(*args).cells
+    except EvaluationError as exc:
+        return exc
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(GEOMETRIES), st.sampled_from([1, 2, 3, 5]), st.integers(2, 9),
+       st.integers(0, 10), st.sampled_from([1.0, 1e6, 1e-6, 1e150, 1e-150]),
+       st.sampled_from(["outer", "nested"]), st.sampled_from(["union", "mutual"]),
+       st.integers(0, 2 ** 32))
+@example("borderline-pair", 2, 6, 4, 1e-150, "nested", "mutual", 4)
+@example("duplicate", 3, 8, 2, 1e150, "outer", "union", 1)
+@example("collinear", 1, 7, 0, 1e-6, "outer", "mutual", 2)
+def test_grid_search_on_adversarial_inputs(geometry, d, n_plus, extra_minus, scale, mode,
+                                           symmetrize, seed):
+    # the grid path (split rankings, grouped tables, one safety ranking, one
+    # grouped classifier pass) on the geometries built to break the samplers:
+    # every method over k (2, 3, 5) and p (1, 2, max) raises nothing but an
+    # EvaluationError, scores inside their ranges, and splits tabled in groups
+    # of one score as one group does
+    ds = adversarial_dataset(geometry, d, n_plus, n_plus + 1 + extra_minus, scale, seed)
+    cv = CVConfig(folds=2, repeats=1, mode=mode, inner_folds=2, inner_repeats=1)
+    args = ({geometry: ds}, list(Method), (2, 3, 5), (1, 2, MAXIMAL), cv, seed % 5, symmetrize)
+    whole = _grid_cells(*args)
+    for cell in () if isinstance(whole, EvaluationError) else whole:
+        scores = [cell.mean_f1, cell.std_f1, cell.mean_mcc, cell.std_mcc]
+        assert np.isfinite(scores).all(), cell
+        assert 0 <= cell.mean_f1 <= 1 and -1 <= cell.mean_mcc <= 1, cell
+        assert cell.std_f1 >= 0 and cell.std_mcc >= 0, cell
+    with mock.patch.object(evaluation, "_BLOCK_ELEMS", 1):
+        assert repr(_grid_cells(*args)) == repr(whole)
 
 
 def make_report(score_grid):

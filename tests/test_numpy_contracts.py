@@ -1,5 +1,6 @@
 """The numpy behaviour the samplers' streams, the batched combine, the neighbour
-filter and re-rank, the clique step's bitsets and the grid search's tally rely on.
+filter and re-rank, the clique step's bitsets, the grid search's tally and the
+point-to-hull face solve rely on.
 
 Each test makes the call with the dtype, shape and keywords the code makes it
 with, and checks the result against an oracle that handles one row or one
@@ -510,3 +511,67 @@ def test_lexsort_of_packed_row_keys_orders_rows_as_tuples(n, width):
     assert all(key.dtype == np.int64 for key in keys)
     got = table[np.lexsort(keys[::-1])]
     assert list(map(tuple, got.tolist())) == sorted(map(tuple, table.tolist()))
+
+
+def _hull_stack(rng, n_faces: int, size: int, d: int, n_rows: int):
+    """(diff, edges) as geometry._hull_distances builds them for a block of faces of
+    ``size`` vertices: each face's vertices less its first, and each query row less
+    every face's first vertex; face 0 repeats a vertex, so its Gram is singular."""
+    verts = rng.normal(size=(n_faces, size, d)) * np.exp(rng.normal(size=(n_faces, 1, 1)) * 3)
+    verts[0, -1] = verts[0, 0]
+    q = rng.normal(size=(n_rows, d)) * 4
+    return q[:, None, :] - verts[:, 0], verts[:, 1:] - verts[:, :1]
+
+
+def _blocks(n: int):
+    """Contiguous blocks of 0..n-1: the whole, one row each and about a third each."""
+    step = max(1, -(-n // 3))
+    return [slice(0, n)] + [slice(i, i + 1) for i in range(n)] + \
+        [slice(i, i + step) for i in range(0, n, step)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_stacked_pinv_of_a_gram_stack_is_each_faces_pinv(d):
+    # geometry._hull_distances inverts the Gram matrices of a block of faces with
+    # one stacked pinv: face f's inverse must be pinv of its Gram alone, bit for
+    # bit, singular Grams included, and a face block's Gram stack that slice of
+    # the whole, so no distance depends on the face block size
+    rng = _rng(d)
+    for size in range(1, d + 2):
+        for n_faces in HEIGHTS:
+            _, edges = _hull_stack(rng, n_faces, size, d, 1)
+            gram = np.einsum("fsd,ftd->fst", edges, edges)
+            inv = np.linalg.pinv(gram)
+            assert inv.shape == (n_faces, size - 1, size - 1)
+            for f in range(n_faces):
+                assert np.array_equal(inv[f], np.linalg.pinv(gram[f])), (size, n_faces, f)
+            for faces in _blocks(n_faces):
+                block = edges[faces].copy()
+                assert np.array_equal(np.einsum("fsd,ftd->fst", block, block), gram[faces])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_hull_einsums_on_a_block_are_that_slice_of_the_whole(d):
+    # geometry._hull_distances runs its four contractions on (row block, face
+    # block) pieces, the diffs computed and the faces gathered per block: each
+    # must give that slice of the whole contraction, bit for bit
+    rng = _rng(10 + d)
+    for size in range(1, d + 2):
+        for n_faces, n_rows in ((1, 1), (3, 7), (9, 2), (64, 9)):
+            diff, edges = _hull_stack(rng, n_faces, size, d, n_rows)
+            inv = np.linalg.pinv(np.einsum("fsd,ftd->fst", edges, edges))
+            proj = np.einsum("bfd,fsd->bfs", diff, edges)
+            mu = np.einsum("fst,bft->bfs", inv, proj)
+            back = np.einsum("bfs,fsd->bfd", mu, edges)
+            res = diff - back
+            sq = np.einsum("bfd,bfd->bf", res, res)
+            for rows in _blocks(n_rows):
+                for faces in _blocks(n_faces):
+                    part = (rows, faces)
+                    e, i = edges[faces].copy(), inv[faces].copy()
+                    for got, want in (
+                            (np.einsum("bfd,fsd->bfs", diff[part].copy(), e), proj),
+                            (np.einsum("fst,bft->bfs", i, proj[part].copy()), mu),
+                            (np.einsum("bfs,fsd->bfd", mu[part].copy(), e), back),
+                            (np.einsum("bfd,bfd->bf", res[part].copy(), res[part].copy()), sq)):
+                        assert np.array_equal(got, want[part]), (size, n_faces, n_rows)

@@ -28,6 +28,7 @@ from simbal.complexes import SkeletonParameterError, SubdivisionCapExceeded, p_s
 from simbal.datasets import DatasetError
 from simbal.evaluation import (CVConfig, EvaluationError, grid_search_eval, knn_classify,
                                method_grid, stratified_cv, synthetic_benchmark)
+from simbal.geometry import mean_model_distance
 from simbal.graphs import MUTUAL, UNION, GraphParameterError, nearest
 from simbal.samplers import (
     GRAPH_METHODS,
@@ -43,6 +44,8 @@ from simbal import samplers, variants
 from simbal.variants import EmptyBorderlineError
 
 from helpers import (
+    GEOMETRIES,
+    adversarial_dataset,
     in_convex_hull,
     per_point_oversample,
     per_row_combine,
@@ -164,6 +167,33 @@ def test_out_of_range_seeds_are_typed_errors(sampler, seed):
 def test_non_integral_counts_are_typed_errors(case):
     run, error = NON_INTEGRAL[case]
     with pytest.raises(error, match="must be an integer"):
+        run()
+
+
+# each public entry that builds a skeleton checks its arguments, with the
+# error of the layer the argument belongs to
+ARGUMENT_ERRORS = {
+    "minority_skeleton-symmetrize": (lambda: minority_skeleton(_LABELLED, 2, symmetrize="bogus"),
+                                     GraphParameterError, "symmetrize must be"),
+    "minority_skeleton-p0": (lambda: minority_skeleton(_LABELLED, 2, p=0),
+                             SkeletonParameterError, "p must be >= 1"),
+    "minority_skeleton-p": (lambda: minority_skeleton(_LABELLED, 2, p=2.5),
+                            SkeletonParameterError, "p must be an integer"),
+    "minority_skeleton-k0": (lambda: minority_skeleton(_LABELLED, 0), GraphParameterError,
+                             "k must"),
+    "mean_model_distance-p0": (lambda: mean_model_distance(_POINTS[3:], _POINTS[:3], 2, p=0),
+                               SkeletonParameterError, "p must be >= 1"),
+    "mean_model_distance-k": (lambda: mean_model_distance(_POINTS[3:], _POINTS[:3], 3),
+                              GraphParameterError, "k must"),
+    "knn_graph-symmetrize": (lambda: knn_graph(_POINTS, 2, "bogus"), GraphParameterError,
+                             "symmetrize must be"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_public_argument_errors_keep_their_types(case):
+    run, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error, match=message):
         run()
 
 
@@ -826,34 +856,6 @@ def test_any_seed_any_method_meets_contracts(seed, method):
     assert batch.m == ds.n_majority - ds.n_minority
     assert np.all(np.isfinite(batch.points))
     assert reconstruction_error(batch, ds.features) <= 1e-9
-
-
-GEOMETRIES = ("generic", "duplicate", "collinear", "coplanar", "borderline-pair")
-
-
-def adversarial_dataset(geometry, d, n_plus, n_minus, scale, seed) -> Dataset:
-    """Minority sets built to break the geometry, on a majority cloud around them.
-
-    ``duplicate`` repeats a few base points, ``collinear`` and ``coplanar`` lay
-    the minority on a random line or plane, and ``borderline-pair`` puts two
-    close minority points inside the majority cloud and the rest in a far
-    cluster, so the borderline support is often just that pair.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if geometry == "duplicate":
-        base = rng.normal(size=(int(rng.integers(1, 4)), d))
-        mino = base[rng.integers(0, base.shape[0], size=n_plus)]
-    elif geometry in ("collinear", "coplanar"):
-        span = rng.normal(size=(1 if geometry == "collinear" else 2, d))
-        mino = rng.normal(size=d) + rng.normal(size=(n_plus, span.shape[0])) @ span
-    elif geometry == "borderline-pair":
-        mino = np.vstack([rng.normal(0.0, 0.05, size=(2, d)),
-                          rng.normal(50.0, 1.0, size=(n_plus - 2, d))])
-    else:
-        mino = rng.normal(size=(n_plus, d))
-    maj = rng.normal(0.0, 1.5, size=(n_minus, d))
-    return Dataset(np.vstack([mino, maj]) * scale,
-                   [1] * n_plus + [-1] * n_minus)
 
 
 @settings(max_examples=40, deadline=None)

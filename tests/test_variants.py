@@ -428,8 +428,8 @@ def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
     x = ds.minority_features()
     big_k = min(5, len(x) - 1)
     lists = nearest(x, x, big_k, np.arange(len(x)))
-    tables = {p: _knn_tables([lists], [range(1, big_k + 1)], symmetrize, p)[0]
-              for p in (1, MAXIMAL)}
+    tables, = _knn_tables([lists], [dict.fromkeys((1, MAXIMAL), range(1, big_k + 1))],
+                          symmetrize)
     for method in WHOLE_MINORITY:
         for k, p in product(range(1, 6), (1,) if GRAPH_VARIANTS[method][1] else (1, 2, MAXIMAL)):
             if p is not MAXIMAL and p > k:
@@ -482,8 +482,8 @@ def test_ranked_lists_stand_in_for_the_safety_search(monkeypatch, name, symmetri
     x = ds.minority_features()
     big_k = min(5, len(x) - 1)
     lists = nearest(x, x, big_k, np.arange(len(x)))
-    tables = {p: _knn_tables([lists], [range(1, big_k + 1)], symmetrize, p)[0]
-              for p in (1, MAXIMAL)}
+    tables, = _knn_tables([lists], [dict.fromkeys((1, MAXIMAL), range(1, big_k + 1))],
+                          symmetrize)
     tables[variants._RANKED] = compute_safety(ds, big_k).neighbors
     searches, search = [], variants.nearest
     monkeypatch.setattr(variants, "nearest", lambda *args: searches.append(args) or search(*args))
