@@ -69,7 +69,7 @@ class Dataset:
         return int(np.count_nonzero(self.labels == MAJORITY))
 
     def minority_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == MINORITY)
+        return (self.labels == MINORITY).nonzero()[0]  # labels are 1-d: flatnonzero, one call less
 
     def minority_features(self) -> np.ndarray:
         return self.features[self.labels == MINORITY]

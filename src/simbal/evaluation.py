@@ -10,13 +10,12 @@ and clique tables of every split and k drawn together, one call per kind;
 consecutive splits share that call while their neighbour lists stay within
 ``graphs._BLOCK_ELEMS`` entries. Each split then standardizes the fold's
 checked rows without a second check; for the safety-aware draws it ranks the
-minority against the whole fold once, at their largest k, and each counts
-over its first k neighbours. The variates of
-the draws but Gaussian's go into one combine (``samplers._combine``); one
-grouped call of the neighbour search (``graphs._search``) classifies the test
-fold for every draw, with ``knn_classify``'s vote rule, and one ``bincount``
-tallies them. Sampler seeds derive from the master seed and the (dataset,
-method, config, fold) coordinates.
+minority against the whole fold once, at their largest k. One driver call
+(``variants._draw``) draws every draw's variates but Gaussian's, one combine
+(``samplers._combine``) makes them points, and one grouped neighbour search
+(``graphs._search``), one vote and one ``bincount`` score them all. Sampler
+seeds derive from the master seed and the (dataset, method, config, fold)
+coordinates.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .graphs import (UNION, _BLOCK_ELEMS, _integer, _search, cross_distances,  #
 from .metrics import ConfusionCounts, confusion_counts, f1_score, mcc_score  # noqa: F401
 from .samplers import (BORDERLINE, GRAPH_VARIANTS, INVERSE_SAFETY, Method, SamplerConfig,
                        SamplerParameterError, _combine, _knn_tables, oversample)
-from .variants import _RANKED, EmptyBorderlineError, _draw, compute_safety
+from .variants import _RANKED, EmptyBorderlineError, _draw, _outcomes, compute_safety
 
 # Pseudo-method: evaluate the classifier on the raw imbalanced training fold.
 IMBALANCED = "imbalanced"
@@ -82,22 +81,23 @@ def knn_classify(train: Dataset, test_points, k_clf: int = DEFAULT_K_CLF) -> np.
 
 
 def _vote(neighbor_labels: np.ndarray) -> np.ndarray:
-    """Majority vote over each row of k_eff = min(k_clf, training rows) neighbour
-    labels; a tie goes to the minority."""
-    votes = np.sum(neighbor_labels == MINORITY, axis=1)
-    return np.where(2 * votes >= neighbor_labels.shape[1], MINORITY, MAJORITY)
+    """Majority vote over the last axis, the k_eff = min(k_clf, training rows) neighbour
+    labels of each query; a tie goes to the minority."""
+    votes = np.sum(neighbor_labels == MINORITY, axis=-1)
+    return np.where(2 * votes >= neighbor_labels.shape[-1], MINORITY, MAJORITY)
 
 
-def _classify_each(train: Dataset, test_points: np.ndarray, synthetic) -> list[np.ndarray]:
+def _classify_each(train: Dataset, test_points: np.ndarray, synthetic) -> np.ndarray:
     """``knn_classify(train + S, test_points)`` for each S of ``synthetic``, a list of
-    minority row sets, from one neighbour search over [train; S_1; ...; S_C]: the
-    training rows are shared, and each S is a group. ``test_points`` are finite
-    (``_standardize`` checks them); a lone S is one reference, with the filter's
-    threshold from all its rows."""
-    ref = np.vstack([train.features, *synthetic])
+    minority row sets, as the rows of one array: one neighbour search over [train; S_1;
+    ...; S_C] (the training rows shared, each S a group; ``test_points`` are finite, as
+    ``_standardize`` checks; a lone S is one reference, its filter threshold from all its
+    rows), then one vote, or one per group where k_eff differs (under k_clf training rows)."""
+    ref = np.concatenate([train.features, *synthetic])
     labels = np.concatenate([train.labels, np.full(len(ref) - train.n, MINORITY)])
-    return [_vote(labels.take(ids)) for ids in _search(
-        test_points, ref, DEFAULT_K_CLF, train.n, [len(rows) for rows in synthetic])]
+    ids = _search(test_points, ref, DEFAULT_K_CLF, train.n, [len(rows) for rows in synthetic])
+    return (_vote(labels.take(np.array(ids))) if train.n >= DEFAULT_K_CLF
+            else np.array([_vote(labels.take(group)) for group in ids]))
 
 
 @dataclass(frozen=True)
@@ -330,22 +330,28 @@ def _prepare(train: Dataset, test: Dataset, draws, tables: dict, moments):
 def _draw_split(split, draws, opts):
     """Per draw (method, k, p, seed coords) on a prepared split: its synthetic rows and a
     diagnostic or None. ``IMBALANCED`` and a sampler failure draw no rows, so the fold is
-    scored unsampled; Gaussian draws its points; the rest draw their variates, which all
-    combine in one call, padded to one width."""
+    scored unsampled; Gaussian draws its points; the rest draw their variates in one
+    driver call, and they all combine in one call, padded to one width."""
     train, tables = split[0], split[3]
     rows, diags, drafts = [np.empty((0, train.d))] * len(draws), [None] * len(draws), []
-    for i, (method, k, p, coords) in enumerate(draws):
-        if method == IMBALANCED:
-            continue
-        cfg = SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*coords),
-                            symmetrize=opts[0], safelevel_formula=opts[1])
-        try:
-            if method is Method.GAUSSIAN:
-                rows[i] = oversample(train, cfg).points
-            else:
-                drafts.append((i, *_draw(train, cfg, tables)[:2]))
-        except SAMPLER_DOMAIN_ERRORS as exc:  # scored unsampled; the run must go on
-            diags[i] = f"{method_name(method)}(k={k}, p={p}): {exc}"
+    cfgs = [None if method == IMBALANCED else
+            SamplerConfig(method=method, k=k, p=p, seed=_derived_seed(*coords),
+                          symmetrize=opts[0], safelevel_formula=opts[1])
+            for method, k, p, coords in draws]
+    barycentric = [c for c in cfgs if c and c.method is not Method.GAUSSIAN]
+    drawn = iter(_draw(train, barycentric, tables) if barycentric else ())
+    fitted = iter(list(_outcomes(oversample, [c for c in cfgs if c and c.method is Method.GAUSSIAN],
+                                 train)))
+    for i, (cfg, (method, k, p, _)) in enumerate(zip(cfgs, draws)):
+        out = cfg and next(fitted if method is Method.GAUSSIAN else drawn)
+        if isinstance(out, SAMPLER_DOMAIN_ERRORS):  # scored unsampled; the run must go on
+            diags[i] = f"{method_name(method)}(k={k}, p={p}): {out}"
+        elif isinstance(out, Exception):
+            raise out  # in draw order, as if drawn here
+        elif method is Method.GAUSSIAN:
+            rows[i] = out.points
+        elif out is not None:
+            drafts.append((i, *out[:2]))
     if drafts:
         bounds = np.cumsum([0, *(len(v) for _, v, _ in drafts)]).tolist()
         verts = np.full((bounds[-1], max(v.shape[1] for _, v, _ in drafts)), -1, np.intp)
@@ -366,7 +372,7 @@ def _score(split, synthetic) -> list:
     it checks no labels: the votes and a checked ``Dataset``'s labels are +1 or -1."""
     if not synthetic:
         return []
-    preds = np.array(_classify_each(split[0], split[1], synthetic)) == MINORITY
+    preds = _classify_each(split[0], split[1], synthetic) == MINORITY
     cells = 2 * (split[2] == MINORITY) + preds + 4 * np.arange(len(synthetic))[:, None]
     tallies = np.bincount(cells.ravel(), minlength=4 * len(synthetic)).reshape(-1, 4)
     return [ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn) for tn, fp, fn, tp in tallies.tolist()]

@@ -12,7 +12,7 @@ and global pair sampling from the edges of the complete minority graph.
 A barycentric draw has two halves: ``_variates`` draws a sampler's raw
 Dirichlet variates on its own streams, and ``_combine`` turns any stack of
 rows into points. The sampling driver ``variants._draw`` draws the variates of every
-method but Gaussian; the grid search combines a method's configurations in one call.
+method but Gaussian, for one configuration or all of a CV split's, combined in one call.
 
 Every sampler is a pure function of (dataset, parameters, seed). Synthetic
 points carry provenance: the dataset-level vertex ids of the source simplex
@@ -219,7 +219,7 @@ class SampleStreams:
 def _resolve_m(ds: Dataset, target_count: int | None) -> int:
     if target_count is not None:
         return int(target_count)  # SamplerConfig checks it
-    gap = ds.n_majority - ds.n_minority
+    gap = ds.n - 2 * ds.n_minority  # every label is +1 or -1: one count
     if gap < 0:
         raise DatasetError(
             f"minority class (+1, n={ds.n_minority}) is larger than the majority class "
@@ -233,15 +233,15 @@ def oversample_random(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     return oversample(ds, SamplerConfig(Method.RANDOM, seed=seed, target_count=m))
 
 
-def _duplicated_instead(ds: Dataset, cfg: SamplerConfig, *warnings: str) -> tuple:
-    """(verts, gammas, meta) of random duplication under ``cfg``'s method; ``warnings`` say why."""
-    if ds.n_minority < 1:
+def _duplicated_instead(ds: Dataset, ids: np.ndarray, cfg: SamplerConfig, *warnings: str) -> tuple:
+    """(verts, gammas, meta) of random duplication of ``ids``, the minority's dataset ids, under
+    ``cfg``'s method; ``warnings`` say why."""
+    if ids.size < 1:
         raise SamplerParameterError("need at least one minority point")
     meta = {"method": cfg.method.value, "seed": int(cfg.seed)} | (
         {"warnings": warnings} if warnings else {})
     m = _resolve_m(ds, cfg.target_count)
-    return (*_sample_from_simplices(ds.minority_indices()[:, None], m, SampleStreams(cfg.seed)),
-            meta)
+    return (*_sample_from_simplices(ids[:, None], m, SampleStreams(cfg.seed)), meta)
 
 
 def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -249,21 +249,20 @@ def oversample_global(ds: Dataset, m: int | None = None, seed: int = 0) -> Synth
     return oversample(ds, SamplerConfig(Method.GLOBAL, seed=seed, target_count=m))
 
 
-def _global_variates(ds: Dataset, cfg: SamplerConfig) -> tuple:
-    """(verts, gammas, meta) of global pair sampling: the edges of the complete minority graph."""
-    if ds.n_minority < 2:
+def _global_variates(ds: Dataset, ids: np.ndarray, cfg: SamplerConfig) -> tuple:
+    """(verts, gammas, meta) of global pair sampling: the edges of the complete graph on ``ids``."""
+    if ids.size < 2:
         return _duplicated_instead(
-            ds, cfg, "fewer than 2 minority points; duplicated instead of combining")
+            ds, ids, cfg, "fewer than 2 minority points; duplicated instead of combining")
     m = _resolve_m(ds, cfg.target_count)
     meta = {"method": Method.GLOBAL.value, "seed": int(cfg.seed)}
     streams = SampleStreams(cfg.seed)
-    idx_min = ds.minority_indices()
     # row i is point i's (first, partner) draw; the partner skips the first, so
     # the pair is uniform over distinct pairs, then listed ascending
-    pairs = streams.selection.integers(0, [idx_min.size, idx_min.size - 1], size=(m, 2))
+    pairs = streams.selection.integers(0, [ids.size, ids.size - 1], size=(m, 2))
     pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
     pairs.sort(axis=1)
-    return (*_variates(idx_min[pairs], streams), meta)
+    return (*_variates(ids[pairs], streams), meta)
 
 
 def oversample_gaussian(ds: Dataset, m: int | None = None, seed: int = 0) -> SyntheticBatch:
@@ -275,7 +274,8 @@ def _gaussian_batch(ds: Dataset, cfg: SamplerConfig) -> SyntheticBatch:
     """``oversample_gaussian``'s draw: the one sampler whose points are not barycentric."""
     if ds.n_minority < 2:
         return _batch(ds.features, *_duplicated_instead(
-            ds, cfg, "fewer than 2 minority points; duplicated instead of fitting"))
+            ds, ds.minority_indices(), cfg, "fewer than 2 minority points; duplicated instead "
+            "of fitting"))
     m = _resolve_m(ds, cfg.target_count)
     meta = {"method": Method.GAUSSIAN.value, "seed": int(cfg.seed)}
     minority = ds.minority_features()
@@ -453,4 +453,7 @@ def oversample(ds: Dataset, config: SamplerConfig) -> SyntheticBatch:
     if config.method is Method.GAUSSIAN:
         return _gaussian_batch(ds, config)
     from .variants import _draw  # the sampling driver layers on this module
-    return _batch(ds.features, *_draw(ds, config))
+    drawn = _draw(ds, [config])
+    if isinstance(drawn[0], Exception):
+        raise drawn.pop()  # popped: the traceback's frames keep no reference to it
+    return _batch(ds.features, *drawn[0])

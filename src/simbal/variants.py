@@ -12,12 +12,14 @@ variant changes exactly one knob:
 * safe-level reshapes the Dirichlet parameters per simplex,
 * the density-adaptive variant (ADASYN) reweights simplex selection.
 
-Safety is measured on the full dataset: for each minority point, the class
-mix of its k nearest neighbors (self excluded). A safety-aware draw takes it
-from one ``compute_safety`` call at k clamped to n_plus - 1, before its simplex
-table; borderline's support reads the neighbor ids that call keeps. A CV split
-ranks its training minority once, at its largest such k, and hands the lists to
-``_draw`` in ``tables``; each draw counts over their first k columns.
+One ``_draw`` call draws each configuration given on one dataset as it would
+alone, working out the minority's ids, m and each clamped k's safety counts
+once. Safety is measured on the full dataset: for each minority point, the
+class mix of its k nearest neighbors (self excluded), from one
+``compute_safety`` call at k clamped to n_plus - 1; borderline's support reads
+the neighbor ids that call keeps. A CV split ranks its training minority once,
+at its largest such k, and hands the lists to ``_draw`` in ``tables``; each
+draw counts over their first k columns.
 """
 
 from __future__ import annotations
@@ -185,53 +187,72 @@ def oversample_safelevel(ds: Dataset, k: int, p: int | None = MAXIMAL,
     return oversample(ds, SamplerConfig(Method.S_SAFELEVEL, k, p, seed, m, symmetrize, formula))
 
 
-def _draw(ds: Dataset, cfg: SamplerConfig, tables: dict | None = None) -> tuple:
-    """The sampling driver: (verts, gammas, meta) of every method but Gaussian. A graph
-    method runs the simplex pipeline with its variant's knob; borderline builds its complex
-    over the borderline points and the minority members of their safety neighborhoods.
+def _draw(ds: Dataset, cfgs: list[SamplerConfig], tables: dict | None = None) -> list:
+    """The sampling driver: per ``SamplerConfig`` of ``cfgs``, its (verts, gammas, meta)
+    on ``ds``, or the exception its draw raised, for the caller to raise. A graph method
+    runs the simplex pipeline with its variant's knob; borderline builds its complex over
+    the borderline points and the minority members of their safety neighborhoods.
     ``tables``, when given, holds the minority's {1: edge tables, MAXIMAL: clique tables}
     as ``samplers._knn_skeleton`` takes them, read by all but borderline, and may hold at
     ``_RANKED`` the ``compute_safety`` neighbor ids, read up to each draw's k."""
-    if cfg.method is Method.RANDOM:
-        return _duplicated_instead(ds, cfg)
-    if cfg.method is Method.GLOBAL:
-        return _global_variates(ds, cfg)
-    variant, edge_only = GRAPH_VARIANTS[cfg.method]
-    p = 1 if edge_only else cfg.p
-    if variant == BORDERLINE and ds.n_minority < 2:
-        raise EmptyBorderlineError(
-            "no borderline minority points exist; use the plain edge or simplex sampler")
-    if ds.n_minority == 1:
-        return _duplicated_instead(ds, cfg,
-                                   "single minority point; duplicated instead of interpolating")
-    ids = ds.minority_indices()
-    if variant is not None and ids.size > 1:  # with none, the table step raises
-        k = min(int(cfg.k), ids.size - 1)
-        ranked = (tables or {}).get(_RANKED)
-        safety = compute_safety(ds, k) if ranked is None else _counted(ds, ranked[:, :k])
-    if variant == BORDERLINE:
-        border = borderline_subset(ds, k, safety)
-        if not border:
+    ids, ranked, ms, safeties = ds.minority_indices(), (tables or {}).get(_RANKED), {}, {}
+    id_map = np.concatenate((ids, [-1]))  # table positions to dataset ids, -1 pads kept
+
+    def one(cfg: SamplerConfig, ids=ids, tables=tables) -> tuple:  # borderline rebinds both
+        if cfg.method is Method.RANDOM:
+            return _duplicated_instead(ds, ids, cfg)
+        if cfg.method is Method.GLOBAL:
+            return _global_variates(ds, ids, cfg)
+        variant, edge_only = GRAPH_VARIANTS[cfg.method]
+        p = 1 if edge_only else cfg.p
+        if variant == BORDERLINE and ids.size < 2:
             raise EmptyBorderlineError(
-                "every minority point is either safe or pure noise at this k; borderline "
-                "oversampling has nothing to target, use the plain edge or simplex sampler instead")
-        reached = safety.neighbors[np.isin(ids, list(border))]
-        ids, tables = np.union1d(list(border), reached[ds.labels[reached] == MINORITY]), None
-    m = _resolve_m(ds, cfg.target_count)
-    local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, tables)
-    # ids ascend, so mapping positions to dataset ids keeps the rows' order
-    table = np.append(ids, -1).take(local)
-    if variant == BORDERLINE:
-        # the support has at most n_plus points, so clamping k to it clamps the safety k too
-        table = table[np.isin(table, list(border)).any(axis=1)]
-        info.update(safety_k=k, borderline=tuple(sorted(border)))
-    meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
-            "p": "max" if p is MAXIMAL else int(p)}
-    weights = alpha_fn = None
-    if variant == SAFELEVEL:
-        meta["formula"] = cfg.safelevel_formula
-        alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
-    elif variant == ADASYN:
-        weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
-    meta.update(info, n_candidate_simplices=table.shape[0])
-    return (*_sample_from_simplices(table, m, SampleStreams(cfg.seed), weights, alpha_fn), meta)
+                "no borderline minority points exist; use the plain edge or simplex sampler")
+        if ids.size == 1:
+            return _duplicated_instead(
+                ds, ids, cfg, "single minority point; duplicated instead of interpolating")
+        if variant is not None and ids.size > 1:  # with none, the table step raises
+            k = min(int(cfg.k), ids.size - 1)
+            safety = safeties.get(k) or safeties.setdefault(
+                k, compute_safety(ds, k) if ranked is None else _counted(ds, ranked[:, :k]))
+        if variant == BORDERLINE:
+            border = borderline_subset(ds, k, safety)
+            if not border:
+                raise EmptyBorderlineError(
+                    "every minority point is either safe or pure noise at this k; borderline "
+                    "oversampling has nothing to target, use the plain edge or simplex "
+                    "sampler instead")
+            reached = safety.neighbors[np.isin(ids, list(border))]
+            ids, tables = np.union1d(list(border), reached[ds.labels[reached] == MINORITY]), None
+        if cfg.target_count not in ms:  # a failure is not kept: each draw needing it raises it
+            ms[cfg.target_count] = _resolve_m(ds, cfg.target_count)
+        local, info = _knn_skeleton(ds, ids, cfg.k, p, cfg.symmetrize, tables)
+        # ids ascend, so mapping positions to dataset ids keeps the rows' order
+        table = (np.append(ids, -1) if variant == BORDERLINE else id_map).take(local)
+        if variant == BORDERLINE:
+            # the support has at most n_plus points, so clamping k to it clamps the safety k too
+            table = table[np.isin(table, list(border)).any(axis=1)]
+            info.update(safety_k=k, borderline=tuple(sorted(border)))
+        meta = {"method": cfg.method.value, "seed": int(cfg.seed), "symmetrize": cfg.symmetrize,
+                "p": "max" if p is MAXIMAL else int(p)}
+        weights = alpha_fn = None
+        if variant == SAFELEVEL:
+            meta["formula"] = cfg.safelevel_formula
+            alpha_fn = partial(safelevel_alphas, safety, formula=cfg.safelevel_formula)
+        elif variant == ADASYN:
+            weights = _adasyn_weights(safety, table[table >= 0], (table >= 0).sum(axis=1))
+        meta.update(info, n_candidate_simplices=table.shape[0])
+        return (*_sample_from_simplices(table, ms[cfg.target_count], SampleStreams(cfg.seed),
+                                        weights, alpha_fn), meta)
+
+    return list(_outcomes(one, cfgs))
+
+
+def _outcomes(draw, cfgs, *args):
+    """Per config, ``draw(*args, config)`` or the exception it raised. A generator drops its
+    caller's frame at each yield, so a caller may keep the exceptions with no reference cycle."""
+    for cfg in cfgs:
+        try:
+            yield draw(*args, cfg)
+        except Exception as exc:  # handed back: each configuration fails alone
+            yield exc

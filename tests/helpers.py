@@ -316,9 +316,10 @@ def _per_config_best(ds, splits, method, combos, seed_coords, opts):
 
 
 def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed,
-                           symmetrize="union", safelevel_formula="inverse"):
+                           symmetrize="union", safelevel_formula="inverse", only=None):
     """``grid_search_eval`` the config-major way: every (method, k, p) runs over
-    all splits, and every fold subsets and standardizes its split again.
+    all splits, and every fold subsets and standardizes its split again. With
+    ``only``, a method's index, that method's cells alone, seeded as in the grid.
 
     This is the definition the fold-major harness must match byte for byte.
     """
@@ -328,6 +329,8 @@ def per_config_grid_search(datasets, methods, k_grid, p_grid, cv, seed,
     for d, (name, ds) in enumerate(datasets.items()):
         splits = ev.stratified_cv(ds, cv.folds, cv.repeats, ev._derived_seed(seed, d))
         for m, method in enumerate(methods):
+            if only is not None and m != only:
+                continue
             combos = ev.method_grid(method, k_grid, p_grid)
             if cv.mode == "outer":
                 (*scores, diags), k, p = _per_config_best(

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -151,6 +152,25 @@ class TestGroupedClassifier:
             got = evaluation._classify_each(train, test_points, synthetic)
         assert every.call_count == 1
         assert_classifies_each(train, test_points, synthetic, got)
+
+    @pytest.mark.parametrize("n_train, votes", [(3, 3), (4, 3), (5, 1), (9, 1)])
+    def test_one_vote_unless_k_eff_differs_by_group(self, n_train, votes):
+        # row sets of 0, 1 and 7 rows: below k_clf = 5 training rows, k_eff =
+        # min(5, n_train + m) differs by group and each group votes alone; from 5
+        # rows on every group has k_eff = 5 and one vote takes them all. Either
+        # way the predictions and the tallies are each augmented fold's own
+        rng = np.random.Generator(np.random.PCG64(n_train))
+        train = Dataset(rng.normal(size=(n_train, 2)), [1] + [-1] * (n_train - 1))
+        synthetic = [np.empty((0, 2)), rng.normal(size=(1, 2)), rng.normal(0.5, 1.0, size=(7, 2))]
+        test_points, test_labels = rng.normal(size=(40, 2)), np.where(rng.random(40) < 0.5, 1, -1)
+        with mock.patch.object(evaluation, "_vote", wraps=evaluation._vote) as vote:
+            got = evaluation._classify_each(train, test_points, synthetic)
+        assert vote.call_count == votes and got.shape == (3, 40)
+        assert_classifies_each(train, test_points, synthetic, got)
+        counts = evaluation._score((train, test_points, test_labels, None), synthetic)
+        assert repr(counts) == repr([
+            metrics.confusion_counts(test_labels, knn_classify(augmented(train, rows), test_points))
+            for rows in synthetic])
 
     def test_far_offset(self):
         # unit noise on a 1e8 offset; the draws copy some training rows
@@ -433,14 +453,21 @@ class TestGridSearchEval:
                              cv=CVConfig(folds=2, repeats=1), symmetrize="unoin")
 
     def test_non_domain_sampler_error_propagates(self, monkeypatch):
-        def broken(ds, cfg, *tables):
+        def broken(*args):
             raise ZeroDivisionError("sampler bug")
 
+        def handed_back(ds, cfgs, *tables):
+            return [ZeroDivisionError("sampler bug") for _ in cfgs]
+
         # every method but Gaussian goes straight to the sampling driver, which
-        # takes the split's simplex tables; Gaussian through oversample
-        for site, method in (("_draw", Method.RANDOM), ("_draw", Method.SMOTE),
-                             ("_draw", Method.BORDERLINE), ("oversample", Method.GAUSSIAN)):
-            monkeypatch.setattr(evaluation, site, broken)
+        # takes the split's simplex tables and hands back each draw's failure;
+        # Gaussian through oversample. A bug raised or handed back propagates
+        for site, fake, method in (("_draw", broken, Method.RANDOM),
+                                   ("_draw", broken, Method.SMOTE),
+                                   ("_draw", handed_back, Method.SMOTE),
+                                   ("_draw", handed_back, Method.BORDERLINE),
+                                   ("oversample", broken, Method.GAUSSIAN)):
+            monkeypatch.setattr(evaluation, site, fake)
             with pytest.raises(ZeroDivisionError, match="sampler bug"):
                 grid_search_eval(self._datasets(), [method], k_grid=(3,),
                                  cv=CVConfig(folds=2, repeats=1))
@@ -919,12 +946,15 @@ class TestFoldMajorHarness:
         skeleton_table, knn_tables = samplers._skeleton_table, samplers._knn_tables
         groups = record_groups(monkeypatch, calls)
 
-        def checked_draw(ds, cfg, tables=None):
+        def checked_draw(ds, cfgs, tables=None):
+            # the whole-minority draws in a call of their own, checked; the
+            # driver draws each configuration as it would alone
+            whole = [cfg.method in WHOLE_MINORITY for cfg in cfgs]
             before = len(calls)
-            result = draw(ds, cfg, tables)
-            if cfg.method in WHOLE_MINORITY:
-                assert calls[before:] == [], cfg
-            return result
+            drawn = iter(draw(ds, [cfg for cfg, w in zip(cfgs, whole) if w], tables))
+            assert calls[before:] == [], cfgs
+            rest = iter(draw(ds, [cfg for cfg, w in zip(cfgs, whole) if not w], tables))
+            return [next(drawn if w else rest) for w in whole]
 
         def counted_table(n, lo, hi, p=MAXIMAL):
             calls.append(("table", p))
@@ -1022,17 +1052,18 @@ def _grid_cells(*args):
 @given(st.sampled_from(GEOMETRIES), st.sampled_from([1, 2, 3, 5]), st.integers(2, 9),
        st.integers(0, 10), st.sampled_from([1.0, 1e6, 1e-6, 1e150, 1e-150]),
        st.sampled_from(["outer", "nested"]), st.sampled_from(["union", "mutual"]),
-       st.integers(0, 2 ** 32))
-@example("borderline-pair", 2, 6, 4, 1e-150, "nested", "mutual", 4)
-@example("duplicate", 3, 8, 2, 1e150, "outer", "union", 1)
-@example("collinear", 1, 7, 0, 1e-6, "outer", "mutual", 2)
+       st.integers(0, 2 ** 32), st.integers(0, len(Method) - 1))
+@example("borderline-pair", 2, 6, 4, 1e-150, "nested", "mutual", 4, 6)
+@example("duplicate", 3, 8, 2, 1e150, "outer", "union", 1, 8)
+@example("collinear", 1, 7, 0, 1e-6, "outer", "mutual", 2, 4)
 def test_grid_search_on_adversarial_inputs(geometry, d, n_plus, extra_minus, scale, mode,
-                                           symmetrize, seed):
+                                           symmetrize, seed, pick):
     # the grid path (split rankings, grouped tables, one safety ranking, one
-    # grouped classifier pass) on the geometries built to break the samplers:
-    # every method over k (2, 3, 5) and p (1, 2, max) raises nothing but an
-    # EvaluationError, scores inside their ranges, and splits tabled in groups
-    # of one score as one group does
+    # driver call and one vote per split) on the geometries built to break the
+    # samplers: every method over k (2, 3, 5) and p (1, 2, max) raises nothing
+    # but an EvaluationError, scores inside their ranges, splits tabled in
+    # groups of one score as one group does, and the picked method's cell is
+    # the per-configuration oracle's, with the same seed coordinates
     ds = adversarial_dataset(geometry, d, n_plus, n_plus + 1 + extra_minus, scale, seed)
     cv = CVConfig(folds=2, repeats=1, mode=mode, inner_folds=2, inner_repeats=1)
     args = ({geometry: ds}, list(Method), (2, 3, 5), (1, 2, MAXIMAL), cv, seed % 5, symmetrize)
@@ -1044,6 +1075,30 @@ def test_grid_search_on_adversarial_inputs(geometry, d, n_plus, extra_minus, sca
         assert cell.std_f1 >= 0 and cell.std_mcc >= 0, cell
     with mock.patch.object(evaluation, "_BLOCK_ELEMS", 1):
         assert repr(_grid_cells(*args)) == repr(whole)
+    if isinstance(whole, EvaluationError):
+        with pytest.raises(EvaluationError):
+            per_config_grid_search(*args, only=pick)
+    else:
+        assert repr(per_config_grid_search(*args, only=pick).cells) == repr(whole[pick:pick + 1])
+
+
+def test_grid_cell_peak_grows_at_most_linearly_with_the_minority():
+    # a one-method cell (simplicial, the clique tables of every split and k of
+    # 3..8 held in one group) at the default group budget: a minority 4x as
+    # large, with the same majority, takes at most 4x the traced peak
+    def peak(n_plus):
+        ds = generate_synthetic(SyntheticSpec(Shape.MOONS, n_plus, 400, seed=3))
+        tracemalloc.start()
+        try:
+            grid_search_eval({"moons": ds}, [Method.SIMPLICIAL], range(3, 9),
+                             cv=CVConfig(folds=4, repeats=1), seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # first calls allocate once for good; they are not the cell's
+    small, large = peak(80), peak(320)
+    assert small < large <= 4 * small
 
 
 def make_report(score_grid):

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +24,9 @@ from simbal import (
 )
 from simbal.graphs import nearest
 from simbal.samplers import GRAPH_VARIANTS, SamplerParameterError, _knn_tables, minority_skeleton
-from simbal import samplers, variants
+from simbal import complexes, samplers, variants
+from simbal.complexes import SubdivisionCapExceeded
+from simbal.datasets import DatasetError
 from simbal.variants import NeighborhoodSafety
 
 from helpers import (in_convex_hull, nearest_id_sets, random_imbalanced_dataset,
@@ -418,6 +422,14 @@ def neighbor_list_datasets() -> dict[str, Dataset]:
 WHOLE_MINORITY = [m for m, (variant, _) in GRAPH_VARIANTS.items() if variant != "borderline"]
 
 
+def drawn_alone(ds, cfg, tables=None):
+    """The batch of ``cfg`` drawn by the sampling driver as a list of one; its failure raised."""
+    drawn, = variants._draw(ds, [cfg], tables)
+    if isinstance(drawn, Exception):
+        raise drawn
+    return samplers._batch(ds.features, *drawn)
+
+
 @pytest.mark.parametrize("symmetrize", ["union", "mutual"])
 @pytest.mark.parametrize("name", list(neighbor_list_datasets()))
 def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
@@ -436,7 +448,7 @@ def test_neighbor_lists_stand_in_for_the_search(name, symmetrize):
                 continue
             cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
             want = oversample(ds, cfg)
-            got = samplers._batch(ds.features, *variants._draw(ds, cfg, tables))
+            got = drawn_alone(ds, cfg, tables)
             assert np.array_equal(got.points, want.points), (method, k, p)
             assert np.array_equal(got.simplices, want.simplices), (method, k, p)
             assert np.array_equal(got.lam, want.lam), (method, k, p)
@@ -494,7 +506,101 @@ def test_ranked_lists_stand_in_for_the_safety_search(monkeypatch, name, symmetri
             cfg = SamplerConfig(method, k, p, seed=k, target_count=40, symmetrize=symmetrize)
             want = _outcome(lambda: oversample(ds, cfg))
             before = len(searches)
-            got = _outcome(lambda: samplers._batch(ds.features, *variants._draw(ds, cfg, tables)))
+            got = _outcome(lambda: drawn_alone(ds, cfg, tables))
             assert len(searches) == before, (method, k, p)
             assert got == want, (method, k, p)
     assert searches  # oversample itself searched
+
+
+def driver_datasets() -> dict[str, Dataset]:
+    """Small sets for the driver contract: the lattice with every point twice and the
+    4-point minority that clamps k, overlapping clouds where borderline finds its points,
+    a lone minority point (duplicated, or borderline's error) and a minority larger than
+    the majority (no m without a target count)."""
+    rng = np.random.Generator(np.random.PCG64(37))
+    sets = {name: neighbor_list_datasets()[name] for name in ("lattice-twice", "four-points")}
+    sets["clouds"] = Dataset(np.vstack([rng.normal(0.5, 1.0, (24, 3)), rng.normal(size=(40, 3))]),
+                             [1] * 24 + [-1] * 40)
+    sets["lone"] = Dataset(rng.normal(size=(9, 2)), [1] + [-1] * 8)
+    sets["minority-larger"] = Dataset(rng.normal(size=(14, 2)), [1] * 9 + [-1] * 5)
+    return sets
+
+
+def _drawn_bits(outcome):
+    """A driver outcome as comparable bits: the exception's type and message, or the
+    verts' and gammas' dtype, shape and bytes with the meta's repr."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in outcome[:2]) + (repr(outcome[2]),)
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+@pytest.mark.parametrize("supplied", ["none", "tables", "tables+ranked"])
+@pytest.mark.parametrize("name", list(driver_datasets()))
+def test_one_driver_call_equals_each_config_alone(monkeypatch, name, supplied, cap):
+    # one call over every method (Gaussian's error included), k up to 8 (clamped on
+    # the small minorities), p = 1, 2 and MAXIMAL, union and mutual, with and without
+    # the target count, in a shuffled order: each outcome is, bit for bit, that of the
+    # configuration drawn alone, a failure too. A subdivision cap of 4 makes some
+    # p = 2 draws raise between draws that succeed
+    if cap is not None:
+        monkeypatch.setattr(complexes, "SUBDIVISION_CAP", cap)
+    ds = driver_datasets()[name]
+    rng = np.random.Generator(np.random.PCG64(len(name)))
+    cfgs = [SamplerConfig(method, k, p, seed=int(rng.integers(2 ** 63)),
+                          target_count=(None, 12)[rng.integers(2)], symmetrize=symmetrize)
+            for method, k, p, symmetrize in product(
+                Method, (1, 3, 8), (1, 2, MAXIMAL), ("union", "mutual"))
+            if p is MAXIMAL or p <= k or GRAPH_VARIANTS.get(method, (None, True))[1]]
+    cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]
+    tables, big_k = None, min(8, ds.n_minority - 1)
+    if supplied != "none" and big_k >= 1:
+        x = ds.minority_features()
+        tables = {}
+        for symmetrize in ("union", "mutual"):  # one call per symmetrization, as a split has
+            split_tables, = _knn_tables([nearest(x, x, big_k, np.arange(len(x)))],
+                                        [dict.fromkeys((1, MAXIMAL), range(1, big_k + 1))],
+                                        symmetrize)
+            tables[symmetrize] = split_tables
+            if supplied == "tables+ranked":
+                split_tables[variants._RANKED] = compute_safety(ds, big_k).neighbors
+    kinds = {s: [cfg for cfg in cfgs if cfg.symmetrize == s] for s in ("union", "mutual")}
+    failed = set()
+    for symmetrize, group in kinds.items():
+        split = None if tables is None else tables[symmetrize]
+        together = variants._draw(ds, group, split)
+        assert len(together) == len(group)
+        for cfg, outcome in zip(group, together):
+            alone, = variants._draw(ds, [cfg], split)
+            assert _drawn_bits(outcome) == _drawn_bits(alone), cfg
+            if isinstance(outcome, Exception):
+                failed.add(type(outcome))
+    assert KeyError in failed  # Gaussian draws points, not variates: not the driver's
+    if name == "minority-larger":
+        assert DatasetError in failed
+    if name == "lone":
+        assert EmptyBorderlineError in failed
+    if cap is not None and name == "clouds":
+        assert SubdivisionCapExceeded in failed
+
+
+def test_a_failed_draw_keeps_no_reference_cycle():
+    # the driver hands back each failure; neither the outcome list nor a failing
+    # oversample call keeps the dataset alive once dropped, without the collector
+    rng = np.random.Generator(np.random.PCG64(3))
+    gc.disable()
+    try:
+        for run in (lambda ds: variants._draw(ds, [SamplerConfig(Method.SMOTE, 3),
+                                                   SamplerConfig(Method.BORDERLINE, 3)]),
+                    lambda ds: oversample(ds, SamplerConfig(Method.SIMPLICIAL, 3))):
+            ds = Dataset(rng.normal(size=(14, 2)), [1] * 9 + [-1] * 5)
+            alive = weakref.ref(ds)
+            try:
+                outcomes = run(ds)
+            except DatasetError:
+                outcomes = None
+            assert outcomes is None or all(isinstance(o, DatasetError) for o in outcomes)
+            del ds, outcomes
+            assert alive() is None
+    finally:
+        gc.enable()
